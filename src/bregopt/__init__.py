@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     StepFailure,
     StepOutOfDomain,
+    TraceInvariantError,
 )
 from .metrics import (
     CertReport,

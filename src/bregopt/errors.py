@@ -41,6 +41,10 @@ class StepFailure(BregoptError):
     """The step-halving safeguard exhausted its retry budget."""
 
 
+class TraceInvariantError(BregoptError):
+    """A trace record would make a monotone column (grad_evals, comms) decrease."""
+
+
 class InsufficientData(BregoptError):
     """Not enough data (rows, trace records, ...) for the requested operation."""
 

@@ -11,8 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnchorsUnavailable, DomainViolation, InsufficientData
-from .mirror import Euclidean, LogBarrier, NegEntropy, make_reference, mirror_step
+from .errors import (
+    AnchorsUnavailable,
+    DomainViolation,
+    InsufficientData,
+    TraceInvariantError,
+)
+from .mirror import make_reference, mirror_step
 from .objective import DiagonalQuadratic, PoissonKL, poisson_rel_L
 from .rng import make_rng
 
@@ -64,10 +69,16 @@ class Trace:
         self.metadata = dict(metadata or {})
 
     def append(self, record):
+        """Add ``record``; raises TraceInvariantError if grad_evals or comms
+        would decrease."""
         if self.records:
             prev = self.records[-1]
-            assert record.grad_evals >= prev.grad_evals
-            assert record.comms >= prev.comms
+            for column in ("grad_evals", "comms"):
+                before, after = getattr(prev, column), getattr(record, column)
+                if not after >= before:
+                    raise TraceInvariantError(
+                        f"trace column {column} decreased from {before!r} to {after!r}"
+                    )
         self.records.append(record)
 
     def __len__(self):

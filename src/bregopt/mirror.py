@@ -137,7 +137,8 @@ class LogBarrier(ReferenceFunction):
             )
 
     def dual_violation_index(self, y):
-        bad = np.flatnonzero(y >= 0.0)
+        # ~(y < 0) rather than y >= 0, so a NaN coordinate is a violation
+        bad = np.flatnonzero(~(y < 0.0))
         return int(bad[0]) if bad.size else None
 
     def value(self, x):

@@ -34,13 +34,14 @@ def _sigmoid(t):
 
 
 def _log1pexp(t):
-    """log(1 + exp(t)) without overflow."""
+    """log(1 + exp(t)) without overflow.
+
+    max(t, 0) + log1p(exp(-|t|)) does, per element, exactly the operations
+    of the two branches t + log1p(exp(-t)) (t > 0) and 0 + log1p(exp(t))
+    (t <= 0), so it is bit-identical to them, without boolean masks.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t > 0
-    out[pos] = t[pos] + np.log1p(np.exp(-t[pos]))
-    out[~pos] = np.log1p(np.exp(t[~pos]))
-    return out
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 class FiniteSumObjective:

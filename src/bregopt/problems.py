@@ -11,14 +11,22 @@ concurrently. Three experiment families are covered:
 """
 
 import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InsufficientData, InvalidData, LabelError, ParseError
-from .mirror import Euclidean, LogBarrier, Preconditioner
+from .errors import (
+    InsufficientData,
+    InvalidData,
+    LabelError,
+    ParseError,
+    StepOutOfDomain,
+)
+from .mirror import LogBarrier, Preconditioner, make_reference, mirror_step
 from .objective import (
     DiagonalQuadratic,
     LogisticL2,
@@ -397,9 +405,6 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
     elif isinstance(obj, PoissonKL):
         # barrier-regularized KL: relatively strongly convex, solve by
         # deterministic Bregman descent with the theoretical step
-        from .mirror import LogBarrier
-        from .solver import bgd_run
-
         l_rel = poisson_rel_L(obj.A, obj.b, n_components=obj.n_components)
         l_rel += obj.barrier_weight
         ref = LogBarrier()
@@ -409,9 +414,6 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
             g = obj.full_grad(x)
             if np.linalg.norm(g) <= tol:
                 break
-            from .mirror import mirror_step
-            from .errors import StepOutOfDomain
-
             try:
                 x = mirror_step(ref, x, g, eta)
             except StepOutOfDomain:
@@ -428,6 +430,7 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"BREGOPT1"
+_REFERENCE_TAGS = {b"e": "euclidean", b"b": "log_barrier", b"n": "neg_entropy"}
 
 
 def _pack_array(fh, arr):
@@ -440,13 +443,42 @@ def _pack_array(fh, arr):
     fh.write(arr.astype("<f8" if code == b"f" else "<i8").tobytes())
 
 
+def _read_exact(fh, n):
+    """Read exactly ``n`` bytes; a short or corrupt file raises InvalidData.
+
+    The length is checked against the bytes left in the file before reading,
+    so a corrupt size field cannot ask for a huge buffer.
+    """
+    offset = fh.tell()
+    if not 0 <= n <= os.fstat(fh.fileno()).st_size - offset:
+        raise InvalidData(f"truncated instance file: {n} bytes expected at offset {offset}")
+    return fh.read(n)
+
+
+def _read_struct(fh, fmt):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
+def _read_flag(fh, tag):
+    """True for ``tag``, False for the absent marker b"-"."""
+    flag = _read_exact(fh, 1)
+    if flag not in (tag, b"-"):
+        raise InvalidData(f"unknown block tag {flag!r} (expected {tag!r} or b'-')")
+    return flag == tag
+
+
 def _unpack_array(fh):
-    code = fh.read(1)
-    ndim = struct.unpack("<q", fh.read(8))[0]
-    shape = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
+    code = _read_exact(fh, 1)
+    if code not in (b"f", b"i"):
+        raise InvalidData(f"unknown array tag {code!r}")
+    (ndim,) = _read_struct(fh, "<q")
+    if ndim < 0:
+        raise InvalidData(f"negative array rank {ndim}")
+    shape = tuple(_read_struct(fh, "<q")[0] for _ in range(ndim))
+    if any(s < 0 for s in shape):
+        raise InvalidData(f"negative array shape {shape}")
     dtype = "<f8" if code == b"f" else "<i8"
-    data = np.frombuffer(fh.read(8 * count), dtype=dtype)
+    data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype=dtype)
     return data.reshape(shape).copy()
 
 
@@ -464,13 +496,15 @@ def _pack_matrix(fh, A):
 
 
 def _unpack_matrix(fh):
-    code = fh.read(1)
+    code = _read_exact(fh, 1)
     if code == b"S":
-        shape = struct.unpack("<qq", fh.read(16))
+        shape = _read_struct(fh, "<qq")
         indptr = _unpack_array(fh)
         indices = _unpack_array(fh)
         data = _unpack_array(fh)
         return sp.csr_matrix((data, indices, indptr), shape=shape)
+    if code != b"D":
+        raise InvalidData(f"unknown matrix tag {code!r}")
     return _unpack_array(fh)
 
 
@@ -515,7 +549,7 @@ def save_instance(path, problem):
             fh.write(struct.pack("<d", ref.inner.lam))
             fh.write(struct.pack("<dqd", ref.c_prec, ref.inner_passes, ref.inner_tol))
         else:
-            tag = {"euclidean": b"e", "log_barrier": b"b", "neg_entropy": b"n"}[kind]
+            tag = {name: t for t, name in _REFERENCE_TAGS.items()}[kind]
             fh.write(tag)
 
         _pack_array(fh, np.asarray(problem.x0, dtype=float))
@@ -537,25 +571,27 @@ def save_instance(path, problem):
 
 
 def load_instance(path):
-    """Deserialize a ProblemInstance written by :func:`save_instance`."""
-    from .mirror import make_reference
+    """Deserialize a ProblemInstance written by :func:`save_instance`.
 
+    A truncated file, an unknown tag or bytes after the last block raise
+    InvalidData.
+    """
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise InvalidData(f"{path}: not a bregopt instance file")
-        tag = fh.read(1)
+        tag = _read_exact(fh, 1)
         if tag == b"P":
             A = _unpack_matrix(fh)
             b = _unpack_array(fh)
-            bw = struct.unpack("<d", fh.read(8))[0]
-            ng = struct.unpack("<q", fh.read(8))[0]
+            (bw,) = _read_struct(fh, "<d")
+            (ng,) = _read_struct(fh, "<q")
             groups = [_unpack_array(fh) for _ in range(ng)]
             obj = PoissonKL(A, b, groups=groups, barrier_weight=bw)
         elif tag == b"L":
             A = _unpack_matrix(fh)
             labels = _unpack_array(fh)
-            lam = struct.unpack("<d", fh.read(8))[0]
-            ng = struct.unpack("<q", fh.read(8))[0]
+            (lam,) = _read_struct(fh, "<d")
+            (ng,) = _read_struct(fh, "<q")
             groups = [_unpack_array(fh) for _ in range(ng)]
             obj = LogisticL2(A, labels, lam=lam, groups=groups)
         elif tag == b"Q":
@@ -563,29 +599,31 @@ def load_instance(path):
         else:
             raise InvalidData(f"{path}: unknown objective tag {tag!r}")
 
-        rtag = fh.read(1)
+        rtag = _read_exact(fh, 1)
         if rtag == b"p":
             Ai = _unpack_matrix(fh)
             li = _unpack_array(fh)
-            lam = struct.unpack("<d", fh.read(8))[0]
-            c_prec, passes, tol = struct.unpack("<dqd", fh.read(24))
+            (lam,) = _read_struct(fh, "<d")
+            c_prec, passes, tol = _read_struct(fh, "<dqd")
             ref = Preconditioner(LogisticL2(Ai, li, lam=lam), c_prec=c_prec,
                                  inner_tol=tol, inner_passes=int(passes))
+        elif rtag in _REFERENCE_TAGS:
+            ref = make_reference(_REFERENCE_TAGS[rtag])
         else:
-            ref = make_reference(
-                {b"e": "euclidean", b"b": "log_barrier", b"n": "neg_entropy"}[rtag]
-            )
+            raise InvalidData(f"{path}: unknown reference tag {rtag!r}")
 
         x0 = _unpack_array(fh)
-        x_star = _unpack_array(fh) if fh.read(1) == b"X" else None
-        f_star = struct.unpack("<d", fh.read(8))[0] if fh.read(1) == b"F" else None
+        x_star = _unpack_array(fh) if _read_flag(fh, b"X") else None
+        f_star = _read_struct(fh, "<d")[0] if _read_flag(fh, b"F") else None
         comm = None
-        if fh.read(1) == b"C":
-            fr, cc = struct.unpack("<dd", fh.read(16))
+        if _read_flag(fh, b"C"):
+            fr, cc = _read_struct(fh, "<dd")
             comm = CommModel(full_round=fr, component=cc)
         meta = {}
-        if fh.read(1) == b"R":
-            meta["L_rel"] = struct.unpack("<d", fh.read(8))[0]
+        if _read_flag(fh, b"R"):
+            meta["L_rel"] = _read_struct(fh, "<d")[0]
+        if fh.read(1):
+            raise InvalidData(f"{path}: trailing bytes after the last block")
     return ProblemInstance(objective=obj, reference=ref, x0=x0, x_star=x_star,
                            f_star=f_star, comm_model=comm, meta=meta)
 

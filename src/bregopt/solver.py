@@ -8,10 +8,9 @@ halve-and-retry safeguard whose interventions are visible in the trace.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DomainViolation,
@@ -380,15 +379,19 @@ def run(config, problem):
     trace = Trace(metadata={"method": method, "seed": config.seed})
     halvings_total = 0
     min_df = np.inf
+    f_x_star = obj.value(x_star) if x_star is not None else None
     start = time.perf_counter()
 
     def record(eta_now, gain_now):
         nonlocal min_df
         x = state.x
-        f_gap = float(obj.value(x) - f_star) if f_star is not None else float("nan")
+        f_x = obj.value(x) if f_star is not None or x_star is not None else None
+        f_gap = float(f_x - f_star) if f_star is not None else float("nan")
         if x_star is not None:
             dh_gap = float(ref.divergence(x_star, x))
-            min_df = min(min_df, obj.f_divergence(x_star, x))
+            # FiniteSumObjective.f_divergence(x_star, x), term for term
+            d_f = float(f_x_star - f_x - obj.full_grad(x) @ (x_star - x))
+            min_df = min(min_df, d_f)
             min_df_gap = float(min_df)
         else:
             dh_gap = float("nan")

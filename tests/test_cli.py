@@ -82,6 +82,15 @@ class TestRun:
         assert main(["run", "--instance", str(tmp_path / "absent.bin"),
                      "--method", "bsgd", "--eta", "0.01"]) == 3
 
+    def test_truncated_instance_is_usage_error(self, tmp_path, capsys):
+        inst = self.gen_instance(tmp_path)
+        raw = open(inst, "rb").read()
+        with open(inst, "wb") as fh:
+            fh.write(raw[:300])
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
+        assert "truncated instance file" in capsys.readouterr().err
+
     def test_step_failure_keeps_partial_trace(self, tmp_path):
         inst = self.gen_instance(tmp_path)
         trace_path = str(tmp_path / "partial.csv")

@@ -1,6 +1,10 @@
 """Tests for the trace container, rate fitting, and lemma certification."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from bregopt import (
     saga_table_error,
     svrg_potential,
     SvrgState,
+    TraceInvariantError,
 )
 from bregopt.rng import make_rng
 
@@ -36,9 +41,29 @@ def make_record(i, dh, grad_evals=None, comms=None):
 class TestTrace:
     def test_append_requires_monotone_counters(self):
         trace = Trace()
-        trace.append(make_record(0, 1.0, grad_evals=5))
-        with pytest.raises(AssertionError):
+        trace.append(make_record(0, 1.0, grad_evals=5, comms=2.0))
+        with pytest.raises(TraceInvariantError, match="grad_evals decreased from 5 to 3"):
             trace.append(make_record(1, 0.5, grad_evals=3))
+        with pytest.raises(TraceInvariantError, match="comms decreased from 2.0 to 0.5"):
+            trace.append(make_record(1, 0.5, grad_evals=5, comms=0.5))
+        assert len(trace) == 1
+
+    def test_append_check_survives_optimize_flag(self):
+        script = (
+            "from bregopt import Trace, TraceRecord, TraceInvariantError\n"
+            "row = dict(iter=0, epoch=0.0, comms=0.0, f_gap=0.0, dh_gap=0.0,\n"
+            "           min_df_gap=0.0, eta=0.1, gain=1.0, halvings=0, wall_s=0.0)\n"
+            "trace = Trace()\n"
+            "trace.append(TraceRecord(grad_evals=5, **row))\n"
+            "try:\n"
+            "    trace.append(TraceRecord(grad_evals=3, **row))\n"
+            "except TraceInvariantError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "trace column grad_evals decreased from 5 to 3"
 
     def test_csv_roundtrip(self):
         trace = Trace()

@@ -59,6 +59,13 @@ class TestLogBarrier:
             mirror_step(ref, np.array([1.0]), np.array([-3.0]), 0.5)
         assert info.value.index == 0
 
+    def test_nan_dual_point_out_of_domain(self):
+        # grad h(1) - 0.1 * nan is nan in component 0, which is not < 0
+        with pytest.raises(StepOutOfDomain) as info:
+            mirror_step(LogBarrier(), np.ones(3), np.array([np.nan, 0.0, 0.0]), 0.1)
+        assert info.value.index == 0
+        assert LogBarrier().dual_violation_index(np.array([-1.0, np.nan])) == 1
+
     def test_divergence_nonnegative(self):
         ref = LogBarrier()
         rng = make_rng(0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregopt import (
     DiagonalQuadratic,
@@ -12,6 +14,7 @@ from bregopt import (
     PoissonKL,
     poisson_rel_L,
 )
+from bregopt.objective import _log1pexp
 from bregopt.rng import make_rng
 
 
@@ -169,6 +172,46 @@ class TestLogisticL2:
     def test_value_at_zero(self):
         obj, _ = self.build(lam=0.0)
         assert obj.value(np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-10)
+
+
+def masked_log1pexp(t):
+    """The two-branch form _log1pexp must reproduce bit for bit."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t > 0
+    out[pos] = t[pos] + np.log1p(np.exp(-t[pos]))
+    out[~pos] = np.log1p(np.exp(t[~pos]))
+    return out
+
+
+LOG1PEXP_EDGES = [
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    -2.2250738585072009e-308, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8,
+    1e-300, -1e-300, 36.0, -36.0, 1.0, -1.0,
+]
+
+
+class TestLog1pexp:
+    def test_edge_values_match_masked_form(self):
+        t = np.array(LOG1PEXP_EDGES)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _log1pexp(t)
+        assert got.tobytes() == masked_log1pexp(t).tobytes()
+        assert got[2] == np.inf and got[3] == 0.0
+        assert np.isnan(_log1pexp(np.array([np.nan]))[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.floats(min_value=-800.0, max_value=800.0),
+            st.sampled_from(LOG1PEXP_EDGES),
+        ),
+        min_size=1, max_size=50,
+    ))
+    def test_matches_masked_form_bytewise(self, values):
+        t = np.array(values, dtype=float)
+        assert _log1pexp(t).tobytes() == masked_log1pexp(t).tobytes()
 
 
 class TestDiagonalQuadratic:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bregopt import (
+    InvalidData,
     LabelError,
     ParseError,
     gen_gaussian_logistic_data,
@@ -236,3 +237,44 @@ class TestInstanceFiles:
         text = open(path).read()
         assert "d = 5" in text
         assert "n = 20" in text
+
+    def test_every_proper_prefix_is_invalid_data(self, tmp_path):
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        raw = open(path, "rb").read()
+        cut = str(tmp_path / "cut.bin")
+        for k in range(len(raw)):
+            with open(cut, "wb") as fh:
+                fh.write(raw[:k])
+            with pytest.raises(InvalidData):
+                load_instance(cut)
+
+    # byte offsets of the tags in a gen_interpolation(20, 5, 1) file
+    @pytest.mark.parametrize("offset", [
+        8,     # objective
+        9,     # matrix of A
+        10,    # array of A
+        1528,  # reference
+        -77,   # x_star flag
+        -19,   # f_star flag
+        -10,   # comm-model flag
+        -9,    # L_rel flag
+    ])
+    def test_unknown_tags_are_invalid_data(self, tmp_path, offset):
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        raw = bytearray(open(path, "rb").read())
+        assert len(raw) == 1663 and chr(raw[offset]) in "PDfbXF-R"
+        raw[offset] = ord("Z")
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw))
+        with pytest.raises(InvalidData):
+            load_instance(path)
+
+    def test_trailing_bytes_are_invalid_data(self, tmp_path):
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        with open(path, "ab") as fh:
+            fh.write(b"-")
+        with pytest.raises(InvalidData, match="trailing"):
+            load_instance(path)

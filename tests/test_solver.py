@@ -15,11 +15,15 @@ from bregopt import (
     adaptive_check,
     bsaga_step,
     gain_bound,
+    gen_gaussian_logistic_data,
     gen_interpolation,
+    gen_preconditioned,
+    mirror_step,
     mu_step,
     run,
     saga_gradient,
     sigma2_estimate,
+    solve_reference,
     step_policy,
     svrg_gradient,
 )
@@ -236,3 +240,45 @@ class TestRunHarness:
             x = mu_step(x, obj.A, obj.b)
         assert trace.final.f_gap == pytest.approx(obj.value(x) - problem.f_star,
                                                   abs=1e-12)
+
+
+class TestRecordColumns:
+    """Trace columns equal the quantities recomputed from replayed iterates."""
+
+    def replay_and_compare(self, problem, eta, steps):
+        obj, ref = problem.objective, problem.reference
+        x_star, f_star = problem.x_star, problem.f_star
+        trace = run(SolverConfig(method="bgd", eta=eta, epochs=float(steps),
+                                 record_every=1), problem)
+        assert len(trace) == steps + 1
+        assert np.all(trace.column("halvings") == 0)
+        x = np.asarray(problem.x0, dtype=float).copy()
+        min_df = np.inf
+        for k, rec in enumerate(trace.records):
+            if k:
+                x = mirror_step(ref, x, obj.full_grad(x), eta)
+            min_df = min(min_df, obj.f_divergence(x_star, x))
+            assert rec.iter == k
+            if f_star is None:
+                assert np.isnan(rec.f_gap)
+            else:
+                assert rec.f_gap == float(obj.value(x) - f_star)
+            assert rec.dh_gap == float(ref.divergence(x_star, x))
+            assert rec.min_df_gap == float(min_df)
+
+    def test_preconditioned_logistic(self):
+        data = gen_gaussian_logistic_data(120, 5, seed=3)
+        problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                     lam=1e-3, c_prec=1e-3, seed=3)
+        solve_reference(problem)
+        self.replay_and_compare(problem, eta=0.5, steps=6)
+
+    @pytest.mark.parametrize("keep_f_star", [True, False])
+    def test_poisson_interpolation(self, keep_f_star):
+        # without f_star the f_gap column is NaN, but D_f(x*, x) is still
+        # recorded from the evaluated f(x*)
+        problem = gen_interpolation(30, 4, seed=5)
+        if not keep_f_star:
+            problem.f_star = None
+        eta = 1.0 / (2.0 * problem.meta["L_rel"])
+        self.replay_and_compare(problem, eta=eta, steps=8)
