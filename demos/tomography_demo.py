@@ -39,32 +39,15 @@ def main():
         "bsaga": SolverConfig(method="bsaga", step_multiplier=40.0,
                               epochs=args.epochs, seed=args.seed),
     }
+    traces = {}
     for name, config in runs.items():
-        trace = run(config, problem)
+        traces[name] = trace = run(config, problem)
         print(f"{name:6} epochs={trace.final.epoch:6.1f} "
               f"objective={trace.final.f_gap:.6f} "
               f"halvings={trace.final.halvings}")
 
     if args.image_out:
-        # rerun SAGA while keeping the iterate to export the reconstruction
-        from bregopt.rng import make_rng
-        from bregopt.solver import SagaState, bsaga_step
-
-        from bregopt.errors import StepOutOfDomain
-
-        eta = runs["bsaga"].step_multiplier / (2.0 * problem.meta["L_rel"])
-        state = SagaState.init(problem.x0, obj)
-        rng = make_rng(args.seed)
-        for _ in range(int(args.epochs * obj.n_components)):
-            i = int(rng.integers(obj.n_components))
-            step = eta
-            while True:
-                try:
-                    bsaga_step(state, obj, problem.reference, step, rng, index=i)
-                    break
-                except StepOutOfDomain:
-                    step *= 0.5
-        image = state.x.reshape(args.size, args.size)
+        image = traces["bsaga"].x.reshape(args.size, args.size)
         export_image_text(args.image_out, image)
         print(f"wrote reconstruction to {args.image_out}")
 

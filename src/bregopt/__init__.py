@@ -77,7 +77,6 @@ from .solver import (
     SolverConfig,
     SvrgState,
     adaptive_check,
-    bgd_run,
     bgd_step,
     bsaga_step,
     bsgd_step,

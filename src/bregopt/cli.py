@@ -9,6 +9,7 @@ failure (the partial trace CSV is retained).
 
 import argparse
 import configparser
+import dataclasses
 import sys
 
 from .errors import BregoptError, ParseError
@@ -23,7 +24,7 @@ from .problems import (
     save_instance,
     write_manifest,
 )
-from .solver import METHODS, POLICIES, RunFailure, SolverConfig, run
+from .solver import METHODS, RunFailure, SolverConfig, run
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -34,10 +35,9 @@ EXIT_SOLVER = 4
 
 GENERATORS = ("interpolation", "tomography", "preconditioned")
 
-_SOLVER_KEYS = {
-    "method", "eta", "policy", "step_multiplier", "seed", "epochs", "p",
-    "record_every", "max_halvings",
-}
+# scalar SolverConfig fields: config keys, casts and ``run`` flags
+_SOLVER_KEYS = {f.name: f.type for f in dataclasses.fields(SolverConfig)
+                if f.type in (str, int, float)}
 _PROBLEM_KEYS = {
     "generator", "instance", "n", "d", "size", "angles", "nodes", "samples",
     "n_prec", "lam", "c_prec", "seed", "noise", "data", "rows", "separation",
@@ -84,7 +84,10 @@ def _build_problem(opts):
 
 def _load_config(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
     if not read:
         raise OSError(f"cannot read config file {path}")
     sections = {"problem": _PROBLEM_KEYS, "solver": _SOLVER_KEYS,
@@ -125,13 +128,8 @@ def cmd_gen(args):
 def cmd_run(args):
     config = _load_config(args.config) if args.config else {}
     # flags override file values
-    overrides = {
-        "solver.method": args.method, "solver.eta": args.eta,
-        "solver.epochs": args.epochs, "solver.seed": args.seed,
-        "solver.step_multiplier": args.step_multiplier, "solver.p": args.p,
-        "solver.policy": args.policy, "solver.record_every": args.record_every,
-        "problem.instance": args.instance, "output.trace": args.output,
-    }
+    overrides = {f"solver.{key}": getattr(args, key, None) for key in _SOLVER_KEYS}
+    overrides.update({"problem.instance": args.instance, "output.trace": args.output})
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
@@ -143,12 +141,9 @@ def cmd_run(args):
 
     solver_kwargs = {k.split(".", 1)[1]: v for k, v in config.items()
                      if k.startswith("solver.")}
-    casts = {"method": str, "eta": float, "policy": str,
-             "step_multiplier": float, "seed": int, "epochs": float,
-             "p": float, "record_every": int, "max_halvings": int}
     try:
-        solver_kwargs = {k: casts[k](v) for k, v in solver_kwargs.items()}
-    except (KeyError, ValueError) as exc:
+        solver_kwargs = {k: _SOLVER_KEYS[k](v) for k, v in solver_kwargs.items()}
+    except ValueError as exc:
         raise ConfigError(f"bad solver option: {exc}")
     solver_config = SolverConfig(**solver_kwargs)
     try:
@@ -214,14 +209,11 @@ def build_parser():
     runp = sub.add_parser("run", help="run a solver and write a trace CSV")
     runp.add_argument("-c", "--config", help="key=value config file")
     runp.add_argument("--instance", help="instance file path")
-    runp.add_argument("--method", choices=METHODS)
-    runp.add_argument("--policy", choices=POLICIES)
-    runp.add_argument("--eta", type=float)
-    runp.add_argument("--step-multiplier", dest="step_multiplier", type=float)
-    runp.add_argument("--epochs", type=float)
-    runp.add_argument("--p", type=float)
-    runp.add_argument("--record-every", dest="record_every", type=int)
-    runp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    for key, cast in _SOLVER_KEYS.items():
+        # suppressed defaults leave the global --seed and file values in place
+        runp.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                          default=argparse.SUPPRESS,
+                          choices=METHODS if key == "method" else None)
     runp.add_argument("-o", "--output", help="trace CSV path")
 
     ver = sub.add_parser("verify", help="run the certification battery")

@@ -67,6 +67,7 @@ class Trace:
     def __init__(self, metadata=None):
         self.records = []
         self.metadata = dict(metadata or {})
+        self.x = None  # final iterate, left by solver.run
 
     def append(self, record):
         """Add ``record``; raises TraceInvariantError if grad_evals or comms

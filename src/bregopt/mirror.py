@@ -23,13 +23,24 @@ import numpy as np
 
 from .errors import DomainViolation, InnerSolveFailure, StepOutOfDomain
 
+_TINY = np.finfo(float).tiny
+_LOG_TINY = float(np.log(_TINY))
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
+
+def _first_false(ok):
+    """Index of the first False entry of the boolean array ``ok``, or None."""
+    return None if ok.all() else int(np.argmin(ok))
+
 
 class ReferenceFunction:
     """Common interface for mirror maps.
 
-    Subclasses implement ``value``, ``grad``, ``grad_conjugate`` and domain
-    predicates. Divergences are derived from those unless a closed form is
-    cheaper or more accurate.
+    Subclasses implement ``value``, ``grad``, the unchecked conjugate maps
+    ``_grad_conjugate`` and ``_conjugate_value``, and domain predicates. The
+    public conjugate maps check their dual point once and ``dual_divergence``
+    checks each argument once. Divergences are derived from those unless a
+    closed form is cheaper or more accurate.
     """
 
     kind = None
@@ -40,7 +51,8 @@ class ReferenceFunction:
         """Raise DomainViolation unless ``x`` is interior to dom h."""
 
     def dual_violation_index(self, y):
-        """Index of the first coordinate of ``y`` outside int dom h*, or None."""
+        """Index of the first coordinate of ``y`` at which grad h* is not a
+        finite interior point, or None."""
         return None
 
     def check_dual_domain(self, y):
@@ -62,11 +74,22 @@ class ReferenceFunction:
     # -- conjugate map ------------------------------------------------------
 
     def conjugate_value(self, y):
-        """h*(y); default uses grad_conjugate via h*(y) = <x, y> - h(x)."""
+        """h*(y); raises DomainViolation as ``grad_conjugate`` does."""
+        self.check_dual_domain(y)
+        return self._conjugate_value(y)
+
+    def grad_conjugate(self, y, warm_start=None):
+        """grad h*(y); raises DomainViolation at the first coordinate named
+        by ``dual_violation_index``."""
+        self.check_dual_domain(y)
+        return self._grad_conjugate(y)
+
+    def _conjugate_value(self, y):
+        # h*(y) = <x, y> - h(x) at x = grad h*(y)
         x = self.grad_conjugate(y)
         return float(x @ y - self.value(x))
 
-    def grad_conjugate(self, y, warm_start=None):
+    def _grad_conjugate(self, y):
         raise NotImplementedError
 
     # -- divergences ----------------------------------------------------------
@@ -87,9 +110,9 @@ class ReferenceFunction:
         self.check_dual_domain(a)
         self.check_dual_domain(b)
         return float(
-            self.conjugate_value(a)
-            - self.conjugate_value(b)
-            - self.grad_conjugate(b) @ (a - b)
+            self._conjugate_value(a)
+            - self._conjugate_value(b)
+            - self._grad_conjugate(b) @ (a - b)
         )
 
 
@@ -137,9 +160,9 @@ class LogBarrier(ReferenceFunction):
             )
 
     def dual_violation_index(self, y):
-        # ~(y < 0) rather than y >= 0, so a NaN coordinate is a violation
-        bad = np.flatnonzero(~(y < 0.0))
-        return int(bad[0]) if bad.size else None
+        # NaN fails both comparisons; -1/y is inf for a subnormal y and 0
+        # for y = -inf
+        return _first_false((y < -_TINY) & (y > -np.inf))
 
     def value(self, x):
         return -float(np.sum(np.log(x)))
@@ -148,13 +171,11 @@ class LogBarrier(ReferenceFunction):
         self.check_domain(x)
         return -1.0 / x
 
-    def conjugate_value(self, y):
+    def _conjugate_value(self, y):
         # h*(y) = -d - sum log(-y_i)
-        self.check_dual_domain(y)
         return -float(len(y)) - float(np.sum(np.log(-y)))
 
-    def grad_conjugate(self, y, warm_start=None):
-        self.check_dual_domain(y)
+    def _grad_conjugate(self, y):
         return -1.0 / y
 
     def divergence(self, x, y):
@@ -175,7 +196,8 @@ class NegEntropy(ReferenceFunction):
     """h(x) = sum x_i log x_i on the positive orthant (0 log 0 = 0).
 
     grad h(x) = log x + 1, grad h*(y) = exp(y - 1); the conjugate domain is
-    all of R^d.
+    all of R^d, but only log(tiny) < y < log(max) keeps exp(y - 1) finite
+    and positive in floating point.
     """
 
     kind = "neg_entropy"
@@ -188,6 +210,10 @@ class NegEntropy(ReferenceFunction):
                 index=int(bad[0]),
             )
 
+    def dual_violation_index(self, y):
+        # NaN fails both comparisons
+        return _first_false((y > _LOG_TINY) & (y < _LOG_MAX))
+
     def value(self, x):
         return float(np.sum(x * np.log(x)))
 
@@ -195,10 +221,10 @@ class NegEntropy(ReferenceFunction):
         self.check_domain(x)
         return np.log(x) + 1.0
 
-    def conjugate_value(self, y):
+    def _conjugate_value(self, y):
         return float(np.sum(np.exp(y - 1.0)))
 
-    def grad_conjugate(self, y, warm_start=None):
+    def _grad_conjugate(self, y):
         return np.exp(y - 1.0)
 
 
@@ -285,17 +311,18 @@ def mirror_step(ref, x, g, eta):
     """One Bregman gradient step from ``x`` against gradient estimate ``g``.
 
     Returns the unique minimizer of eta <g, z> + D_h(z, x), computed as
-    grad h*(grad h(x) - eta g). Raises :class:`StepOutOfDomain` with the
-    offending component index when the dual point leaves the conjugate
-    domain; callers may retry with a halved step size.
+    grad h*(grad h(x) - eta g). The dual point is checked once, by
+    ``grad_conjugate``; its :class:`DomainViolation` is raised as
+    :class:`StepOutOfDomain` with the offending component index, and callers
+    may retry with a halved step size.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     y = ref.grad(x) - eta * g
-    idx = ref.dual_violation_index(y)
-    if idx is not None:
+    try:
+        return ref.grad_conjugate(y, warm_start=x)
+    except DomainViolation as exc:
         raise StepOutOfDomain(
-            f"{ref.kind}: mirror step left the conjugate domain at component {idx}",
-            index=idx,
-        )
-    return ref.grad_conjugate(y, warm_start=x)
+            f"{ref.kind}: mirror step left the conjugate domain at component {exc.index}",
+            index=exc.index,
+        ) from exc

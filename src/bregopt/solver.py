@@ -23,25 +23,33 @@ from .mirror import mirror_step
 from .rng import make_rng
 
 METHODS = ("bgd", "bsgd", "bsaga", "bsvrg", "mu")
-POLICIES = ("constant", "gain_adaptive", "halving_safeguard")
+GAIN_KEYS = ("mu_h", "L_h", "M", "L_rel", "mu_rel")
+
+
+def _positive(value):
+    return bool(np.isfinite(value) and value > 0)
+
+
+def _count(value, low):
+    return isinstance(value, (int, np.integer)) and value >= low
 
 
 @dataclass
 class SolverConfig:
-    """Method, step-size policy and budget for one run.
+    """Method, step size and budget for one run.
 
-    ``eta`` is the base step size for the constant policy; when left unset it
-    defaults to step_multiplier / (2 L_rel) using the problem's relative
-    smoothness constant. The gain_adaptive policy (Bregman-SAGA only) sets
-    eta_t = step_multiplier / (8 L_rel G_t) and needs the regularity metadata
-    mu_h, L_h, M in ``gain_constants``. The halving safeguard wraps every
-    policy: a step leaving the domain is retried with a halved step size, up
-    to ``max_halvings`` times, and the base step size is restored afterwards.
+    ``eta`` is the base step size; when left unset it defaults to
+    step_multiplier / (2 L_rel) using the problem's relative smoothness
+    constant. Setting ``gain_constants`` (Bregman-SAGA only) selects the
+    gain rule eta_t = step_multiplier / (8 L_rel G_t) with the regularity
+    metadata mu_h, L_h, M, L_rel, mu_rel. Every step runs under the halving
+    safeguard: a step leaving the domain is retried with a halved step size,
+    up to ``max_halvings`` times, and the base step size is restored
+    afterwards.
     """
 
     method: str = "bsgd"
     eta: float = None
-    policy: str = "constant"
     step_multiplier: float = 1.0
     seed: int = 0
     epochs: float = 10.0
@@ -49,21 +57,34 @@ class SolverConfig:
     gain_constants: dict = None
     record_every: int = None  # iterations between trace records; default 1 epoch
     max_halvings: int = 30
-    store_anchors: bool = False
 
     def validate(self):
+        """Raise ValueError unless every field holds a usable value."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError("p must be in (0, 1]")
-        if not np.isfinite(self.epochs) or self.epochs < 0:
+        if self.eta is not None and not _positive(self.eta):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        if not _positive(self.step_multiplier):
+            raise ValueError("step_multiplier must be finite and positive, "
+                             f"got {self.step_multiplier!r}")
+        if not (_count(self.seed, 0) and self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if not (np.isfinite(self.epochs) and self.epochs >= 0):
             raise ValueError("epoch budget must be finite and nonnegative")
-        if self.policy == "gain_adaptive" and self.method != "bsaga":
-            raise ValueError("gain_adaptive policy applies to bsaga only")
+        if not (0.0 < self.p <= 1.0):
+            raise ValueError(f"p must be in (0, 1], got {self.p!r}")
+        if self.gain_constants is not None:
+            if self.method != "bsaga":
+                raise ValueError("gain_constants apply to bsaga only")
+            missing = [k for k in GAIN_KEYS if k not in self.gain_constants]
+            if missing:
+                raise ValueError(f"gain_constants lack {', '.join(missing)}")
+        if self.record_every is not None and not _count(self.record_every, 1):
+            raise ValueError("record_every must be a positive integer, "
+                             f"got {self.record_every!r}")
+        if not _count(self.max_halvings, 0):
+            raise ValueError("max_halvings must be a nonnegative integer, "
+                             f"got {self.max_halvings!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +275,7 @@ def gain_bound(state, constants, n):
     where k_h = L_h/mu_h and k_rel = L_rel/mu_rel. A running minimum keeps
     the sequence non-increasing, as the step-size rule requires.
     """
-    required = ("mu_h", "L_h", "M", "L_rel", "mu_rel")
-    c = {k: float(constants[k]) for k in required}
+    c = {k: float(constants[k]) for k in GAIN_KEYS}
     if c["M"] < 0 or any(c[k] <= 0 for k in ("mu_h", "L_h", "L_rel", "mu_rel")):
         raise InvalidConstants(f"gain constants must be positive (M nonnegative): {c}")
     kappa_h = c["L_h"] / c["mu_h"]
@@ -275,10 +295,15 @@ def gain_bound(state, constants, n):
 
 
 def step_policy(config, l_rel=None, gain=None):
-    """Base step size for the current iteration under the configured policy."""
-    if config.policy == "gain_adaptive":
+    """Base step size for the current iteration.
+
+    With ``gain_constants`` set this is the gain rule
+    step_multiplier / (8 l_rel gain); otherwise ``eta``, or
+    step_multiplier / (2 l_rel) when ``eta`` is unset.
+    """
+    if config.gain_constants is not None:
         if gain is None or l_rel is None:
-            raise InvalidConstants("gain_adaptive needs L_rel and a gain value")
+            raise InvalidConstants("the gain rule needs L_rel and a gain value")
         return config.step_multiplier / (8.0 * l_rel * gain)
     if config.eta is not None:
         return config.eta
@@ -344,37 +369,56 @@ def _with_safeguard(attempt, eta, max_halvings):
 def run(config, problem):
     """Execute the configured method on ``problem`` and return a Trace.
 
-    Deterministic given the seed. On StepFailure the partial trace is
-    attached to the raised :class:`RunFailure`.
+    Each iteration draws the component index (stochastic methods), then
+    runs the method's step kernel under the halving safeguard. Deterministic
+    given the seed. The final iterate is left on ``trace.x``. On StepFailure
+    the partial trace is attached to the raised :class:`RunFailure`.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
     n = obj.n_components
     x_star, f_star = problem.x_star, problem.f_star
     comm = problem.comm_model
-    l_rel = problem.meta.get("L_rel") if problem.meta else None
+    full_round = comm.full_round if comm is not None else 0.0
+    component = comm.component if comm is not None else 0.0
+    gains = config.gain_constants
+    if gains is not None:
+        l_rel = gains["L_rel"]
+    else:
+        l_rel = problem.meta.get("L_rel") if problem.meta else None
 
     rng = make_rng(config.seed)
     method = config.method
-    deterministic = method in ("bgd", "mu")
-    steps_total = int(round(config.epochs)) if deterministic else int(round(config.epochs * n))
-    record_every = config.record_every or (1 if deterministic else n)
+    stochastic = method in ("bsgd", "bsaga", "bsvrg")
+    steps_total = int(round(config.epochs * n)) if stochastic else int(round(config.epochs))
+    record_every = config.record_every or (n if stochastic else 1)
+    # gradient evaluations and communication cost of one step
+    step_evals, step_comms = (1, component) if stochastic else (n, full_round)
 
-    store_anchors = config.store_anchors or config.policy == "gain_adaptive"
-    comms = 0.0
+    x0 = np.asarray(problem.x0, dtype=float)
+    grad_evals, comms = 0, 0.0
     if method == "bsaga":
-        state = SagaState.init(problem.x0, obj, store_anchors=store_anchors)
-        grad_evals = n  # table initialization
-        if comm is not None:
-            comms += n * comm.component
+        state = SagaState.init(x0, obj, store_anchors=gains is not None)
+        grad_evals, comms = n, n * component  # table initialization
     elif method == "bsvrg":
-        state = SvrgState.init(problem.x0, obj)
-        grad_evals = n
-        if comm is not None:
-            comms += comm.full_round
+        state = SvrgState.init(x0, obj)
+        grad_evals, comms = n, full_round
     else:
-        state = SgdState(x=np.asarray(problem.x0, dtype=float).copy())
-        grad_evals = 0
+        state = SgdState(x=x0.copy())
+
+    i = None  # component index of the current step
+
+    def mu(eta):
+        state.x = mu_step(state.x, obj.A, obj.b)
+        state.t += 1
+
+    attempt = {
+        "bgd": lambda eta: bgd_step(state, obj, ref, eta),
+        "bsgd": lambda eta: bsgd_step(state, obj, ref, eta, rng, index=i),
+        "bsaga": lambda eta: bsaga_step(state, obj, ref, eta, rng, index=i),
+        "bsvrg": lambda eta: bsvrg_step(state, obj, ref, eta, config.p, rng, index=i),
+        "mu": mu,
+    }[method]
 
     trace = Trace(metadata={"method": method, "seed": config.seed})
     halvings_total = 0
@@ -399,7 +443,7 @@ def run(config, problem):
         trace.append(
             TraceRecord(
                 iter=state.t,
-                epoch=state.t * (1.0 if deterministic else 1.0 / n),
+                epoch=state.t * (1.0 / n if stochastic else 1.0),
                 grad_evals=grad_evals,
                 comms=comms,
                 f_gap=f_gap,
@@ -413,107 +457,30 @@ def run(config, problem):
         )
 
     gain_now = 1.0
-    if method == "mu":
-        eta_now = float("nan")
-    elif config.policy == "gain_adaptive":
-        eta_now = step_policy(config, l_rel=config.gain_constants["L_rel"], gain=1.0)
-    else:
-        eta_now = step_policy(config, l_rel=l_rel)
+    eta_now = float("nan") if method == "mu" else step_policy(config, l_rel, gain_now)
     record(eta_now, gain_now)
 
     try:
         for _ in range(steps_total):
-            if method == "mu":
-                state.x = mu_step(state.x, obj.A, obj.b)
-                state.t += 1
+            if gains is not None:
+                gain_now = gain_bound(state, gains, n)
+                eta_now = step_policy(config, l_rel, gain_now)
+            if stochastic:
+                i = int(rng.integers(n))
+            out, used = _with_safeguard(attempt, eta_now, config.max_halvings)
+            halvings_total += used
+            grad_evals += step_evals
+            comms += step_comms
+            if method == "bsvrg" and out[1]:  # anchor refreshed
                 grad_evals += n
-                if comm is not None:
-                    comms += comm.full_round
-                eta_now, gain_now = float("nan"), 1.0
-            elif method == "bgd":
-                eta_now = step_policy(config, l_rel=l_rel)
-
-                def attempt_bgd(eta):
-                    return mirror_step(ref, state.x, obj.full_grad(state.x), eta)
-
-                x_new, used = _with_safeguard(attempt_bgd, eta_now, config.max_halvings)
-                halvings_total += used
-                state.x = x_new
-                state.t += 1
-                grad_evals += n
-                if comm is not None:
-                    comms += comm.full_round
-            elif method == "bsgd":
-                eta_now = step_policy(config, l_rel=l_rel)
-                i = int(rng.integers(n))
-                g = obj.partial_grad(i, state.x)
-
-                def attempt_sgd(eta):
-                    return mirror_step(ref, state.x, g, eta)
-
-                x_new, used = _with_safeguard(attempt_sgd, eta_now, config.max_halvings)
-                halvings_total += used
-                state.x = x_new
-                state.t += 1
-                grad_evals += 1
-                if comm is not None:
-                    comms += comm.component
-            elif method == "bsaga":
-                if config.policy == "gain_adaptive":
-                    gain_now = gain_bound(state, config.gain_constants, n)
-                    eta_now = step_policy(config, l_rel=config.gain_constants["L_rel"], gain=gain_now)
-                else:
-                    eta_now = step_policy(config, l_rel=l_rel)
-                i = int(rng.integers(n))
-
-                def attempt_saga(eta):
-                    return bsaga_step(state, obj, ref, eta, rng, index=i)
-
-                _, used = _with_safeguard(attempt_saga, eta_now, config.max_halvings)
-                halvings_total += used
-                grad_evals += 1
-                if comm is not None:
-                    comms += comm.component
-            elif method == "bsvrg":
-                eta_now = step_policy(config, l_rel=l_rel)
-                i = int(rng.integers(n))
-                g = svrg_gradient(state, obj, i)
-
-                def attempt_svrg(eta):
-                    return mirror_step(ref, state.x, g, eta)
-
-                x_new, used = _with_safeguard(attempt_svrg, eta_now, config.max_halvings)
-                halvings_total += used
-                x_prev = state.x
-                state.x = x_new
-                state.t += 1
-                grad_evals += 1
-                if comm is not None:
-                    comms += comm.component
-                if rng.random() < config.p:
-                    state.anchor = x_prev.copy()
-                    state.anchor_grad = obj.full_grad(state.anchor)
-                    grad_evals += n
-                    if comm is not None:
-                        comms += comm.full_round
-
+                comms += full_round
             if state.t % record_every == 0:
                 record(eta_now, gain_now)
     except StepFailure as exc:
+        trace.x = state.x
         raise RunFailure(str(exc), trace) from exc
 
     if trace.final.iter != state.t:
         record(eta_now, gain_now)
+    trace.x = state.x
     return trace
-
-
-def bgd_run(obj, ref, eta, steps, x0, x_star=None, f_star=None):
-    """Convenience wrapper: deterministic full-gradient mirror descent."""
-    from .problems import ProblemInstance  # local import to avoid a cycle
-
-    problem = ProblemInstance(
-        objective=obj, reference=ref, x0=np.asarray(x0, dtype=float),
-        x_star=x_star, f_star=f_star,
-    )
-    config = SolverConfig(method="bgd", eta=eta, epochs=float(steps), record_every=1)
-    return run(config, problem)

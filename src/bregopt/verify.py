@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import BregoptError
 from .metrics import (
     CertReport,
     CheckResult,
@@ -476,7 +477,12 @@ class Battery:
                      self.criterion_9]
         else:
             order = [getattr(self, f"criterion_{k}") for k in range(1, 10)]
-        workers = int(os.environ.get("BREGOPT_THREADS", "1"))
+        raw = os.environ.get("BREGOPT_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise BregoptError(
+                f"BREGOPT_THREADS must be an integer, got {raw!r}") from None
         report = CertReport()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -91,6 +91,41 @@ class TestRun:
                      "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
         assert "truncated instance file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, route", [
+        (key, value, route)
+        for key, value in [
+            ("step_multiplier", "-1"), ("step_multiplier", "nan"), ("eta", "nan"),
+            ("eta", "inf"), ("eta", "0"), ("seed", "-1"), ("seed", str(2**64)),
+            ("max_halvings", "-1"), ("record_every", "-3"), ("record_every", "0"),
+            ("p", "nan"), ("epochs", "inf"), ("method", "sgd"),
+        ]
+        for route in ("flag", "file")
+        if (key, route) != ("method", "flag")  # argparse's own choices check
+    ])
+    def test_bad_solver_value_is_usage_error(self, tmp_path, capsys, key, value, route):
+        solver = {"method": "bsgd", "eta": "0.01", "epochs": "1"}
+        flags = ["--" + key.replace("_", "-"), value] if route == "flag" else []
+        if route == "file":
+            solver[key] = value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[problem]\ngenerator = interpolation\nn = 20\nd = 5\nseed = 0\n[solver]\n"
+            + "".join(f"{k} = {v}\n" for k, v in solver.items())
+            + f"[output]\ntrace = {tmp_path / 'a.csv'}\n"
+        )
+        assert main(["run", "-c", str(cfg), *flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[solver]\neta = 0.01\neta = 0.02\n",  # duplicate key
+        "eta = 0.01\n",  # no section header
+    ])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", "-c", str(cfg)]) == 2
+
     def test_step_failure_keeps_partial_trace(self, tmp_path):
         inst = self.gen_instance(tmp_path)
         trace_path = str(tmp_path / "partial.csv")
@@ -134,3 +169,8 @@ class TestVerify:
             line for line in text.splitlines() if "runtime" not in line
         ]
         assert drop_runtime(serial) == drop_runtime(threaded)
+
+    def test_non_integer_thread_count_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BREGOPT_THREADS", "abc")
+        assert main(["verify", "--quick", "--samples", "40"]) == 2
+        assert "BREGOPT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregopt import (
+    DomainViolation,
     Euclidean,
     LogBarrier,
     LogisticL2,
@@ -66,6 +67,15 @@ class TestLogBarrier:
         assert info.value.index == 0
         assert LogBarrier().dual_violation_index(np.array([-1.0, np.nan])) == 1
 
+    def test_subnormal_dual_point_out_of_domain(self):
+        # grad h(1e300) - g cancels to a negative subnormal y; -1/y is inf
+        x = np.array([1.0, 1e300])
+        g = np.array([0.0, np.nextafter(-1.0 / 1e300, 0.0)])
+        with pytest.raises(StepOutOfDomain) as info:
+            mirror_step(LogBarrier(), x, g, 1.0)
+        assert info.value.index == 1
+        assert LogBarrier().dual_violation_index(np.array([-1.0, -5e-324])) == 1
+
     def test_divergence_nonnegative(self):
         ref = LogBarrier()
         rng = make_rng(0)
@@ -119,6 +129,32 @@ class TestNegEntropy:
         x = np.array([0.5, 2.0])
         np.testing.assert_allclose(ref.grad(x), np.log(x) + 1.0)
         np.testing.assert_allclose(ref.grad_conjugate(ref.grad(x)), x, rtol=1e-12)
+
+    @pytest.mark.parametrize("g, index", [
+        ([-1000.0, 0.0], 0),  # exp(y - 1) overflows to inf
+        ([0.0, 1000.0], 1),  # exp(y - 1) underflows to 0
+        ([0.0, np.nan], 1),
+    ])
+    def test_step_out_of_float_range(self, g, index):
+        with pytest.raises(StepOutOfDomain) as info:
+            mirror_step(NegEntropy(), np.ones(2), np.array(g), 1.0)
+        assert info.value.index == index
+        with pytest.raises(DomainViolation) as info:
+            NegEntropy().grad_conjugate(np.ones(2) - np.array(g))
+        assert info.value.index == index
+
+
+@pytest.mark.parametrize("ref", [LogBarrier(), NegEntropy()], ids=lambda r: r.kind)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_accepted_dual_points_have_finite_positive_images(ref, v):
+    y = np.array([1.0 if ref.kind == "neg_entropy" else -1.0, v])
+    if ref.dual_violation_index(y) is None:
+        x = ref.grad_conjugate(y)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+    else:
+        assert ref.dual_violation_index(y) == 1
+        with pytest.raises(DomainViolation):
+            ref.grad_conjugate(y)
 
 
 class TestConjugatePairs:

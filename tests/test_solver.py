@@ -7,10 +7,13 @@ from bregopt import (
     DiagonalQuadratic,
     Euclidean,
     LogBarrier,
+    NegEntropy,
     PoissonKL,
+    ProblemInstance,
     RunFailure,
     SagaState,
     SolverConfig,
+    StepOutOfDomain,
     SvrgState,
     adaptive_check,
     bsaga_step,
@@ -29,6 +32,9 @@ from bregopt import (
 )
 from bregopt.metrics import TRACE_COLUMNS
 from bregopt.rng import make_rng
+
+
+GAIN_CONSTANTS = {"mu_h": 1.0, "L_h": 2.0, "M": 1e-3, "L_rel": 3.0, "mu_rel": 0.1}
 
 
 def small_quadratic(seed=0, n=8, d=3):
@@ -85,15 +91,15 @@ class TestEstimators:
 
 class TestStepPolicy:
     def test_constant_returns_eta(self):
-        config = SolverConfig(method="bsgd", eta=0.25, policy="constant")
+        config = SolverConfig(method="bsgd", eta=0.25, gain_constants=None)
         assert step_policy(config) == 0.25
 
     def test_default_rule_uses_l_rel(self):
-        config = SolverConfig(method="bsgd", policy="constant", step_multiplier=1.0)
+        config = SolverConfig(method="bsgd", gain_constants=None, step_multiplier=1.0)
         assert step_policy(config, l_rel=4.0) == pytest.approx(1.0 / 8.0)
 
     def test_gain_adaptive_rule(self):
-        config = SolverConfig(method="bsaga", policy="gain_adaptive",
+        config = SolverConfig(method="bsaga", gain_constants=GAIN_CONSTANTS,
                               step_multiplier=1.0)
         assert step_policy(config, l_rel=2.0, gain=1.0) == pytest.approx(1.0 / 16.0)
 
@@ -231,6 +237,31 @@ class TestRunHarness:
         assert trace.final.halvings > 0
         assert np.isfinite(trace.final.f_gap)
 
+    @pytest.mark.parametrize("center", [0.5, 2.0])
+    def test_neg_entropy_float_range_halves(self, center):
+        # from x = 1 the full step takes exp(y - 1) below the float range
+        # (center 0.5) or above it (center 2); halved steps stay inside
+        obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), center))
+        problem = ProblemInstance(objective=obj, reference=NegEntropy(),
+                                  x0=np.ones(3))
+        config = SolverConfig(method="bgd", eta=1e4, epochs=1.0)
+        trace = run(config, problem)
+        assert trace.final.halvings == (4 if center > 1 else 3)
+        assert np.all(np.isfinite(trace.x)) and np.all(trace.x > 0)
+        config.max_halvings = 0
+        with pytest.raises(RunFailure) as info:
+            run(config, problem)
+        assert len(info.value.trace) == 1
+        np.testing.assert_array_equal(info.value.trace.x, problem.x0)
+
+    @pytest.mark.parametrize("method, constants", [
+        ("bsgd", GAIN_CONSTANTS),
+        ("bsaga", {k: v for k, v in GAIN_CONSTANTS.items() if k != "mu_rel"}),
+    ])
+    def test_gain_constants_validated(self, method, constants):
+        with pytest.raises(ValueError):
+            SolverConfig(method=method, gain_constants=constants).validate()
+
     def test_mu_matches_manual_iteration(self):
         problem = self.problem()
         obj = problem.objective
@@ -242,29 +273,159 @@ class TestRunHarness:
                                                   abs=1e-12)
 
 
+def _replay(problem, config):
+    """Every step of ``config`` on ``problem``, replayed without run().
+
+    Yields (iter, epoch, grad_evals, comms, x, eta, gain, halvings) for the
+    initial point and after each step. Estimator state is kept here, except
+    for the gain rule's anchor distances, which come from SagaState. Draws
+    come from ``make_rng(seed)`` in run()'s order: the index before the
+    step, the SVRG refresh coin after it. A step leaving the domain is
+    retried with half the step size.
+    """
+    obj, ref, comm = problem.objective, problem.reference, problem.comm_model
+    n = obj.n_components
+    method, gains = config.method, config.gain_constants
+    full_round = comm.full_round if comm is not None else 0.0
+    component = comm.component if comm is not None else 0.0
+    stochastic = method in ("bsgd", "bsaga", "bsvrg")
+    rng = make_rng(config.seed)
+    x = np.asarray(problem.x0, dtype=float).copy()
+    grad_evals, comms, halvings, gain = 0, 0.0, 0, 1.0
+    if method == "bsaga":
+        grad_evals, comms = n, n * component
+        if gains is not None:
+            saga = SagaState.init(x, obj, store_anchors=True)
+        else:
+            table = np.stack([obj.partial_grad(i, x) for i in range(n)])
+            mean = table.mean(axis=0)
+    if method == "bsvrg":
+        anchor, anchor_grad = x.copy(), obj.full_grad(x)
+        grad_evals, comms = n, full_round
+    if method == "mu":
+        eta = float("nan")
+    elif gains is not None:
+        eta = config.step_multiplier / (8.0 * gains["L_rel"] * gain)
+    elif config.eta is not None:
+        eta = config.eta
+    else:
+        eta = config.step_multiplier / (2.0 * problem.meta["L_rel"])
+
+    def safeguarded(step):
+        nonlocal halvings
+        trial = eta
+        for k in range(config.max_halvings + 1):
+            try:
+                out = step(trial)
+                halvings += k
+                return out
+            except StepOutOfDomain:
+                trial *= 0.5
+        pytest.fail("replayed step exhausted its halvings")
+
+    steps = int(round(config.epochs * (n if stochastic else 1)))
+    yield 0, 0.0, grad_evals, comms, x, eta, gain, halvings
+    for t in range(1, steps + 1):
+        if stochastic:
+            i = int(rng.integers(n))
+        if method == "mu":
+            x = mu_step(x, obj.A, obj.b)
+        elif method == "bgd":
+            g = obj.full_grad(x)
+            x = safeguarded(lambda e: mirror_step(ref, x, g, e))
+        elif method == "bsgd":
+            g = obj.partial_grad(i, x)
+            x = safeguarded(lambda e: mirror_step(ref, x, g, e))
+        elif method == "bsaga" and gains is not None:
+            gain = gain_bound(saga, gains, n)
+            eta = config.step_multiplier / (8.0 * gains["L_rel"] * gain)
+            safeguarded(lambda e: bsaga_step(saga, obj, ref, e, rng, index=i))
+            x = saga.x
+        elif method == "bsaga":
+            g_new = obj.partial_grad(i, x)
+            g = g_new - table[i] + mean
+            x = safeguarded(lambda e: mirror_step(ref, x, g, e))
+            mean = mean + (g_new - table[i]) / n
+            table[i] = g_new
+        elif method == "bsvrg":
+            g = obj.partial_grad(i, x) - obj.partial_grad(i, anchor) + anchor_grad
+            x_prev, x = x, safeguarded(lambda e: mirror_step(ref, x, g, e))
+        grad_evals += 1 if stochastic else n
+        comms += component if stochastic else full_round
+        if method == "bsvrg" and rng.random() < config.p:
+            anchor, anchor_grad = x_prev.copy(), obj.full_grad(x_prev)
+            grad_evals += n
+            comms += full_round
+        epoch = t * (1.0 / n if stochastic else 1.0)
+        yield t, epoch, grad_evals, comms, x, eta, gain, halvings
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+REPLAY_CASES = {
+    "bgd": dict(method="bgd"),
+    "bsgd": dict(method="bsgd"),
+    "bsaga": dict(method="bsaga"),
+    "bsvrg": dict(method="bsvrg", p=0.5),
+    "mu": dict(method="mu"),
+    "gain": dict(method="bsaga", gain_constants=GAIN_CONSTANTS),
+}
+
+
 class TestRecordColumns:
     """Trace columns equal the quantities recomputed from replayed iterates."""
 
-    def replay_and_compare(self, problem, eta, steps):
+    def compare_with_replay(self, problem, config):
+        """Run ``config`` and compare every column but wall_s, by ``==``,
+        with the replay; returns the trace."""
         obj, ref = problem.objective, problem.reference
         x_star, f_star = problem.x_star, problem.f_star
-        trace = run(SolverConfig(method="bgd", eta=eta, epochs=float(steps),
-                                 record_every=1), problem)
+        trace = run(config, problem)
+        expected = list(_replay(problem, config))
+        assert len(trace) == len(expected)
+        min_df = np.inf
+        for rec, (t, epoch, grad_evals, comms, x, eta, gain, halvings) in zip(
+                trace.records, expected):
+            min_df = min(min_df, obj.f_divergence(x_star, x))
+            f_gap = float("nan") if f_star is None else float(obj.value(x) - f_star)
+            want = (t, epoch, grad_evals, comms, f_gap,
+                    float(ref.divergence(x_star, x)), float(min_df), eta, gain,
+                    halvings)
+            got = (rec.iter, rec.epoch, rec.grad_evals, rec.comms, rec.f_gap,
+                   rec.dh_gap, rec.min_df_gap, rec.eta, rec.gain, rec.halvings)
+            assert all(map(_same, got, want)), (got, want)
+        assert np.array_equal(trace.x, expected[-1][4])
+        return trace
+
+    def replay_and_compare(self, problem, eta, steps):
+        config = SolverConfig(method="bgd", eta=eta, epochs=float(steps),
+                              record_every=1)
+        trace = self.compare_with_replay(problem, config)
         assert len(trace) == steps + 1
         assert np.all(trace.column("halvings") == 0)
-        x = np.asarray(problem.x0, dtype=float).copy()
-        min_df = np.inf
-        for k, rec in enumerate(trace.records):
-            if k:
-                x = mirror_step(ref, x, obj.full_grad(x), eta)
-            min_df = min(min_df, obj.f_divergence(x_star, x))
-            assert rec.iter == k
-            if f_star is None:
-                assert np.isnan(rec.f_gap)
-            else:
-                assert rec.f_gap == float(obj.value(x) - f_star)
-            assert rec.dh_gap == float(ref.divergence(x_star, x))
-            assert rec.min_df_gap == float(min_df)
+
+    @pytest.mark.parametrize("case", REPLAY_CASES)
+    def test_every_method_with_halvings(self, case):
+        # eta = 10 leaves the log-barrier domain on this instance; the gain
+        # rule gets the same effect from its step multiplier
+        problem = gen_interpolation(20, 5, seed=0)
+        config = SolverConfig(eta=10.0, step_multiplier=1e4, epochs=2.0, seed=2,
+                              record_every=1, max_halvings=60, **REPLAY_CASES[case])
+        trace = self.compare_with_replay(problem, config)
+        assert (trace.final.halvings > 0) == (case != "mu")
+
+    @pytest.mark.parametrize("case", [c for c in REPLAY_CASES if c != "mu"])
+    def test_every_method_with_comm_model(self, case):
+        data = gen_gaussian_logistic_data(120, 5, seed=3)
+        problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                     lam=1e-3, c_prec=1e-3, seed=3)
+        solve_reference(problem)
+        config = SolverConfig(eta=0.5, epochs=2.0, seed=4, record_every=1,
+                              **REPLAY_CASES[case])
+        trace = self.compare_with_replay(problem, config)
+        assert trace.final.comms > 0
 
     def test_preconditioned_logistic(self):
         data = gen_gaussian_logistic_data(120, 5, seed=3)
