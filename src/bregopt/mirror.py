@@ -29,8 +29,11 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _first_false(ok):
-    """Index of the first False entry of the boolean array ``ok``, or None."""
-    return None if ok.all() else int(np.argmin(ok))
+    """Index of the first False entry of the boolean array ``ok``, or None.
+
+    One count on success (cheaper than ``ok.all()``), ``argmin`` on failure.
+    """
+    return None if np.count_nonzero(ok) == ok.size else int(np.argmin(ok))
 
 
 class ReferenceFunction:
@@ -117,9 +120,13 @@ class ReferenceFunction:
 
 
 class Euclidean(ReferenceFunction):
-    """h(x) = ||x||^2 / 2, defined on all of R^d. Self-dual."""
+    """h(x) = ||x||^2 / 2, defined on all of R^d. Self-dual; a dual point
+    must be finite."""
 
     kind = "euclidean"
+
+    def dual_violation_index(self, y):
+        return _first_false(np.isfinite(y))
 
     def value(self, x):
         return 0.5 * float(x @ x)
@@ -127,10 +134,10 @@ class Euclidean(ReferenceFunction):
     def grad(self, x):
         return np.asarray(x, dtype=float).copy()
 
-    def conjugate_value(self, y):
+    def _conjugate_value(self, y):
         return 0.5 * float(y @ y)
 
-    def grad_conjugate(self, y, warm_start=None):
+    def _grad_conjugate(self, y):
         return np.asarray(y, dtype=float).copy()
 
     def divergence(self, x, y):
@@ -152,12 +159,11 @@ class LogBarrier(ReferenceFunction):
     kind = "log_barrier"
 
     def check_domain(self, x):
-        bad = np.flatnonzero(x <= 0.0)
-        if bad.size:
-            raise DomainViolation(
-                f"log_barrier: component {bad[0]} is not strictly positive",
-                index=int(bad[0]),
-            )
+        # NaN fails x > 0
+        idx = _first_false(x > 0.0)
+        if idx is not None:
+            raise DomainViolation(f"log_barrier: component {idx} is not strictly positive",
+                                  index=idx)
 
     def dual_violation_index(self, y):
         # NaN fails both comparisons; -1/y is inf for a subnormal y and 0
@@ -203,12 +209,11 @@ class NegEntropy(ReferenceFunction):
     kind = "neg_entropy"
 
     def check_domain(self, x):
-        bad = np.flatnonzero(x <= 0.0)
-        if bad.size:
-            raise DomainViolation(
-                f"neg_entropy: component {bad[0]} is not strictly positive",
-                index=int(bad[0]),
-            )
+        # NaN fails x > 0
+        idx = _first_false(x > 0.0)
+        if idx is not None:
+            raise DomainViolation(f"neg_entropy: component {idx} is not strictly positive",
+                                  index=idx)
 
     def dual_violation_index(self, y):
         # NaN fails both comparisons

@@ -103,6 +103,25 @@ class FiniteSumObjective:
         return 0.0
 
 
+def _index_groups(groups, rows, kind):
+    """Component row groups as 1-D int64 index arrays.
+
+    ``None`` gives one row per component. Raises InvalidData unless every
+    group is a nonempty 1-D integer array of row indices in [0, rows).
+    """
+    if groups is None:
+        return list(np.arange(rows).reshape(rows, 1))
+    groups = [np.asarray(g) for g in groups]
+    if not all(g.ndim == 1 and g.size and g.dtype.kind in "iu" for g in groups):
+        raise InvalidData(f"{kind}: each group must be a nonempty 1-D integer index array")
+    groups = [g.astype(np.int64, copy=False) for g in groups]
+    if groups:
+        flat = np.concatenate(groups)
+        if flat.min() < 0 or flat.max() >= rows:
+            raise InvalidData(f"{kind}: group indices must lie in [0, {rows})")
+    return groups
+
+
 def _power_iteration_norm(matvec, d, iters=100):
     """Largest eigenvalue of a symmetric PSD operator, deterministic start."""
     v = np.ones(d) / np.sqrt(d)
@@ -117,6 +136,9 @@ def _power_iteration_norm(matvec, d, iters=100):
     return lam
 
 
+_RATE_VIOLATION = "poisson_kl: (Ax)_i <= 0 at an observed row"
+
+
 class PoissonKL(FiniteSumObjective):
     """f(x) = (1/n) sum_i [ D_KL(b_i, A_i x) + barrier_weight * h_bar(x) ].
 
@@ -125,6 +147,9 @@ class PoissonKL(FiniteSumObjective):
     gradient (the 0 log 0 = 0 limit). ``barrier_weight`` adds
     barrier_weight * (-sum log x_j) to every component, which makes f
     relatively barrier_weight-strongly convex w.r.t. the log-barrier.
+
+    With a dense A and one row per component, a component gradient is the
+    row kernel a_i (1 - b_i / <a_i, x>) on a view of the row of A.
     """
 
     kind = "poisson_kl"
@@ -136,12 +161,17 @@ class PoissonKL(FiniteSumObjective):
         if np.any(b < 0):
             raise InvalidData("poisson_kl: b must be nonnegative")
         self.A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+        if self.A.ndim != 2 or b.shape != self.A.shape[:1]:
+            raise InvalidData("poisson_kl: A must be a matrix with one row per count in b")
         self.b = b
         self.barrier_weight = float(barrier_weight)
-        if groups is None:
-            groups = [np.array([i]) for i in range(A.shape[0])]
-        self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
-        self._blocks = [(self.A[g], self.b[g]) for g in self.groups]
+        self.groups = _index_groups(groups, self.A.shape[0], self.kind)
+        self._rows = self._blocks = None
+        if not _is_sparse(self.A) and all(len(g) == 1 for g in self.groups):
+            self._rows = [(self.A[j], float(self.b[j]))
+                          for g in self.groups for j in g.tolist()]
+        else:
+            self._blocks = [(self.A[g], self.b[g]) for g in self.groups]
 
     @property
     def n_components(self):
@@ -156,14 +186,19 @@ class PoissonKL(FiniteSumObjective):
         return np.asarray(r).ravel()
 
     def _check_rates(self, rates, b):
-        bad = np.flatnonzero((b > 0) & (rates <= 0))
-        if bad.size:
-            raise DomainViolation(
-                f"poisson_kl: (Ax)_i <= 0 at an observed row", index=int(bad[0])
-            )
+        bad = (b > 0) & (rates <= 0)
+        if np.count_nonzero(bad):
+            raise DomainViolation(_RATE_VIOLATION, index=int(np.argmax(bad)))
+
+    def _block(self, i):
+        """(rows of A, counts) of component i, rows as a 2-D block."""
+        if self._rows is None:
+            return self._blocks[i]
+        a, bi = self._rows[i]
+        return a[None, :], np.array([bi])
 
     def check_domain(self, x):
-        if self.barrier_weight > 0 and np.any(x <= 0):
+        if self.barrier_weight > 0 and not np.all(x > 0):
             raise DomainViolation("poisson_kl: barrier requires x > 0")
         self._check_rates(self._residual(self.A, x), self.b)
 
@@ -179,7 +214,7 @@ class PoissonKL(FiniteSumObjective):
     def _barrier_value(self, x):
         if self.barrier_weight == 0.0:
             return 0.0
-        if np.any(x <= 0):
+        if not np.all(x > 0):
             raise DomainViolation("poisson_kl: barrier requires x > 0")
         return -self.barrier_weight * float(np.sum(np.log(x)))
 
@@ -188,7 +223,7 @@ class PoissonKL(FiniteSumObjective):
         return self._kl_terms(rates, self.b) / self.n_components + self._barrier_value(x)
 
     def value_component(self, i, x):
-        Ai, bi = self._blocks[i]
+        Ai, bi = self._block(i)
         return self._kl_terms(self._residual(Ai, x), bi) + self._barrier_value(x)
 
     def _kl_grad(self, A, b, x):
@@ -201,8 +236,22 @@ class PoissonKL(FiniteSumObjective):
         return np.asarray(g).ravel()
 
     def partial_grad(self, i, x):
-        Ai, bi = self._blocks[i]
-        g = self._kl_grad(Ai, bi, x)
+        if self._rows is None:
+            Ai, bi = self._blocks[i]
+            g = self._kl_grad(Ai, bi, x)
+        else:
+            # row kernel, byte for byte _kl_grad on the (1, d) block: adding
+            # 0.0 turns the -0.0 of a zero entry times a negative coefficient
+            # into the +0.0 that A_i^T c has there
+            a, bi = self._rows[i]
+            if bi > 0:
+                r = a @ x
+                if r <= 0:
+                    raise DomainViolation(_RATE_VIOLATION, index=0)
+                g = a * (1.0 - bi / r)
+                g += 0.0
+            else:
+                g = a + 0.0
         if self.barrier_weight:
             g = g - self.barrier_weight / x
         return g
@@ -277,9 +326,9 @@ class LogisticL2(FiniteSumObjective):
         self.A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
         self.labels = labels
         self.lam = float(lam)
-        if groups is None:
-            groups = [np.array([i]) for i in range(A.shape[0])]
-        self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
+        if self.A.ndim != 2 or labels.shape != self.A.shape[:1]:
+            raise InvalidData("logistic_l2: A must be a matrix with one row per label")
+        self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._blocks = [(self.A[g], self.labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
         w = np.zeros(A.shape[0])

@@ -472,8 +472,8 @@ def _unpack_array(fh):
     if code not in (b"f", b"i"):
         raise InvalidData(f"unknown array tag {code!r}")
     (ndim,) = _read_struct(fh, "<q")
-    if ndim < 0:
-        raise InvalidData(f"negative array rank {ndim}")
+    if ndim not in (1, 2):
+        raise InvalidData(f"array rank {ndim} (the format writes vectors and matrices)")
     shape = tuple(_read_struct(fh, "<q")[0] for _ in range(ndim))
     if any(s < 0 for s in shape):
         raise InvalidData(f"negative array shape {shape}")

@@ -355,6 +355,18 @@ class RunFailure(StepFailure):
         self.trace = trace
 
 
+def _epoch_draws(rng, n, steps):
+    """Component indices for ``steps`` steps, drawn n at a time.
+
+    Equal to one scalar ``rng.integers(n)`` per step, and ``rng`` ends at the
+    same position, for a method that draws nothing else.
+    """
+    while steps > 0:
+        k = min(n, steps)
+        yield from rng.integers(n, size=k).tolist()
+        steps -= k
+
+
 def _with_safeguard(attempt, eta, max_halvings):
     """Run ``attempt(eta)`` halving eta on StepOutOfDomain; returns
     (result, halvings_used)."""
@@ -370,7 +382,9 @@ def run(config, problem):
     """Execute the configured method on ``problem`` and return a Trace.
 
     Each iteration draws the component index (stochastic methods), then
-    runs the method's step kernel under the halving safeguard. Deterministic
+    runs the method's step kernel under the halving safeguard. BSGD and
+    BSAGA draw their indices one epoch at a time; BSVRG draws each index
+    before its step, since its refresh coin follows the step. Deterministic
     given the seed. The final iterate is left on ``trace.x``. On StepFailure
     the partial trace is attached to the raised :class:`RunFailure`.
     """
@@ -406,12 +420,11 @@ def run(config, problem):
     else:
         state = SgdState(x=x0.copy())
 
-    i = None  # component index of the current step
-
     def mu(eta):
         state.x = mu_step(state.x, obj.A, obj.b)
         state.t += 1
 
+    # ``i`` is the component index of the current step, bound by the loop
     attempt = {
         "bgd": lambda eta: bgd_step(state, obj, ref, eta),
         "bsgd": lambda eta: bsgd_step(state, obj, ref, eta, rng, index=i),
@@ -460,13 +473,18 @@ def run(config, problem):
     eta_now = float("nan") if method == "mu" else step_policy(config, l_rel, gain_now)
     record(eta_now, gain_now)
 
+    if method == "bsvrg":
+        draws = (int(rng.integers(n)) for _ in range(steps_total))
+    elif stochastic:
+        draws = _epoch_draws(rng, n, steps_total)
+    else:
+        draws = (None for _ in range(steps_total))
+
     try:
-        for _ in range(steps_total):
+        for i in draws:
             if gains is not None:
                 gain_now = gain_bound(state, gains, n)
                 eta_now = step_policy(config, l_rel, gain_now)
-            if stochastic:
-                i = int(rng.integers(n))
             out, used = _with_safeguard(attempt, eta_now, config.max_halvings)
             halvings_total += used
             grad_evals += step_evals

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ class TestRun:
         assert main(["run", "--instance", inst, "--method", "bsgd",
                      "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
         assert "truncated instance file" in capsys.readouterr().err
+
+    def test_out_of_range_group_index_is_usage_error(self, tmp_path, capsys):
+        # the row index of the fourth singleton group, 3, becomes 0xff
+        inst = self.gen_instance(tmp_path)
+        raw = bytearray(open(inst, "rb").read())
+        raw[raw.index(b"i" + struct.pack("<qqq", 1, 1, 3)) + 17] = 0xFF
+        with open(inst, "wb") as fh:
+            fh.write(bytes(raw))
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
+        assert "group indices must lie in [0, 20)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, route", [
         (key, value, route)

@@ -116,6 +116,21 @@ class TestEuclidean:
         out = mirror_step(ref, np.array([1.0, 2.0]), np.array([1.0, 0.0]), 0.5)
         np.testing.assert_allclose(out, [0.5, 2.0])
 
+    @pytest.mark.parametrize("g, index", [
+        ([np.inf, 0.0], 0),
+        ([0.0, -np.inf], 1),
+        ([1.0, np.nan], 1),
+    ])
+    def test_non_finite_dual_point_out_of_domain(self, g, index):
+        with pytest.raises(StepOutOfDomain) as info:
+            mirror_step(Euclidean(), np.zeros(2), np.array(g), 1.0)
+        assert info.value.index == index
+        for conjugate in (Euclidean().grad_conjugate, Euclidean().conjugate_value):
+            with pytest.raises(DomainViolation) as info:
+                conjugate(-np.array(g))
+            assert info.value.index == index
+        assert Euclidean().dual_violation_index(np.array([1e308, -1e308])) is None
+
     def test_divergence_is_half_squared_distance(self):
         ref = Euclidean()
         x = np.array([1.0, -2.0])
@@ -142,6 +157,25 @@ class TestNegEntropy:
         with pytest.raises(DomainViolation) as info:
             NegEntropy().grad_conjugate(np.ones(2) - np.array(g))
         assert info.value.index == index
+
+
+@pytest.mark.parametrize("ref", [LogBarrier(), NegEntropy()], ids=lambda r: r.kind)
+@pytest.mark.parametrize("x, index", [
+    ([np.nan, 1.0], 0),
+    ([1.0, np.nan], 1),
+    ([1.0, 0.0], 1),
+    ([-np.inf, 1.0], 0),
+])
+def test_primal_point_outside_positive_orthant(ref, x, index):
+    # NaN fails the x > 0 test like 0 and negative coordinates do
+    x = np.array(x)
+    with pytest.raises(DomainViolation) as info:
+        ref.grad(x)
+    assert info.value.index == index
+    with pytest.raises(DomainViolation):
+        ref.divergence(np.ones(2), x)
+    with pytest.raises(DomainViolation):
+        mirror_step(ref, x, np.zeros(2), 0.1)
 
 
 @pytest.mark.parametrize("ref", [LogBarrier(), NegEntropy()], ids=lambda r: r.kind)

@@ -85,6 +85,13 @@ class TestPoissonKL:
         with pytest.raises(DomainViolation):
             obj.value(np.array([0.0]))
 
+    def test_barrier_rejects_nan_point(self):
+        obj = PoissonKL(np.ones((2, 2)), np.ones(2), barrier_weight=0.1)
+        x = np.array([np.nan, 1.0])
+        for method in (obj.check_domain, obj.value):
+            with pytest.raises(DomainViolation, match="barrier"):
+                method(x)
+
     def test_negative_data_rejected(self):
         with pytest.raises(InvalidData):
             PoissonKL(np.array([[-1.0]]), np.array([1.0]))
@@ -95,6 +102,77 @@ class TestPoissonKL:
         obj = PoissonKL(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(InvalidData):
             obj.smoothness_bound()
+
+
+    @pytest.mark.parametrize("groups", [
+        [np.array([0]), np.array([3])],   # past the last row
+        [np.array([0]), np.array([-1])],  # negative rows are not wrapped
+        [np.array([[0, 1]])],             # not 1-D
+        [np.array([0.0, 1.0])],           # not integer
+        [np.array([], dtype=np.int64)],   # empty
+    ])
+    def test_bad_groups_rejected(self, groups):
+        A = np.ones((3, 2))
+        with pytest.raises(InvalidData):
+            PoissonKL(A, np.ones(3), groups=groups)
+        with pytest.raises(InvalidData):
+            LogisticL2(A, np.ones(3), groups=groups)
+
+    def test_counts_must_match_rows(self):
+        with pytest.raises(InvalidData):
+            PoissonKL(np.ones((3, 2)), np.ones(2))
+        with pytest.raises(InvalidData):
+            LogisticL2(np.ones((3, 2)), np.ones(4))
+
+
+def _block_grad(obj, j, x):
+    """Component gradient of row j through the (1, d) block path."""
+    g = obj._kl_grad(obj.A[j:j + 1], obj.b[j:j + 1], x)
+    return g - obj.barrier_weight / x if obj.barrier_weight else g
+
+
+@st.composite
+def singleton_poisson(draw):
+    """A dense PoissonKL with one row per component, groups implicit or an
+    explicit permutation of the rows, and a point that may leave the domain."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    A = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+    b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    order = draw(st.one_of(st.none(), st.permutations(range(n))))
+    groups = None if order is None else [np.array([j]) for j in order]
+    weight = draw(st.sampled_from([0.0, 0.3]))
+    x = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 5.0)),
+                               min_size=d, max_size=d)))
+    return PoissonKL(A, b, groups=groups, barrier_weight=weight), order, x
+
+
+class TestRowKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(singleton_poisson())
+    def test_matches_block_path_bytewise(self, case):
+        obj, order, x = case
+        assert obj._rows is not None
+        for i in range(obj.n_components):
+            j = i if order is None else order[i]
+            with np.errstate(all="ignore"):
+                try:
+                    want = _block_grad(obj, j, x)
+                except DomainViolation as exc:
+                    with pytest.raises(DomainViolation) as info:
+                        obj.partial_grad(i, x)
+                    assert info.value.index == exc.index == 0
+                    continue
+                got = obj.partial_grad(i, x)
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_are_views_of_a(self):
+        A = make_rng(5).uniform(0.1, 1.0, size=(4, 3))
+        obj = PoissonKL(A, np.ones(4), groups=[np.array([2]), np.array([0])])
+        assert obj.n_components == 2
+        assert all(a.base is obj.A for a, _ in obj._rows)
+        assert PoissonKL(A, np.ones(4), groups=[np.array([0, 1])])._rows is None
+        assert PoissonKL(sp.csr_matrix(A), np.ones(4))._rows is None
 
 
 class TestPoissonRelL:

@@ -1,5 +1,7 @@
 """Tests for problem generators, data formats, and instance files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,12 @@ class TestPreconditioned:
         assert problem.comm_model.component == 1
 
 
+def group_index_offset(raw, k):
+    """Byte offset of the row index of the singleton group holding row ``k``
+    (an int64 array: tag, rank 1, length 1, index) in an instance file."""
+    return raw.index(b"i" + struct.pack("<qqq", 1, 1, k)) + 17
+
+
 class TestInstanceFiles:
     def test_interpolation_roundtrip(self, tmp_path):
         problem = gen_interpolation(20, 5, seed=2)
@@ -270,6 +278,56 @@ class TestInstanceFiles:
             fh.write(bytes(raw))
         with pytest.raises(InvalidData):
             load_instance(path)
+
+    def test_every_single_byte_corruption_is_invalid_data_or_loads(self, tmp_path):
+        # each byte set to 0x00, 0xff and 0x41; a corruption may still load
+        # (the format has no checksum) but must not raise anything else
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        raw = open(path, "rb").read()
+        bad = str(tmp_path / "bad.bin")
+        outcomes = {"loaded": 0, "invalid": 0}
+        for k in range(len(raw)):
+            for value in (0x00, 0xFF, 0x41):
+                if raw[k] == value:
+                    continue
+                with open(bad, "wb") as fh:
+                    fh.write(raw[:k] + bytes([value]) + raw[k + 1:])
+                try:
+                    load_instance(bad)
+                    outcomes["loaded"] += 1
+                except InvalidData:
+                    outcomes["invalid"] += 1
+        assert sum(outcomes.values()) == 4436 and outcomes["invalid"] >= 1395
+
+    @pytest.mark.parametrize("ndim", [0, 3, 65])
+    def test_unwritten_array_rank_is_invalid_data(self, tmp_path, ndim):
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        raw = bytearray(open(path, "rb").read())
+        assert raw[10:11] == b"f" and raw[11] == 2  # rank of the array of A
+        raw[11] = ndim
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw))
+        with pytest.raises(InvalidData, match="rank"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("value", [0xFF, 0x41])
+    def test_group_index_outside_rows_is_invalid_data(self, tmp_path, value):
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        raw = bytearray(open(path, "rb").read())
+        offset = group_index_offset(raw, 3)
+        raw[offset] = value
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw))
+        with pytest.raises(InvalidData, match="group indices"):
+            load_instance(path)
+
+    def test_roundtrip_keeps_the_row_kernel(self, tmp_path):
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, gen_interpolation(20, 5, seed=1))
+        assert load_instance(path).objective._rows is not None
 
     def test_trailing_bytes_are_invalid_data(self, tmp_path):
         path = str(tmp_path / "inst.bin")

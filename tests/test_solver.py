@@ -5,6 +5,7 @@ import pytest
 
 from bregopt import (
     DiagonalQuadratic,
+    DomainViolation,
     Euclidean,
     LogBarrier,
     NegEntropy,
@@ -254,6 +255,19 @@ class TestRunHarness:
         assert len(info.value.trace) == 1
         np.testing.assert_array_equal(info.value.trace.x, problem.x0)
 
+    @pytest.mark.parametrize("method", ["bgd", "bsgd", "bsaga", "bsvrg"])
+    @pytest.mark.parametrize("keep_x_star", [True, False])
+    def test_nan_start_is_rejected(self, method, keep_x_star):
+        # with x_star the first record's D_h(x_star, x0) rejects x0, without
+        # it the first mirror step's grad h(x0) does
+        problem = self.problem()
+        problem.x0 = np.array([np.nan, 1.0, 1.0, 1.0, 1.0])
+        if not keep_x_star:
+            problem.x_star = None
+        with pytest.raises(DomainViolation) as info:
+            run(SolverConfig(method=method, eta=0.01, epochs=1.0), problem)
+        assert info.value.index == 0
+
     @pytest.mark.parametrize("method, constants", [
         ("bsgd", GAIN_CONSTANTS),
         ("bsaga", {k: v for k, v in GAIN_CONSTANTS.items() if k != "mu_rel"}),
@@ -415,6 +429,16 @@ class TestRecordColumns:
                               record_every=1, max_halvings=60, **REPLAY_CASES[case])
         trace = self.compare_with_replay(problem, config)
         assert (trace.final.halvings > 0) == (case != "mu")
+
+    @pytest.mark.parametrize("method", ["bsgd", "bsaga"])
+    def test_partial_last_epoch_of_draws(self, method):
+        # 2.5 epochs of n = 20: run() draws indices in chunks of 20, 20 and
+        # 10; the replay draws one scalar index per step
+        problem = gen_interpolation(20, 5, seed=0)
+        config = SolverConfig(method=method, eta=10.0, epochs=2.5, seed=3,
+                              record_every=1, max_halvings=60)
+        trace = self.compare_with_replay(problem, config)
+        assert trace.final.iter == 50 and trace.final.halvings > 0
 
     @pytest.mark.parametrize("case", [c for c in REPLAY_CASES if c != "mu"])
     def test_every_method_with_comm_model(self, case):
