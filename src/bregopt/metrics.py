@@ -7,7 +7,7 @@ inequalities behind the solvers on seeded random inputs.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,21 +20,6 @@ from .errors import (
 from .mirror import make_reference, mirror_step
 from .objective import DiagonalQuadratic, PoissonKL, poisson_rel_L
 from .rng import make_rng
-
-TRACE_COLUMNS = (
-    "iter",
-    "epoch",
-    "grad_evals",
-    "comms",
-    "f_gap",
-    "dh_gap",
-    "min_df_gap",
-    "eta",
-    "gain",
-    "halvings",
-    "wall_s",
-)
-
 
 @dataclass
 class TraceRecord:
@@ -54,6 +39,11 @@ class TraceRecord:
 
     def as_row(self):
         return [getattr(self, c) for c in TRACE_COLUMNS]
+
+
+# CSV columns in field order, and the cast that reads each back
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+_TRACE_CASTS = tuple(f.type for f in fields(TraceRecord))
 
 
 class Trace:
@@ -131,21 +121,7 @@ class Trace:
         trace = cls()
         for line in lines[1:]:
             vals = line.split(",")
-            trace.records.append(
-                TraceRecord(
-                    iter=int(vals[0]),
-                    epoch=float(vals[1]),
-                    grad_evals=int(vals[2]),
-                    comms=float(vals[3]),
-                    f_gap=float(vals[4]),
-                    dh_gap=float(vals[5]),
-                    min_df_gap=float(vals[6]),
-                    eta=float(vals[7]),
-                    gain=float(vals[8]),
-                    halvings=int(vals[9]),
-                    wall_s=float(vals[10]),
-                )
-            )
+            trace.records.append(TraceRecord(*(cast(v) for cast, v in zip(_TRACE_CASTS, vals))))
         return trace
 
 

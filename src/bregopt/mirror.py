@@ -149,7 +149,18 @@ class Euclidean(ReferenceFunction):
         return 0.5 * float(d @ d)
 
 
-class LogBarrier(ReferenceFunction):
+class _PositiveOrthant(ReferenceFunction):
+    """A reference function whose domain interior is the positive orthant."""
+
+    def check_domain(self, x):
+        # NaN fails x > 0
+        idx = _first_false(x > 0.0)
+        if idx is not None:
+            raise DomainViolation(f"{self.kind}: component {idx} is not strictly positive",
+                                  index=idx)
+
+
+class LogBarrier(_PositiveOrthant):
     """h(x) = -sum log x_i on the strictly positive orthant.
 
     grad h(x) = -1/x, so the conjugate domain is the strictly negative
@@ -157,13 +168,6 @@ class LogBarrier(ReferenceFunction):
     """
 
     kind = "log_barrier"
-
-    def check_domain(self, x):
-        # NaN fails x > 0
-        idx = _first_false(x > 0.0)
-        if idx is not None:
-            raise DomainViolation(f"log_barrier: component {idx} is not strictly positive",
-                                  index=idx)
 
     def dual_violation_index(self, y):
         # NaN fails both comparisons; -1/y is inf for a subnormal y and 0
@@ -198,7 +202,7 @@ class LogBarrier(ReferenceFunction):
         return float(np.sum((r - 1.0) - np.log(r)))
 
 
-class NegEntropy(ReferenceFunction):
+class NegEntropy(_PositiveOrthant):
     """h(x) = sum x_i log x_i on the positive orthant (0 log 0 = 0).
 
     grad h(x) = log x + 1, grad h*(y) = exp(y - 1); the conjugate domain is
@@ -207,13 +211,6 @@ class NegEntropy(ReferenceFunction):
     """
 
     kind = "neg_entropy"
-
-    def check_domain(self, x):
-        # NaN fails x > 0
-        idx = _first_false(x > 0.0)
-        if idx is not None:
-            raise DomainViolation(f"neg_entropy: component {idx} is not strictly positive",
-                                  index=idx)
 
     def dual_violation_index(self, y):
         # NaN fails both comparisons

@@ -28,6 +28,16 @@ def _is_sparse(A):
     return sp.issparse(A)
 
 
+def _entries(A):
+    """The stored entries of a dense or sparse matrix."""
+    return A.data if _is_sparse(A) else A
+
+
+def _finite_nonnegative(values):
+    """True when every entry is finite and >= 0 (NaN is neither)."""
+    return bool(np.all((values >= 0) & (values < np.inf)))
+
+
 def _sigmoid(t):
     """Numerically stable logistic sigmoid."""
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(t, dtype=float)))
@@ -62,8 +72,7 @@ class FiniteSumObjective:
 
     def value(self, x):
         """f(x) = (1/n) sum_i f_i(x)."""
-        vals = [self.value_component(i, x) for i in range(self.n_components)]
-        return float(np.mean(vals))
+        raise NotImplementedError
 
     def value_component(self, i, x):
         raise NotImplementedError
@@ -73,10 +82,8 @@ class FiniteSumObjective:
         raise NotImplementedError
 
     def full_grad(self, x):
-        g = np.zeros(self.dim)
-        for i in range(self.n_components):
-            g += self.partial_grad(i, x)
-        return g / self.n_components
+        """grad f(x) = (1/n) sum_i grad f_i(x)."""
+        raise NotImplementedError
 
     def hess_vec(self, x, u):
         """grad^2 f(x) @ u."""
@@ -156,15 +163,17 @@ class PoissonKL(FiniteSumObjective):
 
     def __init__(self, A, b, groups=None, barrier_weight=0.0):
         b = np.asarray(b, dtype=float)
-        if (_is_sparse(A) and (A < 0).nnz > 0) or (not _is_sparse(A) and np.any(A < 0)):
-            raise InvalidData("poisson_kl: A must be nonnegative")
-        if np.any(b < 0):
-            raise InvalidData("poisson_kl: b must be nonnegative")
         self.A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+        if not _finite_nonnegative(_entries(self.A)):
+            raise InvalidData("poisson_kl: A must be finite and nonnegative")
+        if not _finite_nonnegative(b):
+            raise InvalidData("poisson_kl: b must be finite and nonnegative")
         if self.A.ndim != 2 or b.shape != self.A.shape[:1]:
             raise InvalidData("poisson_kl: A must be a matrix with one row per count in b")
         self.b = b
         self.barrier_weight = float(barrier_weight)
+        if not _finite_nonnegative(self.barrier_weight):
+            raise InvalidData("poisson_kl: barrier_weight must be finite and nonnegative")
         self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._rows = self._blocks = None
         if not _is_sparse(self.A) and all(len(g) == 1 for g in self.groups):
@@ -288,20 +297,18 @@ def poisson_rel_L(A, b, n_components=None):
     sum_i b_i / n, with equality when A has no zero entries.
     """
     b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise InvalidData("poisson_rel_L: b must be nonnegative")
+    if not _finite_nonnegative(b):
+        raise InvalidData("poisson_rel_L: b must be finite and nonnegative")
     if n_components is None:
         n_components = len(b)
+    A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+    if not _finite_nonnegative(_entries(A)):
+        raise InvalidData("poisson_rel_L: A must be finite and nonnegative")
     if _is_sparse(A):
-        if (A < 0).nnz > 0:
-            raise InvalidData("poisson_rel_L: A must be nonnegative")
-        support = A.copy().tocsr()
+        support = A.copy()
         support.data = np.ones_like(support.data)
         col_sums = np.asarray(support.T @ b).ravel()
     else:
-        A = np.asarray(A, dtype=float)
-        if np.any(A < 0):
-            raise InvalidData("poisson_rel_L: A must be nonnegative")
         col_sums = (A > 0).T @ b
     if col_sums.size == 0:
         return 0.0
@@ -321,9 +328,11 @@ class LogisticL2(FiniteSumObjective):
         labels = np.asarray(labels, dtype=float)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise InvalidData("logistic_l2: labels must be in {-1, +1}")
-        if lam < 0:
-            raise InvalidData("logistic_l2: lam must be nonnegative")
+        if not _finite_nonnegative(lam):
+            raise InvalidData("logistic_l2: lam must be finite and nonnegative")
         self.A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+        if not np.all(np.isfinite(_entries(self.A))):
+            raise InvalidData("logistic_l2: A must be finite")
         self.labels = labels
         self.lam = float(lam)
         if self.A.ndim != 2 or labels.shape != self.A.shape[:1]:
@@ -403,7 +412,7 @@ class DiagonalQuadratic(FiniteSumObjective):
         C = np.asarray(centers, dtype=float)
         if Q.shape != C.shape:
             raise InvalidData("quadratic: weights and centers must share a shape")
-        if np.any(Q <= 0):
+        if not np.all(Q > 0):  # NaN fails
             raise InvalidData("quadratic: weights must be positive")
         self.Q = Q
         self.C = C

@@ -12,8 +12,7 @@ concurrently. Three experiment families are covered:
 
 import hashlib
 import math
-import os
-import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -426,206 +425,210 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
 
 
 # ---------------------------------------------------------------------------
-# binary instance format
+# instance files
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"BREGOPT1"
-_REFERENCE_TAGS = {b"e": "euclidean", b"b": "log_barrier", b"n": "neg_entropy"}
+# An instance file is the magic, the sha256 of everything after this 40-byte
+# header, then an uncompressed npz (zip) archive of named arrays.
+_MAGIC = b"BREGOPT2"
+_HEADER = len(_MAGIC) + 32
 
 
-def _pack_array(fh, arr):
-    arr = np.ascontiguousarray(arr)
-    code = {"f": b"f", "i": b"i"}[arr.dtype.kind]
-    fh.write(code)
-    fh.write(struct.pack("<q", arr.ndim))
-    for s in arr.shape:
-        fh.write(struct.pack("<q", s))
-    fh.write(arr.astype("<f8" if code == b"f" else "<i8").tobytes())
+def _digest(fh):
+    """sha256 of ``fh`` from its position to the end, read 1 MiB at a time."""
+    h = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        h.update(chunk)
+    return h.digest()
 
 
-def _read_exact(fh, n):
-    """Read exactly ``n`` bytes; a short or corrupt file raises InvalidData.
-
-    The length is checked against the bytes left in the file before reading,
-    so a corrupt size field cannot ask for a huge buffer.
-    """
-    offset = fh.tell()
-    if not 0 <= n <= os.fstat(fh.fileno()).st_size - offset:
-        raise InvalidData(f"truncated instance file: {n} bytes expected at offset {offset}")
-    return fh.read(n)
-
-
-def _read_struct(fh, fmt):
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
-
-
-def _read_flag(fh, tag):
-    """True for ``tag``, False for the absent marker b"-"."""
-    flag = _read_exact(fh, 1)
-    if flag not in (tag, b"-"):
-        raise InvalidData(f"unknown block tag {flag!r} (expected {tag!r} or b'-')")
-    return flag == tag
-
-
-def _unpack_array(fh):
-    code = _read_exact(fh, 1)
-    if code not in (b"f", b"i"):
-        raise InvalidData(f"unknown array tag {code!r}")
-    (ndim,) = _read_struct(fh, "<q")
-    if ndim not in (1, 2):
-        raise InvalidData(f"array rank {ndim} (the format writes vectors and matrices)")
-    shape = tuple(_read_struct(fh, "<q")[0] for _ in range(ndim))
-    if any(s < 0 for s in shape):
-        raise InvalidData(f"negative array shape {shape}")
-    dtype = "<f8" if code == b"f" else "<i8"
-    data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype=dtype)
-    return data.reshape(shape).copy()
-
-
-def _pack_matrix(fh, A):
+def _put_matrix(arrays, key, A):
+    """Store A as ``key`` when dense, else as its CSR parts ``key_*``."""
     if sp.issparse(A):
         A = A.tocsr()
-        fh.write(b"S")
-        fh.write(struct.pack("<qq", *A.shape))
-        _pack_array(fh, A.indptr.astype(np.int64))
-        _pack_array(fh, A.indices.astype(np.int64))
-        _pack_array(fh, A.data.astype(np.float64))
+        arrays.update({f"{key}_shape": np.asarray(A.shape, dtype=np.int64),
+                       f"{key}_indptr": A.indptr.astype(np.int64),
+                       f"{key}_indices": A.indices.astype(np.int64),
+                       f"{key}_data": A.data.astype(np.float64)})
     else:
-        fh.write(b"D")
-        _pack_array(fh, np.asarray(A, dtype=np.float64))
+        arrays[key] = np.asarray(A, dtype=np.float64)
 
 
-def _unpack_matrix(fh):
-    code = _read_exact(fh, 1)
-    if code == b"S":
-        shape = _read_struct(fh, "<qq")
-        indptr = _unpack_array(fh)
-        indices = _unpack_array(fh)
-        data = _unpack_array(fh)
-        return sp.csr_matrix((data, indices, indptr), shape=shape)
-    if code != b"D":
-        raise InvalidData(f"unknown matrix tag {code!r}")
-    return _unpack_array(fh)
+def _instance_arrays(problem):
+    """The named arrays of ``problem``'s instance file."""
+    obj, ref = problem.objective, problem.reference
+    arrays = {"objective": obj.kind, "reference": ref.kind,
+              "x0": np.asarray(problem.x0, dtype=float)}
+    if isinstance(obj, (PoissonKL, LogisticL2)):
+        _put_matrix(arrays, "A", obj.A)
+        arrays["group_rows"] = np.concatenate(obj.groups)
+        arrays["group_ends"] = np.cumsum([len(g) for g in obj.groups], dtype=np.int64)
+        if isinstance(obj, PoissonKL):
+            arrays.update(b=obj.b, barrier_weight=obj.barrier_weight)
+        else:
+            arrays.update(labels=obj.labels, lam=obj.lam)
+    elif isinstance(obj, DiagonalQuadratic):
+        arrays.update(Q=obj.Q, C=obj.C)
+    else:
+        raise InvalidData("unsupported objective kind for serialization")
+    if ref.kind == "preconditioner":
+        _put_matrix(arrays, "inner_A", ref.inner.A)
+        arrays.update(inner_labels=ref.inner.labels, inner_lam=ref.inner.lam,
+                      c_prec=ref.c_prec, inner_tol=ref.inner_tol,
+                      inner_passes=ref.inner_passes)
+    comm = problem.comm_model
+    optional = {"x_star": problem.x_star, "f_star": problem.f_star,
+                "comm": comm and [comm.full_round, comm.component],
+                "L_rel": (problem.meta or {}).get("L_rel")}
+    arrays.update({k: np.asarray(v, dtype=float) for k, v in optional.items() if v is not None})
+    return arrays
 
 
 def save_instance(path, problem):
-    """Serialize a ProblemInstance to the versioned little-endian format.
+    """Write ``problem`` to ``path`` (the name is used as given).
 
-    Layout: magic, objective block (kind tag + arrays), reference block,
-    points block (x0, optional x_star / f_star), communication model.
-    Preconditioner references embed their inner dataset.
+    Members carry a fixed timestamp, so an instance always gives the same
+    bytes. The header is written last, so a file cut short fails to load.
     """
-    obj, ref = problem.objective, problem.reference
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        if isinstance(obj, PoissonKL):
-            fh.write(b"P")
-            _pack_matrix(fh, obj.A)
-            _pack_array(fh, obj.b)
-            fh.write(struct.pack("<d", obj.barrier_weight))
-            fh.write(struct.pack("<q", obj.n_components))
-            for g in obj.groups:
-                _pack_array(fh, g.astype(np.int64))
-        elif isinstance(obj, LogisticL2):
-            fh.write(b"L")
-            _pack_matrix(fh, obj.A)
-            _pack_array(fh, obj.labels)
-            fh.write(struct.pack("<d", obj.lam))
-            fh.write(struct.pack("<q", obj.n_components))
-            for g in obj.groups:
-                _pack_array(fh, g.astype(np.int64))
-        elif isinstance(obj, DiagonalQuadratic):
-            fh.write(b"Q")
-            _pack_array(fh, obj.Q)
-            _pack_array(fh, obj.C)
-        else:
-            raise InvalidData("unsupported objective kind for serialization")
+    arrays = _instance_arrays(problem)
+    with open(path, "w+b") as fh:
+        fh.write(bytes(_HEADER))
+        with zipfile.ZipFile(fh, "w") as zf:
+            for key, value in arrays.items():
+                with zf.open(zipfile.ZipInfo(key + ".npy"), "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, np.asarray(value), allow_pickle=False)
+        fh.seek(_HEADER)
+        digest = _digest(fh)
+        fh.seek(0)
+        fh.write(_MAGIC + digest)
 
-        kind = getattr(ref, "kind", None)
-        if kind == "preconditioner":
-            fh.write(b"p")
-            _pack_matrix(fh, ref.inner.A)
-            _pack_array(fh, ref.inner.labels)
-            fh.write(struct.pack("<d", ref.inner.lam))
-            fh.write(struct.pack("<dqd", ref.c_prec, ref.inner_passes, ref.inner_tol))
-        else:
-            tag = {name: t for t, name in _REFERENCE_TAGS.items()}[kind]
-            fh.write(tag)
 
-        _pack_array(fh, np.asarray(problem.x0, dtype=float))
-        fh.write(b"X" if problem.x_star is not None else b"-")
-        if problem.x_star is not None:
-            _pack_array(fh, np.asarray(problem.x_star, dtype=float))
-        fh.write(b"F" if problem.f_star is not None else b"-")
-        if problem.f_star is not None:
-            fh.write(struct.pack("<d", problem.f_star))
-        fh.write(b"C" if problem.comm_model is not None else b"-")
-        if problem.comm_model is not None:
-            fh.write(struct.pack("<dd", problem.comm_model.full_round,
-                                 problem.comm_model.component))
-        if "L_rel" in (problem.meta or {}) and problem.meta["L_rel"] is not None:
-            fh.write(b"R")
-            fh.write(struct.pack("<d", problem.meta["L_rel"]))
-        else:
-            fh.write(b"-")
+class _Archive:
+    """Checked reads from the zip archive of an instance file.
+
+    A member must be stored uncompressed, and its npy header must declare
+    exactly the bytes the member holds, so a corrupt shape cannot ask for a
+    huge buffer.
+    """
+
+    def __init__(self, zf, limit):
+        self.zf = zf
+        self.limit = limit  # bytes in the archive
+        self.names = {name[:-4] for name in zf.namelist() if name.endswith(".npy")}
+
+    def array(self, key, kind, shape):
+        """Array ``key`` of dtype kind ``kind`` ("f", "i": 8-byte; "U") and
+        ``shape`` (None matches any length)."""
+        if key not in self.names:
+            raise InvalidData(f"instance file lacks {key!r}")
+        info = self.zf.getinfo(key + ".npy")
+        if info.compress_type != zipfile.ZIP_STORED or info.file_size > self.limit:
+            raise InvalidData(f"{key!r} is compressed or larger than the archive")
+        with self.zf.open(info) as member:
+            if np.lib.format.read_magic(member) != (1, 0):
+                raise InvalidData(f"{key!r}: unsupported npy version")
+            got, _, dtype = np.lib.format.read_array_header_1_0(member)
+            held = info.file_size - member.tell()
+            if (dtype.kind != kind or (kind != "U" and dtype.itemsize != 8)
+                    or len(got) != len(shape) or any(s not in (None, g) for s, g in zip(shape, got))
+                    or math.prod(got) * dtype.itemsize != held):
+                raise InvalidData(f"{key!r} is a {dtype} array of shape {got} (rank {len(got)}) "
+                                  f"in {held} bytes; expected kind {kind!r} and shape {shape}")
+            member.seek(0)
+            return np.lib.format.read_array(member, allow_pickle=False)
+
+    def scalar(self, key, kind="f"):
+        return self.array(key, kind, ()).item()
+
+    def optional(self, key, shape):
+        """Finite float array ``key`` (a float when 0-d), or None when absent."""
+        if key not in self.names:
+            return None
+        value = self.array(key, "f", shape)
+        if not np.all(np.isfinite(value)):
+            raise InvalidData(f"{key!r} is not finite")
+        return value if shape else value.item()
+
+    def matrix(self, key):
+        """A dense matrix, or a CSR matrix from its parts."""
+        if f"{key}_shape" not in self.names:
+            return self.array(key, "f", (None, None))
+        A = sp.csr_matrix((self.array(f"{key}_data", "f", (None,)),
+                           self.array(f"{key}_indices", "i", (None,)),
+                           self.array(f"{key}_indptr", "i", (None,))),
+                          shape=tuple(self.array(f"{key}_shape", "i", (2,)).tolist()))
+        A.check_format(full_check=True)
+        return A
+
+    def groups(self):
+        rows = self.array("group_rows", "i", (None,))
+        ends = self.array("group_ends", "i", (None,))
+        if not ends.size or ends[-1] != rows.size or np.any(np.diff(ends, prepend=0) < 0):
+            raise InvalidData("group ends must rise to the number of group rows")
+        return np.split(rows, ends[:-1])
+
+
+def _read_instance(archive):
+    kind = archive.scalar("objective", "U")
+    if kind == "poisson_kl":
+        obj = PoissonKL(archive.matrix("A"), archive.array("b", "f", (None,)),
+                        groups=archive.groups(),
+                        barrier_weight=archive.scalar("barrier_weight"))
+    elif kind == "logistic_l2":
+        obj = LogisticL2(archive.matrix("A"), archive.array("labels", "f", (None,)),
+                         lam=archive.scalar("lam"), groups=archive.groups())
+    elif kind == "quadratic":
+        obj = DiagonalQuadratic(archive.array("Q", "f", (None, None)),
+                                archive.array("C", "f", (None, None)))
+    else:
+        raise InvalidData(f"unknown objective kind {kind!r}")
+    d = obj.dim
+    ref_kind = archive.scalar("reference", "U")
+    if ref_kind == "preconditioner":
+        inner = LogisticL2(archive.matrix("inner_A"),
+                           archive.array("inner_labels", "f", (None,)),
+                           lam=archive.scalar("inner_lam"))
+        if inner.dim != d:
+            raise InvalidData(f"preconditioner dimension {inner.dim}, objective {d}")
+        ref = Preconditioner(inner, c_prec=archive.scalar("c_prec"),
+                             inner_tol=archive.scalar("inner_tol"),
+                             inner_passes=archive.scalar("inner_passes", "i"))
+    else:
+        ref = make_reference(ref_kind)
+    comm = archive.optional("comm", (2,))
+    l_rel = archive.optional("L_rel", ())
+    return ProblemInstance(
+        objective=obj, reference=ref, x0=archive.array("x0", "f", (d,)),
+        x_star=archive.optional("x_star", (d,)), f_star=archive.optional("f_star", ()),
+        comm_model=None if comm is None else CommModel(*comm.tolist()),
+        meta={} if l_rel is None else {"L_rel": l_rel},
+    )
 
 
 def load_instance(path):
-    """Deserialize a ProblemInstance written by :func:`save_instance`.
+    """Read a ProblemInstance written by :func:`save_instance`.
 
-    A truncated file, an unknown tag or bytes after the last block raise
-    InvalidData.
+    The digest is checked over the whole file before anything is parsed.
+    A truncated or corrupt file, a version 1 file, and an archive with a
+    missing key, a wrong dtype or shape, or data an objective rejects all
+    raise InvalidData.
     """
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
+        head = fh.read(_HEADER)
+        if head.startswith(b"BREGOPT1"):
+            raise InvalidData(f"{path}: version 1 instance files are no longer read; "
+                              "regenerate it with bregopt gen")
+        if len(head) < _HEADER or not head.startswith(_MAGIC):
             raise InvalidData(f"{path}: not a bregopt instance file")
-        tag = _read_exact(fh, 1)
-        if tag == b"P":
-            A = _unpack_matrix(fh)
-            b = _unpack_array(fh)
-            (bw,) = _read_struct(fh, "<d")
-            (ng,) = _read_struct(fh, "<q")
-            groups = [_unpack_array(fh) for _ in range(ng)]
-            obj = PoissonKL(A, b, groups=groups, barrier_weight=bw)
-        elif tag == b"L":
-            A = _unpack_matrix(fh)
-            labels = _unpack_array(fh)
-            (lam,) = _read_struct(fh, "<d")
-            (ng,) = _read_struct(fh, "<q")
-            groups = [_unpack_array(fh) for _ in range(ng)]
-            obj = LogisticL2(A, labels, lam=lam, groups=groups)
-        elif tag == b"Q":
-            obj = DiagonalQuadratic(_unpack_array(fh), _unpack_array(fh))
-        else:
-            raise InvalidData(f"{path}: unknown objective tag {tag!r}")
-
-        rtag = _read_exact(fh, 1)
-        if rtag == b"p":
-            Ai = _unpack_matrix(fh)
-            li = _unpack_array(fh)
-            (lam,) = _read_struct(fh, "<d")
-            c_prec, passes, tol = _read_struct(fh, "<dqd")
-            ref = Preconditioner(LogisticL2(Ai, li, lam=lam), c_prec=c_prec,
-                                 inner_tol=tol, inner_passes=int(passes))
-        elif rtag in _REFERENCE_TAGS:
-            ref = make_reference(_REFERENCE_TAGS[rtag])
-        else:
-            raise InvalidData(f"{path}: unknown reference tag {rtag!r}")
-
-        x0 = _unpack_array(fh)
-        x_star = _unpack_array(fh) if _read_flag(fh, b"X") else None
-        f_star = _read_struct(fh, "<d")[0] if _read_flag(fh, b"F") else None
-        comm = None
-        if _read_flag(fh, b"C"):
-            fr, cc = _read_struct(fh, "<dd")
-            comm = CommModel(full_round=fr, component=cc)
-        meta = {}
-        if _read_flag(fh, b"R"):
-            meta["L_rel"] = _read_struct(fh, "<d")[0]
-        if fh.read(1):
-            raise InvalidData(f"{path}: trailing bytes after the last block")
-    return ProblemInstance(objective=obj, reference=ref, x0=x0, x_star=x_star,
-                           f_star=f_star, comm_model=comm, meta=meta)
+        if _digest(fh) != head[len(_MAGIC):]:
+            raise InvalidData(f"{path}: sha256 mismatch, corrupt or truncated instance file")
+        limit = fh.tell() - _HEADER
+        fh.seek(_HEADER)
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                return _read_instance(_Archive(zf, limit))
+        except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile) as exc:
+            raise InvalidData(f"{path}: {exc}") from exc
 
 
 def write_manifest(path, problem):

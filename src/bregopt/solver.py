@@ -239,8 +239,9 @@ def mu_step(x, A, b):
     which happens naturally on long runs whose limit lies on the boundary.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainViolation("mu_step: x must be nonnegative")
+    ok = x >= 0  # NaN fails
+    if not ok.all():
+        raise DomainViolation("mu_step: x must be nonnegative", index=int(np.argmin(ok)))
     rates = np.asarray(A @ x).ravel()
     bad = np.flatnonzero((np.asarray(b) > 0) & (rates == 0))
     if bad.size:

@@ -10,13 +10,10 @@ criterion can repeat it and compare traces byte for byte.
 """
 
 import copy
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BregoptError
 from .metrics import (
     CertReport,
     CheckResult,
@@ -465,33 +462,15 @@ class Battery:
     # -- driver ------------------------------------------------------------
 
     def run_all(self):
-        """Execute the battery and return a CertReport.
-
-        Criteria other than the determinism check are independent and may
-        run on a worker pool sized by the BREGOPT_THREADS environment
-        variable; results are aggregated in criterion order regardless of
-        completion order.
-        """
+        """Execute the battery in criterion order and return a CertReport."""
         if self.quick:
             order = [self.criterion_1, self.criterion_5, self.criterion_8,
                      self.criterion_9]
         else:
             order = [getattr(self, f"criterion_{k}") for k in range(1, 10)]
-        raw = os.environ.get("BREGOPT_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise BregoptError(
-                f"BREGOPT_THREADS must be an integer, got {raw!r}") from None
         report = CertReport()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fn) for fn in order]
-                for fut in futures:
-                    report.checks.extend(fut.result())
-        else:
-            for fn in order:
-                report.checks.extend(fn())
+        for fn in order:
+            report.checks.extend(fn())
         if not self.quick:
             report.checks.extend(self.criterion_10())
         return report

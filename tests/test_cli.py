@@ -1,11 +1,9 @@
 """Tests for the command-line interface."""
 
-import struct
-
 import numpy as np
 import pytest
 
-from bregopt import Trace, load_instance
+from bregopt import Trace, gen_interpolation, load_instance, save_instance
 from bregopt.cli import main
 
 
@@ -93,13 +91,22 @@ class TestRun:
                      "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
         assert "truncated instance file" in capsys.readouterr().err
 
-    def test_out_of_range_group_index_is_usage_error(self, tmp_path, capsys):
-        # the row index of the fourth singleton group, 3, becomes 0xff
+    def test_corrupt_instance_is_usage_error(self, tmp_path, capsys):
         inst = self.gen_instance(tmp_path)
         raw = bytearray(open(inst, "rb").read())
-        raw[raw.index(b"i" + struct.pack("<qqq", 1, 1, 3)) + 17] = 0xFF
+        raw[len(raw) // 2] ^= 0xFF
         with open(inst, "wb") as fh:
             fh.write(bytes(raw))
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
+        assert "sha256 mismatch" in capsys.readouterr().err
+
+    def test_out_of_range_group_index_is_usage_error(self, tmp_path, capsys):
+        # a file with a valid digest whose fourth singleton group holds row 255
+        problem = gen_interpolation(20, 5, seed=0)
+        problem.objective.groups[3] = np.array([255])
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
         assert main(["run", "--instance", inst, "--method", "bsgd",
                      "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
         assert "group indices must lie in [0, 20)" in capsys.readouterr().err
@@ -171,19 +178,3 @@ class TestVerify:
                      "--negative-control", "--report", report])
         assert code == 1
         assert "FAIL" in open(report).read()
-
-    def test_thread_pool_matches_serial(self, capsys, monkeypatch):
-        main(["verify", "--quick", "--samples", "40"])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("BREGOPT_THREADS", "3")
-        main(["verify", "--quick", "--samples", "40"])
-        threaded = capsys.readouterr().out
-        drop_runtime = lambda text: [
-            line for line in text.splitlines() if "runtime" not in line
-        ]
-        assert drop_runtime(serial) == drop_runtime(threaded)
-
-    def test_non_integer_thread_count_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BREGOPT_THREADS", "abc")
-        assert main(["verify", "--quick", "--samples", "40"]) == 2
-        assert "BREGOPT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err

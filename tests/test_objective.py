@@ -98,6 +98,20 @@ class TestPoissonKL:
         with pytest.raises(InvalidData):
             PoissonKL(np.array([[1.0]]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InvalidData, match="b must be finite"):
+            PoissonKL(np.ones((2, 2)), [bad, 1.0])
+        for A in (np.array([[1.0, bad], [1.0, 1.0]]), sp.csr_matrix([[1.0, bad], [1.0, 1.0]])):
+            with pytest.raises(InvalidData, match="A must be finite"):
+                PoissonKL(A, [1.0, 1.0])
+            with pytest.raises(InvalidData, match="A must be finite"):
+                poisson_rel_L(A, [1.0, 1.0])
+        with pytest.raises(InvalidData, match="b must be finite"):
+            poisson_rel_L(np.ones((2, 2)), [bad, 1.0])
+        with pytest.raises(InvalidData, match="barrier_weight must be finite"):
+            PoissonKL(np.ones((2, 2)), [1.0, 1.0], barrier_weight=bad)
+
     def test_no_euclidean_smoothness_bound(self):
         obj = PoissonKL(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(InvalidData):
@@ -251,6 +265,14 @@ class TestLogisticL2:
         obj, _ = self.build(lam=0.0)
         assert obj.value(np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InvalidData, match="lam must be finite"):
+            LogisticL2(np.ones((1, 2)), [1.0], lam=bad)
+        for A in (np.array([[1.0, bad]]), sp.csr_matrix([[1.0, bad]])):
+            with pytest.raises(InvalidData, match="A must be finite"):
+                LogisticL2(A, [1.0])
+
 
 def masked_log1pexp(t):
     """The two-branch form _log1pexp must reproduce bit for bit."""
@@ -311,3 +333,8 @@ class TestDiagonalQuadratic:
         x = rng.normal(size=3)
         fd = finite_difference_grad(obj.value, x)
         np.testing.assert_allclose(obj.full_grad(x), fd, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan])
+    def test_non_positive_weight_rejected(self, weight):
+        with pytest.raises(InvalidData, match="positive"):
+            DiagonalQuadratic([[1.0, weight]], [[0.0, 0.0]])

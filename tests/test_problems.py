@@ -1,14 +1,27 @@
 """Tests for problem generators, data formats, and instance files."""
 
-import struct
+import hashlib
+import io
+import os
+import tempfile
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bregopt import (
+    DiagonalQuadratic,
+    Euclidean,
     InvalidData,
     LabelError,
+    NegEntropy,
     ParseError,
+    PoissonKL,
+    ProblemInstance,
     gen_gaussian_logistic_data,
     gen_interpolation,
     gen_preconditioned,
@@ -210,10 +223,82 @@ class TestPreconditioned:
         assert problem.comm_model.component == 1
 
 
-def group_index_offset(raw, k):
-    """Byte offset of the row index of the singleton group holding row ``k``
-    (an int64 array: tag, rank 1, length 1, index) in an instance file."""
-    return raw.index(b"i" + struct.pack("<qqq", 1, 1, k)) + 17
+HEADER = 40  # magic and sha256
+
+
+def instance_file(tmp_path, problem, name="inst.bin"):
+    path = str(tmp_path / name)
+    save_instance(path, problem)
+    return path
+
+
+def read_members(path):
+    """The named arrays of an instance file, read without checks."""
+    with open(path, "rb") as fh:
+        fh.seek(HEADER)
+        with np.load(io.BytesIO(fh.read())) as npz:
+            return dict(npz)
+
+
+def npy_bytes(descr, shape, data):
+    """An npy member whose header declares ``descr`` and ``shape``, followed
+    by the raw bytes ``data``."""
+    buf = io.BytesIO()
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + data
+
+
+def write_archive(path, members):
+    """An instance file of ``members`` (arrays, or npy bytes) under a valid
+    digest; object arrays are pickled."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for key, value in members.items():
+            if isinstance(value, np.ndarray):
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, value, allow_pickle=True)
+                value = npy.getvalue()
+            zf.writestr(key + ".npy", value)
+    payload = buf.getvalue()
+    with open(path, "wb") as fh:
+        fh.write(b"BREGOPT2" + hashlib.sha256(payload).digest() + payload)
+
+
+def quadratic_instance():
+    rng = make_rng(5)
+    obj = DiagonalQuadratic(rng.uniform(0.5, 2.0, size=(4, 3)), rng.normal(size=(4, 3)))
+    xs = obj.minimizer()
+    return ProblemInstance(objective=obj, reference=Euclidean(), x0=np.zeros(3),
+                           x_star=xs, f_star=obj.value(xs))
+
+
+def barrier_instance():
+    A = make_rng(6).uniform(0.1, 1.0, size=(6, 3))
+    obj = PoissonKL(A, A @ np.ones(3), groups=[np.arange(3), np.arange(3, 6)],
+                    barrier_weight=0.25)
+    return ProblemInstance(objective=obj, reference=NegEntropy(), x0=np.ones(3))
+
+
+def preconditioned_instance(sparse=False):
+    A, labels = gen_gaussian_logistic_data(40, 4, seed=1)
+    if sparse:
+        A[np.abs(A) < 0.5] = 0.0
+        A = sp.csr_matrix(A)
+    return gen_preconditioned((A, labels), n_nodes=4, N=10, n_prec=5, lam=1e-3,
+                              c_prec=1e-3, seed=1, inner_tol=1e-7, inner_passes=7)
+
+
+# every objective kind, reference kind and matrix storage
+ROUND_TRIPS = {
+    "interpolation": lambda: gen_interpolation(20, 5, seed=2),
+    "tomography": lambda: gen_tomography(size=16, n_angles=4, seed=0),
+    "noiseless-tomography": lambda: gen_tomography(size=16, n_angles=4, seed=0, noise=False),
+    "barrier-neg-entropy": barrier_instance,
+    "quadratic-euclidean": quadratic_instance,
+    "preconditioned": preconditioned_instance,
+    "preconditioned-sparse": lambda: preconditioned_instance(sparse=True),
+}
 
 
 class TestInstanceFiles:
@@ -238,6 +323,35 @@ class TestInstanceFiles:
         assert back.objective.n_components == 4
         assert back.meta["L_rel"] == problem.meta["L_rel"]
 
+    @pytest.mark.parametrize("name", ROUND_TRIPS)
+    def test_roundtrip_keeps_every_field(self, tmp_path, name):
+        problem = ROUND_TRIPS[name]()
+        path = instance_file(tmp_path, problem)
+        back = load_instance(path)
+        x = np.asarray(problem.x0, dtype=float)
+        assert back.objective.kind == problem.objective.kind
+        assert back.objective.value(x) == problem.objective.value(x)
+        assert back.reference.kind == problem.reference.kind
+        assert back.comm_model == problem.comm_model
+        assert back.f_star == problem.f_star
+        # the reloaded instance writes the same bytes
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(instance_file(tmp_path, back, "again.bin"), "rb") as fh:
+            assert fh.read() == raw
+
+    def test_preconditioner_roundtrip(self, tmp_path):
+        problem = preconditioned_instance(sparse=True)
+        ref = load_instance(instance_file(tmp_path, problem)).reference
+        assert (ref.c_prec, ref.inner_tol, ref.inner_passes) == (1e-3, 1e-7, 7)
+        assert ref.inner.lam == 1e-3 and sp.issparse(ref.inner.A)
+        assert (ref.inner.A != problem.reference.inner.A).nnz == 0
+        np.testing.assert_array_equal(ref.inner.labels, problem.reference.inner.labels)
+
+    def test_writes_the_path_as_given(self, tmp_path):
+        instance_file(tmp_path, gen_interpolation(20, 5, seed=1), "tomo.bin")
+        assert os.listdir(tmp_path) == ["tomo.bin"]
+
     def test_manifest_contents(self, tmp_path):
         problem = gen_interpolation(20, 5, seed=2)
         path = str(tmp_path / "inst.manifest")
@@ -247,81 +361,67 @@ class TestInstanceFiles:
         assert "n = 20" in text
 
     def test_every_proper_prefix_is_invalid_data(self, tmp_path):
-        path = str(tmp_path / "inst.bin")
-        save_instance(path, gen_interpolation(20, 5, seed=1))
-        raw = open(path, "rb").read()
-        cut = str(tmp_path / "cut.bin")
-        for k in range(len(raw)):
-            with open(cut, "wb") as fh:
-                fh.write(raw[:k])
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        for k in reversed(range(os.path.getsize(path))):
+            os.truncate(path, k)
             with pytest.raises(InvalidData):
-                load_instance(cut)
+                load_instance(path)
 
-    # byte offsets of the tags in a gen_interpolation(20, 5, 1) file
-    @pytest.mark.parametrize("offset", [
-        8,     # objective
-        9,     # matrix of A
-        10,    # array of A
-        1528,  # reference
-        -77,   # x_star flag
-        -19,   # f_star flag
-        -10,   # comm-model flag
-        -9,    # L_rel flag
-    ])
-    def test_unknown_tags_are_invalid_data(self, tmp_path, offset):
-        path = str(tmp_path / "inst.bin")
-        save_instance(path, gen_interpolation(20, 5, seed=1))
-        raw = bytearray(open(path, "rb").read())
-        assert len(raw) == 1663 and chr(raw[offset]) in "PDfbXF-R"
-        raw[offset] = ord("Z")
-        with open(path, "wb") as fh:
-            fh.write(bytes(raw))
-        with pytest.raises(InvalidData):
+    def test_every_single_byte_corruption_is_invalid_data(self, tmp_path):
+        # each byte set to 0x00, 0xff and 0x41 in place, then restored
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        raw = open(path, "rb").read()
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            for k, byte in enumerate(raw):
+                for value in {0x00, 0xFF, 0x41} - {byte}:
+                    os.pwrite(fd, bytes([value]), k)
+                    with pytest.raises(InvalidData):
+                        load_instance(path)
+                os.pwrite(fd, bytes([byte]), k)
+        finally:
+            os.close(fd)
+        load_instance(path)
+
+    def test_trailing_bytes_are_invalid_data(self, tmp_path):
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        with open(path, "ab") as fh:
+            fh.write(b"-")
+        with pytest.raises(InvalidData, match="sha256 mismatch"):
             load_instance(path)
 
-    def test_every_single_byte_corruption_is_invalid_data_or_loads(self, tmp_path):
-        # each byte set to 0x00, 0xff and 0x41; a corruption may still load
-        # (the format has no checksum) but must not raise anything else
-        path = str(tmp_path / "inst.bin")
-        save_instance(path, gen_interpolation(20, 5, seed=1))
-        raw = open(path, "rb").read()
-        bad = str(tmp_path / "bad.bin")
-        outcomes = {"loaded": 0, "invalid": 0}
-        for k in range(len(raw)):
-            for value in (0x00, 0xFF, 0x41):
-                if raw[k] == value:
-                    continue
-                with open(bad, "wb") as fh:
-                    fh.write(raw[:k] + bytes([value]) + raw[k + 1:])
-                try:
-                    load_instance(bad)
-                    outcomes["loaded"] += 1
-                except InvalidData:
-                    outcomes["invalid"] += 1
-        assert sum(outcomes.values()) == 4436 and outcomes["invalid"] >= 1395
+    def test_version_1_file_is_invalid_data(self, tmp_path):
+        path = str(tmp_path / "v1.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"BREGOPT1P" + bytes(100))
+        with pytest.raises(InvalidData, match="regenerate it with bregopt gen"):
+            load_instance(path)
 
     @pytest.mark.parametrize("ndim", [0, 3, 65])
     def test_unwritten_array_rank_is_invalid_data(self, tmp_path, ndim):
-        path = str(tmp_path / "inst.bin")
-        save_instance(path, gen_interpolation(20, 5, seed=1))
-        raw = bytearray(open(path, "rb").read())
-        assert raw[10:11] == b"f" and raw[11] == 2  # rank of the array of A
-        raw[11] = ndim
-        with open(path, "wb") as fh:
-            fh.write(bytes(raw))
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        members = read_members(path)
+        members["A"] = npy_bytes("<f8", (1,) * ndim, bytes(8))
+        write_archive(path, members)
         with pytest.raises(InvalidData, match="rank"):
             load_instance(path)
 
     @pytest.mark.parametrize("value", [0xFF, 0x41])
     def test_group_index_outside_rows_is_invalid_data(self, tmp_path, value):
-        path = str(tmp_path / "inst.bin")
-        save_instance(path, gen_interpolation(20, 5, seed=1))
-        raw = bytearray(open(path, "rb").read())
-        offset = group_index_offset(raw, 3)
-        raw[offset] = value
-        with open(path, "wb") as fh:
-            fh.write(bytes(raw))
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        members = read_members(path)
+        members["group_rows"][3] = value
+        write_archive(path, members)
         with pytest.raises(InvalidData, match="group indices"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("key", ["objective", "reference"])
+    def test_unknown_kind_is_invalid_data(self, tmp_path, key):
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        members = read_members(path)
+        members[key] = np.array("nonsense")
+        write_archive(path, members)
+        with pytest.raises(InvalidData, match="nonsense"):
             load_instance(path)
 
     def test_roundtrip_keeps_the_row_kernel(self, tmp_path):
@@ -329,10 +429,76 @@ class TestInstanceFiles:
         save_instance(path, gen_interpolation(20, 5, seed=1))
         assert load_instance(path).objective._rows is not None
 
-    def test_trailing_bytes_are_invalid_data(self, tmp_path):
-        path = str(tmp_path / "inst.bin")
-        save_instance(path, gen_interpolation(20, 5, seed=1))
-        with open(path, "ab") as fh:
-            fh.write(b"-")
-        with pytest.raises(InvalidData, match="trailing"):
-            load_instance(path)
+
+def _base_members():
+    """Members of one small instance file per objective and matrix kind."""
+    bases = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("interpolation", "tomography", "quadratic-euclidean",
+                     "preconditioned-sparse"):
+            path = os.path.join(tmp, name)
+            save_instance(path, ROUND_TRIPS[name]())
+            bases[name] = read_members(path)
+    return bases
+
+
+BASES = _base_members()
+OPTIONAL = {"x_star", "f_star", "comm", "L_rel"}
+
+
+@st.composite
+def crafted_archives(draw):
+    """(members, fault): an instance's members with one fault put in."""
+    members = {k: v.copy() for k, v in BASES[draw(st.sampled_from(sorted(BASES)))].items()}
+    faults = ["missing key", "wrong rank", "wrong dtype", "object array",
+              "x0 length", "oversized shape"]
+    faults += ["group index"] if "group_rows" in members else []
+    faults += ["NaN in b"] if "b" in members else []
+    faults += ["NaN in an optional value"] if OPTIONAL & set(members) else []
+    fault = draw(st.sampled_from(faults))
+    key = draw(st.sampled_from(sorted(set(members) - OPTIONAL)))
+    value = members[key]
+    if fault == "missing key":
+        del members[key]
+    elif fault == "wrong rank":
+        members[key] = value[None] if value.ndim != 1 or draw(st.booleans()) else value[0, ...]
+    elif fault == "wrong dtype":
+        other = {"f": np.int64, "i": np.float64, "U": np.float64}[value.dtype.kind]
+        members[key] = np.zeros(value.shape, dtype=other)
+    elif fault == "object array":
+        members[key] = np.array([None] * max(value.size, 1), dtype=object)
+    elif fault == "x0 length":
+        d = members["x0"].size
+        members["x0"] = np.ones(draw(st.integers(0, 2 * d).filter(lambda n: n != d)))
+    elif fault == "oversized shape":
+        count = value.size + draw(st.one_of(st.integers(1, 10), st.integers(2**36, 2**44)))
+        members[key] = npy_bytes(value.dtype.str, (count,), value.tobytes())
+    elif fault == "group index":
+        rows = members["group_rows"]
+        rows[draw(st.integers(0, rows.size - 1))] = draw(st.sampled_from([-1, 10**6]))
+    else:
+        value = members["b" if fault == "NaN in b" else
+                        draw(st.sampled_from(sorted(OPTIONAL & set(members))))].reshape(-1)
+        value[draw(st.integers(0, value.size - 1))] = np.nan
+    return members, fault
+
+
+class TestCraftedArchives:
+    """Archives under a valid digest whose contents are wrong."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(crafted_archives())
+    def test_bad_contents_are_invalid_data(self, tmp_path, case):
+        members, fault = case
+        path = str(tmp_path / "crafted.bin")
+        write_archive(path, members)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidData):
+                load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no buffer beyond what the small file could hold
+        assert peak < 2**24, fault

@@ -268,6 +268,14 @@ class TestRunHarness:
             run(SolverConfig(method=method, eta=0.01, epochs=1.0), problem)
         assert info.value.index == 0
 
+    def test_nan_start_is_rejected_by_mu(self):
+        problem = self.problem()
+        problem.x0 = np.array([np.nan, 1.0, 1.0, 1.0, 1.0])
+        problem.x_star = None
+        with pytest.raises(DomainViolation) as info:
+            run(SolverConfig(method="mu", epochs=3.0), problem)
+        assert info.value.index == 0
+
     @pytest.mark.parametrize("method, constants", [
         ("bsgd", GAIN_CONSTANTS),
         ("bsaga", {k: v for k, v in GAIN_CONSTANTS.items() if k != "mu_rel"}),
