@@ -116,8 +116,6 @@ def cmd_gen(args):
         opts["noise"] = "false"
     opts = {k: v for k, v in opts.items() if v is not None}
     problem = _build_problem(opts)
-    # the phantom image is derivable from the generator; keep the file lean
-    problem.meta.pop("phantom", None)
     save_instance(args.output, problem)
     write_manifest(args.output + ".manifest", problem)
     obj = problem.objective

@@ -127,6 +127,11 @@ def shepp_logan(size):
     return np.maximum(img, 0.0)
 
 
+# pixel offsets of the four bilinear corners (0, 0), (1, 0), (0, 1), (1, 1)
+_CORNER_DX = np.array([0, 1, 0, 1])[:, None]
+_CORNER_DY = np.array([0, 0, 1, 1])[:, None]
+
+
 def radon_matrix(size, n_angles):
     """Sparse parallel-beam Radon operator for a size x size image.
 
@@ -135,37 +140,36 @@ def radon_matrix(size, n_angles):
     unit-pixel steps and distributed onto the four surrounding pixels by
     bilinear weights. Rows are grouped by angle: row index = angle * size +
     bin.
+
+    The operator is assembled one angle at a time, vectorised over
+    (bin, corner, step); entries reach the COO-to-CSR sum bin by bin, each
+    bin corner by corner in step order.
     """
-    if n_angles < 1:
-        raise ValueError("n_angles must be at least 1")
+    if size < 1 or n_angles < 1:
+        raise ValueError("size and n_angles must be at least 1")
     half = size / 2.0
     offsets = np.arange(size) - half + 0.5  # detector bin offsets
     steps = np.arange(-half, half + 1e-9, 1.0)  # sample positions along the ray
+    bins = np.arange(size)
     rows, cols, vals = [], [], []
     for a in range(n_angles):
         theta = np.pi * a / n_angles
         ct, st = np.cos(theta), np.sin(theta)
-        for bin_idx, s in enumerate(offsets):
-            # ray center offset s along (ct, st); direction (-st, ct)
-            px = half + s * ct - steps * st
-            py = half + s * st + steps * ct
-            ix = np.floor(px - 0.5).astype(int)
-            iy = np.floor(py - 0.5).astype(int)
-            fx = (px - 0.5) - ix
-            fy = (py - 0.5) - iy
-            row = a * size + bin_idx
-            for dx, dy, w in (
-                (0, 0, (1 - fx) * (1 - fy)),
-                (1, 0, fx * (1 - fy)),
-                (0, 1, (1 - fx) * fy),
-                (1, 1, fx * fy),
-            ):
-                cx, cy = ix + dx, iy + dy
-                ok = (cx >= 0) & (cx < size) & (cy >= 0) & (cy < size) & (w > 0)
-                if np.any(ok):
-                    rows.append(np.full(np.sum(ok), row))
-                    cols.append(cy[ok] * size + cx[ok])
-                    vals.append(w[ok])
+        # ray center offset s along (ct, st); direction (-st, ct): (bin, step)
+        px = (half + offsets * ct)[:, None] - steps * st
+        py = (half + offsets * st)[:, None] + steps * ct
+        ix = np.floor(px - 0.5).astype(int)
+        iy = np.floor(py - 0.5).astype(int)
+        fx = (px - 0.5) - ix
+        fy = (py - 0.5) - iy
+        # (bin, corner, step)
+        cx = ix[:, None] + _CORNER_DX
+        cy = iy[:, None] + _CORNER_DY
+        w = np.stack(((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy), axis=1)
+        ok = (cx >= 0) & (cx < size) & (cy >= 0) & (cy < size) & (w > 0)
+        rows.append(np.repeat(a * size + bins, np.count_nonzero(ok, axis=(1, 2))))
+        cols.append(cy[ok] * size + cx[ok])
+        vals.append(w[ok])
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_angles * size, size * size),
@@ -432,6 +436,7 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
 # header, then an uncompressed npz (zip) archive of named arrays.
 _MAGIC = b"BREGOPT2"
 _HEADER = len(_MAGIC) + 32
+_CHUNK = 1 << 18  # bytes per read of an archive member
 
 
 def _digest(fh):
@@ -527,15 +532,24 @@ class _Archive:
         with self.zf.open(info) as member:
             if np.lib.format.read_magic(member) != (1, 0):
                 raise InvalidData(f"{key!r}: unsupported npy version")
-            got, _, dtype = np.lib.format.read_array_header_1_0(member)
+            got, fortran, dtype = np.lib.format.read_array_header_1_0(member)
             held = info.file_size - member.tell()
             if (dtype.kind != kind or (kind != "U" and dtype.itemsize != 8)
                     or len(got) != len(shape) or any(s not in (None, g) for s, g in zip(shape, got))
                     or math.prod(got) * dtype.itemsize != held):
                 raise InvalidData(f"{key!r} is a {dtype} array of shape {got} (rank {len(got)}) "
                                   f"in {held} bytes; expected kind {kind!r} and shape {shape}")
-            member.seek(0)
-            return np.lib.format.read_array(member, allow_pickle=False)
+            # the checked bytes, read on from the header in cache-sized chunks
+            # (the member's CRC is checked on the last one)
+            array = np.ndarray(got, dtype, order="F" if fortran else "C")
+            raw = memoryview(array.reshape(-1, order="A").view(np.uint8)) if held else None
+            done = 0
+            while done < held:
+                n = member.readinto(raw[done:done + _CHUNK])
+                if not n:
+                    raise InvalidData(f"{key!r} holds fewer than the {held} bytes it declares")
+                done += n
+            return array
 
     def scalar(self, key, kind="f"):
         return self.array(key, kind, ()).item()

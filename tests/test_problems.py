@@ -77,12 +77,61 @@ class TestSheppLogan:
         assert np.all(shepp_logan(32) >= 0.0)
 
 
+RADON_GOLDEN = [
+    (64, 60, "24152ed2514c5530498bbb657da27c170f17bc198ae78681d8808eec33898ab2"),
+    (17, 7, "a89e49bb8440952d4ca64945ddb9bf8c9b18e28fabbdd62571efbbd47d089a23"),
+]
+
+
+def loop_radon_matrix(size, n_angles):
+    """The per-ray, per-corner loop radon_matrix must reproduce bit for bit."""
+    half = size / 2.0
+    offsets = np.arange(size) - half + 0.5
+    steps = np.arange(-half, half + 1e-9, 1.0)
+    rows, cols, vals = [], [], []
+    for a in range(n_angles):
+        theta = np.pi * a / n_angles
+        ct, st_ = np.cos(theta), np.sin(theta)
+        for bin_idx, s in enumerate(offsets):
+            px = half + s * ct - steps * st_
+            py = half + s * st_ + steps * ct
+            ix = np.floor(px - 0.5).astype(int)
+            iy = np.floor(py - 0.5).astype(int)
+            fx = (px - 0.5) - ix
+            fy = (py - 0.5) - iy
+            row = a * size + bin_idx
+            for dx, dy, w in (
+                (0, 0, (1 - fx) * (1 - fy)),
+                (1, 0, fx * (1 - fy)),
+                (0, 1, (1 - fx) * fy),
+                (1, 1, fx * fy),
+            ):
+                cx, cy = ix + dx, iy + dy
+                ok = (cx >= 0) & (cx < size) & (cy >= 0) & (cy < size) & (w > 0)
+                if np.any(ok):
+                    rows.append(np.full(np.sum(ok), row))
+                    cols.append(cy[ok] * size + cx[ok])
+                    vals.append(w[ok])
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_angles * size, size * size),
+    ).tocsr()
+    A.indices = A.indices.astype(np.int64)
+    A.indptr = A.indptr.astype(np.int64)
+    return A
+
+
 class TestRadon:
     def test_shape_and_nonnegative(self):
         size, n_angles = 16, 6
         A = radon_matrix(size, n_angles)
         assert A.shape == (size * n_angles, size * size)
         assert A.data.min() >= 0.0
+
+    @pytest.mark.parametrize("size, n_angles", [(0, 3), (8, 0)])
+    def test_empty_grid_or_no_angles_is_rejected(self, size, n_angles):
+        with pytest.raises(ValueError, match="at least 1"):
+            radon_matrix(size, n_angles)
 
     def test_mass_preserved_per_angle(self):
         size, n_angles = 32, 8
@@ -105,6 +154,29 @@ class TestRadon:
         a = radon_matrix(8, 3)
         b = radon_matrix(8, 3)
         assert operator_hash(a) == operator_hash(b)
+
+    @pytest.mark.parametrize("size, n_angles, digest", RADON_GOLDEN)
+    def test_golden_operator_hash(self, size, n_angles, digest):
+        assert operator_hash(radon_matrix(size, n_angles)) == digest
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 12))
+    def test_matches_loop_reference_bytewise(self, size, n_angles):
+        A, ref = radon_matrix(size, n_angles), loop_radon_matrix(size, n_angles)
+        assert A.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_peak_memory_of_the_64x60_operator(self):
+        tracemalloc.start()
+        try:
+            radon_matrix(64, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one angle's (bins, corners, steps) block at a time, not the whole grid
+        assert peak <= 52 * 2**20
 
 
 class TestPoissonSample:
@@ -428,6 +500,34 @@ class TestInstanceFiles:
         path = str(tmp_path / "inst.bin")
         save_instance(path, gen_interpolation(20, 5, seed=1))
         assert load_instance(path).objective._rows is not None
+
+    def test_fortran_ordered_member_loads_as_written(self, tmp_path):
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        members = read_members(path)
+        A = members["A"]
+        members["A"] = np.asfortranarray(A)
+        write_archive(path, members)
+        loaded = load_instance(path).objective.A
+        assert loaded.flags.f_contiguous and np.array_equal(loaded, A)
+
+    def test_member_shorter_than_its_declared_size_is_invalid_data(self, tmp_path):
+        # header and central directory both claim one float more than is stored,
+        # and the CRC matches the stored bytes
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        members = read_members(path)
+        b = members["b"]
+        members["b"] = npy_bytes("<f8", (b.size + 1,), b.tobytes())
+        write_archive(path, members)
+        raw = bytearray(open(path, "rb").read())
+        entry = raw.rindex(b"b.npy") - 46  # the member's central directory record
+        assert raw[entry:entry + 4] == b"PK\x01\x02"
+        size = int.from_bytes(raw[entry + 24:entry + 28], "little")
+        raw[entry + 24:entry + 28] = (size + 8).to_bytes(4, "little")
+        raw[8:HEADER] = hashlib.sha256(bytes(raw[HEADER:])).digest()
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(InvalidData, match="fewer than"):
+            load_instance(path)
 
 
 def _base_members():
