@@ -158,20 +158,51 @@ def sigma2_estimate(obj, ref, x, x_star, eta, max_exact=10**4, samples=2000, see
     return float(np.mean(vals)), stderr
 
 
-def saga_table_error(state, obj, x_star):
-    """H_t = (1/n) sum_j D_{f_j}(phi_j, x_star); needs stored anchors."""
+def saga_slot_errors(state, obj, x_star):
+    """[D_{f_j}(phi_j, x_star) for j = 0..n-1] in slot order; needs stored
+    anchors."""
     if state.anchors is None:
         raise AnchorsUnavailable("SAGA state was created without anchor storage")
-    n = obj.n_components
-    return sum(
-        obj.component_divergence(j, state.anchors[j], x_star) for j in range(n)
-    ) / n
+    return [
+        obj.component_divergence(j, state.anchors[j], x_star)
+        for j in range(obj.n_components)
+    ]
+
+
+def saga_table_error(state, obj, x_star):
+    """H_t = (1/n) sum_j D_{f_j}(phi_j, x_star); needs stored anchors."""
+    return sum(saga_slot_errors(state, obj, x_star)) / obj.n_components
+
+
+def _saga_psi(ref, x_star, x, errors, eta):
+    # psi = D_h(x_star, x) / eta + (n/2) H with H the mean of the slot errors
+    n = len(errors)
+    return ref.divergence(x_star, x) / eta + 0.5 * n * (sum(errors) / n)
 
 
 def saga_potential(state, obj, ref, x_star, eta):
     """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t."""
-    h_term = ref.divergence(x_star, state.x) / eta
-    return h_term + 0.5 * obj.n_components * saga_table_error(state, obj, x_star)
+    return _saga_psi(ref, x_star, state.x, saga_slot_errors(state, obj, x_star), eta)
+
+
+def saga_successor_potentials(state, step, obj, ref, x_star, eta):
+    """psi_t and the potential after each of the n possible next steps.
+
+    ``step(probe, i)`` advances a copy of ``state`` with component i. A step
+    rewrites table slot i only, so the slot errors are computed once and
+    only slot i's is recomputed for successor i: n + n component divergences
+    in place of n (n + 1). Each value equals :func:`saga_potential` of the
+    stepped copy bit for bit. Returns (psi_t, [psi after step i for each i]).
+    """
+    errors = saga_slot_errors(state, obj, x_star)
+    successors = []
+    for i in range(len(errors)):
+        probe = state.copy()
+        step(probe, i)
+        errors_i = list(errors)
+        errors_i[i] = obj.component_divergence(i, probe.anchors[i], x_star)
+        successors.append(_saga_psi(ref, x_star, probe.x, errors_i, eta))
+    return _saga_psi(ref, x_star, state.x, errors, eta), successors
 
 
 def svrg_potential(state, obj, ref, x_star, eta, p):

@@ -175,7 +175,7 @@ class LogBarrier(_PositiveOrthant):
         return _first_false((y < -_TINY) & (y > -np.inf))
 
     def value(self, x):
-        return -float(np.sum(np.log(x)))
+        return -float(np.log(x).sum())
 
     def grad(self, x):
         self.check_domain(x)
@@ -183,7 +183,7 @@ class LogBarrier(_PositiveOrthant):
 
     def _conjugate_value(self, y):
         # h*(y) = -d - sum log(-y_i)
-        return -float(len(y)) - float(np.sum(np.log(-y)))
+        return -float(len(y)) - float(np.log(-y).sum())
 
     def _grad_conjugate(self, y):
         return -1.0 / y
@@ -199,7 +199,7 @@ class LogBarrier(_PositiveOrthant):
         self.check_domain(x)
         self.check_domain(y)
         r = x / y
-        return float(np.sum((r - 1.0) - np.log(r)))
+        return float(((r - 1.0) - np.log(r)).sum())
 
 
 class NegEntropy(_PositiveOrthant):
@@ -217,14 +217,14 @@ class NegEntropy(_PositiveOrthant):
         return _first_false((y > _LOG_TINY) & (y < _LOG_MAX))
 
     def value(self, x):
-        return float(np.sum(x * np.log(x)))
+        return float((x * np.log(x)).sum())
 
     def grad(self, x):
         self.check_domain(x)
         return np.log(x) + 1.0
 
     def _conjugate_value(self, y):
-        return float(np.sum(np.exp(y - 1.0)))
+        return float(np.exp(y - 1.0).sum())
 
     def _grad_conjugate(self, y):
         return np.exp(y - 1.0)

@@ -3,7 +3,8 @@
 All randomness in the package flows through :func:`make_rng`, which wraps
 numpy's Philox bit generator. Philox is counter-based, so streams are
 reproducible bit-for-bit across platforms and runs for a given 64-bit seed,
-and independent streams can be derived cheaply with :func:`spawn`.
+and independent streams of one seed are derived through the ``stream``
+argument of :func:`make_rng`.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ halve-and-retry safeguard whose interventions are visible in the trace.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,6 +128,17 @@ class SagaState:
             table=table,
             table_mean=table.mean(axis=0),
             anchors=anchors,
+        )
+
+    def copy(self):
+        """An independent copy: every array is copied, since a step writes
+        ``table`` and ``anchors`` in place."""
+        return replace(
+            self,
+            x=self.x.copy(),
+            table=self.table.copy(),
+            table_mean=self.table_mean.copy(),
+            anchors=None if self.anchors is None else self.anchors.copy(),
         )
 
     def refresh_sum_dist(self):

@@ -1,5 +1,6 @@
 """Tests for the trace container, rate fitting, and lemma certification."""
 
+import copy
 import io
 import os
 import subprocess
@@ -14,6 +15,8 @@ from bregopt import (
     DiagonalQuadratic,
     Euclidean,
     InsufficientData,
+    LogBarrier,
+    PoissonKL,
     SagaState,
     Trace,
     TraceRecord,
@@ -26,8 +29,11 @@ from bregopt import (
     svrg_potential,
     SvrgState,
     TraceInvariantError,
+    poisson_rel_L,
 )
+from bregopt.metrics import saga_successor_potentials
 from bregopt.rng import make_rng
+from bregopt.verify import Battery
 
 
 def make_record(i, dh, grad_evals=None, comms=None):
@@ -157,6 +163,73 @@ class TestPotentials:
         assert svrg_potential(state, obj, Euclidean(), xs, 0.05, 0.1) == pytest.approx(
             0.0, abs=1e-14
         )
+
+
+def deepcopy_successors(state, obj, ref, xs, eta):
+    """Successor potentials the way criterion 5 first computed them: a deep
+    copy per index and every table slot recomputed."""
+    out = []
+    for i in range(obj.n_components):
+        probe = copy.deepcopy(state)
+        bsaga_step(probe, obj, ref, eta, None, index=i)
+        out.append(saga_potential(probe, obj, ref, xs, eta))
+    return out
+
+
+class TestSuccessorPotentials:
+    def quadratic(self):
+        prob = Battery()._quadratic_problem()
+        return prob, 1.0 / (8.0 * prob.meta["L_rel"])
+
+    def poisson(self):
+        rng = make_rng(5)
+        A = rng.uniform(0.1, 1.0, size=(12, 4))
+        xs = rng.uniform(0.5, 1.5, size=4)
+        obj = PoissonKL(A, A @ xs)
+        return obj, LogBarrier(), xs, 1.0 / (8.0 * poisson_rel_L(A, A @ xs))
+
+    def assert_bitwise_equal(self, state, obj, ref, xs, eta):
+        def step(probe, i):
+            bsaga_step(probe, obj, ref, eta, None, index=i)
+
+        psi, successors = saga_successor_potentials(state, step, obj, ref, xs, eta)
+        assert psi == saga_potential(state, obj, ref, xs, eta)
+        assert successors == deepcopy_successors(state, obj, ref, xs, eta)
+
+    def test_quadratic_states_match_deepcopy_route(self):
+        prob, eta = self.quadratic()
+        obj, ref, xs = prob.objective, prob.reference, prob.x_star
+        rng = make_rng(31)
+        state = SagaState.init(prob.x0, obj, store_anchors=True)
+        for _ in range(6):
+            for _ in range(int(rng.integers(1, 20))):
+                bsaga_step(state, obj, ref, eta, rng)
+            self.assert_bitwise_equal(state, obj, ref, xs, eta)
+
+    def test_poisson_log_barrier_states_match_deepcopy_route(self):
+        obj, ref, xs, eta = self.poisson()
+        rng = make_rng(6)
+        state = SagaState.init(np.ones(4), obj, store_anchors=True)
+        for _ in range(4):
+            for _ in range(int(rng.integers(1, 15))):
+                bsaga_step(state, obj, ref, eta, rng)
+            self.assert_bitwise_equal(state, obj, ref, xs, eta)
+
+    def test_criterion_5_divergence_counts(self, monkeypatch):
+        # 100 states x (32 slot errors + one per successor); 3 f divergences
+        # per SVRG state. O(n^2) per state would read 105,600 and 6,500.
+        counts = {"component_divergence": 0, "f_divergence": 0}
+        for name in counts:
+            original = getattr(DiagonalQuadratic, name)
+
+            def counted(objective, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(objective, *args)
+
+            monkeypatch.setattr(DiagonalQuadratic, name, counted)
+        checks = Battery(quick=True).criterion_5()
+        assert all(c.passed for c in checks)
+        assert counts == {"component_divergence": 6400, "f_divergence": 300}
 
 
 class TestCheckResult:

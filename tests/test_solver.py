@@ -1,5 +1,7 @@
 """Tests for solver steps, step-size policies, and the run harness."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,21 @@ class TestEstimators:
             if not np.array_equal(state.table[j], before[j])
         ]
         assert changed == [4]
+
+    def test_saga_copy_is_independent(self):
+        obj = small_quadratic()
+        rng = make_rng(8)
+        for store_anchors in (True, False):
+            state = SagaState.init(rng.normal(size=3), obj, store_anchors=store_anchors)
+            for _ in range(5):
+                bsaga_step(state, obj, Euclidean(), 0.02, rng)
+            before = copy.deepcopy(state)
+            probe = state.copy()
+            bsaga_step(probe, obj, Euclidean(), 0.02, rng, index=2)
+            assert not np.array_equal(probe.x, state.x)
+            for name in ("x", "table", "table_mean", "anchors", "sum_dist"):
+                np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+            assert (probe.anchors is None) == (not store_anchors)
 
     def test_saga_table_mean_invariant(self):
         obj = small_quadratic()
