@@ -9,8 +9,9 @@ same objective values in far fewer effective epochs.
 
 import argparse
 
+import numpy as np
+
 from bregopt import SolverConfig, gen_tomography, run
-from bregopt.problems import export_image_text
 
 
 def main():
@@ -48,7 +49,7 @@ def main():
 
     if args.image_out:
         image = traces["bsaga"].x.reshape(args.size, args.size)
-        export_image_text(args.image_out, image)
+        np.savetxt(args.image_out, image, fmt="%.10g")
         print(f"wrote reconstruction to {args.image_out}")
 
 

@@ -32,7 +32,6 @@ from .metrics import (
     plateau_level,
     rate_fit,
     saga_potential,
-    saga_table_error,
     sigma2_estimate,
     svrg_potential,
 )
@@ -76,7 +75,6 @@ from .solver import (
     SgdState,
     SolverConfig,
     SvrgState,
-    adaptive_check,
     bgd_step,
     bsaga_step,
     bsgd_step,

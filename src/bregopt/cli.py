@@ -25,7 +25,7 @@ from .problems import (
     write_manifest,
 )
 from .solver import METHODS, RunFailure, SolverConfig, run
-from .verify import run_battery
+from .verify import Battery
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -35,13 +35,27 @@ EXIT_SOLVER = 4
 
 GENERATORS = ("interpolation", "tomography", "preconditioned")
 
+
+def _boolean(value):
+    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {value!r}") from None
+
+
 # scalar SolverConfig fields: config keys, casts and ``run`` flags
 _SOLVER_KEYS = {f.name: f.type for f in dataclasses.fields(SolverConfig)
                 if f.type in (str, int, float)}
+# [problem] keys and casts; ``gen`` takes the _GEN_FLAGS among them as flags
 _PROBLEM_KEYS = {
-    "generator", "instance", "n", "d", "size", "angles", "nodes", "samples",
-    "n_prec", "lam", "c_prec", "seed", "noise", "data", "rows", "separation",
+    "generator": str, "instance": str, "data": str, "noise": _boolean,
+    "n": int, "d": int, "size": int, "angles": int, "nodes": int, "samples": int,
+    "n_prec": int, "rows": int, "seed": int,
+    "lam": float, "c_prec": float, "separation": float,
 }
+_GEN_FLAGS = ("n", "d", "size", "angles", "nodes", "samples", "n_prec", "lam",
+              "c_prec", "data", "seed")
 _OUTPUT_KEYS = {"trace"}
 
 
@@ -50,35 +64,40 @@ class ConfigError(Exception):
 
 
 def _build_problem(opts):
-    """Instantiate a ProblemInstance from a [problem] option mapping."""
-    if "instance" in opts:
-        return load_instance(opts["instance"])
-    gen = opts.get("generator")
-    seed = int(opts.get("seed", 0))
-    if gen == "interpolation":
-        return gen_interpolation(int(opts.get("n", 2000)), int(opts.get("d", 100)), seed)
-    if gen == "tomography":
-        return gen_tomography(
-            int(opts.get("size", 64)), int(opts.get("angles", 60)), seed,
-            noise=opts.get("noise", "true").lower() != "false",
-        )
-    if gen == "preconditioned":
-        n_nodes = int(opts.get("nodes", 10))
-        per_node = int(opts.get("samples", 200))
-        if "data" in opts:
-            data = load_libsvm(opts["data"])
-        else:
-            rows = int(opts.get("rows", n_nodes * per_node))
-            data = gen_gaussian_logistic_data(
-                rows, int(opts.get("d", 20)), seed,
-                separation=float(opts.get("separation", 1.0)),
+    """Instantiate a ProblemInstance from a [problem] option mapping of
+    strings; a value that fails its cast or its generator is a ConfigError."""
+    try:
+        opts = {k: _PROBLEM_KEYS[k](v) for k, v in opts.items()}
+        if "instance" in opts:
+            return load_instance(opts["instance"])
+        gen = opts.get("generator")
+        seed = opts.get("seed", 0)
+        if gen == "interpolation":
+            return gen_interpolation(opts.get("n", 2000), opts.get("d", 100), seed)
+        if gen == "tomography":
+            return gen_tomography(
+                opts.get("size", 64), opts.get("angles", 60), seed,
+                noise=opts.get("noise", True),
             )
-        return gen_preconditioned(
-            data, n_nodes=n_nodes, N=per_node,
-            n_prec=int(opts.get("n_prec", per_node)),
-            lam=float(opts.get("lam", 1e-5)),
-            c_prec=float(opts.get("c_prec", 1e-5)), seed=seed,
-        )
+        if gen == "preconditioned":
+            n_nodes = opts.get("nodes", 10)
+            per_node = opts.get("samples", 200)
+            if "data" in opts:
+                data = load_libsvm(opts["data"])
+            else:
+                rows = opts.get("rows", n_nodes * per_node)
+                data = gen_gaussian_logistic_data(
+                    rows, opts.get("d", 20), seed,
+                    separation=opts.get("separation", 1.0),
+                )
+            return gen_preconditioned(
+                data, n_nodes=n_nodes, N=per_node,
+                n_prec=opts.get("n_prec", per_node),
+                lam=opts.get("lam", 1e-5),
+                c_prec=opts.get("c_prec", 1e-5), seed=seed,
+            )
+    except (ValueError, OverflowError) as exc:  # OverflowError: a seed outside [0, 2^64)
+        raise ConfigError(f"bad problem option: {exc}") from None
     raise ConfigError(f"unknown or missing generator: {gen!r}")
 
 
@@ -104,17 +123,10 @@ def _load_config(path):
 
 
 def cmd_gen(args):
-    opts = {
-        "generator": args.generator, "seed": args.seed,
-        "n": args.n, "d": args.d, "size": args.size, "angles": args.angles,
-        "nodes": args.nodes, "samples": args.samples, "n_prec": args.n_prec,
-        "lam": args.lam, "c_prec": args.c_prec,
-    }
-    if args.data is not None:
-        opts["data"] = args.data
+    opts = {k: getattr(args, k) for k in _GEN_FLAGS if getattr(args, k) is not None}
+    opts["generator"] = args.generator
     if not args.noise:
         opts["noise"] = "false"
-    opts = {k: v for k, v in opts.items() if v is not None}
     problem = _build_problem(opts)
     save_instance(args.output, problem)
     write_manifest(args.output + ".manifest", problem)
@@ -172,8 +184,8 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    report = run_battery(samples=args.samples, quick=args.quick,
-                         negative_control=args.negative_control)
+    report = Battery(samples=args.samples, quick=args.quick,
+                     negative_control=args.negative_control).run_all()
     text = report.text()
     print(text)
     if args.report:
@@ -184,31 +196,21 @@ def cmd_verify(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="bregopt")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="global seed override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a problem instance file")
     gen.add_argument("generator", choices=GENERATORS)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--size", type=int)
-    gen.add_argument("--angles", type=int)
-    gen.add_argument("--nodes", type=int)
-    gen.add_argument("--samples", type=int)
-    gen.add_argument("--n-prec", dest="n_prec", type=int)
-    gen.add_argument("--lam", type=float)
-    gen.add_argument("--c-prec", dest="c_prec", type=float)
-    gen.add_argument("--data", help="LibSVM file for the preconditioned generator")
+    for key in _GEN_FLAGS:
+        # cast later by _PROBLEM_KEYS, as a [problem] value from a file
+        gen.add_argument("--" + key.replace("_", "-"), dest=key)
     gen.add_argument("--no-noise", dest="noise", action="store_false")
-    gen.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     gen.add_argument("-o", "--output", required=True)
 
     runp = sub.add_parser("run", help="run a solver and write a trace CSV")
     runp.add_argument("-c", "--config", help="key=value config file")
     runp.add_argument("--instance", help="instance file path")
     for key, cast in _SOLVER_KEYS.items():
-        # suppressed defaults leave the global --seed and file values in place
+        # suppressed defaults leave file values in place
         runp.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
                           default=argparse.SUPPRESS,
                           choices=METHODS if key == "method" else None)

@@ -15,11 +15,19 @@ from .errors import (
     AnchorsUnavailable,
     DomainViolation,
     InsufficientData,
+    StepOutOfDomain,
     TraceInvariantError,
 )
 from .mirror import make_reference, mirror_step
 from .objective import DiagonalQuadratic, PoissonKL, poisson_rel_L
 from .rng import make_rng
+
+# plateau_level examines the trailing PLATEAU_TAIL of a trace's records; they
+# form a plateau when their fitted contraction lies within PLATEAU_BAND of 1
+PLATEAU_TAIL = 0.25
+PLATEAU_BAND = 1e-3
+CERT_DIM = 6  # dimension of the points certify_lemmas draws
+
 
 @dataclass
 class TraceRecord:
@@ -91,12 +99,9 @@ class Trace:
             return str(int(v))
         return repr(float(v))
 
-    def to_csv(self, path_or_file):
-        if hasattr(path_or_file, "write"):
-            self._write(path_or_file)
-        else:
-            with open(path_or_file, "w") as fh:
-                self._write(fh)
+    def to_csv(self, path):
+        with open(path, "w") as fh:
+            self._write(fh)
 
     def _write(self, fh):
         fh.write(",".join(TRACE_COLUMNS) + "\n")
@@ -169,11 +174,6 @@ def saga_slot_errors(state, obj, x_star):
     ]
 
 
-def saga_table_error(state, obj, x_star):
-    """H_t = (1/n) sum_j D_{f_j}(phi_j, x_star); needs stored anchors."""
-    return sum(saga_slot_errors(state, obj, x_star)) / obj.n_components
-
-
 def _saga_psi(ref, x_star, x, errors, eta):
     # psi = D_h(x_star, x) / eta + (n/2) H with H the mean of the slot errors
     n = len(errors)
@@ -242,16 +242,16 @@ def rate_fit(trace_or_values, window, iters=None):
     return float(np.exp(slope))
 
 
-def plateau_level(trace, tail_fraction=0.25, band=1e-3):
+def plateau_level(trace):
     """Median dh_gap over the trailing window if the trace has flattened.
 
     The tail is declared a plateau when its fitted contraction lies within
-    ``band`` of 1. Returns (level, is_plateau).
+    PLATEAU_BAND of 1. Returns (level, is_plateau).
     """
-    n_tail = max(int(len(trace) * tail_fraction), 3)
+    n_tail = max(int(len(trace) * PLATEAU_TAIL), 3)
     rate = rate_fit(trace, n_tail)
     tail = trace.column("dh_gap")[-n_tail:]
-    return float(np.median(tail)), bool(abs(rate - 1.0) <= band)
+    return float(np.median(tail)), bool(abs(rate - 1.0) <= PLATEAU_BAND)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def _smooth_test_objective(kind, d, rng):
 
 
 def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
-                   samples=1000, d=6, l_scale=1.0):
+                   samples=1000, l_scale=1.0):
     """Numerically certify the structural lemmas on seeded random inputs.
 
     Per reference kind: the primal/dual duality identity, the midpoint
@@ -349,6 +349,7 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
     Returns a :class:`CertReport`; failures are report entries, not errors.
     """
     report = CertReport()
+    d = CERT_DIM
     for kind in kinds:
         ref = make_reference(kind)
         rng = make_rng(seed)
@@ -403,7 +404,7 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
             eta_t = eta
             try:
                 x_next = mirror_step(ref, x, g, eta_t)
-            except Exception:
+            except StepOutOfDomain:
                 continue
             lhs = (
                 eta_t * float(g @ (z - x_next))

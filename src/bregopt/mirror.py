@@ -87,11 +87,6 @@ class ReferenceFunction:
         self.check_dual_domain(y)
         return self._grad_conjugate(y)
 
-    def _conjugate_value(self, y):
-        # h*(y) = <x, y> - h(x) at x = grad h*(y)
-        x = self.grad_conjugate(y)
-        return float(x @ y - self.value(x))
-
     def _grad_conjugate(self, y):
         raise NotImplementedError
 

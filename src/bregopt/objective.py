@@ -24,13 +24,9 @@ from .errors import DomainViolation, InvalidData
 from .rng import make_rng
 
 
-def _is_sparse(A):
-    return sp.issparse(A)
-
-
 def _entries(A):
     """The stored entries of a dense or sparse matrix."""
-    return A.data if _is_sparse(A) else A
+    return A.data if sp.issparse(A) else A
 
 
 def _finite_nonnegative(values):
@@ -66,9 +62,6 @@ class FiniteSumObjective:
     @property
     def dim(self):
         raise NotImplementedError
-
-    def check_domain(self, x):
-        """Raise DomainViolation if f cannot be evaluated at ``x``."""
 
     def value(self, x):
         """f(x) = (1/n) sum_i f_i(x)."""
@@ -163,20 +156,24 @@ class PoissonKL(FiniteSumObjective):
 
     def __init__(self, A, b, groups=None, barrier_weight=0.0):
         b = np.asarray(b, dtype=float)
-        self.A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+        self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
         if not _finite_nonnegative(_entries(self.A)):
             raise InvalidData("poisson_kl: A must be finite and nonnegative")
         if not _finite_nonnegative(b):
             raise InvalidData("poisson_kl: b must be finite and nonnegative")
         if self.A.ndim != 2 or b.shape != self.A.shape[:1]:
             raise InvalidData("poisson_kl: A must be a matrix with one row per count in b")
+        # (Ax)_r = 0 at every x on a zero row, so its count must be 0
+        dead = np.flatnonzero((b > 0) & (np.asarray(self.A.sum(axis=1)).ravel() == 0))
+        if dead.size:
+            raise InvalidData(f"poisson_kl: row {dead[0]} of A is zero but its count is positive")
         self.b = b
         self.barrier_weight = float(barrier_weight)
         if not _finite_nonnegative(self.barrier_weight):
             raise InvalidData("poisson_kl: barrier_weight must be finite and nonnegative")
         self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._rows = self._blocks = None
-        if not _is_sparse(self.A) and all(len(g) == 1 for g in self.groups):
+        if not sp.issparse(self.A) and all(len(g) == 1 for g in self.groups):
             self._rows = [(self.A[j], float(self.b[j]))
                           for g in self.groups for j in g.tolist()]
         else:
@@ -205,11 +202,6 @@ class PoissonKL(FiniteSumObjective):
             return self._blocks[i]
         a, bi = self._rows[i]
         return a[None, :], np.array([bi])
-
-    def check_domain(self, x):
-        if self.barrier_weight > 0 and not np.all(x > 0):
-            raise DomainViolation("poisson_kl: barrier requires x > 0")
-        self._check_rates(self._residual(self.A, x), self.b)
 
     def _kl_terms(self, rates, b):
         self._check_rates(rates, b)
@@ -301,10 +293,10 @@ def poisson_rel_L(A, b, n_components=None):
         raise InvalidData("poisson_rel_L: b must be finite and nonnegative")
     if n_components is None:
         n_components = len(b)
-    A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+    A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
     if not _finite_nonnegative(_entries(A)):
         raise InvalidData("poisson_rel_L: A must be finite and nonnegative")
-    if _is_sparse(A):
+    if sp.issparse(A):
         support = A.copy()
         support.data = np.ones_like(support.data)
         col_sums = np.asarray(support.T @ b).ravel()
@@ -330,7 +322,7 @@ class LogisticL2(FiniteSumObjective):
             raise InvalidData("logistic_l2: labels must be in {-1, +1}")
         if not _finite_nonnegative(lam):
             raise InvalidData("logistic_l2: lam must be finite and nonnegative")
-        self.A = A.tocsr() if _is_sparse(A) else np.asarray(A, dtype=float)
+        self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
         if not np.all(np.isfinite(_entries(self.A))):
             raise InvalidData("logistic_l2: A must be finite")
         self.labels = labels
@@ -439,9 +431,6 @@ class DiagonalQuadratic(FiniteSumObjective):
     def full_grad(self, x):
         return np.mean(self.Q * (x[None, :] - self.C), axis=0)
 
-    def hess_vec(self, x, u):
-        return np.mean(self.Q, axis=0) * u
-
     def minimizer(self):
         return np.sum(self.Q * self.C, axis=0) / np.sum(self.Q, axis=0)
 
@@ -465,9 +454,6 @@ def rel_constants_logistic(obj, ref, samples=100, seed=0, radius=1.0):
         x = radius * rng.standard_normal(obj.dim)
         u = rng.standard_normal(obj.dim)
         num = float(u @ obj.hess_vec(x, u))
-        if hasattr(ref, "hess_vec"):
-            den = float(u @ ref.hess_vec(x, u))
-        else:
-            den = float(u @ u)  # Euclidean reference
+        den = float(u @ ref.hess_vec(x, u))
         ratios.append(num / den)
     return float(np.max(ratios)), float(np.min(ratios)), samples

@@ -34,10 +34,6 @@ from .objective import (
 )
 from .rng import make_rng
 
-# Entries below this size are kept dense; larger operators go to CSR with
-# 64-bit indices.
-DENSE_ENTRY_LIMIT = 10**6
-
 
 @dataclass
 class CommModel:
@@ -202,19 +198,16 @@ def poisson_sample(mean, seed):
     return make_rng(seed).poisson(mean).astype(np.int64)
 
 
-def gen_tomography(size=64, n_angles=60, seed=0, noise=True, photon_scale=1.0):
+def gen_tomography(size=64, n_angles=60, seed=0, noise=True):
     """Tomography instance: phantom -> Radon -> Poisson corruption -> KL
     objective grouped per angle, with the log-barrier reference.
 
-    ``photon_scale`` rescales the clean sinogram before sampling (higher
-    scale = better counting statistics). With ``noise=False`` the instance is
-    in the interpolation regime and the phantom attains objective value 0.
+    With ``noise=False`` the instance is in the interpolation regime and the
+    phantom attains objective value 0.
     """
     img = shepp_logan(size)
     A = radon_matrix(size, n_angles)
-    clean = np.asarray(A @ img.ravel()).ravel() * photon_scale
-    if photon_scale != 1.0:
-        A = A * photon_scale
+    clean = np.asarray(A @ img.ravel()).ravel()
     b = poisson_sample(clean, seed).astype(float) if noise else clean
     groups = [np.arange(a * size, (a + 1) * size) for a in range(n_angles)]
     obj = PoissonKL(A, b, groups=groups)
@@ -662,8 +655,3 @@ def write_manifest(path, problem):
             lines.append(f"{key} = {problem.meta[key]}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def export_image_text(path, image):
-    """Plain-text matrix dump of an image (one row per line)."""
-    np.savetxt(path, np.asarray(image), fmt="%.10g")

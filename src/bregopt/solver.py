@@ -142,9 +142,8 @@ class SagaState:
         )
 
     def refresh_sum_dist(self):
-        if self.anchors is not None:
-            self.sum_dist = float(np.sum(np.linalg.norm(self.x - self.anchors, axis=1)))
-            self.steps_since_refresh = 0
+        self.sum_dist = float(np.sum(np.linalg.norm(self.x - self.anchors, axis=1)))
+        self.steps_since_refresh = 0
 
 
 @dataclass
@@ -167,9 +166,8 @@ class SvrgState:
 # ---------------------------------------------------------------------------
 
 
-def bsgd_step(state, obj, ref, eta, rng, index=None):
-    """One Bregman SGD step; consumes one index draw unless ``index`` given."""
-    i = int(rng.integers(obj.n_components)) if index is None else index
+def bsgd_step(state, obj, ref, eta, i):
+    """One Bregman SGD step with component ``i``."""
     g = obj.partial_grad(i, state.x)
     state.x = mirror_step(ref, state.x, g, eta)
     state.t += 1
@@ -324,36 +322,6 @@ def step_policy(config, l_rel=None, gain=None):
     return config.step_multiplier / (2.0 * l_rel)
 
 
-def adaptive_check(state, obj, ref, eta, f_star, rng=None, samples=None):
-    """Step-size adequacy test from the adaptive criterion.
-
-    True iff E_i D_h(x_t, x_{t+1}) <= (eta/4) [f(x_t) - f_star + f(phi_t) -
-    f_star], with the expectation over the component choice taken by exact
-    enumeration (``samples`` is None) or by a seeded Monte-Carlo sample.
-    ``state`` must carry an SVRG-style anchor. Advisory only: candidate
-    steps that leave the domain make the check fail.
-    """
-    n = obj.n_components
-    if samples is None:
-        idx = range(n)
-        weight = 1.0 / n
-    else:
-        idx = [int(i) for i in rng.integers(0, n, size=samples)]
-        weight = 1.0 / samples
-    lhs = 0.0
-    for i in idx:
-        g = svrg_gradient(state, obj, i)
-        try:
-            x_next = mirror_step(ref, state.x, g, eta)
-        except StepOutOfDomain:
-            return False
-        lhs += weight * ref.divergence(state.x, x_next)
-    rhs = (eta / 4.0) * (
-        obj.value(state.x) - f_star + obj.value(state.anchor) - f_star
-    )
-    return bool(lhs <= rhs)
-
-
 # ---------------------------------------------------------------------------
 # run harness
 # ---------------------------------------------------------------------------
@@ -439,7 +407,7 @@ def run(config, problem):
     # ``i`` is the component index of the current step, bound by the loop
     attempt = {
         "bgd": lambda eta: bgd_step(state, obj, ref, eta),
-        "bsgd": lambda eta: bsgd_step(state, obj, ref, eta, rng, index=i),
+        "bsgd": lambda eta: bsgd_step(state, obj, ref, eta, i),
         "bsaga": lambda eta: bsaga_step(state, obj, ref, eta, rng, index=i),
         "bsvrg": lambda eta: bsvrg_step(state, obj, ref, eta, config.p, rng, index=i),
         "mu": mu,

@@ -51,8 +51,6 @@ from .solver import (
 # compared against it are several orders of magnitude larger).
 TOMO_F_STAR = 18.2121321
 
-CRITERIA = tuple(range(1, 11))
-
 
 def _csv_without_wall(trace):
     lines = trace.to_csv_string().splitlines()
@@ -481,9 +479,3 @@ class Battery:
         if not self.quick:
             report.checks.extend(self.criterion_10())
         return report
-
-
-def run_battery(samples=1000, quick=False, negative_control=False):
-    """Convenience wrapper used by the command-line verify entry point."""
-    return Battery(samples=samples, quick=quick,
-                   negative_control=negative_control).run_all()

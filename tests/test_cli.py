@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bregopt import Trace, gen_interpolation, load_instance, save_instance
-from bregopt.cli import main
+from bregopt.cli import _build_problem, main
 
 
 def strip_wall(text):
@@ -36,6 +36,50 @@ class TestGen:
         with pytest.raises(SystemExit) as info:
             main(["gen", "nonsense", "-o", str(tmp_path / "x.bin")])
         assert info.value.code == 2
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        paths = [str(tmp_path / name) for name in ("default.bin", "zero.bin", "one.bin")]
+        for path, seed in zip(paths, ([], ["--seed", "0"], ["--seed", "1"])):
+            assert main(["gen", "interpolation", "--n", "20", "--d", "5", *seed,
+                         "-o", path]) == 0
+        default, zero, one = (open(path, "rb").read() for path in paths)
+        assert default == zero != one
+        assert "seed = 0" in open(paths[0] + ".manifest").read()
+
+
+BAD_PROBLEM_VALUES = [
+    ("interpolation", "n", "abc"), ("interpolation", "n", "-5"),
+    ("tomography", "size", "8"), ("tomography", "angles", "0"),
+    ("tomography", "noise", "maybe"), ("interpolation", "seed", "-1"),
+    ("interpolation", "seed", str(2**64)),
+]
+
+
+@pytest.mark.parametrize("generator, key, value, route", [
+    (*case, route) for case in BAD_PROBLEM_VALUES for route in ("file", "flag")
+    if (case[1], route) != ("noise", "flag")  # gen has only --no-noise
+])
+def test_bad_problem_value_is_usage_error(tmp_path, capsys, generator, key, value, route):
+    out = tmp_path / "inst.bin"
+    if route == "flag":
+        code = main(["gen", generator, f"--{key}={value}", "-o", str(out)])
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[problem]\ngenerator = {generator}\n{key} = {value}\n"
+                       "[solver]\nmethod = bsgd\neta = 0.01\nepochs = 0\n"
+                       f"[output]\ntrace = {tmp_path / 'a.csv'}\n")
+        code = main(["run", "-c", str(cfg)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("word, noise", [("off", False), ("No", False), ("1", True),
+                                         ("TRUE", True)])
+def test_noise_takes_boolean_words(word, noise):
+    problem = _build_problem({"generator": "tomography", "size": "16", "angles": "4",
+                              "noise": word})
+    assert problem.meta["noise"] is noise
 
 
 class TestRun:
@@ -145,6 +189,16 @@ class TestRun:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["run", "-c", str(cfg)]) == 2
+
+    def test_missing_step_size_is_usage_error(self, tmp_path, capsys):
+        # neither eta nor an L_rel in the instance file to derive it from
+        problem = gen_interpolation(20, 5, seed=0)
+        problem.meta = {}
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "-o", str(tmp_path / "t.csv")]) == 2
+        assert "no eta configured" in capsys.readouterr().err
 
     def test_step_failure_keeps_partial_trace(self, tmp_path):
         inst = self.gen_instance(tmp_path)

@@ -25,13 +25,12 @@ from bregopt import (
     plateau_level,
     rate_fit,
     saga_potential,
-    saga_table_error,
     svrg_potential,
     SvrgState,
     TraceInvariantError,
     poisson_rel_L,
 )
-from bregopt.metrics import saga_successor_potentials
+from bregopt.metrics import saga_slot_errors, saga_successor_potentials
 from bregopt.rng import make_rng
 from bregopt.verify import Battery
 
@@ -155,7 +154,8 @@ class TestPotentials:
     def test_table_error_zero_at_optimum(self):
         obj, xs, _ = self.build()
         state = SagaState.init(xs, obj, store_anchors=True)
-        assert saga_table_error(state, obj, xs) == pytest.approx(0.0, abs=1e-14)
+        errors = saga_slot_errors(state, obj, xs)
+        assert sum(errors) / obj.n_components == pytest.approx(0.0, abs=1e-14)
 
     def test_svrg_potential_zero_at_optimum(self):
         obj, xs, _ = self.build()
@@ -257,6 +257,14 @@ class TestCertification:
         failing = [c for c in report.checks if not c.passed]
         assert failing
         assert any("cocoercivity" in c.name for c in failing)
+
+    def test_descent_identity_skips_only_steps_out_of_domain(self, monkeypatch):
+        def broken_step(ref, x, g, eta):
+            raise TypeError("broken mirror map")
+
+        monkeypatch.setattr("bregopt.metrics.mirror_step", broken_step)
+        with pytest.raises(TypeError, match="broken mirror map"):
+            certify_lemmas(kinds=("euclidean",), samples=5)
 
     def test_seeded_determinism(self):
         a = certify_lemmas(samples=40, seed=3)

@@ -87,10 +87,18 @@ class TestPoissonKL:
 
     def test_barrier_rejects_nan_point(self):
         obj = PoissonKL(np.ones((2, 2)), np.ones(2), barrier_weight=0.1)
-        x = np.array([np.nan, 1.0])
-        for method in (obj.check_domain, obj.value):
-            with pytest.raises(DomainViolation, match="barrier"):
-                method(x)
+        with pytest.raises(DomainViolation, match="barrier"):
+            obj.value(np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("groups", [None, [np.array([0, 1]), np.array([2])]])
+    def test_zero_row_with_positive_count_rejected(self, sparse, groups):
+        # row 1 is zero; its group also holds the nonzero row 0
+        A = np.array([[1.0, 2.0], [0.0, 0.0], [0.5, 0.0]])
+        A = sp.csr_matrix(A) if sparse else A
+        with pytest.raises(InvalidData, match="row 1 of A is zero"):
+            PoissonKL(A, [1.0, 2.0, 1.0], groups=groups)
+        PoissonKL(A, [1.0, 0.0, 1.0], groups=groups)  # a zero count is allowed
 
     def test_negative_data_rejected(self):
         with pytest.raises(InvalidData):
@@ -148,11 +156,14 @@ def _block_grad(obj, j, x):
 @st.composite
 def singleton_poisson(draw):
     """A dense PoissonKL with one row per component, groups implicit or an
-    explicit permutation of the rows, and a point that may leave the domain."""
+    explicit permutation of the rows, and a point that may leave the domain
+    through its zero or negative coordinates. A zero row gets a zero count,
+    as PoissonKL requires."""
     n, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
     A = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
     b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    b[~A.any(axis=1)] = 0.0
     order = draw(st.one_of(st.none(), st.permutations(range(n))))
     groups = None if order is None else [np.array([j]) for j in order]
     weight = draw(st.sampled_from([0.0, 0.3]))

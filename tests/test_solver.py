@@ -9,6 +9,7 @@ from bregopt import (
     DiagonalQuadratic,
     DomainViolation,
     Euclidean,
+    InvalidConstants,
     LogBarrier,
     NegEntropy,
     PoissonKL,
@@ -18,16 +19,17 @@ from bregopt import (
     SolverConfig,
     StepOutOfDomain,
     SvrgState,
-    adaptive_check,
     bsaga_step,
     gain_bound,
     gen_gaussian_logistic_data,
     gen_interpolation,
     gen_preconditioned,
+    load_instance,
     mirror_step,
     mu_step,
     run,
     saga_gradient,
+    save_instance,
     sigma2_estimate,
     solve_reference,
     step_policy,
@@ -157,24 +159,6 @@ class TestMultiplicativeUpdates:
         assert out[0] == 0.0
 
 
-class TestAdaptiveCheck:
-    def test_small_step_passes(self):
-        obj = small_quadratic()
-        rng = make_rng(7)
-        state = SvrgState.init(rng.normal(size=3), obj)
-        xs = obj.minimizer()
-        f_star = obj.value(xs)
-        assert adaptive_check(state, obj, Euclidean(), 1e-6, f_star) is True
-
-    def test_huge_step_fails(self):
-        obj = small_quadratic()
-        rng = make_rng(8)
-        state = SvrgState.init(rng.normal(size=3), obj)
-        xs = obj.minimizer()
-        f_star = obj.value(xs)
-        assert adaptive_check(state, obj, Euclidean(), 1e6, f_star) is False
-
-
 class TestSigma2:
     def test_interpolation_has_zero_variance(self):
         problem = gen_interpolation(30, 5, seed=0)
@@ -239,6 +223,15 @@ class TestRunHarness:
             trace = run(SolverConfig(method=method, eta=eta, epochs=5.0, seed=0),
                         problem)
             assert trace.final.f_gap < trace[0].f_gap
+
+    def test_instance_file_without_l_rel_needs_eta(self, tmp_path):
+        # no eta and no L_rel in the file leaves the step size undefined
+        problem = self.problem()
+        problem.meta = {}
+        path = str(tmp_path / "inst.bin")
+        save_instance(path, problem)
+        with pytest.raises(InvalidConstants, match="no eta configured"):
+            run(SolverConfig(method="bsgd"), load_instance(path))
 
     def test_run_failure_carries_partial_trace(self):
         problem = self.problem()
