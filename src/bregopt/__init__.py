@@ -72,12 +72,9 @@ from .rng import make_rng
 from .solver import (
     RunFailure,
     SagaState,
-    SgdState,
     SolverConfig,
     SvrgState,
-    bgd_step,
     bsaga_step,
-    bsgd_step,
     bsvrg_step,
     gain_bound,
     mu_step,

@@ -203,7 +203,9 @@ def gen_tomography(size=64, n_angles=60, seed=0, noise=True):
     objective grouped per angle, with the log-barrier reference.
 
     With ``noise=False`` the instance is in the interpolation regime and the
-    phantom attains objective value 0.
+    phantom (``meta["phantom"]``) attains objective value ``f_star = 0``. It
+    is not given as ``x_star``: its zero background lies outside the
+    log-barrier domain, where D_h(x_star, .) is +inf.
     """
     img = shepp_logan(size)
     A = radon_matrix(size, n_angles)
@@ -212,13 +214,11 @@ def gen_tomography(size=64, n_angles=60, seed=0, noise=True):
     groups = [np.arange(a * size, (a + 1) * size) for a in range(n_angles)]
     obj = PoissonKL(A, b, groups=groups)
     l_rel = poisson_rel_L(A, b, n_components=n_angles)
-    x_star = None if noise else img.ravel()
     return ProblemInstance(
         objective=obj,
         reference=LogBarrier(),
         x0=np.full(size * size, 0.5),
-        x_star=x_star,
-        f_star=0.0 if not noise else None,
+        f_star=None if noise else 0.0,
         meta={
             "L_rel": l_rel,
             "generator": "tomography",

@@ -1,10 +1,13 @@
 """Iterative methods: BGD, BSGD, Bregman-SAGA, Bregman-SVRG and MU.
 
-All stochastic methods draw indices from a counter-based generator (see
+The four Bregman methods differ only in the gradient estimate g_t; each
+then takes the mirror step x+ = grad h*(grad h(x) - eta g_t). :func:`run`
+draws every random number from a counter-based generator (see
 :mod:`bregopt.rng`), so a (config, problem, seed) triple determines the
-trajectory bit-for-bit. Steps that would leave the reference function's
-domain raise :class:`StepOutOfDomain`; the run harness wraps every step in a
-halve-and-retry safeguard whose interventions are visible in the trace.
+trajectory bit-for-bit. A mirror step that would leave the reference
+function's domain raises :class:`StepOutOfDomain`; the run harness retries
+that mirror step alone, from the same estimate, with a halved step size, and
+the trace shows each such intervention.
 """
 
 import time
@@ -42,10 +45,10 @@ class SolverConfig:
     step_multiplier / (2 L_rel) using the problem's relative smoothness
     constant. Setting ``gain_constants`` (Bregman-SAGA only) selects the
     gain rule eta_t = step_multiplier / (8 L_rel G_t) with the regularity
-    metadata mu_h, L_h, M, L_rel, mu_rel. Every step runs under the halving
-    safeguard: a step leaving the domain is retried with a halved step size,
-    up to ``max_halvings`` times, and the base step size is restored
-    afterwards.
+    metadata mu_h, L_h, M, L_rel, mu_rel. Every mirror step runs under the
+    halving safeguard: a step leaving the domain is retried with a halved
+    step size, up to ``max_halvings`` times, and the base step size is
+    restored afterwards.
     """
 
     method: str = "bsgd"
@@ -93,12 +96,6 @@ class SolverConfig:
 
 
 @dataclass
-class SgdState:
-    x: np.ndarray
-    t: int = 0
-
-
-@dataclass
 class SagaState:
     """Iterate plus the per-component gradient table of Bregman-SAGA.
 
@@ -113,7 +110,6 @@ class SagaState:
     table: np.ndarray
     table_mean: np.ndarray
     anchors: np.ndarray = None
-    t: int = 0
     sum_dist: float = 0.0
     steps_since_refresh: int = 0
     gain_floor: float = np.inf  # running minimum enforcing a decreasing G_t
@@ -153,7 +149,6 @@ class SvrgState:
     x: np.ndarray
     anchor: np.ndarray
     anchor_grad: np.ndarray
-    t: int = 0
 
     @classmethod
     def init(cls, x0, obj):
@@ -166,27 +161,19 @@ class SvrgState:
 # ---------------------------------------------------------------------------
 
 
-def bsgd_step(state, obj, ref, eta, i):
-    """One Bregman SGD step with component ``i``."""
-    g = obj.partial_grad(i, state.x)
-    state.x = mirror_step(ref, state.x, g, eta)
-    state.t += 1
-    return state
-
-
 def saga_gradient(state, obj, index):
     """The SAGA estimate g_t for component ``index`` at the current iterate."""
     g_new = obj.partial_grad(index, state.x)
     return g_new, g_new - state.table[index] + state.table_mean
 
 
-def bsaga_step(state, obj, ref, eta, rng, index=None):
-    """One Bregman-SAGA step: mirror step, then table slot update."""
+def bsaga_step(state, obj, i, step):
+    """One Bregman-SAGA step with component ``i``: the mirror step
+    ``step(x, g)`` along the SAGA estimate, then the table slot update."""
     n = obj.n_components
-    i = int(rng.integers(n)) if index is None else index
     g_new, g = saga_gradient(state, obj, i)
     x_prev = state.x
-    state.x = mirror_step(ref, state.x, g, eta)
+    state.x = step(state.x, g)
     # slot update: anchor phi_i <- pre-step iterate, stored gradient refreshed
     state.table_mean = state.table_mean + (g_new - state.table[i]) / n
     state.table[i] = g_new
@@ -202,7 +189,6 @@ def bsaga_step(state, obj, ref, eta, rng, index=None):
             dx = float(np.linalg.norm(state.x - x_prev))
             new_term = float(np.linalg.norm(state.x - state.anchors[i]))
             state.sum_dist += n * dx + new_term - old_term
-    state.t += 1
     return state
 
 
@@ -215,27 +201,16 @@ def svrg_gradient(state, obj, index):
     )
 
 
-def bsvrg_step(state, obj, ref, eta, p, rng, index=None):
-    """One Bregman-SVRG step; refreshes the anchor with probability ``p``.
-
-    Consumes two draws (index, refresh coin); returns (state, refreshed).
-    """
-    i = int(rng.integers(obj.n_components)) if index is None else index
+def bsvrg_step(state, obj, i, step, refresh):
+    """One Bregman-SVRG step with component ``i``: the mirror step
+    ``step(x, g)`` along the SVRG estimate; with ``refresh`` the anchor then
+    moves to the pre-step iterate and its full gradient is recomputed."""
     g = svrg_gradient(state, obj, i)
     x_prev = state.x
-    state.x = mirror_step(ref, state.x, g, eta)
-    refreshed = bool(rng.random() < p)
-    if refreshed:
+    state.x = step(state.x, g)
+    if refresh:
         state.anchor = x_prev.copy()
         state.anchor_grad = obj.full_grad(state.anchor)
-    state.t += 1
-    return state, refreshed
-
-
-def bgd_step(state, obj, ref, eta):
-    """One deterministic full-gradient mirror step."""
-    state.x = mirror_step(ref, state.x, obj.full_grad(state.x), eta)
-    state.t += 1
     return state
 
 
@@ -309,16 +284,20 @@ def step_policy(config, l_rel=None, gain=None):
 
     With ``gain_constants`` set this is the gain rule
     step_multiplier / (8 l_rel gain); otherwise ``eta``, or
-    step_multiplier / (2 l_rel) when ``eta`` is unset.
+    step_multiplier / (2 l_rel) when ``eta`` is unset. An ``l_rel`` that
+    either rule needs must be finite and positive.
     """
-    if config.gain_constants is not None:
-        if gain is None or l_rel is None:
-            raise InvalidConstants("the gain rule needs L_rel and a gain value")
-        return config.step_multiplier / (8.0 * l_rel * gain)
-    if config.eta is not None:
+    gain_rule = config.gain_constants is not None
+    if not gain_rule and config.eta is not None:
         return config.eta
+    if gain_rule and (gain is None or l_rel is None):
+        raise InvalidConstants("the gain rule needs L_rel and a gain value")
     if l_rel is None:
         raise InvalidConstants("no eta configured and no L_rel available")
+    if not _positive(l_rel):
+        raise InvalidConstants(f"L_rel must be finite and positive, got {l_rel!r}")
+    if gain_rule:
+        return config.step_multiplier / (8.0 * l_rel * gain)
     return config.step_multiplier / (2.0 * l_rel)
 
 
@@ -347,26 +326,16 @@ def _epoch_draws(rng, n, steps):
         steps -= k
 
 
-def _with_safeguard(attempt, eta, max_halvings):
-    """Run ``attempt(eta)`` halving eta on StepOutOfDomain; returns
-    (result, halvings_used)."""
-    for k in range(max_halvings + 1):
-        try:
-            return attempt(eta), k
-        except StepOutOfDomain:
-            eta *= 0.5
-    raise StepFailure(f"step failed after {max_halvings} halvings")
-
-
 def run(config, problem):
     """Execute the configured method on ``problem`` and return a Trace.
 
-    Each iteration draws the component index (stochastic methods), then
-    runs the method's step kernel under the halving safeguard. BSGD and
-    BSAGA draw their indices one epoch at a time; BSVRG draws each index
-    before its step, since its refresh coin follows the step. Deterministic
-    given the seed. The final iterate is left on ``trace.x``. On StepFailure
-    the partial trace is attached to the raised :class:`RunFailure`.
+    Each iteration draws its random numbers (the component index, then for
+    BSVRG the anchor refresh coin), computes the method's gradient estimate
+    once and takes the mirror step under the halving safeguard, which retries
+    the mirror step alone from the same estimate. BSGD and BSAGA draw their
+    indices one epoch at a time. Deterministic given the seed. The final
+    iterate is left on ``trace.x``. On StepFailure the partial trace is
+    attached to the raised :class:`RunFailure`.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
@@ -389,39 +358,23 @@ def run(config, problem):
     # gradient evaluations and communication cost of one step
     step_evals, step_comms = (1, component) if stochastic else (n, full_round)
 
-    x0 = np.asarray(problem.x0, dtype=float)
+    x = np.asarray(problem.x0, dtype=float).copy()
     grad_evals, comms = 0, 0.0
     if method == "bsaga":
-        state = SagaState.init(x0, obj, store_anchors=gains is not None)
+        state = SagaState.init(x, obj, store_anchors=gains is not None)
         grad_evals, comms = n, n * component  # table initialization
     elif method == "bsvrg":
-        state = SvrgState.init(x0, obj)
+        state = SvrgState.init(x, obj)
         grad_evals, comms = n, full_round
-    else:
-        state = SgdState(x=x0.copy())
-
-    def mu(eta):
-        state.x = mu_step(state.x, obj.A, obj.b)
-        state.t += 1
-
-    # ``i`` is the component index of the current step, bound by the loop
-    attempt = {
-        "bgd": lambda eta: bgd_step(state, obj, ref, eta),
-        "bsgd": lambda eta: bsgd_step(state, obj, ref, eta, i),
-        "bsaga": lambda eta: bsaga_step(state, obj, ref, eta, rng, index=i),
-        "bsvrg": lambda eta: bsvrg_step(state, obj, ref, eta, config.p, rng, index=i),
-        "mu": mu,
-    }[method]
 
     trace = Trace(metadata={"method": method, "seed": config.seed})
-    halvings_total = 0
+    t, halvings_total = 0, 0
     min_df = np.inf
     f_x_star = obj.value(x_star) if x_star is not None else None
     start = time.perf_counter()
 
     def record(eta_now, gain_now):
         nonlocal min_df
-        x = state.x
         f_x = obj.value(x) if f_star is not None or x_star is not None else None
         f_gap = float(f_x - f_star) if f_star is not None else float("nan")
         if x_star is not None:
@@ -435,8 +388,8 @@ def run(config, problem):
             min_df_gap = float("nan")
         trace.append(
             TraceRecord(
-                iter=state.t,
-                epoch=state.t * (1.0 / n if stochastic else 1.0),
+                iter=t,
+                epoch=t * (1.0 / n if stochastic else 1.0),
                 grad_evals=grad_evals,
                 comms=comms,
                 f_gap=f_gap,
@@ -448,6 +401,21 @@ def run(config, problem):
                 wall_s=time.perf_counter() - start,
             )
         )
+
+    def step(x, g):
+        """The mirror step from ``x`` along ``g``, halving eta on
+        StepOutOfDomain up to ``max_halvings`` times."""
+        nonlocal halvings_total
+        eta = eta_now
+        for k in range(config.max_halvings + 1):
+            try:
+                x_next = mirror_step(ref, x, g, eta)
+            except StepOutOfDomain:
+                eta *= 0.5
+                continue
+            halvings_total += k
+            return x_next
+        raise StepFailure(f"step failed after {config.max_halvings} halvings")
 
     gain_now = 1.0
     eta_now = float("nan") if method == "mu" else step_policy(config, l_rel, gain_now)
@@ -465,20 +433,30 @@ def run(config, problem):
             if gains is not None:
                 gain_now = gain_bound(state, gains, n)
                 eta_now = step_policy(config, l_rel, gain_now)
-            out, used = _with_safeguard(attempt, eta_now, config.max_halvings)
-            halvings_total += used
+            if method == "bsgd":
+                x = step(x, obj.partial_grad(i, x))
+            elif method == "bsaga":
+                x = bsaga_step(state, obj, i, step).x
+            elif method == "bsvrg":
+                refresh = bool(rng.random() < config.p)
+                x = bsvrg_step(state, obj, i, step, refresh).x
+            elif method == "bgd":
+                x = step(x, obj.full_grad(x))
+            else:
+                x = mu_step(x, obj.A, obj.b)
+            t += 1
             grad_evals += step_evals
             comms += step_comms
-            if method == "bsvrg" and out[1]:  # anchor refreshed
+            if method == "bsvrg" and refresh:  # the new anchor's full gradient
                 grad_evals += n
                 comms += full_round
-            if state.t % record_every == 0:
+            if t % record_every == 0:
                 record(eta_now, gain_now)
     except StepFailure as exc:
-        trace.x = state.x
+        trace.x = x
         raise RunFailure(str(exc), trace) from exc
 
-    if trace.final.iter != state.t:
+    if trace.final.iter != t:
         record(eta_now, gain_now)
-    trace.x = state.x
+    trace.x = x
     return trace

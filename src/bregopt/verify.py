@@ -270,18 +270,18 @@ class Battery:
         eta = 1.0 / (8.0 * L)
         n_states = 100
 
+        def step(x, g):
+            return mirror_step(ref, x, g, eta)
+
         worst_saga = -np.inf
         rng = make_rng(31)
         state = SagaState.init(prob.x0, obj, store_anchors=True)
         factor = 1.0 - min(eta * mu, 1.0 / (2 * n))
-
-        def step(probe, i):
-            bsaga_step(probe, obj, ref, eta, rng, index=i)
-
         for _ in range(n_states):
             for _ in range(int(rng.integers(1, 20))):
-                bsaga_step(state, obj, ref, eta, rng)
-            psi, successors = saga_successor_potentials(state, step, obj, ref, xs, eta)
+                bsaga_step(state, obj, int(rng.integers(n)), step)
+            psi, successors = saga_successor_potentials(
+                state, lambda probe, i: bsaga_step(probe, obj, i, step), obj, ref, xs, eta)
             worst_saga = max(worst_saga, sum(successors) / n - factor * psi)
 
         p = 0.1
@@ -291,7 +291,8 @@ class Battery:
         factor_v = 1.0 - min(eta * mu, p / 2.0)
         for _ in range(n_states):
             for _ in range(int(rng.integers(1, 20))):
-                bsvrg_step(state, obj, ref, eta, p, rng)
+                i = int(rng.integers(n))
+                bsvrg_step(state, obj, i, step, bool(rng.random() < p))
             psi = svrg_potential(state, obj, ref, xs, eta, p)
             # the anchor term of every successor: the anchor stays with
             # probability 1 - p and moves to x_t with probability p
@@ -301,8 +302,7 @@ class Battery:
             )
             acc = 0.0
             for i in range(n):
-                g = svrg_gradient(state, obj, i)
-                x_next = mirror_step(ref, state.x, g, eta)
+                x_next = step(state.x, svrg_gradient(state, obj, i))
                 acc += ref.divergence(xs, x_next) + memory
             worst_svrg = max(worst_svrg, acc / n - factor_v * psi)
 

@@ -200,6 +200,31 @@ class TestRun:
                      "-o", str(tmp_path / "t.csv")]) == 2
         assert "no eta configured" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l_rel", [0.0, -1.0])
+    def test_bad_l_rel_is_usage_error(self, tmp_path, capsys, l_rel):
+        # the default step size 1 / (2 L_rel) needs a positive L_rel
+        problem = gen_interpolation(20, 5, seed=0)
+        problem.meta = {"L_rel": l_rel}
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "-o", str(tmp_path / "t.csv")]) == 2
+        assert "L_rel must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("method", ["mu", "bgd", "bsgd", "bsaga", "bsvrg"])
+    def test_noiseless_tomography_runs(self, tmp_path, method):
+        # the phantom's zero background lies outside the log-barrier domain,
+        # so the instance carries f_star = 0 but no x_star
+        inst = str(tmp_path / "tomo.bin")
+        assert main(["gen", "tomography", "--size", "16", "--angles", "4",
+                     "--no-noise", "-o", inst]) == 0
+        trace_path = str(tmp_path / "t.csv")
+        assert main(["run", "--instance", inst, "--method", method,
+                     "--epochs", "2", "-o", trace_path]) == 0
+        trace = Trace.from_csv(trace_path)
+        assert np.isfinite(trace.final.f_gap) and trace.final.f_gap < trace[0].f_gap
+
     def test_step_failure_keeps_partial_trace(self, tmp_path):
         inst = self.gen_instance(tmp_path)
         trace_path = str(tmp_path / "partial.csv")

@@ -22,6 +22,7 @@ from bregopt import (
     TraceRecord,
     bsaga_step,
     certify_lemmas,
+    mirror_step,
     plateau_level,
     rate_fit,
     saga_potential,
@@ -33,6 +34,10 @@ from bregopt import (
 from bregopt.metrics import saga_slot_errors, saga_successor_potentials
 from bregopt.rng import make_rng
 from bregopt.verify import Battery
+
+
+def mirror(ref, eta):
+    return lambda x, g: mirror_step(ref, x, g, eta)
 
 
 def make_record(i, dh, grad_evals=None, comms=None):
@@ -148,7 +153,7 @@ class TestPotentials:
         start = saga_potential(state, obj, ref, xs, eta)
         assert start > 0
         for _ in range(200):
-            bsaga_step(state, obj, ref, eta, rng)
+            bsaga_step(state, obj, int(rng.integers(8)), mirror(ref, eta))
         assert saga_potential(state, obj, ref, xs, eta) < start
 
     def test_table_error_zero_at_optimum(self):
@@ -171,7 +176,7 @@ def deepcopy_successors(state, obj, ref, xs, eta):
     out = []
     for i in range(obj.n_components):
         probe = copy.deepcopy(state)
-        bsaga_step(probe, obj, ref, eta, None, index=i)
+        bsaga_step(probe, obj, i, mirror(ref, eta))
         out.append(saga_potential(probe, obj, ref, xs, eta))
     return out
 
@@ -190,7 +195,7 @@ class TestSuccessorPotentials:
 
     def assert_bitwise_equal(self, state, obj, ref, xs, eta):
         def step(probe, i):
-            bsaga_step(probe, obj, ref, eta, None, index=i)
+            bsaga_step(probe, obj, i, mirror(ref, eta))
 
         psi, successors = saga_successor_potentials(state, step, obj, ref, xs, eta)
         assert psi == saga_potential(state, obj, ref, xs, eta)
@@ -203,7 +208,7 @@ class TestSuccessorPotentials:
         state = SagaState.init(prob.x0, obj, store_anchors=True)
         for _ in range(6):
             for _ in range(int(rng.integers(1, 20))):
-                bsaga_step(state, obj, ref, eta, rng)
+                bsaga_step(state, obj, int(rng.integers(obj.n_components)), mirror(ref, eta))
             self.assert_bitwise_equal(state, obj, ref, xs, eta)
 
     def test_poisson_log_barrier_states_match_deepcopy_route(self):
@@ -212,7 +217,7 @@ class TestSuccessorPotentials:
         state = SagaState.init(np.ones(4), obj, store_anchors=True)
         for _ in range(4):
             for _ in range(int(rng.integers(1, 15))):
-                bsaga_step(state, obj, ref, eta, rng)
+                bsaga_step(state, obj, int(rng.integers(obj.n_components)), mirror(ref, eta))
             self.assert_bitwise_equal(state, obj, ref, xs, eta)
 
     def test_criterion_5_divergence_counts(self, monkeypatch):

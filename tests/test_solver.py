@@ -20,6 +20,7 @@ from bregopt import (
     StepOutOfDomain,
     SvrgState,
     bsaga_step,
+    bsvrg_step,
     gain_bound,
     gen_gaussian_logistic_data,
     gen_interpolation,
@@ -40,6 +41,10 @@ from bregopt.rng import make_rng
 
 
 GAIN_CONSTANTS = {"mu_h": 1.0, "L_h": 2.0, "M": 1e-3, "L_rel": 3.0, "mu_rel": 0.1}
+
+
+def euclidean_step(eta):
+    return lambda x, g: mirror_step(Euclidean(), x, g, eta)
 
 
 def small_quadratic(seed=0, n=8, d=3):
@@ -76,12 +81,29 @@ class TestEstimators:
         state = SagaState.init(rng.normal(size=3), obj)
         state.x = state.x + rng.normal(size=3)
         before = state.table.copy()
-        bsaga_step(state, obj, Euclidean(), 0.01, rng, index=4)
+        bsaga_step(state, obj, 4, euclidean_step(0.01))
         changed = [
             j for j in range(obj.n_components)
             if not np.array_equal(state.table[j], before[j])
         ]
         assert changed == [4]
+
+    @pytest.mark.parametrize("refresh", [True, False])
+    def test_svrg_step_moves_anchor_on_refresh(self, refresh):
+        obj = small_quadratic()
+        rng = make_rng(10)
+        state = SvrgState.init(rng.normal(size=3), obj)
+        state.x = state.x + rng.normal(size=3)
+        x_prev, anchor, anchor_grad = state.x, state.anchor, state.anchor_grad
+        g = svrg_gradient(state, obj, 5)
+        bsvrg_step(state, obj, 5, euclidean_step(0.01), refresh)
+        np.testing.assert_array_equal(state.x, mirror_step(Euclidean(), x_prev, g, 0.01))
+        if refresh:
+            np.testing.assert_array_equal(state.anchor, x_prev)
+            assert state.anchor is not x_prev
+            np.testing.assert_array_equal(state.anchor_grad, obj.full_grad(x_prev))
+        else:
+            assert state.anchor is anchor and state.anchor_grad is anchor_grad
 
     def test_saga_copy_is_independent(self):
         obj = small_quadratic()
@@ -89,10 +111,10 @@ class TestEstimators:
         for store_anchors in (True, False):
             state = SagaState.init(rng.normal(size=3), obj, store_anchors=store_anchors)
             for _ in range(5):
-                bsaga_step(state, obj, Euclidean(), 0.02, rng)
+                bsaga_step(state, obj, int(rng.integers(8)), euclidean_step(0.02))
             before = copy.deepcopy(state)
             probe = state.copy()
-            bsaga_step(probe, obj, Euclidean(), 0.02, rng, index=2)
+            bsaga_step(probe, obj, 2, euclidean_step(0.02))
             assert not np.array_equal(probe.x, state.x)
             for name in ("x", "table", "table_mean", "anchors", "sum_dist"):
                 np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
@@ -103,7 +125,7 @@ class TestEstimators:
         rng = make_rng(4)
         state = SagaState.init(rng.normal(size=3), obj)
         for _ in range(40):
-            bsaga_step(state, obj, Euclidean(), 0.02, rng)
+            bsaga_step(state, obj, int(rng.integers(8)), euclidean_step(0.02))
         np.testing.assert_allclose(
             state.table_mean, np.mean(state.table, axis=0), atol=1e-9
         )
@@ -138,7 +160,7 @@ class TestStepPolicy:
         constants = {"mu_h": 1.0, "L_h": 1.0, "M": 0.5, "L_rel": 2.0, "mu_rel": 0.5}
         values = []
         for _ in range(20):
-            bsaga_step(state, obj, Euclidean(), 0.02, rng)
+            bsaga_step(state, obj, int(rng.integers(8)), euclidean_step(0.02))
             values.append(gain_bound(state, constants, obj.n_components))
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -232,6 +254,43 @@ class TestRunHarness:
         save_instance(path, problem)
         with pytest.raises(InvalidConstants, match="no eta configured"):
             run(SolverConfig(method="bsgd"), load_instance(path))
+
+    @pytest.mark.parametrize("l_rel", [0.0, -1.0])
+    @pytest.mark.parametrize("gains", [None, GAIN_CONSTANTS])
+    def test_bad_l_rel_is_invalid_constants(self, l_rel, gains):
+        problem = self.problem()
+        if gains is None:
+            problem.meta["L_rel"] = l_rel
+            config = SolverConfig(method="bsgd")
+        else:
+            config = SolverConfig(method="bsaga",
+                                  gain_constants={**gains, "L_rel": l_rel})
+        with pytest.raises(InvalidConstants, match="L_rel must be finite and positive"):
+            run(config, problem)
+
+    @pytest.mark.parametrize("method, partial, full", [
+        ("bgd", 0, 2), ("bsgd", 40, 0), ("bsaga", 60, 0), ("bsvrg", 80, None),
+    ])
+    def test_estimate_computed_once_per_step(self, monkeypatch, method, partial, full):
+        # a halving retries the mirror step alone: 40 steps (2 epochs of 20
+        # components) make 1 estimate each, plus the SAGA table's n and the
+        # SVRG anchor's full gradients
+        problem = self.problem()
+        problem.x_star = problem.f_star = None
+        counts = {"partial_grad": 0, "full_grad": 0}
+        obj = problem.objective
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(obj, name)):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(obj, name, counted)
+        config = SolverConfig(method=method, eta=10.0, epochs=2.0, max_halvings=60)
+        trace = run(config, problem)
+        assert trace.final.halvings > 0
+        assert counts["partial_grad"] == partial
+        if full is None:  # one per anchor: the initial one and each refresh
+            full = 1 + (trace.final.grad_evals - 20 - 40) // 20
+        assert counts["full_grad"] == full
 
     def test_run_failure_carries_partial_trace(self):
         problem = self.problem()
@@ -371,7 +430,8 @@ def _replay(problem, config):
         elif method == "bsaga" and gains is not None:
             gain = gain_bound(saga, gains, n)
             eta = config.step_multiplier / (8.0 * gains["L_rel"] * gain)
-            safeguarded(lambda e: bsaga_step(saga, obj, ref, e, rng, index=i))
+            bsaga_step(saga, obj, i,
+                       lambda x, g: safeguarded(lambda e: mirror_step(ref, x, g, e)))
             x = saga.x
         elif method == "bsaga":
             g_new = obj.partial_grad(i, x)
