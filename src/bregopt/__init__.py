@@ -49,7 +49,6 @@ from .objective import (
     FiniteSumObjective,
     LogisticL2,
     PoissonKL,
-    poisson_rel_L,
     rel_constants_logistic,
 )
 from .problems import (
@@ -77,7 +76,6 @@ from .solver import (
     bsaga_step,
     bsvrg_step,
     gain_bound,
-    mu_step,
     run,
     saga_gradient,
     step_policy,

@@ -19,7 +19,7 @@ from .errors import (
     TraceInvariantError,
 )
 from .mirror import make_reference, mirror_step
-from .objective import DiagonalQuadratic, PoissonKL, poisson_rel_L
+from .objective import DiagonalQuadratic, PoissonKL
 from .rng import make_rng
 
 # plateau_level examines the trailing PLATEAU_TAIL of a trace's records; they
@@ -320,7 +320,7 @@ def _smooth_test_objective(kind, d, rng):
         A = rng.uniform(0.0, 1.0, size=(3 * d, d))
         b = rng.uniform(0.5, 2.0, size=3 * d)
         obj = PoissonKL(A, b)
-        return obj.value, obj.full_grad, poisson_rel_L(A, b)
+        return obj.value, obj.full_grad, obj.rel_smoothness()
     if kind == "neg_entropy":
         # weighted entropy: Hessian diag(w / x) <= max(w) * Hessian of h
         w = rng.uniform(0.5, 1.0, size=d)

@@ -106,19 +106,23 @@ class FiniteSumObjective:
 def _index_groups(groups, rows, kind):
     """Component row groups as 1-D int64 index arrays.
 
-    ``None`` gives one row per component. Raises InvalidData unless every
-    group is a nonempty 1-D integer array of row indices in [0, rows).
+    ``None`` gives one row per component. Raises InvalidData unless there
+    is at least one group and every group is a nonempty 1-D integer array of
+    row indices in [0, rows).
     """
     if groups is None:
-        return list(np.arange(rows).reshape(rows, 1))
-    groups = [np.asarray(g) for g in groups]
-    if not all(g.ndim == 1 and g.size and g.dtype.kind in "iu" for g in groups):
-        raise InvalidData(f"{kind}: each group must be a nonempty 1-D integer index array")
-    groups = [g.astype(np.int64, copy=False) for g in groups]
-    if groups:
-        flat = np.concatenate(groups)
-        if flat.min() < 0 or flat.max() >= rows:
-            raise InvalidData(f"{kind}: group indices must lie in [0, {rows})")
+        groups = list(np.arange(rows).reshape(rows, 1))
+    else:
+        groups = [np.asarray(g) for g in groups]
+        if not all(g.ndim == 1 and g.size and g.dtype.kind in "iu" for g in groups):
+            raise InvalidData(f"{kind}: each group must be a nonempty 1-D integer index array")
+        groups = [g.astype(np.int64, copy=False) for g in groups]
+        if groups:
+            flat = np.concatenate(groups)
+            if flat.min() < 0 or flat.max() >= rows:
+                raise InvalidData(f"{kind}: group indices must lie in [0, {rows})")
+    if not groups:
+        raise InvalidData(f"{kind}: the objective needs at least one component")
     return groups
 
 
@@ -187,14 +191,14 @@ class PoissonKL(FiniteSumObjective):
     def dim(self):
         return self.A.shape[1]
 
-    def _residual(self, A, x):
-        r = A @ x
-        return np.asarray(r).ravel()
-
-    def _check_rates(self, rates, b):
+    def _rates(self, A, b, x):
+        """The rates A x as a flat array; DomainViolation unless every row
+        with a positive count has a positive rate."""
+        rates = np.asarray(A @ x).ravel()
         bad = (b > 0) & (rates <= 0)
         if np.count_nonzero(bad):
             raise DomainViolation(_RATE_VIOLATION, index=int(np.argmax(bad)))
+        return rates
 
     def _block(self, i):
         """(rows of A, counts) of component i, rows as a 2-D block."""
@@ -203,8 +207,8 @@ class PoissonKL(FiniteSumObjective):
         a, bi = self._rows[i]
         return a[None, :], np.array([bi])
 
-    def _kl_terms(self, rates, b):
-        self._check_rates(rates, b)
+    def _kl_terms(self, A, b, x):
+        rates = self._rates(A, b, x)
         pos = b > 0
         val = float(np.sum(rates[~pos]))
         if np.any(pos):
@@ -220,16 +224,14 @@ class PoissonKL(FiniteSumObjective):
         return -self.barrier_weight * float(np.sum(np.log(x)))
 
     def value(self, x):
-        rates = self._residual(self.A, x)
-        return self._kl_terms(rates, self.b) / self.n_components + self._barrier_value(x)
+        return self._kl_terms(self.A, self.b, x) / self.n_components + self._barrier_value(x)
 
     def value_component(self, i, x):
         Ai, bi = self._block(i)
-        return self._kl_terms(self._residual(Ai, x), bi) + self._barrier_value(x)
+        return self._kl_terms(Ai, bi, x) + self._barrier_value(x)
 
     def _kl_grad(self, A, b, x):
-        rates = self._residual(A, x)
-        self._check_rates(rates, b)
+        rates = self._rates(A, b, x)
         coeff = np.ones_like(rates)
         pos = b > 0
         coeff[pos] = 1.0 - b[pos] / rates[pos]
@@ -264,8 +266,7 @@ class PoissonKL(FiniteSumObjective):
         return g
 
     def hess_vec(self, x, u):
-        rates = self._residual(self.A, x)
-        self._check_rates(rates, self.b)
+        rates = self._rates(self.A, self.b, x)
         w = np.zeros_like(rates)
         pos = self.b > 0
         w[pos] = self.b[pos] / rates[pos] ** 2
@@ -275,36 +276,58 @@ class PoissonKL(FiniteSumObjective):
             Hu = Hu + self.barrier_weight * u / x**2
         return Hu
 
+    def mu_step(self, x):
+        """One multiplicative (Lucy-Richardson / EM) update for min D_KL(b, Ax).
+
+        x+ = x * (A^T (b / Ax)) / (A^T 1) componentwise. Coordinates whose
+        column of A is entirely zero do not appear in the objective and are
+        left unchanged. Zero coordinates are fixed points of the update and
+        stay zero, which happens naturally on long runs whose limit lies on
+        the boundary, so x need only be nonnegative. The update minimises
+        the KL term alone: an objective with a barrier term raises
+        InvalidData.
+        """
+        if self.barrier_weight:
+            raise InvalidData("poisson_kl: multiplicative updates minimise the KL term "
+                              "only, but barrier_weight is positive")
+        x = np.asarray(x, dtype=float)
+        ok = x >= 0  # NaN fails
+        if not ok.all():
+            raise DomainViolation("poisson_kl: multiplicative updates need x >= 0",
+                                  index=int(np.argmin(ok)))
+        rates = self._rates(self.A, self.b, x)
+        ratio = np.zeros_like(rates)
+        obs = self.b > 0
+        ratio[obs] = self.b[obs] / rates[obs]
+        num = np.asarray(self.A.T @ ratio).ravel()
+        den = np.asarray(self.A.T @ np.ones(self.A.shape[0])).ravel()
+        out = x.copy()
+        live = den > 0
+        # multiply by the ratio so that b = Ax is an exact fixed point
+        out[live] = x[live] * (num[live] / den[live])
+        return out
+
+    def rel_smoothness(self):
+        """Relative smoothness constant of f w.r.t. the log-barrier:
+        (1/n) max_j sum_{i in supp(col j)} b_i + barrier_weight.
+
+        Exploits the column sparsity of A; the KL part is always at most the
+        dense bound sum_i b_i / n, with equality when A has no zero entries.
+        """
+        if sp.issparse(self.A):
+            support = self.A.copy()
+            support.data = np.ones_like(support.data)
+            col_sums = np.asarray(support.T @ self.b).ravel()
+        else:
+            col_sums = (self.A > 0).T @ self.b
+        kl = float(np.max(col_sums)) / self.n_components if col_sums.size else 0.0
+        return kl + self.barrier_weight
+
     def smoothness_bound(self):
         # No global Euclidean bound exists near the boundary; callers needing
         # one must use the relative constant instead.
-        raise InvalidData("poisson_kl has no global Euclidean smoothness bound")
-
-
-def poisson_rel_L(A, b, n_components=None):
-    """Relative smoothness constant of the Poisson objective w.r.t. the
-    log-barrier: (1/n) max_j sum_{i in supp(col j)} b_i.
-
-    Exploits the column sparsity of A; always at most the dense bound
-    sum_i b_i / n, with equality when A has no zero entries.
-    """
-    b = np.asarray(b, dtype=float)
-    if not _finite_nonnegative(b):
-        raise InvalidData("poisson_rel_L: b must be finite and nonnegative")
-    if n_components is None:
-        n_components = len(b)
-    A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
-    if not _finite_nonnegative(_entries(A)):
-        raise InvalidData("poisson_rel_L: A must be finite and nonnegative")
-    if sp.issparse(A):
-        support = A.copy()
-        support.data = np.ones_like(support.data)
-        col_sums = np.asarray(support.T @ b).ravel()
-    else:
-        col_sums = (A > 0).T @ b
-    if col_sums.size == 0:
-        return 0.0
-    return float(np.max(col_sums)) / n_components
+        raise InvalidData("poisson_kl has no global Euclidean smoothness bound; "
+                          "rel_smoothness() gives its constant relative to the log-barrier")
 
 
 class LogisticL2(FiniteSumObjective):

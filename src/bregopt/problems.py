@@ -26,12 +26,7 @@ from .errors import (
     StepOutOfDomain,
 )
 from .mirror import LogBarrier, Preconditioner, make_reference, mirror_step
-from .objective import (
-    DiagonalQuadratic,
-    LogisticL2,
-    PoissonKL,
-    poisson_rel_L,
-)
+from .objective import DiagonalQuadratic, LogisticL2, PoissonKL
 from .rng import make_rng
 
 
@@ -76,7 +71,7 @@ def gen_interpolation(n, d, seed):
         x0=np.ones(d),
         x_star=x_star,
         f_star=0.0,
-        meta={"L_rel": poisson_rel_L(A, b), "generator": "interpolation",
+        meta={"L_rel": obj.rel_smoothness(), "generator": "interpolation",
               "n": n, "d": d, "seed": seed},
     )
 
@@ -213,14 +208,13 @@ def gen_tomography(size=64, n_angles=60, seed=0, noise=True):
     b = poisson_sample(clean, seed).astype(float) if noise else clean
     groups = [np.arange(a * size, (a + 1) * size) for a in range(n_angles)]
     obj = PoissonKL(A, b, groups=groups)
-    l_rel = poisson_rel_L(A, b, n_components=n_angles)
     return ProblemInstance(
         objective=obj,
         reference=LogBarrier(),
         x0=np.full(size * size, 0.5),
         f_star=None if noise else 0.0,
         meta={
-            "L_rel": l_rel,
+            "L_rel": obj.rel_smoothness(),
             "generator": "tomography",
             "size": size,
             "n_angles": n_angles,
@@ -327,6 +321,8 @@ def gen_preconditioned(dataset, n_nodes, N, n_prec, lam, c_prec, seed,
     full-gradient round.
     """
     A, labels = dataset
+    if n_nodes < 1:
+        raise InsufficientData(f"need at least one node, got {n_nodes}")
     total = n_nodes * N
     if A.shape[0] < total:
         raise InsufficientData(
@@ -387,11 +383,9 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
         problem.x_star = res.x
         problem.f_star = float(obj.value(res.x))
     elif isinstance(obj, PoissonKL) and obj.barrier_weight == 0.0:
-        from .solver import mu_step
-
         x = np.asarray(problem.x0, dtype=float).copy()
         for _ in range(max_iter):
-            x_new = mu_step(x, obj.A, obj.b)
+            x_new = obj.mu_step(x)
             if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(x))):
                 x = x_new
                 break
@@ -401,11 +395,9 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
     elif isinstance(obj, PoissonKL):
         # barrier-regularized KL: relatively strongly convex, solve by
         # deterministic Bregman descent with the theoretical step
-        l_rel = poisson_rel_L(obj.A, obj.b, n_components=obj.n_components)
-        l_rel += obj.barrier_weight
         ref = LogBarrier()
         x = np.asarray(problem.x0, dtype=float).copy()
-        eta = 1.0 / l_rel
+        eta = 1.0 / obj.rel_smoothness()
         for _ in range(max_iter):
             g = obj.full_grad(x)
             if np.linalg.norm(g) <= tol:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DomainViolation,
     InvalidConstants,
+    InvalidData,
     StepFailure,
     StepOutOfDomain,
 )
@@ -214,35 +214,6 @@ def bsvrg_step(state, obj, i, step, refresh):
     return state
 
 
-def mu_step(x, A, b):
-    """One multiplicative (Lucy-Richardson / EM) update for min D_KL(b, Ax).
-
-    x+ = x * (A^T (b / Ax)) / (A^T 1) componentwise. Coordinates whose column
-    of A is entirely zero do not appear in the objective and are left
-    unchanged. Zero coordinates are fixed points of the update and stay zero,
-    which happens naturally on long runs whose limit lies on the boundary.
-    """
-    x = np.asarray(x, dtype=float)
-    ok = x >= 0  # NaN fails
-    if not ok.all():
-        raise DomainViolation("mu_step: x must be nonnegative", index=int(np.argmin(ok)))
-    rates = np.asarray(A @ x).ravel()
-    bad = np.flatnonzero((np.asarray(b) > 0) & (rates == 0))
-    if bad.size:
-        raise DomainViolation("mu_step: (Ax)_i = 0 at an observed row", index=int(bad[0]))
-    ratio = np.zeros_like(rates)
-    obs = np.asarray(b) > 0
-    ratio[obs] = np.asarray(b)[obs] / rates[obs]
-    num = np.asarray(A.T @ ratio).ravel()
-    ones = np.ones(A.shape[0])
-    den = np.asarray(A.T @ ones).ravel()
-    out = x.copy()
-    live = den > 0
-    # multiply by the ratio so that b = Ax is an exact fixed point
-    out[live] = x[live] * (num[live] / den[live])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # step-size policies
 # ---------------------------------------------------------------------------
@@ -279,19 +250,18 @@ def gain_bound(state, constants, n):
     return state.gain_floor
 
 
-def step_policy(config, l_rel=None, gain=None):
+def step_policy(config, l_rel, gain):
     """Base step size for the current iteration.
 
     With ``gain_constants`` set this is the gain rule
     step_multiplier / (8 l_rel gain); otherwise ``eta``, or
     step_multiplier / (2 l_rel) when ``eta`` is unset. An ``l_rel`` that
-    either rule needs must be finite and positive.
+    either rule needs must be finite and positive (None when the problem
+    gives none).
     """
     gain_rule = config.gain_constants is not None
     if not gain_rule and config.eta is not None:
         return config.eta
-    if gain_rule and (gain is None or l_rel is None):
-        raise InvalidConstants("the gain rule needs L_rel and a gain value")
     if l_rel is None:
         raise InvalidConstants("no eta configured and no L_rel available")
     if not _positive(l_rel):
@@ -335,7 +305,9 @@ def run(config, problem):
     the mirror step alone from the same estimate. BSGD and BSAGA draw their
     indices one epoch at a time. Deterministic given the seed. The final
     iterate is left on ``trace.x``. On StepFailure the partial trace is
-    attached to the raised :class:`RunFailure`.
+    attached to the raised :class:`RunFailure`. Method mu takes the
+    objective's own ``mu_step``; an objective without one raises InvalidData
+    before the first record.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
@@ -344,6 +316,8 @@ def run(config, problem):
     comm = problem.comm_model
     full_round = comm.full_round if comm is not None else 0.0
     component = comm.component if comm is not None else 0.0
+    if config.method == "mu" and not hasattr(obj, "mu_step"):
+        raise InvalidData(f"method mu needs a poisson_kl objective, not {obj.kind}")
     gains = config.gain_constants
     if gains is not None:
         l_rel = gains["L_rel"]
@@ -443,7 +417,7 @@ def run(config, problem):
             elif method == "bgd":
                 x = step(x, obj.full_grad(x))
             else:
-                x = mu_step(x, obj.A, obj.b)
+                x = obj.mu_step(x)
             t += 1
             grad_evals += step_evals
             comms += step_comms

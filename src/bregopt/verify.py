@@ -24,7 +24,7 @@ from .metrics import (
     svrg_potential,
 )
 from .mirror import Euclidean, LogBarrier, mirror_step
-from .objective import DiagonalQuadratic, PoissonKL, poisson_rel_L
+from .objective import DiagonalQuadratic, PoissonKL
 from .problems import (
     ProblemInstance,
     gen_gaussian_logistic_data,
@@ -40,7 +40,6 @@ from .solver import (
     SvrgState,
     bsaga_step,
     bsvrg_step,
-    mu_step,
     run,
     svrg_gradient,
 )
@@ -85,8 +84,11 @@ class Battery:
 
     # -- registry ----------------------------------------------------------
 
-    def _register(self, name, config, problem, trace):
+    def _run(self, name, config, problem):
+        """``run(config, problem)``, registered under ``name`` for criterion 10."""
+        trace = run(config, problem)
         self._registry.append((name, config, problem, _csv_without_wall(trace)))
+        return trace
 
     # -- shared fixtures ---------------------------------------------------
 
@@ -99,10 +101,9 @@ class Battery:
         b = poisson_sample(A @ xs, 12).astype(float)
         lam = 0.5
         obj = PoissonKL(A, b, barrier_weight=lam)
-        l_rel = poisson_rel_L(A, b) + lam
         prob = ProblemInstance(
             objective=obj, reference=LogBarrier(), x0=np.ones(d),
-            meta={"L_rel": l_rel},
+            meta={"L_rel": obj.rel_smoothness()},
         )
         solve_reference(prob, tol=1e-12, max_iter=30000)
         return prob
@@ -120,10 +121,10 @@ class Battery:
         n, d = 1000, 20
         A = rng.uniform(0.0, 1.0, size=(n, d))
         xs = rng.uniform(0.5, 1.5, size=d)
-        b = A @ xs
+        obj = PoissonKL(A, A @ xs)
         return ProblemInstance(
-            objective=PoissonKL(A, b), reference=LogBarrier(), x0=np.ones(d),
-            x_star=xs, f_star=0.0, meta={"L_rel": poisson_rel_L(A, b)},
+            objective=obj, reference=LogBarrier(), x0=np.ones(d),
+            x_star=xs, f_star=0.0, meta={"L_rel": obj.rel_smoothness()},
         )
 
     def _quadratic_problem(self):
@@ -134,12 +135,11 @@ class Battery:
         C = rng.standard_normal((n, d))
         obj = DiagonalQuadratic(Q, C)
         xs = obj.minimizer()
-        prob = ProblemInstance(
+        return ProblemInstance(
             objective=obj, reference=Euclidean(), x0=np.zeros(d),
             x_star=xs, f_star=obj.value(xs),
-            meta={"L_rel": float(np.max(Q)), "mu_rel": float(np.min(Q.mean(axis=0)))},
+            meta={"L_rel": obj.smoothness_bound(), "mu_rel": obj.strong_convexity_bound()},
         )
-        return prob
 
     def _tomography_problem(self):
         prob = gen_tomography(64, 60, seed=1)
@@ -197,9 +197,8 @@ class Battery:
         eta = 1.0 / (2.0 * l_rel)
         mu = _local_rel_mu(prob.objective, prob.x_star)
         q = 1.0 - 0.5 * eta * mu
-        config = SolverConfig(method="bsgd", eta=eta, epochs=60.0, seed=1)
-        trace = run(config, prob)
-        self._register("c2_bsgd", config, prob, trace)
+        trace = self._run("c2_bsgd", SolverConfig(method="bsgd", eta=eta, epochs=60.0, seed=1),
+                          prob)
         ratio = trace.final.dh_gap / trace[0].dh_gap
         rate = rate_fit(trace, max(len(trace) // 3, 2))
         bound = np.exp(trace.final.iter * np.log1p(-eta * mu))
@@ -219,9 +218,9 @@ class Battery:
         levels = {}
         flat = True
         for tag, mult in (("full", 1.0), ("half", 0.5)):
-            config = SolverConfig(method="bsgd", eta=mult * eta, epochs=400.0, seed=3)
-            trace = run(config, prob)
-            self._register(f"c3_bsgd_{tag}", config, prob, trace)
+            trace = self._run(f"c3_bsgd_{tag}",
+                              SolverConfig(method="bsgd", eta=mult * eta, epochs=400.0, seed=3),
+                              prob)
             level, is_plateau = plateau_level(trace)
             levels[tag] = level
             flat = flat and is_plateau
@@ -241,12 +240,10 @@ class Battery:
         kappa = L / mu
         eta = 1.0 / (8.0 * L)
         bound = 1.0 - 0.5 * min(1.0 / (2 * n), 1.0 / (8 * kappa))
-        saga_cfg = SolverConfig(method="bsaga", eta=eta, epochs=50.0, seed=4)
-        saga = run(saga_cfg, prob)
-        self._register("c4_bsaga", saga_cfg, prob, saga)
-        sgd_cfg = SolverConfig(method="bsgd", eta=eta, epochs=150.0, seed=4)
-        sgd = run(sgd_cfg, prob)
-        self._register("c4_bsgd", sgd_cfg, prob, sgd)
+        saga = self._run("c4_bsaga", SolverConfig(method="bsaga", eta=eta, epochs=50.0, seed=4),
+                         prob)
+        sgd = self._run("c4_bsgd", SolverConfig(method="bsgd", eta=eta, epochs=150.0, seed=4),
+                        prob)
         rate = rate_fit(saga, max(len(saga) // 3, 2))
         level, is_plateau = plateau_level(sgd)
         separation = level / max(saga.final.dh_gap, 1e-300)
@@ -320,17 +317,11 @@ class Battery:
         """Tomography benchmark: stochastic speedup and parity with MU."""
         start = time.perf_counter()
         prob = self._tomography_problem()
-        bgd_cfg = SolverConfig(method="bgd", step_multiplier=10.0, epochs=50.0, seed=6)
-        bgd = run(bgd_cfg, prob)
-        self._register("c6_bgd", bgd_cfg, prob, bgd)
-        saga_cfg = SolverConfig(
-            method="bsaga", step_multiplier=40.0, epochs=50.0, seed=6, record_every=12
-        )
-        saga = run(saga_cfg, prob)
-        self._register("c6_bsaga", saga_cfg, prob, saga)
-        mu_cfg = SolverConfig(method="mu", epochs=50.0, seed=6)
-        mu = run(mu_cfg, prob)
-        self._register("c6_mu", mu_cfg, prob, mu)
+        bgd = self._run("c6_bgd", SolverConfig(method="bgd", step_multiplier=10.0,
+                                               epochs=50.0, seed=6), prob)
+        saga = self._run("c6_bsaga", SolverConfig(method="bsaga", step_multiplier=40.0,
+                                                  epochs=50.0, seed=6, record_every=12), prob)
+        mu = self._run("c6_mu", SolverConfig(method="mu", epochs=50.0, seed=6), prob)
 
         bg, be = bgd.column("f_gap"), bgd.column("epoch")
         sg, se = saga.column("f_gap"), saga.column("epoch")
@@ -363,17 +354,12 @@ class Battery:
             hit = comms[gaps <= threshold]
             return float(hit[0]) if hit.size else np.inf
 
-        bgd_cfg = SolverConfig(method="bgd", eta=0.5, epochs=40.0, seed=5)
-        bgd = run(bgd_cfg, prob)
-        self._register("c7_bgd", bgd_cfg, prob, bgd)
-        saga_cfg = SolverConfig(method="bsaga", eta=0.1, epochs=40.0, seed=5,
-                                record_every=1)
-        saga = run(saga_cfg, prob)
-        self._register("c7_bsaga", saga_cfg, prob, saga)
-        sgd_cfg = SolverConfig(method="bsgd", eta=0.1, epochs=100.0, seed=5,
-                               record_every=1)
-        sgd = run(sgd_cfg, prob)
-        self._register("c7_bsgd", sgd_cfg, prob, sgd)
+        bgd = self._run("c7_bgd", SolverConfig(method="bgd", eta=0.5, epochs=40.0, seed=5),
+                        prob)
+        saga = self._run("c7_bsaga", SolverConfig(method="bsaga", eta=0.1, epochs=40.0, seed=5,
+                                                  record_every=1), prob)
+        sgd = self._run("c7_bsgd", SolverConfig(method="bsgd", eta=0.1, epochs=100.0, seed=5,
+                                                record_every=1), prob)
 
         saga_comms = first_comms(saga, 1e-5)
         bgd_comms = first_comms(bgd, 1e-5)
@@ -403,17 +389,15 @@ class Battery:
             keep = np.asarray(A.sum(axis=1) > 0)
             A, n = A[keep], int(np.sum(keep))
             b = rng.uniform(0.5, 2.0, size=n)
-            l_sparse = poisson_rel_L(A, b)
+            obj = PoissonKL(A, b)
+            l_sparse = obj.rel_smoothness()
             l_dense = float(np.sum(b)) / n
             if l_sparse > l_dense + 1e-12:
                 dense_violations += 1
             if l_sparse < l_dense - 1e-12:
                 improved += 1
-            obj = PoissonKL(A, b)
             for _ in range(5):
                 x = rng.uniform(0.5, 2.0, size=d)
-                if np.any(np.asarray(A @ x).ravel() <= 0):
-                    continue
                 u = rng.standard_normal(d)
                 quad_f = float(u @ obj.hess_vec(x, u)) * obj.n_components
                 quad_h = float(np.sum(u**2 / x**2))
@@ -439,12 +423,11 @@ class Battery:
         worst_increase = -np.inf
         prev = obj.value(x)
         for _ in range(1000):
-            x = mu_step(x, A, b)
+            x = obj.mu_step(x)
             val = obj.value(x)
             worst_increase = max(worst_increase, val - prev)
             prev = val
-        exact_b = A @ xs
-        fixed = mu_step(xs.copy(), A, exact_b)
+        fixed = PoissonKL(A, A @ xs).mu_step(xs)
         preserved = np.array_equal(fixed, xs)
         return [
             CheckResult("c9/monotone", 1000, worst_increase, 1e-12),

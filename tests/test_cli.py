@@ -5,6 +5,7 @@ import pytest
 
 from bregopt import Trace, gen_interpolation, load_instance, save_instance
 from bregopt.cli import _build_problem, main
+from bregopt.solver import METHODS
 
 
 def strip_wall(text):
@@ -72,6 +73,50 @@ def test_bad_problem_value_is_usage_error(tmp_path, capsys, generator, key, valu
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("generator, flags", [
+    ("interpolation", ["--n", "0"]), ("preconditioned", ["--nodes", "0"]),
+])
+def test_zero_size_instance_is_usage_error(tmp_path, capsys, generator, flags):
+    out = tmp_path / "inst.bin"
+    assert main(["gen", generator, *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+SWEEP_FLAGS = {
+    "interpolation": ["--n", "12", "--d", "4"],
+    "tomography": ["--size", "16", "--angles", "3"],
+    "preconditioned": ["--nodes", "2", "--samples", "10", "--d", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_instances(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    paths = {}
+    for generator, flags in SWEEP_FLAGS.items():
+        paths[generator] = str(root / f"{generator}.bin")
+        assert main(["gen", generator, *flags, "--seed", "1", "-o", paths[generator]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("generator", SWEEP_FLAGS)
+def test_every_generator_and_method_exits_with_a_code(sweep_instances, tmp_path, capsys,
+                                                      generator, method):
+    # main returns an exit code for every pairing; no exception escapes it
+    code = main(["run", "--instance", sweep_instances[generator], "--method", method,
+                 "--epochs", "2", "-o", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    if (generator, method) == ("preconditioned", "mu"):
+        # multiplicative updates exist for the Poisson objective only
+        assert code == 2 and err.count("\n") == 1 and "needs a poisson_kl objective" in err
+        assert not (tmp_path / "t.csv").exists()
+    else:
+        assert code == 0, err
 
 
 @pytest.mark.parametrize("word, noise", [("off", False), ("No", False), ("1", True),

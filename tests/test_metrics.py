@@ -29,7 +29,6 @@ from bregopt import (
     svrg_potential,
     SvrgState,
     TraceInvariantError,
-    poisson_rel_L,
 )
 from bregopt.metrics import saga_slot_errors, saga_successor_potentials
 from bregopt.rng import make_rng
@@ -191,7 +190,7 @@ class TestSuccessorPotentials:
         A = rng.uniform(0.1, 1.0, size=(12, 4))
         xs = rng.uniform(0.5, 1.5, size=4)
         obj = PoissonKL(A, A @ xs)
-        return obj, LogBarrier(), xs, 1.0 / (8.0 * poisson_rel_L(A, A @ xs))
+        return obj, LogBarrier(), xs, 1.0 / (8.0 * obj.rel_smoothness())
 
     def assert_bitwise_equal(self, state, obj, ref, xs, eta):
         def step(probe, i):

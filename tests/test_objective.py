@@ -12,7 +12,6 @@ from bregopt import (
     InvalidData,
     LogisticL2,
     PoissonKL,
-    poisson_rel_L,
 )
 from bregopt.objective import _log1pexp
 from bregopt.rng import make_rng
@@ -113,16 +112,12 @@ class TestPoissonKL:
         for A in (np.array([[1.0, bad], [1.0, 1.0]]), sp.csr_matrix([[1.0, bad], [1.0, 1.0]])):
             with pytest.raises(InvalidData, match="A must be finite"):
                 PoissonKL(A, [1.0, 1.0])
-            with pytest.raises(InvalidData, match="A must be finite"):
-                poisson_rel_L(A, [1.0, 1.0])
-        with pytest.raises(InvalidData, match="b must be finite"):
-            poisson_rel_L(np.ones((2, 2)), [bad, 1.0])
         with pytest.raises(InvalidData, match="barrier_weight must be finite"):
             PoissonKL(np.ones((2, 2)), [1.0, 1.0], barrier_weight=bad)
 
     def test_no_euclidean_smoothness_bound(self):
         obj = PoissonKL(np.array([[1.0]]), np.array([1.0]))
-        with pytest.raises(InvalidData):
+        with pytest.raises(InvalidData, match="rel_smoothness"):
             obj.smoothness_bound()
 
 
@@ -132,6 +127,7 @@ class TestPoissonKL:
         [np.array([[0, 1]])],             # not 1-D
         [np.array([0.0, 1.0])],           # not integer
         [np.array([], dtype=np.int64)],   # empty
+        [],                               # no components
     ])
     def test_bad_groups_rejected(self, groups):
         A = np.ones((3, 2))
@@ -200,17 +196,26 @@ class TestRowKernel:
         assert PoissonKL(sp.csr_matrix(A), np.ones(4))._rows is None
 
 
+def rel_L(A, b, **kwargs):
+    return PoissonKL(A, b, **kwargs).rel_smoothness()
+
+
 class TestPoissonRelL:
     def test_identity_matrix(self):
-        assert poisson_rel_L(np.eye(2), np.array([2.0, 4.0])) == pytest.approx(2.0)
+        assert rel_L(np.eye(2), np.array([2.0, 4.0])) == pytest.approx(2.0)
 
     def test_dense_matrix_is_mean_of_counts(self):
         A = np.full((3, 2), 0.7)
         b = np.array([1.0, 2.0, 3.0])
-        assert poisson_rel_L(A, b) == pytest.approx(np.sum(b) / 3.0)
+        assert rel_L(A, b) == pytest.approx(np.sum(b) / 3.0)
 
     def test_zero_counts(self):
-        assert poisson_rel_L(np.eye(3), np.zeros(3)) == 0.0
+        assert rel_L(np.eye(3), np.zeros(3)) == 0.0
+
+    def test_barrier_weight_is_added(self):
+        A = np.full((3, 2), 0.7)
+        b = np.array([1.0, 2.0, 3.0])
+        assert rel_L(A, b, barrier_weight=0.5) == rel_L(A, b) + 0.5
 
     def test_sparse_at_most_dense(self):
         rng = make_rng(5)
@@ -218,20 +223,23 @@ class TestPoissonRelL:
             mask = rng.random(size=(8, 4)) < 0.3
             A = rng.uniform(0.1, 1.0, size=(8, 4)) * mask
             b = rng.uniform(0.0, 5.0, size=8)
-            assert poisson_rel_L(A, b) <= np.sum(b) / 8.0 + 1e-12
+            b[~A.any(axis=1)] = 0.0
+            assert rel_L(A, b) <= np.sum(b) / 8.0 + 1e-12
 
     def test_sparse_matrix_input(self):
         rng = make_rng(6)
         A = rng.uniform(0.1, 1.0, size=(8, 4)) * (rng.random(size=(8, 4)) < 0.4)
         b = rng.uniform(0.0, 5.0, size=8)
-        dense = poisson_rel_L(A, b)
-        sparse = poisson_rel_L(sp.csr_matrix(A), b)
+        b[~A.any(axis=1)] = 0.0  # a zero row must have a zero count
+        dense = rel_L(A, b)
+        sparse = rel_L(sp.csr_matrix(A), b)
         assert sparse == pytest.approx(dense, rel=1e-12)
 
     def test_grouped_component_count(self):
         A = np.eye(4)
         b = np.array([1.0, 2.0, 3.0, 4.0])
-        assert poisson_rel_L(A, b, n_components=2) == pytest.approx(2.0)
+        groups = [np.array([0, 1]), np.array([2, 3])]
+        assert rel_L(A, b, groups=groups) == pytest.approx(2.0)
 
 
 class TestLogisticL2:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bregopt import (
     DiagonalQuadratic,
     Euclidean,
+    InsufficientData,
     InvalidData,
     LabelError,
     NegEntropy,
@@ -58,6 +59,10 @@ class TestInterpolation:
         problem = gen_interpolation(20, 5, seed=0)
         assert problem.meta["L_rel"] > 0
         assert problem.reference.kind == "log_barrier"
+
+    def test_no_rows_is_invalid_data(self):
+        with pytest.raises(InvalidData, match="at least one component"):
+            gen_interpolation(0, 5, seed=0)
 
 
 class TestSheppLogan:
@@ -285,6 +290,13 @@ class TestPreconditioned:
         assert obj.n_components == 4
         covered = np.sort(np.concatenate(obj.groups))
         np.testing.assert_array_equal(covered, np.arange(40))
+
+    @pytest.mark.parametrize("n_nodes", [0, -1])
+    def test_no_nodes_is_insufficient_data(self, n_nodes):
+        data = gen_gaussian_logistic_data(40, 4, seed=1)
+        with pytest.raises(InsufficientData, match="at least one node"):
+            gen_preconditioned(data, n_nodes=n_nodes, N=10, n_prec=5, lam=1e-3,
+                               c_prec=1e-3, seed=1)
 
     def test_comm_model(self):
         data = gen_gaussian_logistic_data(40, 4, seed=1)

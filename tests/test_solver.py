@@ -10,6 +10,7 @@ from bregopt import (
     DomainViolation,
     Euclidean,
     InvalidConstants,
+    InvalidData,
     LogBarrier,
     NegEntropy,
     PoissonKL,
@@ -27,7 +28,6 @@ from bregopt import (
     gen_preconditioned,
     load_instance,
     mirror_step,
-    mu_step,
     run,
     saga_gradient,
     save_instance,
@@ -134,16 +134,16 @@ class TestEstimators:
 class TestStepPolicy:
     def test_constant_returns_eta(self):
         config = SolverConfig(method="bsgd", eta=0.25, gain_constants=None)
-        assert step_policy(config) == 0.25
+        assert step_policy(config, None, 1.0) == 0.25
 
     def test_default_rule_uses_l_rel(self):
         config = SolverConfig(method="bsgd", gain_constants=None, step_multiplier=1.0)
-        assert step_policy(config, l_rel=4.0) == pytest.approx(1.0 / 8.0)
+        assert step_policy(config, 4.0, 1.0) == pytest.approx(1.0 / 8.0)
 
     def test_gain_adaptive_rule(self):
         config = SolverConfig(method="bsaga", gain_constants=GAIN_CONSTANTS,
                               step_multiplier=1.0)
-        assert step_policy(config, l_rel=2.0, gain=1.0) == pytest.approx(1.0 / 16.0)
+        assert step_policy(config, 2.0, 1.0) == pytest.approx(1.0 / 16.0)
 
     def test_gain_bound_with_zero_coupling(self):
         # M = 0 makes the affine term collapse to 1
@@ -167,18 +167,29 @@ class TestStepPolicy:
 
 class TestMultiplicativeUpdates:
     def test_scalar_step(self):
-        out = mu_step(np.array([2.0]), np.array([[1.0]]), np.array([1.0]))
+        out = PoissonKL(np.array([[1.0]]), np.array([1.0])).mu_step(np.array([2.0]))
         np.testing.assert_allclose(out, [1.0])
 
     def test_identity_reaches_b_in_one_step(self):
         b = np.array([0.5, 2.0, 3.0])
-        out = mu_step(np.array([1.0, 1.0, 1.0]), np.eye(3), b)
+        out = PoissonKL(np.eye(3), b).mu_step(np.array([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out, b)
 
     def test_zero_coordinate_stays_zero(self):
         A = np.array([[1.0, 1.0], [2.0, 1.0]])
-        out = mu_step(np.array([0.0, 1.0]), A, np.array([1.0, 1.0]))
+        out = PoissonKL(A, np.array([1.0, 1.0])).mu_step(np.array([0.0, 1.0]))
         assert out[0] == 0.0
+
+    def test_zero_rate_at_observed_row_rejected(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainViolation, match="observed row") as info:
+            PoissonKL(A, np.array([0.0, 1.0])).mu_step(np.array([1.0, 0.0]))
+        assert info.value.index == 1
+
+    def test_barrier_weight_rejected(self):
+        obj = PoissonKL(np.eye(2), np.ones(2), barrier_weight=0.1)
+        with pytest.raises(InvalidData, match="barrier_weight"):
+            obj.mu_step(np.ones(2))
 
 
 class TestSigma2:
@@ -359,7 +370,7 @@ class TestRunHarness:
         trace = run(SolverConfig(method="mu", epochs=4.0), problem)
         x = np.asarray(problem.x0, dtype=float)
         for _ in range(4):
-            x = mu_step(x, obj.A, obj.b)
+            x = obj.mu_step(x)
         assert trace.final.f_gap == pytest.approx(obj.value(x) - problem.f_star,
                                                   abs=1e-12)
 
@@ -420,7 +431,7 @@ def _replay(problem, config):
         if stochastic:
             i = int(rng.integers(n))
         if method == "mu":
-            x = mu_step(x, obj.A, obj.b)
+            x = obj.mu_step(x)
         elif method == "bgd":
             g = obj.full_grad(x)
             x = safeguarded(lambda e: mirror_step(ref, x, g, e))
