@@ -153,7 +153,10 @@ class PoissonKL(FiniteSumObjective):
     relatively barrier_weight-strongly convex w.r.t. the log-barrier.
 
     With a dense A and one row per component, a component gradient is the
-    row kernel a_i (1 - b_i / <a_i, x>) on a view of the row of A.
+    row kernel a_i (1 - b_i / <a_i, x>) on a view of the row of A; otherwise
+    each block's transpose A_i^T is built once at construction, as are A^T
+    and the column sums A^T 1 (a sparse block's transpose is a CSC view of
+    the block's own arrays). A, b and groups must not be mutated afterwards.
     """
 
     kind = "poisson_kl"
@@ -167,6 +170,8 @@ class PoissonKL(FiniteSumObjective):
             raise InvalidData("poisson_kl: b must be finite and nonnegative")
         if self.A.ndim != 2 or b.shape != self.A.shape[:1]:
             raise InvalidData("poisson_kl: A must be a matrix with one row per count in b")
+        if not self.A.shape[1]:
+            raise InvalidData("poisson_kl: the objective needs at least one unknown")
         # (Ax)_r = 0 at every x on a zero row, so its count must be 0
         dead = np.flatnonzero((b > 0) & (np.asarray(self.A.sum(axis=1)).ravel() == 0))
         if dead.size:
@@ -181,7 +186,10 @@ class PoissonKL(FiniteSumObjective):
             self._rows = [(self.A[j], float(self.b[j]))
                           for g in self.groups for j in g.tolist()]
         else:
-            self._blocks = [(self.A[g], self.b[g]) for g in self.groups]
+            blocks = [self.A[g] for g in self.groups]
+            self._blocks = [(Ai, Ai.T, self.b[g]) for Ai, g in zip(blocks, self.groups)]
+        self._AT = self.A.T
+        self._col_sums = np.asarray(self._AT @ np.ones(self.A.shape[0])).ravel()
 
     @property
     def n_components(self):
@@ -203,7 +211,8 @@ class PoissonKL(FiniteSumObjective):
     def _block(self, i):
         """(rows of A, counts) of component i, rows as a 2-D block."""
         if self._rows is None:
-            return self._blocks[i]
+            Ai, _, bi = self._blocks[i]
+            return Ai, bi
         a, bi = self._rows[i]
         return a[None, :], np.array([bi])
 
@@ -230,18 +239,17 @@ class PoissonKL(FiniteSumObjective):
         Ai, bi = self._block(i)
         return self._kl_terms(Ai, bi, x) + self._barrier_value(x)
 
-    def _kl_grad(self, A, b, x):
+    def _kl_grad(self, A, AT, b, x):
         rates = self._rates(A, b, x)
         coeff = np.ones_like(rates)
         pos = b > 0
         coeff[pos] = 1.0 - b[pos] / rates[pos]
-        g = A.T @ coeff
+        g = AT @ coeff
         return np.asarray(g).ravel()
 
     def partial_grad(self, i, x):
         if self._rows is None:
-            Ai, bi = self._blocks[i]
-            g = self._kl_grad(Ai, bi, x)
+            g = self._kl_grad(*self._blocks[i], x)
         else:
             # row kernel, byte for byte _kl_grad on the (1, d) block: adding
             # 0.0 turns the -0.0 of a zero entry times a negative coefficient
@@ -260,7 +268,7 @@ class PoissonKL(FiniteSumObjective):
         return g
 
     def full_grad(self, x):
-        g = self._kl_grad(self.A, self.b, x) / self.n_components
+        g = self._kl_grad(self.A, self._AT, self.b, x) / self.n_components
         if self.barrier_weight:
             g = g - self.barrier_weight / x
         return g
@@ -271,7 +279,7 @@ class PoissonKL(FiniteSumObjective):
         pos = self.b > 0
         w[pos] = self.b[pos] / rates[pos] ** 2
         Au = np.asarray(self.A @ u).ravel()
-        Hu = np.asarray(self.A.T @ (w * Au)).ravel() / self.n_components
+        Hu = np.asarray(self._AT @ (w * Au)).ravel() / self.n_components
         if self.barrier_weight:
             Hu = Hu + self.barrier_weight * u / x**2
         return Hu
@@ -299,12 +307,11 @@ class PoissonKL(FiniteSumObjective):
         ratio = np.zeros_like(rates)
         obs = self.b > 0
         ratio[obs] = self.b[obs] / rates[obs]
-        num = np.asarray(self.A.T @ ratio).ravel()
-        den = np.asarray(self.A.T @ np.ones(self.A.shape[0])).ravel()
+        num = np.asarray(self._AT @ ratio).ravel()
         out = x.copy()
-        live = den > 0
+        live = self._col_sums > 0
         # multiply by the ratio so that b = Ax is an exact fixed point
-        out[live] = x[live] * (num[live] / den[live])
+        out[live] = x[live] * (num[live] / self._col_sums[live])
         return out
 
     def rel_smoothness(self):
@@ -315,13 +322,12 @@ class PoissonKL(FiniteSumObjective):
         dense bound sum_i b_i / n, with equality when A has no zero entries.
         """
         if sp.issparse(self.A):
-            support = self.A.copy()
-            support.data = np.ones_like(support.data)
-            col_sums = np.asarray(support.T @ self.b).ravel()
+            AT = self._AT
+            col_sums = sp.csc_array((np.ones_like(AT.data), AT.indices, AT.indptr),
+                                    shape=AT.shape) @ self.b
         else:
             col_sums = (self.A > 0).T @ self.b
-        kl = float(np.max(col_sums)) / self.n_components if col_sums.size else 0.0
-        return kl + self.barrier_weight
+        return float(np.max(col_sums)) / self.n_components + self.barrier_weight
 
     def smoothness_bound(self):
         # No global Euclidean bound exists near the boundary; callers needing
@@ -352,6 +358,8 @@ class LogisticL2(FiniteSumObjective):
         self.lam = float(lam)
         if self.A.ndim != 2 or labels.shape != self.A.shape[:1]:
             raise InvalidData("logistic_l2: A must be a matrix with one row per label")
+        if not self.A.shape[1]:
+            raise InvalidData("logistic_l2: the objective needs at least one unknown")
         self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._blocks = [(self.A[g], self.labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
@@ -427,6 +435,9 @@ class DiagonalQuadratic(FiniteSumObjective):
         C = np.asarray(centers, dtype=float)
         if Q.shape != C.shape:
             raise InvalidData("quadratic: weights and centers must share a shape")
+        if Q.ndim != 2 or not Q.size:
+            raise InvalidData("quadratic: weights must be a matrix with at least one "
+                              "component and one unknown")
         if not np.all(Q > 0):  # NaN fails
             raise InvalidData("quadratic: weights must be positive")
         self.Q = Q

@@ -421,7 +421,6 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
 # header, then an uncompressed npz (zip) archive of named arrays.
 _MAGIC = b"BREGOPT2"
 _HEADER = len(_MAGIC) + 32
-_CHUNK = 1 << 18  # bytes per read of an archive member
 
 
 def _digest(fh):
@@ -498,11 +497,13 @@ class _Archive:
 
     A member must be stored uncompressed, and its npy header must declare
     exactly the bytes the member holds, so a corrupt shape cannot ask for a
-    huge buffer.
+    huge buffer. Members are read straight from the file at their data
+    offsets, without the zip CRC that the file's sha256 already covers.
     """
 
-    def __init__(self, zf, limit):
+    def __init__(self, zf, fh, limit):
         self.zf = zf
+        self.fh = fh
         self.limit = limit  # bytes in the archive
         self.names = {name[:-4] for name in zf.namelist() if name.endswith(".npy")}
 
@@ -514,27 +515,29 @@ class _Archive:
         info = self.zf.getinfo(key + ".npy")
         if info.compress_type != zipfile.ZIP_STORED or info.file_size > self.limit:
             raise InvalidData(f"{key!r} is compressed or larger than the archive")
-        with self.zf.open(info) as member:
-            if np.lib.format.read_magic(member) != (1, 0):
-                raise InvalidData(f"{key!r}: unsupported npy version")
-            got, fortran, dtype = np.lib.format.read_array_header_1_0(member)
-            held = info.file_size - member.tell()
-            if (dtype.kind != kind or (kind != "U" and dtype.itemsize != 8)
-                    or len(got) != len(shape) or any(s not in (None, g) for s, g in zip(shape, got))
-                    or math.prod(got) * dtype.itemsize != held):
-                raise InvalidData(f"{key!r} is a {dtype} array of shape {got} (rank {len(got)}) "
-                                  f"in {held} bytes; expected kind {kind!r} and shape {shape}")
-            # the checked bytes, read on from the header in cache-sized chunks
-            # (the member's CRC is checked on the last one)
-            array = np.ndarray(got, dtype, order="F" if fortran else "C")
-            raw = memoryview(array.reshape(-1, order="A").view(np.uint8)) if held else None
-            done = 0
-            while done < held:
-                n = member.readinto(raw[done:done + _CHUNK])
-                if not n:
-                    raise InvalidData(f"{key!r} holds fewer than the {held} bytes it declares")
-                done += n
-            return array
+        # the data follow the 30-byte local header and its name and extra field
+        fh = self.fh
+        fh.seek(info.header_offset)
+        local = fh.read(30)
+        if len(local) != 30 or not local.startswith(b"PK\x03\x04"):
+            raise InvalidData(f"{key!r} has no local file header")
+        fh.seek(int.from_bytes(local[26:28], "little") + int.from_bytes(local[28:], "little"), 1)
+        start = fh.tell()
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise InvalidData(f"{key!r}: unsupported npy version")
+        got, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        held = info.file_size - (fh.tell() - start)
+        if (dtype.kind != kind or (kind != "U" and dtype.itemsize != 8)
+                or len(got) != len(shape) or any(s not in (None, g) for s, g in zip(shape, got))
+                or math.prod(got) * dtype.itemsize != held):
+            raise InvalidData(f"{key!r} is a {dtype} array of shape {got} (rank {len(got)}) "
+                              f"in {held} bytes; expected kind {kind!r} and shape {shape}")
+        array = np.ndarray(got, dtype, order="F" if fortran else "C")
+        # the member stores compress_size bytes; a read stops short only at the end of the file
+        if held and (info.compress_size < info.file_size
+                     or fh.readinto(array.reshape(-1, order="A").view(np.uint8)) != held):
+            raise InvalidData(f"{key!r} holds fewer than the {held} bytes it declares")
+        return array
 
     def scalar(self, key, kind="f"):
         return self.array(key, kind, ()).item()
@@ -625,7 +628,7 @@ def load_instance(path):
         fh.seek(_HEADER)
         try:
             with zipfile.ZipFile(fh) as zf:
-                return _read_instance(_Archive(zf, limit))
+                return _read_instance(_Archive(zf, fh, limit))
         except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile) as exc:
             raise InvalidData(f"{path}: {exc}") from exc
 

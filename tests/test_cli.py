@@ -77,6 +77,8 @@ def test_bad_problem_value_is_usage_error(tmp_path, capsys, generator, key, valu
 
 @pytest.mark.parametrize("generator, flags", [
     ("interpolation", ["--n", "0"]), ("preconditioned", ["--nodes", "0"]),
+    ("interpolation", ["--d", "0"]),
+    ("preconditioned", ["--d", "0", "--nodes", "2", "--samples", "10"]),
 ])
 def test_zero_size_instance_is_usage_error(tmp_path, capsys, generator, flags):
     out = tmp_path / "inst.bin"

@@ -14,6 +14,7 @@ from bregopt import (
     PoissonKL,
 )
 from bregopt.objective import _log1pexp
+from bregopt.problems import gen_tomography
 from bregopt.rng import make_rng
 
 
@@ -145,7 +146,7 @@ class TestPoissonKL:
 
 def _block_grad(obj, j, x):
     """Component gradient of row j through the (1, d) block path."""
-    g = obj._kl_grad(obj.A[j:j + 1], obj.b[j:j + 1], x)
+    g = obj._kl_grad(obj.A[j:j + 1], obj.A[j:j + 1].T, obj.b[j:j + 1], x)
     return g - obj.barrier_weight / x if obj.barrier_weight else g
 
 
@@ -194,6 +195,133 @@ class TestRowKernel:
         assert all(a.base is obj.A for a, _ in obj._rows)
         assert PoissonKL(A, np.ones(4), groups=[np.array([0, 1])])._rows is None
         assert PoissonKL(sp.csr_matrix(A), np.ones(4))._rows is None
+
+
+def fresh_rates(A, b, x):
+    """A x, and the index of the first observed row with a nonpositive rate
+    (None when there is none)."""
+    rates = np.asarray(A @ x).ravel()
+    bad = (b > 0) & (rates <= 0)
+    return rates, (int(np.argmax(bad)) if bad.any() else None)
+
+
+def fresh_kl_grad(A, b, x):
+    """A^T (1 - b / Ax) on the observed rows, A^T built on the spot."""
+    rates, bad = fresh_rates(A, b, x)
+    if bad is not None:
+        return bad
+    coeff = np.ones_like(rates)
+    pos = b > 0
+    coeff[pos] = 1.0 - b[pos] / rates[pos]
+    return np.asarray(A.T @ coeff).ravel()
+
+
+def fresh_hess_vec(obj, x, u):
+    rates, bad = fresh_rates(obj.A, obj.b, x)
+    if bad is not None:
+        return bad
+    w = np.zeros_like(rates)
+    pos = obj.b > 0
+    w[pos] = obj.b[pos] / rates[pos] ** 2
+    Au = np.asarray(obj.A @ u).ravel()
+    Hu = np.asarray(obj.A.T @ (w * Au)).ravel() / obj.n_components
+    return Hu + obj.barrier_weight * u / x**2 if obj.barrier_weight else Hu
+
+
+def fresh_mu_step(obj, x):
+    if not (x >= 0).all():
+        return int(np.argmin(x >= 0))
+    rates, bad = fresh_rates(obj.A, obj.b, x)
+    if bad is not None:
+        return bad
+    ratio = np.zeros_like(rates)
+    obs = obj.b > 0
+    ratio[obs] = obj.b[obs] / rates[obs]
+    num = np.asarray(obj.A.T @ ratio).ravel()
+    den = np.asarray(obj.A.T @ np.ones(obj.A.shape[0])).ravel()
+    out = x.copy()
+    live = den > 0
+    out[live] = x[live] * (num[live] / den[live])
+    return out
+
+
+def same_or_same_violation(call, want):
+    """``call()`` equals the array ``want`` byte for byte, or raises
+    DomainViolation at index ``want`` when ``want`` is an int."""
+    if isinstance(want, int):
+        with pytest.raises(DomainViolation) as info:
+            call()
+        assert info.value.index == want
+    else:
+        assert call().tobytes() == want.tobytes()
+
+
+@st.composite
+def grouped_poisson(draw):
+    """A sparse or dense PoissonKL with row blocks (a dense one has a block
+    of at least two rows, so the block path is taken), and points that may
+    leave the domain through zero or negative coordinates."""
+    sparse = draw(st.booleans())
+    first = 1 if sparse else 2  # the smallest end of the first block
+    n, d = draw(st.integers(first, 8)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    A = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+    b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    b[~A.any(axis=1)] = 0.0
+    order = np.array(draw(st.permutations(range(n))))
+    cuts = draw(st.sets(st.integers(first, n - 1))) if n > first else set()
+    groups = np.split(order, sorted(cuts))
+    weight = draw(st.sampled_from([0.0, 0.3]))
+    obj = PoissonKL(sp.csr_matrix(A) if sparse else A, b, groups=groups, barrier_weight=weight)
+    point = st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 5.0)), min_size=d, max_size=d)
+    return obj, np.array(draw(point)), np.array(draw(point))
+
+
+class TestCachedOperators:
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_poisson())
+    def test_match_freshly_built_transposes_bytewise(self, case):
+        obj, x, u = case
+        assert obj._rows is None
+        bw = obj.barrier_weight
+        with np.errstate(all="ignore"):
+            for i, g in enumerate(obj.groups):
+                want = fresh_kl_grad(obj.A[g], obj.b[g], x)
+                if bw and not isinstance(want, int):
+                    want = want - bw / x
+                same_or_same_violation(lambda: obj.partial_grad(i, x), want)
+            want = fresh_kl_grad(obj.A, obj.b, x)
+            if not isinstance(want, int):
+                want = want / obj.n_components
+                want = want - bw / x if bw else want
+            same_or_same_violation(lambda: obj.full_grad(x), want)
+            same_or_same_violation(lambda: obj.hess_vec(x, u), fresh_hess_vec(obj, x, u))
+            if not bw:
+                same_or_same_violation(lambda: obj.mu_step(x), fresh_mu_step(obj, x))
+
+    def test_sparse_transposes_share_the_blocks_arrays(self):
+        # a loaded instance's A has int32 indices, as sp.csr_matrix stores
+        # them; the generator's int64 indices are narrowed once, in A^T only
+        gen = gen_tomography(16, 3, seed=1).objective
+        obj = PoissonKL(sp.csr_matrix(gen.A.toarray()), gen.b, groups=gen.groups)
+        pairs = [(Ai, AiT) for o in (gen, obj) for Ai, AiT, _ in o._blocks]
+        pairs.append((obj.A, obj._AT))
+        assert len(pairs) == 7 and np.shares_memory(gen.A.data, gen._AT.data)
+        for Ai, AiT in pairs:
+            assert sp.issparse(AiT) and AiT.shape == Ai.shape[::-1]
+            for part in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(Ai, part), getattr(AiT, part))
+
+    def test_objectives_need_an_unknown(self):
+        with pytest.raises(InvalidData, match="at least one unknown"):
+            PoissonKL(np.zeros((3, 0)), np.zeros(3))
+        with pytest.raises(InvalidData, match="at least one unknown"):
+            PoissonKL(sp.csr_matrix((3, 0)), np.zeros(3))
+        with pytest.raises(InvalidData, match="at least one unknown"):
+            LogisticL2(np.zeros((3, 0)), np.ones(3))
+        for shape in [(2, 0), (0, 2), (3,)]:
+            with pytest.raises(InvalidData, match="one unknown"):
+                DiagonalQuadratic(np.ones(shape), np.zeros(shape))
 
 
 def rel_L(A, b, **kwargs):

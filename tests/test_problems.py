@@ -541,6 +541,20 @@ class TestInstanceFiles:
         with pytest.raises(InvalidData, match="fewer than"):
             load_instance(path)
 
+    def test_member_without_local_header_is_invalid_data(self, tmp_path):
+        # members are read at the offset the central directory gives, so the
+        # local header found there must be one
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        raw = bytearray(open(path, "rb").read())
+        entry = raw.index(b"b.npy") - 30  # the member's local header
+        assert raw[entry:entry + 4] == b"PK\x03\x04"
+        raw[entry:entry + 4] = b"PK\x05\x06"
+        raw[8:HEADER] = hashlib.sha256(bytes(raw[HEADER:])).digest()
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(InvalidData, match="'b' has no local file header"):
+            load_instance(path)
+
 
 def _base_members():
     """Members of one small instance file per objective and matrix kind."""
