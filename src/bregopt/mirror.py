@@ -16,6 +16,12 @@ Four reference functions are provided:
 * :class:`Preconditioner` h(x) = f0(x) + c/2 ||x||^2 for an inner objective f0
   (statistical preconditioning; the conjugate map is solved iteratively)
 
+The closed-form maps (Euclidean, LogBarrier, NegEntropy) also take a stack
+of points: every array argument may carry leading batch axes, maps act
+elementwise, and values, divergences and inner products reduce over the last
+axis, row by row exactly as the 1-D call does. A 1-D call returns a Python
+float. The Preconditioner takes 1-D points only.
+
 Instances are immutable after construction and safe to share across threads.
 """
 
@@ -29,21 +35,44 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _first_false(ok):
-    """Index of the first False entry of the boolean array ``ok``, or None.
+    """Index of the first False entry of the boolean array ``ok`` in C order,
+    or None: an int for a 1-D mask, a tuple for a stack.
 
     One count on success (cheaper than ``ok.all()``), ``argmin`` on failure.
     """
-    return None if np.count_nonzero(ok) == ok.size else int(np.argmin(ok))
+    if np.count_nonzero(ok) == ok.size:
+        return None
+    k = int(np.argmin(ok))
+    return k if ok.ndim == 1 else tuple(int(i) for i in np.unravel_index(k, ok.shape))
+
+
+def _sum(v):
+    """Sum over the last axis: a float for one point, an array for a stack.
+
+    ``np.add.reduce`` is the reduction ``v.sum()`` runs, without its Python
+    wrapper.
+    """
+    s = np.add.reduce(v, -1)
+    return float(s) if s.ndim == 0 else s
+
+
+def _dot(a, b):
+    """<a, b> over the last axis. Each row equals the 1-D ``a @ b`` bit for
+    bit, which ``einsum`` and ``(a * b).sum(-1)`` do not."""
+    s = np.vecdot(a, b)
+    return float(s) if s.ndim == 0 else s
 
 
 class ReferenceFunction:
     """Common interface for mirror maps.
 
     Subclasses implement ``value``, ``grad``, the unchecked conjugate maps
-    ``_grad_conjugate`` and ``_conjugate_value``, and domain predicates. The
-    public conjugate maps check their dual point once and ``dual_divergence``
-    checks each argument once. Divergences are derived from those unless a
-    closed form is cheaper or more accurate.
+    ``_grad_conjugate`` and ``_conjugate_value``, and the elementwise domain
+    masks ``dual_ok`` (and ``domain_ok`` where dom h is not all of R^d); the
+    checks and violation indices are derived from the masks. The public
+    conjugate maps check their dual point once and ``dual_divergence`` checks
+    each argument once. Divergences are derived from those unless a closed
+    form is cheaper or more accurate.
     """
 
     kind = None
@@ -53,13 +82,18 @@ class ReferenceFunction:
     def check_domain(self, x):
         """Raise DomainViolation unless ``x`` is interior to dom h."""
 
+    def dual_ok(self, y):
+        """Elementwise mask: True where grad h* maps ``y`` to a finite
+        interior coordinate."""
+        return np.ones(np.shape(y), dtype=bool)
+
     def dual_violation_index(self, y):
         """Index of the first coordinate of ``y`` at which grad h* is not a
         finite interior point, or None."""
-        return None
+        return _first_false(self.dual_ok(y))
 
     def check_dual_domain(self, y):
-        idx = self.dual_violation_index(y)
+        idx = _first_false(self.dual_ok(y))
         if idx is not None:
             raise DomainViolation(
                 f"{self.kind}: dual point outside conjugate domain at component {idx}",
@@ -96,7 +130,7 @@ class ReferenceFunction:
         """D_h(x, y) for x in dom h and y interior."""
         self.check_domain(x)
         self.check_domain(y)
-        return float(self.value(x) - self.value(y) - self.grad(y) @ (x - y))
+        return self.value(x) - self.value(y) - _dot(self.grad(y), x - y)
 
     def dual_divergence(self, a, b):
         """D_{h*}(a, b) for a, b in the conjugate domain.
@@ -107,10 +141,10 @@ class ReferenceFunction:
         """
         self.check_dual_domain(a)
         self.check_dual_domain(b)
-        return float(
+        return (
             self._conjugate_value(a)
             - self._conjugate_value(b)
-            - self._grad_conjugate(b) @ (a - b)
+            - _dot(self._grad_conjugate(b), a - b)
         )
 
 
@@ -120,36 +154,39 @@ class Euclidean(ReferenceFunction):
 
     kind = "euclidean"
 
-    def dual_violation_index(self, y):
-        return _first_false(np.isfinite(y))
+    def dual_ok(self, y):
+        return np.isfinite(y)
 
     def value(self, x):
-        return 0.5 * float(x @ x)
+        return 0.5 * _dot(x, x)
 
     def grad(self, x):
         return np.asarray(x, dtype=float).copy()
 
     def _conjugate_value(self, y):
-        return 0.5 * float(y @ y)
+        return 0.5 * _dot(y, y)
 
     def _grad_conjugate(self, y):
         return np.asarray(y, dtype=float).copy()
 
     def divergence(self, x, y):
         d = x - y
-        return 0.5 * float(d @ d)
+        return 0.5 * _dot(d, d)
 
     def dual_divergence(self, a, b):
         d = a - b
-        return 0.5 * float(d @ d)
+        return 0.5 * _dot(d, d)
 
 
 class _PositiveOrthant(ReferenceFunction):
     """A reference function whose domain interior is the positive orthant."""
 
-    def check_domain(self, x):
+    def domain_ok(self, x):
         # NaN fails x > 0
-        idx = _first_false(x > 0.0)
+        return x > 0.0
+
+    def check_domain(self, x):
+        idx = _first_false(self.domain_ok(x))
         if idx is not None:
             raise DomainViolation(f"{self.kind}: component {idx} is not strictly positive",
                                   index=idx)
@@ -164,13 +201,13 @@ class LogBarrier(_PositiveOrthant):
 
     kind = "log_barrier"
 
-    def dual_violation_index(self, y):
+    def dual_ok(self, y):
         # NaN fails both comparisons; -1/y is inf for a subnormal y and 0
         # for y = -inf
-        return _first_false((y < -_TINY) & (y > -np.inf))
+        return (y < -_TINY) & (y > -np.inf)
 
     def value(self, x):
-        return -float(np.log(x).sum())
+        return -_sum(np.log(x))
 
     def grad(self, x):
         self.check_domain(x)
@@ -178,7 +215,7 @@ class LogBarrier(_PositiveOrthant):
 
     def _conjugate_value(self, y):
         # h*(y) = -d - sum log(-y_i)
-        return -float(len(y)) - float(np.log(-y).sum())
+        return -float(y.shape[-1]) - _sum(np.log(-y))
 
     def _grad_conjugate(self, y):
         return -1.0 / y
@@ -194,7 +231,7 @@ class LogBarrier(_PositiveOrthant):
         self.check_domain(x)
         self.check_domain(y)
         r = x / y
-        return float(((r - 1.0) - np.log(r)).sum())
+        return _sum((r - 1.0) - np.log(r))
 
 
 class NegEntropy(_PositiveOrthant):
@@ -207,19 +244,19 @@ class NegEntropy(_PositiveOrthant):
 
     kind = "neg_entropy"
 
-    def dual_violation_index(self, y):
+    def dual_ok(self, y):
         # NaN fails both comparisons
-        return _first_false((y > _LOG_TINY) & (y < _LOG_MAX))
+        return (y > _LOG_TINY) & (y < _LOG_MAX)
 
     def value(self, x):
-        return float((x * np.log(x)).sum())
+        return _sum(x * np.log(x))
 
     def grad(self, x):
         self.check_domain(x)
         return np.log(x) + 1.0
 
     def _conjugate_value(self, y):
-        return float(np.exp(y - 1.0).sum())
+        return _sum(np.exp(y - 1.0))
 
     def _grad_conjugate(self, y):
         return np.exp(y - 1.0)
@@ -233,7 +270,7 @@ class Preconditioner(ReferenceFunction):
     gradient method, warm-started by the caller. One inner iteration costs one
     full pass over the preconditioning dataset. Dual divergences are computed
     through the duality identity (two conjugate solves) since h* itself is
-    never evaluated.
+    never evaluated. Points are 1-D: the conjugate map rejects a stack.
     """
 
     kind = "preconditioner"
@@ -260,6 +297,8 @@ class Preconditioner(ReferenceFunction):
         return self.inner.hess_vec(x, u) + self.c_prec * u
 
     def grad_conjugate(self, y, warm_start=None):
+        if np.ndim(y) != 1:
+            raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")
         x = np.zeros_like(y) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
         L, mu = self._L, self._mu
         if mu > 0:

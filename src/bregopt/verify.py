@@ -173,7 +173,7 @@ class Battery:
                 if "cocoercivity" in c.name:
                     checks.append(
                         CheckResult("negative_control/" + c.name, c.samples,
-                                    c.max_violation, c.tolerance)
+                                    c.max_violation, c.tolerance, c.note)
                     )
         checks.append(
             CheckResult("c1/runtime_s", 1, time.perf_counter() - start, 30.0)

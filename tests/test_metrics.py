@@ -13,9 +13,11 @@ import pytest
 from bregopt import (
     CheckResult,
     DiagonalQuadratic,
+    DomainViolation,
     Euclidean,
     InsufficientData,
     LogBarrier,
+    NegEntropy,
     PoissonKL,
     SagaState,
     Trace,
@@ -30,7 +32,7 @@ from bregopt import (
     SvrgState,
     TraceInvariantError,
 )
-from bregopt.metrics import saga_slot_errors, saga_successor_potentials
+from bregopt.metrics import CERT_DIM, saga_slot_errors, saga_successor_potentials
 from bregopt.rng import make_rng
 from bregopt.verify import Battery
 
@@ -263,12 +265,102 @@ class TestCertification:
         assert any("cocoercivity" in c.name for c in failing)
 
     def test_descent_identity_skips_only_steps_out_of_domain(self, monkeypatch):
-        def broken_step(ref, x, g, eta):
+        # an error that is not a domain miss propagates
+        def broken(self, y):
             raise TypeError("broken mirror map")
 
-        monkeypatch.setattr("bregopt.metrics.mirror_step", broken_step)
-        with pytest.raises(TypeError, match="broken mirror map"):
-            certify_lemmas(kinds=("euclidean",), samples=5)
+        with monkeypatch.context() as m:
+            m.setattr(Euclidean, "_grad_conjugate", broken)
+            with pytest.raises(TypeError, match="broken mirror map"):
+                certify_lemmas(kinds=("euclidean",), samples=5)
+
+        # a large eta sends some neg-entropy steps out of float range (the
+        # log-barrier's never leave: its Poisson test gradient is positive at
+        # the sampled points); the rows skipped are exactly those whose dual
+        # point the 1-D conjugate map rejects
+        calls = []
+        dual_ok, grad_conjugate = NegEntropy.dual_ok, NegEntropy.grad_conjugate
+
+        def spy_ok(self, y):
+            calls.append(("ok", y.copy()))
+            return dual_ok(self, y)
+
+        def spy_step(self, y, warm_start=None):
+            calls.append(("step", y.copy()))
+            return grad_conjugate(self, y)
+
+        monkeypatch.setattr(NegEntropy, "dual_ok", spy_ok)
+        monkeypatch.setattr(NegEntropy, "grad_conjugate", spy_step)
+        samples = 40
+        report = certify_lemmas(kinds=("neg_entropy",), samples=samples, l_scale=2e-3)
+        check = next(c for c in report.checks if c.name.endswith("descent_identity"))
+        steps = [k for k, (kind, _) in enumerate(calls) if kind == "step"]
+        assert len(steps) == 1
+        dual = next(y for kind, y in reversed(calls[:steps[0]]) if kind == "ok")
+        monkeypatch.undo()
+        assert dual.shape == (samples, CERT_DIM)
+        ref = NegEntropy()
+        kept = []
+        for i, y in enumerate(dual):
+            try:
+                ref.grad_conjugate(y)
+            except DomainViolation as exc:
+                assert exc.index == ref.dual_violation_index(y)
+            else:
+                kept.append(i)
+        skipped = samples - len(kept)
+        assert 0 < skipped < samples
+        assert calls[steps[0]][1].tobytes() == dual[kept].tobytes()
+        assert check.samples == samples
+        assert f"skipped {skipped}" in check.note
+
+    def test_nan_violation_fails(self, monkeypatch):
+        divergence = LogBarrier.divergence
+        monkeypatch.setattr(LogBarrier, "divergence",
+                            lambda self, x, y: divergence(self, x, y) * np.nan)
+        report = certify_lemmas(kinds=("log_barrier",), samples=20)
+        by_name = {c.name: c for c in report.checks}
+        for name in ("log_barrier/duality", "log_barrier/descent_identity"):
+            check = by_name[name]
+            assert np.isnan(check.max_violation)
+            assert not check.passed
+            assert check.line().endswith("FAIL")
+            assert "worst sample 0" in check.note
+        assert by_name["log_barrier/midpoint"].passed
+        assert not report.passed
+
+    def test_golden_violations(self):
+        # the 15 (name, samples, max_violation) triples at seed 7, bit for bit
+        report = certify_lemmas(samples=1000, seed=7)
+        golden = {
+            "euclidean/descent_identity": "0x1.956b6ebd54bc7p-50",
+            "euclidean/variance_decomposition": "0x1.0000000000000p-48",
+            "log_barrier/duality": "0x1.efbf219bad8aep-51",
+            "log_barrier/descent_identity": "0x1.182ab78085786p-51",
+            "log_barrier/variance_decomposition": "0x1.8000000000000p-49",
+            "neg_entropy/duality": "0x1.085c9cb895293p-49",
+            "neg_entropy/descent_identity": "0x1.57831f08f8988p-50",
+            "neg_entropy/variance_decomposition": "0x1.0000000000000p-47",
+        }
+        expected = [
+            (f"{kind}/{lemma}", 1000, golden.get(f"{kind}/{lemma}", "0x0.0p+0"))
+            for kind in ("euclidean", "log_barrier", "neg_entropy")
+            for lemma in ("duality", "midpoint", "cocoercivity", "descent_identity",
+                          "variance_decomposition")
+        ]
+        got = [(c.name, c.samples, float.hex(c.max_violation)) for c in report.checks]
+        assert got == expected
+        assert all(c.note.startswith("worst sample ") for c in report.checks)
+
+    def test_demo_detects_fault(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, str(root / "demos" / "certification_demo.py"), "--samples", "50"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert "ALL CHECKS PASSED" in out.stdout
+        assert "fault detected" in out.stdout
 
     def test_seeded_determinism(self):
         a = certify_lemmas(samples=40, seed=3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bregopt import (
     DomainViolation,
@@ -272,3 +273,79 @@ class TestPreconditioner:
         conj = lambda point, arg: float(point @ arg) - ref.value(point)
         direct = conj(xa, a) - conj(xb, b) - float(xb @ (a - b))
         assert ref.dual_divergence(a, b) == pytest.approx(direct, rel=1e-5, abs=1e-7)
+
+
+_SPECIAL = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 800.0, -800.0]
+
+
+def _outcome(method, *args):
+    """("ok", result) or ("err", DomainViolation index) of one call."""
+    try:
+        return "ok", method(*args)
+    except DomainViolation as exc:
+        return "err", exc.index
+
+
+def _stacks(count):
+    """``count`` arrays of one shape (rows, d): mostly moderate values, some
+    specials that leave a domain."""
+    elements = st.one_of(st.floats(-30.0, 30.0), st.sampled_from(_SPECIAL))
+    return st.tuples(st.integers(1, 5), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(*[arrays(np.float64, shape, elements=elements)] * count)
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=_stacks(2))
+def test_batched_rows_match_1d_calls_bytewise(kind, data):
+    ref = make_reference(kind)
+    a, b = data
+    # primal points on the positive orthant, dual points on the side grad h
+    # maps it to; the specials still leave the domains
+    if kind == "euclidean":
+        X, Y, A, B = a, b, a, b
+    else:
+        X, Y = np.abs(a), np.abs(b)
+        A, B = (-X, -Y) if kind == "log_barrier" else (a, b)
+    masks = [("dual_ok", A)] + ([] if kind == "euclidean" else [("domain_ok", X)])
+    for name, S in masks:
+        batched = getattr(ref, name)(S)
+        for i, row in enumerate(S):
+            assert batched[i].tobytes() == getattr(ref, name)(row).tobytes()
+    calls = [
+        ("value", (X,), False), ("grad", (X,), True), ("divergence", (X, Y), True),
+        ("_grad_conjugate", (A,), False), ("_conjugate_value", (A,), False),
+        ("grad_conjugate", (A,), True), ("dual_divergence", (A, B), True),
+    ]
+    with np.errstate(all="ignore"):
+        for name, args, checked in calls:
+            method = getattr(ref, name)
+            rows = [_outcome(method, *(s[i] for s in args)) for i in range(len(args[0]))]
+            for status, value in rows:
+                if status == "ok" and np.ndim(value) == 0:
+                    assert type(value) is float
+            kept = [i for i, (status, _) in enumerate(rows) if status == "ok"]
+            if kept:
+                batched = method(*(s[kept] for s in args))
+                for j, i in enumerate(kept):
+                    assert np.asarray(batched[j]).tobytes() == np.asarray(rows[i][1]).tobytes()
+            status, index = _outcome(method, *args)
+            failing = [i for i, (s, _) in enumerate(rows) if s == "err"]
+            assert (status == "err") == bool(failing)
+            if status == "err":
+                row, column = index
+                assert rows[row][0] == "err"
+                if len(args) == 1:
+                    assert (row, column) == (failing[0], rows[row][1])
+
+
+def test_preconditioner_rejects_a_stack():
+    rng = make_rng(8)
+    A = rng.normal(size=(30, 5))
+    inner = LogisticL2(A, np.where(rng.normal(size=30) < 0, -1.0, 1.0), lam=0.01)
+    ref = Preconditioner(inner, c_prec=0.1)
+    with pytest.raises(ValueError, match="1-D"):
+        ref.grad_conjugate(np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="1-D"):
+        ref.dual_divergence(np.zeros((5, 5)), np.zeros(5))

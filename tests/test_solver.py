@@ -210,6 +210,32 @@ class TestSigma2:
         b, _ = sigma2_estimate(obj, Euclidean(), x, xs, 0.37)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("max_exact", [10**4, 10])
+    def test_stacked_call_matches_per_component_loop(self, max_exact):
+        # the reference: one 1-D dual divergence per sampled component
+        problem = gen_interpolation(40, 6, seed=2)
+        obj, ref, xs = problem.objective, problem.reference, problem.x_star
+        x, eta, seed = xs * 1.3, 0.05, 4
+        est, err = sigma2_estimate(obj, ref, x, xs, eta, max_exact=max_exact,
+                                   samples=300, seed=seed)
+        hx = ref.grad(x)
+        idx = range(40) if max_exact > 40 else make_rng(seed).integers(0, 40, size=300)
+        vals = np.array([
+            ref.dual_divergence(hx - 2.0 * eta * obj.partial_grad(int(i), xs), hx)
+            for i in idx
+        ]) / (2.0 * eta**2)
+        assert float.hex(est) == float.hex(float(np.mean(vals)))
+        expected_err = 0.0 if max_exact > 40 else float(np.std(vals) / np.sqrt(len(vals)))
+        assert float.hex(err) == float.hex(expected_err)
+
+    def test_out_of_domain_shift_is_unverifiable(self):
+        # below the optimum the component gradients are negative, so a large
+        # step 2 eta grad f_i leaves the log-barrier's conjugate domain
+        problem = gen_interpolation(30, 5, seed=0)
+        x = problem.x_star
+        with pytest.raises(DomainViolation, match="variance assumption unverifiable"):
+            sigma2_estimate(problem.objective, problem.reference, x, 0.5 * x, 1e6)
+
 
 class TestRunHarness:
     def problem(self):
