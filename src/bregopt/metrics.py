@@ -141,7 +141,8 @@ def sigma2_estimate(obj, ref, x, x_star, eta, max_exact=10**4, samples=2000, see
     grad h(x)). Exact enumeration for small component counts, otherwise a
     seeded subsample; returns (estimate, standard_error) where the standard
     error is 0.0 for exact enumeration. The dual divergences are taken in one
-    stacked call, so ``ref`` is a closed-form reference function.
+    stacked call, so ``ref`` is a closed-form reference function: a
+    :class:`~bregopt.mirror.Preconditioner` raises ValueError.
     """
     n = obj.n_components
     hx = ref.grad(x)

@@ -93,7 +93,7 @@ class ReferenceFunction:
         return _first_false(self.dual_ok(y))
 
     def check_dual_domain(self, y):
-        idx = _first_false(self.dual_ok(y))
+        idx = self.dual_violation_index(y)
         if idx is not None:
             raise DomainViolation(
                 f"{self.kind}: dual point outside conjugate domain at component {idx}",

@@ -236,6 +236,15 @@ class TestSigma2:
         with pytest.raises(DomainViolation, match="variance assumption unverifiable"):
             sigma2_estimate(problem.objective, problem.reference, x, 0.5 * x, 1e6)
 
+    def test_preconditioner_reference_is_rejected(self):
+        # the stacked dual divergence needs a closed-form map
+        data = gen_gaussian_logistic_data(40, 3, seed=3)
+        problem = gen_preconditioned(data, n_nodes=2, N=10, n_prec=10,
+                                     lam=1e-3, c_prec=1e-3, seed=3)
+        x = np.zeros(3)
+        with pytest.raises(ValueError, match="not a stack"):
+            sigma2_estimate(problem.objective, problem.reference, x, x, 0.1)
+
 
 class TestRunHarness:
     def problem(self):
