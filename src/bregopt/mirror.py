@@ -296,6 +296,13 @@ class Preconditioner(ReferenceFunction):
     def hess_vec(self, x, u):
         return self.inner.hess_vec(x, u) + self.c_prec * u
 
+    def divergence(self, x, y):
+        """D_h(x, y), with h(y) and grad h(y) from one pass over the inner
+        data; the float operations of ``value`` and ``grad``."""
+        f_y, g_y = self.inner.value_and_grad(y)
+        h_y = float(f_y) + 0.5 * self.c_prec * float(y @ y)
+        return self.value(x) - h_y - _dot(g_y + self.c_prec * y, x - y)
+
     def grad_conjugate(self, y, warm_start=None):
         if np.ndim(y) != 1:
             raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")

@@ -78,13 +78,19 @@ class FiniteSumObjective:
         """grad f(x) = (1/n) sum_i grad f_i(x)."""
         raise NotImplementedError
 
+    def value_and_grad(self, x):
+        """(f(x), grad f(x)), equal to ``(value(x), full_grad(x))`` bit for
+        bit; subclasses override it to share one pass over the data."""
+        return self.value(x), self.full_grad(x)
+
     def hess_vec(self, x, u):
         """grad^2 f(x) @ u."""
         raise NotImplementedError
 
     def f_divergence(self, x, y):
         """D_f(x, y) = f(x) - f(y) - <grad f(y), x - y>."""
-        return float(self.value(x) - self.value(y) - self.full_grad(y) @ (x - y))
+        f_y, g_y = self.value_and_grad(y)
+        return float(self.value(x) - f_y - g_y @ (x - y))
 
     def component_divergence(self, i, x, y):
         """D_{f_i}(x, y), used by the SAGA/SVRG potentials."""
@@ -386,7 +392,9 @@ class LogisticL2(FiniteSumObjective):
         return float(np.mean(_log1pexp(-m))) + 0.5 * self.lam * float(x @ x)
 
     def value(self, x):
-        m = self._margins(self.A, self.labels, x)
+        return self._value(x, self._margins(self.A, self.labels, x))
+
+    def _value(self, x, m):
         return float(self._row_weight @ _log1pexp(-m)) + 0.5 * self.lam * float(x @ x)
 
     def partial_grad(self, i, x):
@@ -397,10 +405,17 @@ class LogisticL2(FiniteSumObjective):
         return np.asarray(g).ravel() + self.lam * x
 
     def full_grad(self, x):
-        m = self._margins(self.A, self.labels, x)
+        return self._full_grad(x, self._margins(self.A, self.labels, x))
+
+    def _full_grad(self, x, m):
         s = _sigmoid(-m)
         g = self.A.T @ (-self.labels * s * self._row_weight)
         return np.asarray(g).ravel() + self.lam * x
+
+    def value_and_grad(self, x):
+        """``(value(x), full_grad(x))`` from one product A x."""
+        m = self._margins(self.A, self.labels, x)
+        return self._value(x, m), self._full_grad(x, m)
 
     def hess_vec(self, x, u):
         m = self._margins(self.A, self.labels, x)

@@ -349,12 +349,15 @@ def run(config, problem):
 
     def record(eta_now, gain_now):
         nonlocal min_df
-        f_x = obj.value(x) if f_star is not None or x_star is not None else None
+        if x_star is not None:
+            f_x, g_x = obj.value_and_grad(x)
+        else:
+            f_x = obj.value(x) if f_star is not None else None
         f_gap = float(f_x - f_star) if f_star is not None else float("nan")
         if x_star is not None:
             dh_gap = float(ref.divergence(x_star, x))
             # FiniteSumObjective.f_divergence(x_star, x), term for term
-            d_f = float(f_x_star - f_x - obj.full_grad(x) @ (x_star - x))
+            d_f = float(f_x_star - f_x - g_x @ (x_star - x))
             min_df = min(min_df, d_f)
             min_df_gap = float(min_df)
         else:

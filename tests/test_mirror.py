@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -238,12 +239,12 @@ class TestMakeReference:
 
 
 class TestPreconditioner:
-    def build(self):
+    def build(self, sparse=False):
         rng = make_rng(8)
         A = rng.normal(size=(30, 5))
         labels = np.sign(rng.normal(size=30))
         labels[labels == 0] = 1.0
-        inner = LogisticL2(A, labels, lam=0.01)
+        inner = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01)
         return Preconditioner(inner, c_prec=0.1, inner_tol=1e-10, inner_passes=200)
 
     def test_grad_conjugate_inverts_grad(self):
@@ -260,6 +261,15 @@ class TestPreconditioner:
         y = rng.normal(size=5) * 0.5
         assert ref.divergence(x, y) >= -1e-12
         assert ref.divergence(x, x) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_divergence_is_the_generic_route_bytewise(self, sparse):
+        ref = self.build(sparse)
+        rng = make_rng(12)
+        for _ in range(5):
+            x, y = rng.normal(size=(2, 5))
+            generic = ReferenceFunction.divergence(ref, x, y)
+            assert ref.divergence(x, y).hex() == generic.hex()
 
     def test_dual_divergence_matches_envelope_form(self):
         # independent route: h*(y) = <x_y, y> - h(x_y) at x_y = grad h*(y),

@@ -408,6 +408,22 @@ class TestLogisticL2:
         u = u / np.linalg.norm(u)
         assert float(u @ obj.hess_vec(x, u)) <= L + 1e-8
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_value_and_grad_is_value_and_full_grad_bytewise(self, sparse, grouped):
+        rng = make_rng(12)
+        A = rng.normal(size=(30, 5)) * (rng.random(size=(30, 5)) < 0.6)
+        labels = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+        groups = np.array_split(np.arange(30), 4) if grouped else None
+        obj = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01, groups=groups)
+        for _ in range(5):
+            x, y = rng.normal(size=(2, 5))
+            f, g = obj.value_and_grad(x)
+            assert f.hex() == obj.value(x).hex()
+            assert g.tobytes() == obj.full_grad(x).tobytes()
+            generic = float(obj.value(x) - obj.value(y) - obj.full_grad(y) @ (x - y))
+            assert obj.f_divergence(x, y).hex() == generic.hex()
+
     def test_value_at_zero(self):
         obj, _ = self.build(lam=0.0)
         assert obj.value(np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-10)
