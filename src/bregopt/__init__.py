@@ -49,7 +49,6 @@ from .objective import (
     FiniteSumObjective,
     LogisticL2,
     PoissonKL,
-    rel_constants_logistic,
 )
 from .problems import (
     CommModel,

@@ -25,8 +25,16 @@ class StepOutOfDomain(BregoptError):
         self.index = index
 
 
-class InnerSolveFailure(BregoptError):
-    """The iterative conjugate-gradient-map solve produced non-finite values."""
+class StepFailure(BregoptError):
+    """A mirror step could not be taken: the step-halving safeguard exhausted
+    its retry budget, or an inner solve failed (InnerSolveFailure)."""
+
+
+class InnerSolveFailure(StepFailure):
+    """The preconditioner's conjugate solve missed ``inner_tol`` within its
+    Newton cap, stopped decreasing its residual, or met a non-finite
+    gradient or a singular Hessian. A StepFailure, so that ``run()`` keeps
+    the partial trace."""
 
 
 class InvalidData(BregoptError):
@@ -35,10 +43,6 @@ class InvalidData(BregoptError):
 
 class InvalidConstants(BregoptError):
     """A regularity constant required by a step-size rule is non-positive."""
-
-
-class StepFailure(BregoptError):
-    """The step-halving safeguard exhausted its retry budget."""
 
 
 class TraceInvariantError(BregoptError):

@@ -345,10 +345,11 @@ def _smooth_test_objective(kind, d, rng):
 
 def _check(name, samples, v, tolerance, rows=None, skipped=None):
     """CheckResult for the per-sample violations ``v``: their maximum floored
-    at 0.0, with a NaN entry passed through so that it fails. ``rows`` maps
-    the entries of ``v`` to sample indices when ``skipped`` samples were
-    left out; the note names the worst sample and counts the skipped."""
-    worst, note = 0.0, "no sample used"
+    at 0.0, with a NaN entry passed through so that it fails; an empty ``v``
+    fails as NaN, noted "no sample used". ``rows`` maps the entries of ``v``
+    to sample indices when ``skipped`` samples were left out; the note names
+    the worst sample and counts the skipped."""
+    worst, note = float("nan"), "no sample used"
     if v.size:
         at = int(np.argmax(v))  # the first NaN, if any
         # + 0.0 turns a -0.0 maximum into the floor's 0.0

@@ -21,7 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainViolation, InvalidData
-from .rng import make_rng
 
 
 def _entries(A):
@@ -100,8 +99,7 @@ class FiniteSumObjective:
             - self.partial_grad(i, y) @ (x - y)
         )
 
-    # Euclidean regularity bounds of f, used by inner solvers. Subclasses
-    # override with data-dependent estimates.
+    # Euclidean regularity bounds of f, where the family has them.
     def smoothness_bound(self):
         raise NotImplementedError
 
@@ -130,20 +128,6 @@ def _index_groups(groups, rows, kind):
     if not groups:
         raise InvalidData(f"{kind}: the objective needs at least one component")
     return groups
-
-
-def _power_iteration_norm(matvec, d, iters=100):
-    """Largest eigenvalue of a symmetric PSD operator, deterministic start."""
-    v = np.ones(d) / np.sqrt(d)
-    lam = 0.0
-    for _ in range(iters):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam = float(v @ w)
-        v = w / nw
-    return lam
 
 
 _RATE_VIOLATION = "poisson_kl: (Ax)_i <= 0 at an observed row"
@@ -425,15 +409,18 @@ class LogisticL2(FiniteSumObjective):
         Hu = self.A.T @ (w * Au)
         return np.asarray(Hu).ravel() + self.lam * u
 
-    def smoothness_bound(self):
-        def mv(v):
-            Av = np.asarray(self.A @ v).ravel()
-            return np.asarray(self.A.T @ (self._row_weight * Av)).ravel()
-
-        return 0.25 * _power_iteration_norm(mv, self.dim) + self.lam
-
-    def strong_convexity_bound(self):
-        return self.lam
+    def hessian(self, x):
+        """grad^2 f(x) = A^T diag(s(1 - s) w) A + lam I as a dense d x d
+        array, from one pass over A (s the sigmoid of the margins, w the
+        row weights)."""
+        m = self._margins(self.A, self.labels, x)
+        s = _sigmoid(m)
+        w = s * (1.0 - s) * self._row_weight
+        WA = sp.diags(w) @ self.A if sp.issparse(self.A) else w[:, None] * self.A
+        H = self.A.T @ WA
+        H = H.toarray() if sp.issparse(H) else H
+        H.flat[:: self.dim + 1] += self.lam  # the diagonal
+        return H
 
 
 class DiagonalQuadratic(FiniteSumObjective):
@@ -489,20 +476,3 @@ class DiagonalQuadratic(FiniteSumObjective):
     def strong_convexity_bound(self):
         return float(np.min(np.mean(self.Q, axis=0)))
 
-
-def rel_constants_logistic(obj, ref, samples=100, seed=0, radius=1.0):
-    """Sampled bounds on the relative regularity of ``obj`` w.r.t. ``ref``.
-
-    Draws random points x and directions u and evaluates the Rayleigh-type
-    ratio <u, H_f(x) u> / <u, H_h(x) u>. Returns (L_est, mu_est, samples).
-    Advisory only: the bounds hold on the sampled set, not globally.
-    """
-    rng = make_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        x = radius * rng.standard_normal(obj.dim)
-        u = rng.standard_normal(obj.dim)
-        num = float(u @ obj.hess_vec(x, u))
-        den = float(u @ ref.hess_vec(x, u))
-        ratios.append(num / den)
-    return float(np.max(ratios)), float(np.min(ratios)), samples

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from bregopt import Trace, gen_interpolation, load_instance, save_instance
+from bregopt import (
+    Trace,
+    gen_gaussian_logistic_data,
+    gen_interpolation,
+    gen_preconditioned,
+    load_instance,
+    save_instance,
+)
 from bregopt.cli import _build_problem, main
 from bregopt.solver import METHODS
 
@@ -280,6 +287,20 @@ class TestRun:
         assert code == 4
         lines = open(trace_path).read().splitlines()
         assert len(lines) >= 2
+
+    def test_exhausted_inner_solve_keeps_partial_trace(self, tmp_path, capsys):
+        data = gen_gaussian_logistic_data(200, 5, seed=0)
+        problem = gen_preconditioned(data, n_nodes=4, N=50, n_prec=50, lam=1e-3,
+                                     c_prec=1e-3, seed=0, inner_tol=1e-300, inner_passes=1)
+        inst = str(tmp_path / "prec.bin")
+        save_instance(inst, problem)
+        trace_path = str(tmp_path / "partial.csv")
+        code = main(["run", "--instance", inst, "--method", "bgd", "--eta", "0.5",
+                     "--epochs", "3", "-o", trace_path])
+        assert code == 4
+        assert "above inner_tol" in capsys.readouterr().err
+        lines = open(trace_path).read().splitlines()
+        assert lines[0].startswith("iter,") and len(lines) == 2
 
     def test_determinism_modulo_wall_clock(self, tmp_path):
         inst = self.gen_instance(tmp_path)

@@ -329,6 +329,18 @@ class TestCertification:
         assert by_name["log_barrier/midpoint"].passed
         assert not report.passed
 
+    def test_check_with_no_sample_used_fails(self):
+        # at this scale every shifted dual point leaves the neg-entropy domain
+        report = certify_lemmas(kinds=("neg_entropy",), samples=100, l_scale=1e-4)
+        by_name = {c.name: c for c in report.checks}
+        for name in ("neg_entropy/cocoercivity", "neg_entropy/descent_identity"):
+            check = by_name[name]
+            assert not check.passed
+            assert check.line().endswith("FAIL")
+            assert check.note == "no sample used, skipped 100"
+        assert by_name["neg_entropy/duality"].passed
+        assert not report.passed
+
     def test_golden_violations(self):
         # the 15 (name, samples, max_violation) triples at seed 7, bit for bit
         report = certify_lemmas(samples=1000, seed=7)

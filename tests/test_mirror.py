@@ -10,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 from bregopt import (
     DomainViolation,
     Euclidean,
+    InnerSolveFailure,
     LogBarrier,
     LogisticL2,
     NegEntropy,
     Preconditioner,
     ReferenceFunction,
+    StepFailure,
     StepOutOfDomain,
     make_reference,
     mirror_step,
@@ -271,6 +273,16 @@ class TestPreconditioner:
             generic = ReferenceFunction.divergence(ref, x, y)
             assert ref.divergence(x, y).hex() == generic.hex()
 
+    def test_newton_cap_raises_inner_solve_failure(self):
+        ref = self.build()
+        capped = Preconditioner(ref.inner, c_prec=0.1, inner_tol=1e-300, inner_passes=1)
+        y = ref.grad(np.full(5, 0.5))
+        with pytest.raises(InnerSolveFailure, match="above inner_tol .* within 1 Newton") as info:
+            capped.grad_conjugate(y)
+        assert isinstance(info.value, StepFailure)
+        with pytest.raises(InnerSolveFailure, match="non-finite"):
+            ref.grad_conjugate(np.full(5, np.nan))
+
     def test_dual_divergence_matches_envelope_form(self):
         # independent route: h*(y) = <x_y, y> - h(x_y) at x_y = grad h*(y),
         # then D_{h*}(a, b) = h*(a) - h*(b) - <grad h*(b), a - b>
@@ -283,6 +295,22 @@ class TestPreconditioner:
         conj = lambda point, arg: float(point @ arg) - ref.value(point)
         direct = conj(xa, a) - conj(xb, b) - float(xb @ (a - b))
         assert ref.dual_divergence(a, b) == pytest.approx(direct, rel=1e-5, abs=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), warm=st.booleans(),
+       scale=st.floats(0.1, 3.0), lam=st.sampled_from([1e-5, 1e-2]))
+def test_preconditioner_conjugate_meets_inner_tol(seed, sparse, warm, scale, lam):
+    rng = make_rng(seed)
+    A = rng.normal(size=(40, 5)) * (rng.random(size=(40, 5)) < 0.7)
+    labels = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    inner = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=lam)
+    ref = Preconditioner(inner, c_prec=lam, inner_tol=1e-8, inner_passes=50)
+    x_true = scale * rng.normal(size=5)
+    y = ref.grad(x_true)
+    start = x_true + 0.1 * rng.normal(size=5) if warm else None
+    x = ref.grad_conjugate(y, warm_start=start)
+    assert np.linalg.norm(ref.grad(x) - y) <= ref.inner_tol
 
 
 _SPECIAL = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 800.0, -800.0]

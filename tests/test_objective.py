@@ -400,13 +400,17 @@ class TestLogisticL2:
         fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
         np.testing.assert_allclose(obj.hess_vec(x, u), fd, rtol=1e-4, atol=1e-5)
 
-    def test_smoothness_bound_dominates_hessian(self):
-        obj, rng = self.build()
-        L = obj.smoothness_bound()
-        x = rng.normal(size=4) * 0.5
-        u = rng.normal(size=4)
-        u = u / np.linalg.norm(u)
-        assert float(u @ obj.hess_vec(x, u)) <= L + 1e-8
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_hessian_matches_stacked_hess_vec(self, sparse):
+        rng = make_rng(13)
+        A = rng.normal(size=(30, 5)) * (rng.random(size=(30, 5)) < 0.6)
+        labels = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+        groups = np.array_split(np.arange(30), 4)
+        obj = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01, groups=groups)
+        for _ in range(5):
+            x = rng.normal(size=5)
+            stacked = np.column_stack([obj.hess_vec(x, e) for e in np.eye(5)])
+            np.testing.assert_allclose(obj.hessian(x), stacked, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("grouped", [False, True])
