@@ -31,10 +31,10 @@ class StepFailure(BregoptError):
 
 
 class InnerSolveFailure(StepFailure):
-    """The preconditioner's conjugate solve missed ``inner_tol`` within its
-    Newton cap, stopped decreasing its residual, or met a non-finite
-    gradient or a singular Hessian. A StepFailure, so that ``run()`` keeps
-    the partial trace."""
+    """The preconditioner's conjugate solve ended above ``inner_tol`` (its
+    Newton cap reached or its residual no longer decreasing), or met a
+    non-finite gradient or a singular Hessian. A StepFailure, so that
+    ``run()`` keeps the partial trace."""
 
 
 class InvalidData(BregoptError):

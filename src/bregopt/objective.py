@@ -475,4 +475,3 @@ class DiagonalQuadratic(FiniteSumObjective):
 
     def strong_convexity_bound(self):
         return float(np.min(np.mean(self.Q, axis=0)))
-

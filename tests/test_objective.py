@@ -400,13 +400,20 @@ class TestLogisticL2:
         fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
         np.testing.assert_allclose(obj.hess_vec(x, u), fd, rtol=1e-4, atol=1e-5)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_hessian_matches_stacked_hess_vec(self, sparse):
-        rng = make_rng(13)
+    @staticmethod
+    def build_sparse_rows(seed, sparse, grouped):
+        """A 30 x 5 instance with about 40% zeros, dense or CSR, grouped into
+        four unequal blocks or ungrouped."""
+        rng = make_rng(seed)
         A = rng.normal(size=(30, 5)) * (rng.random(size=(30, 5)) < 0.6)
         labels = np.where(rng.random(30) < 0.5, -1.0, 1.0)
-        groups = np.array_split(np.arange(30), 4)
+        groups = np.array_split(np.arange(30), 4) if grouped else None
         obj = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01, groups=groups)
+        return obj, rng
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_hessian_matches_stacked_hess_vec(self, sparse):
+        obj, rng = self.build_sparse_rows(13, sparse, grouped=True)
         for _ in range(5):
             x = rng.normal(size=5)
             stacked = np.column_stack([obj.hess_vec(x, e) for e in np.eye(5)])
@@ -415,11 +422,7 @@ class TestLogisticL2:
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("grouped", [False, True])
     def test_value_and_grad_is_value_and_full_grad_bytewise(self, sparse, grouped):
-        rng = make_rng(12)
-        A = rng.normal(size=(30, 5)) * (rng.random(size=(30, 5)) < 0.6)
-        labels = np.where(rng.random(30) < 0.5, -1.0, 1.0)
-        groups = np.array_split(np.arange(30), 4) if grouped else None
-        obj = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01, groups=groups)
+        obj, rng = self.build_sparse_rows(12, sparse, grouped)
         for _ in range(5):
             x, y = rng.normal(size=(2, 5))
             f, g = obj.value_and_grad(x)
