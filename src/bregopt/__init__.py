@@ -62,7 +62,6 @@ from .problems import (
     poisson_sample,
     radon_matrix,
     save_instance,
-    save_libsvm,
     shepp_logan,
     solve_reference,
 )

@@ -22,6 +22,7 @@ from .problems import (
     load_instance,
     load_libsvm,
     save_instance,
+    solve_reference,
     write_manifest,
 )
 from .solver import METHODS, RunFailure, SolverConfig, run
@@ -90,12 +91,13 @@ def _build_problem(opts):
                     rows, opts.get("d", 20), seed,
                     separation=opts.get("separation", 1.0),
                 )
-            return gen_preconditioned(
+            # the generator has no closed-form optimum: solve for x_star
+            return solve_reference(gen_preconditioned(
                 data, n_nodes=n_nodes, N=per_node,
                 n_prec=opts.get("n_prec", per_node),
                 lam=opts.get("lam", 1e-5),
                 c_prec=opts.get("c_prec", 1e-5), seed=seed,
-            )
+            ))
     except (ValueError, OverflowError) as exc:  # OverflowError: a seed outside [0, 2^64)
         raise ConfigError(f"bad problem option: {exc}") from None
     raise ConfigError(f"unknown or missing generator: {gen!r}")

@@ -34,18 +34,20 @@ _LOG_TINY = float(np.log(_TINY))
 _LOG_MAX = float(np.log(np.finfo(float).max))
 # step lengths tried along a Newton direction of the preconditioner's solve
 _BACKTRACK = [0.5**k for k in range(31)]
+# DomainViolation messages, formatted with the kind and the index
+_OUTSIDE_DUAL = "{}: dual point outside conjugate domain at component {}"
+_NOT_POSITIVE = "{}: component {} is not strictly positive"
 
 
-def _first_false(ok):
-    """Index of the first False entry of the boolean array ``ok`` in C order,
-    or None: an int for a 1-D mask, a tuple for a stack.
-
-    One count on success (cheaper than ``ok.all()``), ``argmin`` on failure.
-    """
+def _require(ok, message, kind):
+    """Raise DomainViolation at the first False entry of the boolean mask
+    ``ok`` in C order: an int index for a 1-D mask, a tuple for a stack.
+    One count on success (cheaper than ``ok.all()``), ``argmin`` on failure."""
     if np.count_nonzero(ok) == ok.size:
-        return None
+        return
     k = int(np.argmin(ok))
-    return k if ok.ndim == 1 else tuple(int(i) for i in np.unravel_index(k, ok.shape))
+    idx = k if ok.ndim == 1 else tuple(int(i) for i in np.unravel_index(k, ok.shape))
+    raise DomainViolation(message.format(kind, idx), index=idx)
 
 
 def _sum(v):
@@ -69,12 +71,12 @@ class ReferenceFunction:
     """Common interface for mirror maps.
 
     Subclasses implement ``value``, ``grad``, the unchecked conjugate maps
-    ``_grad_conjugate`` and ``_conjugate_value``, and the elementwise domain
-    masks ``dual_ok`` (and ``domain_ok`` where dom h is not all of R^d); the
-    checks and violation indices are derived from the masks. The public
-    conjugate maps check their dual point once and ``dual_divergence`` checks
-    each argument once. Divergences are derived from those unless a closed
-    form is cheaper or more accurate.
+    ``_grad_conjugate`` and ``_conjugate_value``, and the elementwise mask
+    ``dual_ok`` of the conjugate domain (and ``domain_ok`` where dom h is not
+    all of R^d). Checked entry points raise DomainViolation from a mask
+    through ``_require``: ``grad_conjugate`` checks its dual point once,
+    ``dual_divergence`` each argument once. Divergences are derived from
+    those unless a closed form is cheaper or more accurate.
     """
 
     kind = None
@@ -84,47 +86,13 @@ class ReferenceFunction:
     def check_domain(self, x):
         """Raise DomainViolation unless ``x`` is interior to dom h."""
 
-    def dual_ok(self, y):
-        """Elementwise mask: True where grad h* maps ``y`` to a finite
-        interior coordinate."""
-        return np.ones(np.shape(y), dtype=bool)
-
-    def dual_violation_index(self, y):
-        """Index of the first coordinate of ``y`` at which grad h* is not a
-        finite interior point, or None."""
-        return _first_false(self.dual_ok(y))
-
-    def check_dual_domain(self, y):
-        idx = self.dual_violation_index(y)
-        if idx is not None:
-            raise DomainViolation(
-                f"{self.kind}: dual point outside conjugate domain at component {idx}",
-                index=idx,
-            )
-
-    # -- primal map ---------------------------------------------------------
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def grad(self, x):
-        raise NotImplementedError
-
     # -- conjugate map ------------------------------------------------------
 
-    def conjugate_value(self, y):
-        """h*(y); raises DomainViolation as ``grad_conjugate`` does."""
-        self.check_dual_domain(y)
-        return self._conjugate_value(y)
-
     def grad_conjugate(self, y, warm_start=None):
-        """grad h*(y); raises DomainViolation at the first coordinate named
-        by ``dual_violation_index``."""
-        self.check_dual_domain(y)
+        """grad h*(y); raises DomainViolation at the first False entry of
+        ``dual_ok(y)``."""
+        _require(self.dual_ok(y), _OUTSIDE_DUAL, self.kind)
         return self._grad_conjugate(y)
-
-    def _grad_conjugate(self, y):
-        raise NotImplementedError
 
     # -- divergences ----------------------------------------------------------
 
@@ -141,8 +109,8 @@ class ReferenceFunction:
         closed-form conjugate override this with the duality identity
         D_{h*}(a, b) = D_h(grad h*(b), grad h*(a)).
         """
-        self.check_dual_domain(a)
-        self.check_dual_domain(b)
+        _require(self.dual_ok(a), _OUTSIDE_DUAL, self.kind)
+        _require(self.dual_ok(b), _OUTSIDE_DUAL, self.kind)
         return (
             self._conjugate_value(a)
             - self._conjugate_value(b)
@@ -165,19 +133,13 @@ class Euclidean(ReferenceFunction):
     def grad(self, x):
         return np.asarray(x, dtype=float).copy()
 
-    def _conjugate_value(self, y):
-        return 0.5 * _dot(y, y)
-
-    def _grad_conjugate(self, y):
-        return np.asarray(y, dtype=float).copy()
-
     def divergence(self, x, y):
         d = x - y
         return 0.5 * _dot(d, d)
 
-    def dual_divergence(self, a, b):
-        d = a - b
-        return 0.5 * _dot(d, d)
+    _conjugate_value = value
+    _grad_conjugate = grad
+    dual_divergence = divergence
 
 
 class _PositiveOrthant(ReferenceFunction):
@@ -188,10 +150,7 @@ class _PositiveOrthant(ReferenceFunction):
         return x > 0.0
 
     def check_domain(self, x):
-        idx = _first_false(self.domain_ok(x))
-        if idx is not None:
-            raise DomainViolation(f"{self.kind}: component {idx} is not strictly positive",
-                                  index=idx)
+        _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
 
 
 class LogBarrier(_PositiveOrthant):
@@ -212,7 +171,7 @@ class LogBarrier(_PositiveOrthant):
         return -_sum(np.log(x))
 
     def grad(self, x):
-        self.check_domain(x)
+        _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
         return -1.0 / x
 
     def _conjugate_value(self, y):
@@ -254,7 +213,7 @@ class NegEntropy(_PositiveOrthant):
         return _sum(x * np.log(x))
 
     def grad(self, x):
-        self.check_domain(x)
+        _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
         return np.log(x) + 1.0
 
     def _conjugate_value(self, y):

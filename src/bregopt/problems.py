@@ -281,20 +281,6 @@ def load_libsvm(path):
     return A, np.array(labels)
 
 
-def save_libsvm(path, A, labels):
-    """Write (matrix, labels) in LibSVM text format (1-based indices)."""
-    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A))
-    with open(path, "w") as fh:
-        for i in range(A.shape[0]):
-            start, end = A.indptr[i], A.indptr[i + 1]
-            feats = " ".join(
-                f"{int(j) + 1}:{repr(float(v))}"
-                for j, v in zip(A.indices[start:end], A.data[start:end])
-            )
-            lab = "+1" if labels[i] > 0 else "-1"
-            fh.write(f"{lab} {feats}\n".rstrip() + "\n")
-
-
 # ---------------------------------------------------------------------------
 # preconditioned distributed instance
 # ---------------------------------------------------------------------------

@@ -279,6 +279,25 @@ class TestRun:
         trace = Trace.from_csv(trace_path)
         assert np.isfinite(trace.final.f_gap) and trace.final.f_gap < trace[0].f_gap
 
+    def test_generated_preconditioned_instance_has_x_star(self, tmp_path, capsys):
+        # the generator route solves for x*, so a config run and a run of the
+        # written instance both report a finite gap
+        cfg = tmp_path / "prec.cfg"
+        cfg.write_text(
+            "[problem]\ngenerator = preconditioned\nnodes = 2\nsamples = 20\nd = 3\n"
+            "[solver]\nmethod = bsaga\neta = 0.05\nepochs = 2\n"
+            f"[output]\ntrace = {tmp_path / 'a.csv'}\n"
+        )
+        assert main(["run", "-c", str(cfg)]) == 0
+        inst = str(tmp_path / "prec.bin")
+        assert main(["gen", "preconditioned", "--nodes", "2", "--samples", "20",
+                     "--d", "3", "-o", inst]) == 0
+        assert main(["run", "--instance", inst, "--method", "bsaga", "--eta", "0.05",
+                     "--epochs", "2", "-o", str(tmp_path / "b.csv")]) == 0
+        out = capsys.readouterr().out
+        gaps = [float(w.split("=")[1]) for w in out.split() if w.startswith("f_gap=")]
+        assert len(gaps) == 2 and np.all(np.isfinite(gaps))
+
     def test_step_failure_keeps_partial_trace(self, tmp_path):
         inst = self.gen_instance(tmp_path)
         trace_path = str(tmp_path / "partial.csv")

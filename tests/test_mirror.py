@@ -69,7 +69,9 @@ class TestLogBarrier:
         with pytest.raises(StepOutOfDomain) as info:
             mirror_step(LogBarrier(), np.ones(3), np.array([np.nan, 0.0, 0.0]), 0.1)
         assert info.value.index == 0
-        assert LogBarrier().dual_violation_index(np.array([-1.0, np.nan])) == 1
+        with pytest.raises(DomainViolation) as info:
+            LogBarrier().grad_conjugate(np.array([-1.0, np.nan]))
+        assert info.value.index == 1
 
     def test_subnormal_dual_point_out_of_domain(self):
         # grad h(1e300) - g cancels to a negative subnormal y; -1/y is inf
@@ -78,7 +80,9 @@ class TestLogBarrier:
         with pytest.raises(StepOutOfDomain) as info:
             mirror_step(LogBarrier(), x, g, 1.0)
         assert info.value.index == 1
-        assert LogBarrier().dual_violation_index(np.array([-1.0, -5e-324])) == 1
+        with pytest.raises(DomainViolation) as info:
+            LogBarrier().grad_conjugate(np.array([-1.0, -5e-324]))
+        assert info.value.index == 1
 
     def test_divergence_nonnegative(self):
         ref = LogBarrier()
@@ -129,11 +133,11 @@ class TestEuclidean:
         with pytest.raises(StepOutOfDomain) as info:
             mirror_step(Euclidean(), np.zeros(2), np.array(g), 1.0)
         assert info.value.index == index
-        for conjugate in (Euclidean().grad_conjugate, Euclidean().conjugate_value):
-            with pytest.raises(DomainViolation) as info:
-                conjugate(-np.array(g))
-            assert info.value.index == index
-        assert Euclidean().dual_violation_index(np.array([1e308, -1e308])) is None
+        with pytest.raises(DomainViolation) as info:
+            Euclidean().grad_conjugate(-np.array(g))
+        assert info.value.index == index
+        y = np.array([1e308, -1e308])
+        np.testing.assert_array_equal(Euclidean().grad_conjugate(y), y)
 
     def test_divergence_is_half_squared_distance(self):
         ref = Euclidean()
@@ -186,13 +190,14 @@ def test_primal_point_outside_positive_orthant(ref, x, index):
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_accepted_dual_points_have_finite_positive_images(ref, v):
     y = np.array([1.0 if ref.kind == "neg_entropy" else -1.0, v])
-    if ref.dual_violation_index(y) is None:
+    try:
         x = ref.grad_conjugate(y)
-        assert np.all(np.isfinite(x)) and np.all(x > 0)
+    except DomainViolation as exc:
+        assert exc.index == 1
+        assert not ref.dual_ok(y)[1]
     else:
-        assert ref.dual_violation_index(y) == 1
-        with pytest.raises(DomainViolation):
-            ref.grad_conjugate(y)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+        assert ref.dual_ok(y).all()
 
 
 class TestConjugatePairs:
@@ -212,7 +217,7 @@ class TestConjugatePairs:
         for _ in range(20):
             x = interior_point(kind, rng, 5)
             y = ref.grad(x)
-            total = ref.value(x) + ref.conjugate_value(y)
+            total = ref.value(x) + ref._conjugate_value(y)
             assert total == pytest.approx(float(x @ y), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -324,6 +329,15 @@ def _outcome(method, *args):
         return "err", exc.index
 
 
+def _first_bad_entry(mask):
+    """Index of the first False entry of ``mask`` in C order, or None: an int
+    for a 1-D mask, a tuple for a stack."""
+    bad = np.argwhere(~mask)
+    if not len(bad):
+        return None
+    return int(bad[0][0]) if mask.ndim == 1 else tuple(int(i) for i in bad[0])
+
+
 def _stacks(count):
     """``count`` arrays of one shape (rows, d): mostly moderate values, some
     specials that leave a domain."""
@@ -346,11 +360,22 @@ def test_batched_rows_match_1d_calls_bytewise(kind, data):
     else:
         X, Y = np.abs(a), np.abs(b)
         A, B = (-X, -Y) if kind == "log_barrier" else (a, b)
-    masks = [("dual_ok", A)] + ([] if kind == "euclidean" else [("domain_ok", X)])
-    for name, S in masks:
-        batched = getattr(ref, name)(S)
+    masks = [("dual_ok", A, "grad_conjugate")]
+    if kind != "euclidean":
+        masks.append(("domain_ok", X, "grad"))
+    for name, S, checked in masks:
+        mask = getattr(ref, name)
+        batched = mask(S)
         for i, row in enumerate(S):
-            assert batched[i].tobytes() == getattr(ref, name)(row).tobytes()
+            assert batched[i].tobytes() == mask(row).tobytes()
+        # the checked entry point raises at the mask's first False entry
+        with np.errstate(all="ignore"):
+            for point in (S, *S):
+                status, index = _outcome(getattr(ref, checked), point)
+                expected = _first_bad_entry(mask(point))
+                assert (index if status == "err" else None) == expected
+                if status == "err":
+                    assert type(index) is (int if point.ndim == 1 else tuple)
     calls = [
         ("value", (X,), False), ("grad", (X,), True), ("divergence", (X, Y), True),
         ("_grad_conjugate", (A,), False), ("_conjugate_value", (A,), False),
