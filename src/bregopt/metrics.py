@@ -17,7 +17,7 @@ from .errors import (
     InsufficientData,
     TraceInvariantError,
 )
-from .mirror import make_reference
+from .mirror import make_reference, mirror_step
 from .objective import DiagonalQuadratic, PoissonKL
 from .rng import make_rng
 
@@ -146,68 +146,75 @@ def sigma2_estimate(obj, ref, x, x_star, eta, max_exact=10**4, samples=2000, see
     """
     n = obj.n_components
     hx = ref.grad(x)
-    if n <= max_exact:
-        idx = np.arange(n)
-    else:
-        idx = make_rng(seed).integers(0, n, size=samples)
-    shifted = np.array([hx - 2.0 * eta * obj.partial_grad(int(i), x_star) for i in idx])
+    idx = np.arange(n) if n <= max_exact else make_rng(seed).integers(0, n, size=samples)
+    shifted = hx - 2.0 * eta * obj.partial_grad(idx, x_star)
     try:
         vals = ref.dual_divergence(shifted, hx) / (2.0 * eta**2)
     except DomainViolation as exc:
-        raise DomainViolation(
-            "variance assumption unverifiable at this probe point"
-        ) from exc
+        raise DomainViolation("variance assumption unverifiable at this probe point") from exc
     stderr = 0.0 if n <= max_exact else float(np.std(vals) / np.sqrt(len(vals)))
     return float(np.mean(vals)), stderr
 
 
 def saga_slot_errors(state, obj, x_star):
-    """[D_{f_j}(phi_j, x_star) for j = 0..n-1] in slot order; needs stored
-    anchors."""
+    """[D_{f_j}(phi_j, x_star) for j = 0..n-1] in slot order, from one
+    stacked component divergence; needs stored anchors."""
     if state.anchors is None:
         raise AnchorsUnavailable("SAGA state was created without anchor storage")
-    return [
-        obj.component_divergence(j, state.anchors[j], x_star)
-        for j in range(obj.n_components)
-    ]
+    idx = np.arange(obj.n_components)
+    return obj.component_divergence(idx, state.anchors, x_star).tolist()
 
 
-def _saga_psi(ref, x_star, x, errors, eta):
-    # psi = D_h(x_star, x) / eta + (n/2) H with H the mean of the slot errors
+def _saga_psi(dh, errors, eta):
+    # psi = D_h(x_star, x) / eta + (n/2) H, H the mean of the slot errors
     n = len(errors)
-    return ref.divergence(x_star, x) / eta + 0.5 * n * (sum(errors) / n)
+    return dh / eta + 0.5 * n * (sum(errors) / n)
 
 
 def saga_potential(state, obj, ref, x_star, eta):
     """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t."""
-    return _saga_psi(ref, x_star, state.x, saga_slot_errors(state, obj, x_star), eta)
+    errors = saga_slot_errors(state, obj, x_star)
+    return _saga_psi(ref.divergence(x_star, state.x), errors, eta)
 
 
-def saga_successor_potentials(state, step, obj, ref, x_star, eta):
+def saga_successor_potentials(state, obj, ref, x_star, eta):
     """psi_t and the potential after each of the n possible next steps.
 
-    ``step(probe, i)`` advances a copy of ``state`` with component i. A step
-    rewrites table slot i only, so the slot errors are computed once and
-    only slot i's is recomputed for successor i: n + n component divergences
-    in place of n (n + 1). Each value equals :func:`saga_potential` of the
-    stepped copy bit for bit. Returns (psi_t, [psi after step i for each i]).
+    Step i moves x_t along the SAGA estimate of component i and anchor i to
+    x_t, so only slot i's error changes, to D_{f_i}(x_t, x_star). The n
+    estimates, steps and divergences D_h(x_star, .) and the 2n slot errors
+    are one stacked call each, so ``ref`` must be a closed-form map (a
+    Preconditioner raises ValueError). Each value equals :func:`saga_potential`
+    of the stepped state bit for bit. Returns (psi_t, [psi after step i]).
     """
+    from .solver import saga_gradient  # the solver imports this module
+    idx = np.arange(obj.n_components)
     errors = saga_slot_errors(state, obj, x_star)
-    successors = []
-    for i in range(len(errors)):
-        probe = state.copy()
-        step(probe, i)
-        errors_i = list(errors)
-        errors_i[i] = obj.component_divergence(i, probe.anchors[i], x_star)
-        successors.append(_saga_psi(ref, x_star, probe.x, errors_i, eta))
-    return _saga_psi(ref, x_star, state.x, errors, eta), successors
+    moved = obj.component_divergence(idx, state.x, x_star).tolist()
+    X = mirror_step(ref, state.x, saga_gradient(state, obj, idx)[1], eta)
+    successors = [_saga_psi(dh, errors[:i] + [moved[i]] + errors[i + 1:], eta)
+                  for i, dh in enumerate(ref.divergence(x_star, X).tolist())]
+    return _saga_psi(ref.divergence(x_star, state.x), errors, eta), successors
 
 
 def svrg_potential(state, obj, ref, x_star, eta, p):
     """psi_t = D_h(x_star, x_t) + (eta / 2p) D_f(phi_t, x_star)."""
-    return ref.divergence(x_star, state.x) + (eta / (2.0 * p)) * obj.f_divergence(
-        state.anchor, x_star
-    )
+    memory = (eta / (2.0 * p)) * obj.f_divergence(state.anchor, x_star)
+    return ref.divergence(x_star, state.x) + memory
+
+
+def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
+    """psi_t and the potential after each of the n possible next steps, in
+    expectation over the refresh coin (the anchor stays with probability
+    1 - p, else moves to x_t). Stacked as :func:`saga_successor_potentials`,
+    with its contract on ``ref``. Returns (psi_t, [expected psi after step i]).
+    """
+    from .solver import svrg_gradient  # the solver imports this module
+    memory = (eta / (2.0 * p)) * ((1.0 - p) * obj.f_divergence(state.anchor, x_star)
+                                  + p * obj.f_divergence(state.x, x_star))
+    X = mirror_step(ref, state.x, svrg_gradient(state, obj, np.arange(obj.n_components)), eta)
+    successors = [dh + memory for dh in ref.divergence(x_star, X).tolist()]
+    return svrg_potential(state, obj, ref, x_star, eta, p), successors
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,10 @@ def mirror_step(ref, x, g, eta):
     grad h*(grad h(x) - eta g). The dual point is checked once, by
     ``grad_conjugate``; its :class:`DomainViolation` is raised as
     :class:`StepOutOfDomain` with the offending component index, and callers
-    may retry with a halved step size.
+    may retry with a halved step size. A closed-form map also takes a stack
+    of estimates ``g`` (``x`` broadcasts): one step per row, each equal to
+    the 1-D step bit for bit, the index of a violation a (row, component)
+    tuple.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -332,7 +335,5 @@ def mirror_step(ref, x, g, eta):
     try:
         return ref.grad_conjugate(y, warm_start=x)
     except DomainViolation as exc:
-        raise StepOutOfDomain(
-            f"{ref.kind}: mirror step left the conjugate domain at component {exc.index}",
-            index=exc.index,
-        ) from exc
+        raise StepOutOfDomain(f"{ref.kind}: mirror step left the conjugate domain at "
+                              f"component {exc.index}", index=exc.index) from exc

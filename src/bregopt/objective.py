@@ -15,12 +15,16 @@ Three families are provided:
 Objectives are immutable after construction and safe for concurrent reads.
 All component gradients are plain gradients of f_i (not divided by n), so a
 uniformly sampled component gradient is an unbiased estimate of grad f.
+Component methods also take an index array i and stacked points (a 1-D point
+serves every row); row k equals the call with i[k] bit for bit. Quadratics
+take whole-array passes, the other families one index at a time.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainViolation, InvalidData
+from .mirror import _dot
 
 
 def _entries(A):
@@ -93,11 +97,13 @@ class FiniteSumObjective:
 
     def component_divergence(self, i, x, y):
         """D_{f_i}(x, y), used by the SAGA/SVRG potentials."""
-        return float(
-            self.value_component(i, x)
-            - self.value_component(i, y)
-            - self.partial_grad(i, y) @ (x - y)
-        )
+        return (self.value_component(i, x) - self.value_component(i, y)
+                - _dot(self.partial_grad(i, y), x - y))
+
+    def _each(self, method, i, *points):
+        """Rows ``method(i[k], row k of each stacked point)`` for index array i."""
+        return np.array([method(int(j), *(p if np.ndim(p) == 1 else p[k] for p in points))
+                         for k, j in enumerate(i)])
 
     # Euclidean regularity bounds of f, where the family has them.
     def smoothness_bound(self):
@@ -153,7 +159,9 @@ class PoissonKL(FiniteSumObjective):
 
     def __init__(self, A, b, groups=None, barrier_weight=0.0):
         b = np.asarray(b, dtype=float)
-        self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
+        A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
+        # a sparse A rebuilt from its arrays narrows int64 indices that fit to int32
+        self.A = type(A)((A.data, A.indices, A.indptr), shape=A.shape) if sp.issparse(A) else A
         if not _finite_nonnegative(_entries(self.A)):
             raise InvalidData("poisson_kl: A must be finite and nonnegative")
         if not _finite_nonnegative(b):
@@ -226,6 +234,8 @@ class PoissonKL(FiniteSumObjective):
         return self._kl_terms(self.A, self.b, x) / self.n_components + self._barrier_value(x)
 
     def value_component(self, i, x):
+        if isinstance(i, np.ndarray):
+            return self._each(self.value_component, i, x)
         Ai, bi = self._block(i)
         return self._kl_terms(Ai, bi, x) + self._barrier_value(x)
 
@@ -238,6 +248,8 @@ class PoissonKL(FiniteSumObjective):
         return np.asarray(g).ravel()
 
     def partial_grad(self, i, x):
+        if isinstance(i, np.ndarray):
+            return self._each(self.partial_grad, i, x)
         if self._rows is None:
             g = self._kl_grad(*self._blocks[i], x)
         else:
@@ -371,6 +383,8 @@ class LogisticL2(FiniteSumObjective):
         return y * z
 
     def value_component(self, i, x):
+        if isinstance(i, np.ndarray):
+            return self._each(self.value_component, i, x)
         Ai, yi = self._blocks[i]
         m = self._margins(Ai, yi, x)
         return float(np.mean(_log1pexp(-m))) + 0.5 * self.lam * float(x @ x)
@@ -382,6 +396,8 @@ class LogisticL2(FiniteSumObjective):
         return float(self._row_weight @ _log1pexp(-m)) + 0.5 * self.lam * float(x @ x)
 
     def partial_grad(self, i, x):
+        if isinstance(i, np.ndarray):
+            return self._each(self.partial_grad, i, x)
         Ai, yi = self._blocks[i]
         m = self._margins(Ai, yi, x)
         s = _sigmoid(-m)
@@ -455,7 +471,7 @@ class DiagonalQuadratic(FiniteSumObjective):
 
     def value_component(self, i, x):
         d = x - self.C[i]
-        return 0.5 * float(self.Q[i] @ (d * d))
+        return 0.5 * _dot(self.Q[i], d * d)
 
     def value(self, x):
         d = x[None, :] - self.C

@@ -11,7 +11,7 @@ the trace shows each such intervention.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,17 +126,6 @@ class SagaState:
             anchors=anchors,
         )
 
-    def copy(self):
-        """An independent copy: every array is copied, since a step writes
-        ``table`` and ``anchors`` in place."""
-        return replace(
-            self,
-            x=self.x.copy(),
-            table=self.table.copy(),
-            table_mean=self.table_mean.copy(),
-            anchors=None if self.anchors is None else self.anchors.copy(),
-        )
-
     def refresh_sum_dist(self):
         self.sum_dist = float(np.sum(np.linalg.norm(self.x - self.anchors, axis=1)))
         self.steps_since_refresh = 0
@@ -162,7 +151,7 @@ class SvrgState:
 
 
 def saga_gradient(state, obj, index):
-    """The SAGA estimate g_t for component ``index`` at the current iterate."""
+    """(grad f_i(x_t), SAGA estimate g_t) for ``index``; one row each per index of an array."""
     g_new = obj.partial_grad(index, state.x)
     return g_new, g_new - state.table[index] + state.table_mean
 
@@ -193,7 +182,7 @@ def bsaga_step(state, obj, i, step):
 
 
 def svrg_gradient(state, obj, index):
-    """The SVRG estimate g_t for component ``index`` at the current iterate."""
+    """The SVRG estimate g_t for ``index`` at x_t; one row per index of an array."""
     return (
         obj.partial_grad(index, state.x)
         - obj.partial_grad(index, state.anchor)

@@ -23,16 +23,23 @@ from bregopt import (
     Trace,
     TraceRecord,
     bsaga_step,
+    bsvrg_step,
     certify_lemmas,
     mirror_step,
     plateau_level,
     rate_fit,
     saga_potential,
+    svrg_gradient,
     svrg_potential,
     SvrgState,
     TraceInvariantError,
 )
-from bregopt.metrics import CERT_DIM, saga_slot_errors, saga_successor_potentials
+from bregopt.metrics import (
+    CERT_DIM,
+    saga_slot_errors,
+    saga_successor_potentials,
+    svrg_successor_potentials,
+)
 from bregopt.rng import make_rng
 from bregopt.verify import Battery
 
@@ -195,10 +202,7 @@ class TestSuccessorPotentials:
         return obj, LogBarrier(), xs, 1.0 / (8.0 * obj.rel_smoothness())
 
     def assert_bitwise_equal(self, state, obj, ref, xs, eta):
-        def step(probe, i):
-            bsaga_step(probe, obj, i, mirror(ref, eta))
-
-        psi, successors = saga_successor_potentials(state, step, obj, ref, xs, eta)
+        psi, successors = saga_successor_potentials(state, obj, ref, xs, eta)
         assert psi == saga_potential(state, obj, ref, xs, eta)
         assert successors == deepcopy_successors(state, obj, ref, xs, eta)
 
@@ -221,15 +225,51 @@ class TestSuccessorPotentials:
                 bsaga_step(state, obj, int(rng.integers(obj.n_components)), mirror(ref, eta))
             self.assert_bitwise_equal(state, obj, ref, xs, eta)
 
+    def assert_svrg_bitwise_equal(self, state, obj, ref, xs, eta, p):
+        # one mirror step per component, summed in slot order
+        memory = (eta / (2.0 * p)) * ((1.0 - p) * obj.f_divergence(state.anchor, xs)
+                                      + p * obj.f_divergence(state.x, xs))
+        acc, want = 0.0, []
+        for i in range(obj.n_components):
+            x_next = mirror_step(ref, state.x, svrg_gradient(state, obj, i), eta)
+            want.append(ref.divergence(xs, x_next) + memory)
+            acc += want[-1]
+        psi, successors = svrg_successor_potentials(state, obj, ref, xs, eta, p)
+        assert psi == svrg_potential(state, obj, ref, xs, eta, p)
+        assert successors == want and sum(successors) == acc
+
+    def test_svrg_quadratic_states_match_one_step_at_a_time(self):
+        prob, eta = self.quadratic()
+        obj, ref, xs = prob.objective, prob.reference, prob.x_star
+        rng = make_rng(32)
+        state = SvrgState.init(prob.x0, obj)
+        for _ in range(6):
+            for _ in range(int(rng.integers(1, 20))):
+                i = int(rng.integers(obj.n_components))
+                bsvrg_step(state, obj, i, mirror(ref, eta), bool(rng.random() < 0.1))
+            self.assert_svrg_bitwise_equal(state, obj, ref, xs, eta, 0.1)
+
+    def test_svrg_poisson_log_barrier_states_match_one_step_at_a_time(self):
+        obj, ref, xs, eta = self.poisson()
+        rng = make_rng(7)
+        state = SvrgState.init(np.ones(4), obj)
+        for _ in range(4):
+            for _ in range(int(rng.integers(1, 15))):
+                i = int(rng.integers(obj.n_components))
+                bsvrg_step(state, obj, i, mirror(ref, eta), bool(rng.random() < 0.2))
+            self.assert_svrg_bitwise_equal(state, obj, ref, xs, eta, 0.2)
+
     def test_criterion_5_divergence_counts(self, monkeypatch):
-        # 100 states x (32 slot errors + one per successor); 3 f divergences
-        # per SVRG state. O(n^2) per state would read 105,600 and 6,500.
+        # component divergences are counted by rows, one per index, since a
+        # call takes an index array: 100 states x (32 slot errors + one per
+        # successor); 3 f divergences per SVRG state. O(n^2) per state would
+        # read 105,600 and 6,500.
         counts = {"component_divergence": 0, "f_divergence": 0}
         for name in counts:
             original = getattr(DiagonalQuadratic, name)
 
             def counted(objective, *args, _name=name, _original=original):
-                counts[_name] += 1
+                counts[_name] += np.size(args[0]) if _name == "component_divergence" else 1
                 return _original(objective, *args)
 
             monkeypatch.setattr(DiagonalQuadratic, name, counted)

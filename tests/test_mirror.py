@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -322,10 +322,11 @@ _SPECIAL = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 8
 
 
 def _outcome(method, *args):
-    """("ok", result) or ("err", DomainViolation index) of one call."""
+    """("ok", result) or ("err", DomainViolation or StepOutOfDomain index) of
+    one call."""
     try:
         return "ok", method(*args)
-    except DomainViolation as exc:
+    except (DomainViolation, StepOutOfDomain) as exc:
         return "err", exc.index
 
 
@@ -401,6 +402,28 @@ def test_batched_rows_match_1d_calls_bytewise(kind, data):
                 assert rows[row][0] == "err"
                 if len(args) == 1:
                     assert (row, column) == (failing[0], rows[row][1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=_stacks(2), eta=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+def test_stacked_mirror_step_rows_match_1d_steps_bytewise(kind, data, eta):
+    # one (d,) iterate and a stack of estimates, as in the successor
+    # potentials of criterion 5; large estimates leave the domains
+    ref = make_reference(kind)
+    a, G = data
+    x = a[0] if kind == "euclidean" else np.abs(a[0]) + 0.1
+    assume(np.all(np.isfinite(x)))
+    with np.errstate(all="ignore"):
+        rows = [_outcome(mirror_step, ref, x, g, eta) for g in G]
+        status, value = _outcome(mirror_step, ref, x, G, eta)
+    failing = [k for k, (s, _) in enumerate(rows) if s == "err"]
+    if not failing:
+        assert status == "ok" and value.shape == G.shape
+        for k, (_, step) in enumerate(rows):
+            assert value[k].tobytes() == step.tobytes()
+    else:
+        assert status == "err" and value == (failing[0], rows[failing[0]][1])
 
 
 def test_preconditioner_rejects_a_stack():

@@ -301,14 +301,16 @@ class TestCachedOperators:
 
     def test_sparse_transposes_share_the_blocks_arrays(self):
         # a loaded instance's A has int32 indices, as sp.csr_matrix stores
-        # them; the generator's int64 indices are narrowed once, in A^T only
+        # them; the generator's radon_matrix hands over int64 indices, which
+        # the objective narrows to int32 once, for A and A^T alike
         gen = gen_tomography(16, 3, seed=1).objective
         obj = PoissonKL(sp.csr_matrix(gen.A.toarray()), gen.b, groups=gen.groups)
         pairs = [(Ai, AiT) for o in (gen, obj) for Ai, AiT, _ in o._blocks]
-        pairs.append((obj.A, obj._AT))
-        assert len(pairs) == 7 and np.shares_memory(gen.A.data, gen._AT.data)
+        pairs += [(gen.A, gen._AT), (obj.A, obj._AT)]
+        assert len(pairs) == 8
         for Ai, AiT in pairs:
             assert sp.issparse(AiT) and AiT.shape == Ai.shape[::-1]
+            assert Ai.indices.dtype == Ai.indptr.dtype == np.int32
             for part in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(Ai, part), getattr(AiT, part))
 

@@ -1,9 +1,10 @@
 """Tests for solver steps, step-size policies, and the run harness."""
 
-import copy
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bregopt import (
     DiagonalQuadratic,
@@ -36,7 +37,11 @@ from bregopt import (
     step_policy,
     svrg_gradient,
 )
-from bregopt.metrics import TRACE_COLUMNS
+from bregopt.metrics import (
+    TRACE_COLUMNS,
+    saga_successor_potentials,
+    svrg_successor_potentials,
+)
 from bregopt.rng import make_rng
 
 
@@ -105,21 +110,6 @@ class TestEstimators:
         else:
             assert state.anchor is anchor and state.anchor_grad is anchor_grad
 
-    def test_saga_copy_is_independent(self):
-        obj = small_quadratic()
-        rng = make_rng(8)
-        for store_anchors in (True, False):
-            state = SagaState.init(rng.normal(size=3), obj, store_anchors=store_anchors)
-            for _ in range(5):
-                bsaga_step(state, obj, int(rng.integers(8)), euclidean_step(0.02))
-            before = copy.deepcopy(state)
-            probe = state.copy()
-            bsaga_step(probe, obj, 2, euclidean_step(0.02))
-            assert not np.array_equal(probe.x, state.x)
-            for name in ("x", "table", "table_mean", "anchors", "sum_dist"):
-                np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
-            assert (probe.anchors is None) == (not store_anchors)
-
     def test_saga_table_mean_invariant(self):
         obj = small_quadratic()
         rng = make_rng(4)
@@ -129,6 +119,49 @@ class TestEstimators:
         np.testing.assert_allclose(
             state.table_mean, np.mean(state.table, axis=0), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("family", ["quadratic", "poisson"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_index_array_rows_match_1d_calls_bytewise(family, data):
+    # DiagonalQuadratic evaluates index arrays in whole-array passes,
+    # PoissonKL through the generic one-index-at-a-time route
+    n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+    rows = data.draw(st.integers(1, 8))
+    positive = st.floats(0.1, 3.0)
+    weights = data.draw(arrays(np.float64, (n, d), elements=positive))
+    if family == "quadratic":
+        obj = DiagonalQuadratic(weights, data.draw(arrays(np.float64, (n, d),
+                                                          elements=st.floats(-3.0, 3.0))))
+        point = st.floats(-5.0, 5.0)
+    else:
+        obj = PoissonKL(weights, data.draw(arrays(np.float64, n, elements=st.floats(0.0, 5.0))),
+                        barrier_weight=data.draw(st.sampled_from([0.0, 0.3])))
+        point = positive
+    X, Y = data.draw(arrays(np.float64, (2, rows, d), elements=point))
+    x, y = X[0], Y[0]
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)))
+    saga = SagaState.init(y, obj)
+    saga.x = x
+    svrg = SvrgState.init(y, obj)
+    svrg.x = x
+    calls = [
+        (obj.partial_grad, (X,)), (obj.partial_grad, (x,)),
+        (obj.value_component, (X,)), (obj.value_component, (x,)),
+        (obj.component_divergence, (X, y)), (obj.component_divergence, (x, Y)),
+        (obj.component_divergence, (X, Y)),
+        (lambda i: saga_gradient(saga, obj, i)[0], ()),
+        (lambda i: saga_gradient(saga, obj, i)[1], ()),
+        (lambda i: svrg_gradient(svrg, obj, i), ()),
+    ]
+    with np.errstate(all="ignore"):  # a subnormal count can give log(0)
+        for method, points in calls:
+            stacked = method(idx, *points)
+            assert len(stacked) == rows
+            for k, i in enumerate(idx.tolist()):
+                row = method(i, *(p if p.ndim == 1 else p[k] for p in points))
+                assert stacked[k].tobytes() == np.asarray(row).tobytes()
 
 
 class TestStepPolicy:
@@ -237,13 +270,20 @@ class TestSigma2:
             sigma2_estimate(problem.objective, problem.reference, x, 0.5 * x, 1e6)
 
     def test_preconditioner_reference_is_rejected(self):
-        # the stacked dual divergence needs a closed-form map
+        # the stacked dual divergence, and the stacked mirror steps of the
+        # successor potentials, need a closed-form map
         data = gen_gaussian_logistic_data(40, 3, seed=3)
         problem = gen_preconditioned(data, n_nodes=2, N=10, n_prec=10,
                                      lam=1e-3, c_prec=1e-3, seed=3)
+        obj, ref = problem.objective, problem.reference
         x = np.zeros(3)
         with pytest.raises(ValueError, match="not a stack"):
-            sigma2_estimate(problem.objective, problem.reference, x, x, 0.1)
+            sigma2_estimate(obj, ref, x, x, 0.1)
+        with pytest.raises(ValueError, match="not a stack"):
+            saga_successor_potentials(SagaState.init(x, obj, store_anchors=True),
+                                      obj, ref, x, 0.1)
+        with pytest.raises(ValueError, match="not a stack"):
+            svrg_successor_potentials(SvrgState.init(x, obj), obj, ref, x, 0.1, 0.5)
 
 
 class TestRunHarness:
