@@ -48,9 +48,8 @@ class TraceRecord:
         return [getattr(self, c) for c in TRACE_COLUMNS]
 
 
-# CSV columns in field order, and the cast that reads each back
+# CSV columns in field order
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
-_TRACE_CASTS = tuple(f.type for f in fields(TraceRecord))
 
 
 class Trace:
@@ -111,22 +110,6 @@ class Trace:
         buf = io.StringIO()
         self._write(buf)
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, path_or_file):
-        if hasattr(path_or_file, "read"):
-            lines = path_or_file.read().splitlines()
-        else:
-            with open(path_or_file) as fh:
-                lines = fh.read().splitlines()
-        header = lines[0].split(",")
-        if tuple(header) != TRACE_COLUMNS:
-            raise ValueError("unexpected trace CSV header")
-        trace = cls()
-        for line in lines[1:]:
-            vals = line.split(",")
-            trace.records.append(TraceRecord(*(cast(v) for cast, v in zip(_TRACE_CASTS, vals))))
-        return trace
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +193,13 @@ def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
     with its contract on ``ref``. Returns (psi_t, [expected psi after step i]).
     """
     from .solver import svrg_gradient  # the solver imports this module
-    memory = (eta / (2.0 * p)) * ((1.0 - p) * obj.f_divergence(state.anchor, x_star)
-                                  + p * obj.f_divergence(state.x, x_star))
+    anchor = obj.f_divergence(state.anchor, x_star)
+    memory = (eta / (2.0 * p)) * ((1.0 - p) * anchor + p * obj.f_divergence(state.x, x_star))
     X = mirror_step(ref, state.x, svrg_gradient(state, obj, np.arange(obj.n_components)), eta)
     successors = [dh + memory for dh in ref.divergence(x_star, X).tolist()]
-    return svrg_potential(state, obj, ref, x_star, eta, p), successors
+    # svrg_potential bit for bit, reusing the anchor divergence
+    psi = ref.divergence(x_star, state.x) + (eta / (2.0 * p)) * anchor
+    return psi, successors
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +207,13 @@ def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
 # ---------------------------------------------------------------------------
 
 
-def rate_fit(trace_or_values, window, iters=None):
-    """Per-iteration geometric contraction fitted on the trailing ``window``.
-
-    Accepts a :class:`Trace` (uses the dh_gap column against the iteration
-    column) or a raw positive sequence with optional iteration counts.
-    Returns exp(slope) of a least-squares line through log(values).
+def rate_fit(trace, window):
+    """Per-iteration geometric contraction of a :class:`Trace`'s dh_gap
+    column, fitted against its iteration column on the trailing ``window``
+    positive records. Returns exp(slope) of a least-squares line through
+    log(dh_gap).
     """
-    if isinstance(trace_or_values, Trace):
-        values = trace_or_values.column("dh_gap")
-        iters = trace_or_values.column("iter")
-    else:
-        values = np.asarray(trace_or_values, dtype=float)
-        iters = np.arange(len(values)) if iters is None else np.asarray(iters, float)
+    values, iters = trace.column("dh_gap"), trace.column("iter")
     keep = values > 0
     values, iters = values[keep], iters[keep]
     if len(values) < max(window, 2):
@@ -299,12 +278,9 @@ class CertReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def lines(self):
-        return [c.line() for c in self.checks]
-
     def text(self):
         verdict = "ALL CHECKS PASSED" if self.passed else "CHECK FAILURES PRESENT"
-        return "\n".join(self.lines() + [verdict])
+        return "\n".join([c.line() for c in self.checks] + [verdict])
 
 
 def _interior_point(kind, rng, d):

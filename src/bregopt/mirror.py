@@ -103,12 +103,9 @@ class ReferenceFunction:
         return self.value(x) - self.value(y) - _dot(self.grad(y), x - y)
 
     def dual_divergence(self, a, b):
-        """D_{h*}(a, b) for a, b in the conjugate domain.
-
-        Default route evaluates h* directly; reference functions without a
-        closed-form conjugate override this with the duality identity
-        D_{h*}(a, b) = D_h(grad h*(b), grad h*(a)).
-        """
+        """D_{h*}(a, b) for a, b in the conjugate domain, from h* directly;
+        a reference function without a closed-form conjugate raises
+        ValueError."""
         _require(self.dual_ok(a), _OUTSIDE_DUAL, self.kind)
         _require(self.dual_ok(b), _OUTSIDE_DUAL, self.kind)
         return (
@@ -235,9 +232,9 @@ class Preconditioner(ReferenceFunction):
     and solve in d^2 memory. Every solve takes at least one Newton step and
     at most ``inner_passes``; one left above ``inner_tol`` raises
     :class:`InnerSolveFailure` (a StepFailure) with its residual. Only
-    methods of ``inner`` are called. Dual divergences use the duality
-    identity (two conjugate solves). Points are 1-D: the conjugate map
-    rejects a stack.
+    methods of ``inner`` are called. Points are 1-D: the conjugate map
+    rejects a stack. h* has no closed form, so ``dual_divergence`` raises
+    ValueError.
     """
 
     kind = "preconditioner"
@@ -296,10 +293,7 @@ class Preconditioner(ReferenceFunction):
         return x
 
     def dual_divergence(self, a, b):
-        # Duality identity: D_{h*}(a, b) = D_h(grad h*(b), grad h*(a)).
-        xb = self.grad_conjugate(b)
-        xa = self.grad_conjugate(a)
-        return self.divergence(xb, xa)
+        raise ValueError("preconditioner: a dual divergence needs a closed-form conjugate")
 
 
 _KINDS = {

@@ -86,10 +86,6 @@ class FiniteSumObjective:
         bit; subclasses override it to share one pass over the data."""
         return self.value(x), self.full_grad(x)
 
-    def hess_vec(self, x, u):
-        """grad^2 f(x) @ u."""
-        raise NotImplementedError
-
     def f_divergence(self, x, y):
         """D_f(x, y) = f(x) - f(y) - <grad f(y), x - y>."""
         f_y, g_y = self.value_and_grad(y)
@@ -104,13 +100,6 @@ class FiniteSumObjective:
         """Rows ``method(i[k], row k of each stacked point)`` for index array i."""
         return np.array([method(int(j), *(p if np.ndim(p) == 1 else p[k] for p in points))
                          for k, j in enumerate(i)])
-
-    # Euclidean regularity bounds of f, where the family has them.
-    def smoothness_bound(self):
-        raise NotImplementedError
-
-    def strong_convexity_bound(self):
-        return 0.0
 
 
 def _index_groups(groups, rows, kind):
@@ -159,9 +148,7 @@ class PoissonKL(FiniteSumObjective):
 
     def __init__(self, A, b, groups=None, barrier_weight=0.0):
         b = np.asarray(b, dtype=float)
-        A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
-        # a sparse A rebuilt from its arrays narrows int64 indices that fit to int32
-        self.A = type(A)((A.data, A.indices, A.indptr), shape=A.shape) if sp.issparse(A) else A
+        self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
         if not _finite_nonnegative(_entries(self.A)):
             raise InvalidData("poisson_kl: A must be finite and nonnegative")
         if not _finite_nonnegative(b):
@@ -276,6 +263,7 @@ class PoissonKL(FiniteSumObjective):
         return g
 
     def hess_vec(self, x, u):
+        """grad^2 f(x) @ u."""
         rates = self._rates(self.A, self.b, x)
         w = np.zeros_like(rates)
         pos = self.b > 0
@@ -320,22 +308,12 @@ class PoissonKL(FiniteSumObjective):
         """Relative smoothness constant of f w.r.t. the log-barrier:
         (1/n) max_j sum_{i in supp(col j)} b_i + barrier_weight.
 
-        Exploits the column sparsity of A; the KL part is always at most the
+        Exploits the column sparsity of A (its positive entries, dense or
+        sparse, stored zeros excluded); the KL part is always at most the
         dense bound sum_i b_i / n, with equality when A has no zero entries.
         """
-        if sp.issparse(self.A):
-            AT = self._AT
-            col_sums = sp.csc_array((np.ones_like(AT.data), AT.indices, AT.indptr),
-                                    shape=AT.shape) @ self.b
-        else:
-            col_sums = (self.A > 0).T @ self.b
+        col_sums = (self.A > 0).T @ self.b
         return float(np.max(col_sums)) / self.n_components + self.barrier_weight
-
-    def smoothness_bound(self):
-        # No global Euclidean bound exists near the boundary; callers needing
-        # one must use the relative constant instead.
-        raise InvalidData("poisson_kl has no global Euclidean smoothness bound; "
-                          "rel_smoothness() gives its constant relative to the log-barrier")
 
 
 class LogisticL2(FiniteSumObjective):
@@ -417,14 +395,6 @@ class LogisticL2(FiniteSumObjective):
         m = self._margins(self.A, self.labels, x)
         return self._value(x, m), self._full_grad(x, m)
 
-    def hess_vec(self, x, u):
-        m = self._margins(self.A, self.labels, x)
-        s = _sigmoid(m)
-        w = s * (1.0 - s) * self._row_weight
-        Au = np.asarray(self.A @ u).ravel()
-        Hu = self.A.T @ (w * Au)
-        return np.asarray(Hu).ravel() + self.lam * u
-
     def hessian(self, x):
         """grad^2 f(x) = A^T diag(s(1 - s) w) A + lam I as a dense d x d
         array, from one pass over A (s the sigmoid of the margins, w the
@@ -440,7 +410,8 @@ class LogisticL2(FiniteSumObjective):
 
 
 class DiagonalQuadratic(FiniteSumObjective):
-    """f_i(x) = (1/2) sum_j Q_ij (x_j - C_ij)^2 with positive weights Q.
+    """f_i(x) = (1/2) sum_j Q_ij (x_j - C_ij)^2 with positive weights Q and
+    finite centers C.
 
     The minimizer of f is closed form, which makes these instances exact
     oracles for the Euclidean-geometry solvers.
@@ -458,6 +429,8 @@ class DiagonalQuadratic(FiniteSumObjective):
                               "component and one unknown")
         if not np.all(Q > 0):  # NaN fails
             raise InvalidData("quadratic: weights must be positive")
+        if not np.all(np.isfinite(C)):
+            raise InvalidData("quadratic: centers must be finite")
         self.Q = Q
         self.C = C
 

@@ -161,13 +161,10 @@ def radon_matrix(size, n_angles):
         rows.append(np.repeat(a * size + bins, np.count_nonzero(ok, axis=(1, 2))))
         cols.append(cy[ok] * size + cx[ok])
         vals.append(w[ok])
-    A = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_angles * size, size * size),
     ).tocsr()
-    A.indices = A.indices.astype(np.int64)
-    A.indptr = A.indptr.astype(np.int64)
-    return A
 
 
 def operator_hash(A):
@@ -275,10 +272,7 @@ def load_libsvm(path):
                 max_col = max(max_col, idx - 1)
             n_rows += 1
     shape = (n_rows, max_col + 1)
-    A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    A.indices = A.indices.astype(np.int64)
-    A.indptr = A.indptr.astype(np.int64)
-    return A, np.array(labels)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr(), np.array(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +522,16 @@ class _Archive:
     def scalar(self, key, kind="f"):
         return self.array(key, kind, ()).item()
 
-    def optional(self, key, shape):
-        """Finite float array ``key`` (a float when 0-d), or None when absent."""
-        if key not in self.names:
-            return None
+    def finite(self, key, shape):
+        """Finite float array ``key`` (a float when 0-d)."""
         value = self.array(key, "f", shape)
         if not np.all(np.isfinite(value)):
             raise InvalidData(f"{key!r} is not finite")
         return value if shape else value.item()
+
+    def optional(self, key, shape):
+        """:meth:`finite` array ``key``, or None when absent."""
+        return self.finite(key, shape) if key in self.names else None
 
     def matrix(self, key):
         """A dense matrix, or a CSR matrix from its parts."""
@@ -586,7 +582,7 @@ def _read_instance(archive):
     comm = archive.optional("comm", (2,))
     l_rel = archive.optional("L_rel", ())
     return ProblemInstance(
-        objective=obj, reference=ref, x0=archive.array("x0", "f", (d,)),
+        objective=obj, reference=ref, x0=archive.finite("x0", (d,)),
         x_star=archive.optional("x_star", (d,)), f_star=archive.optional("f_star", ()),
         comm_model=None if comm is None else CommModel(*comm.tolist()),
         meta={} if l_rel is None else {"L_rel": l_rel},

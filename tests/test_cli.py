@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from bregopt import (
-    Trace,
+    DiagonalQuadratic,
+    Euclidean,
+    ProblemInstance,
     gen_gaussian_logistic_data,
     gen_interpolation,
     gen_preconditioned,
@@ -17,6 +21,12 @@ from bregopt.solver import METHODS
 
 def strip_wall(text):
     return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+
+def trace_column(path, name):
+    """Column ``name`` of the trace CSV at ``path``, as floats."""
+    with open(path, newline="") as fh:
+        return [float(row[name]) for row in csv.DictReader(fh)]
 
 
 class TestGen:
@@ -163,10 +173,8 @@ class TestRun:
         assert main(["run", "-c", str(cfg)]) == 0
         assert main(["run", "-c", str(cfg), "--eta", "0.005",
                      "-o", str(tmp_path / "b.csv")]) == 0
-        a = Trace.from_csv(str(tmp_path / "a.csv"))
-        b = Trace.from_csv(str(tmp_path / "b.csv"))
-        assert a.final.eta == pytest.approx(0.01)
-        assert b.final.eta == pytest.approx(0.005)
+        assert trace_column(tmp_path / "a.csv", "eta")[-1] == pytest.approx(0.01)
+        assert trace_column(tmp_path / "b.csv", "eta")[-1] == pytest.approx(0.005)
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -208,6 +216,24 @@ class TestRun:
         assert main(["run", "--instance", inst, "--method", "bsgd",
                      "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
         assert "group indices must lie in [0, 20)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("x0", "'x0' is not finite"), ("centers", "centers must be finite")])
+    def test_non_finite_quadratic_instance_is_usage_error(self, tmp_path, capsys,
+                                                         fault, message):
+        # save_instance writes the values as they are; the run must not start
+        obj = DiagonalQuadratic(np.ones((4, 3)), np.zeros((4, 3)))
+        problem = ProblemInstance(objective=obj, reference=Euclidean(), x0=np.zeros(3))
+        if fault == "x0":
+            problem.x0 = np.array([np.inf, 0.0, 0.0])
+        else:
+            obj.C[1, 2] = np.nan
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("key, value, route", [
         (key, value, route)
@@ -276,8 +302,8 @@ class TestRun:
         trace_path = str(tmp_path / "t.csv")
         assert main(["run", "--instance", inst, "--method", method,
                      "--epochs", "2", "-o", trace_path]) == 0
-        trace = Trace.from_csv(trace_path)
-        assert np.isfinite(trace.final.f_gap) and trace.final.f_gap < trace[0].f_gap
+        f_gap = trace_column(trace_path, "f_gap")
+        assert np.isfinite(f_gap[-1]) and f_gap[-1] < f_gap[0]
 
     def test_generated_preconditioned_instance_has_x_star(self, tmp_path, capsys):
         # the generator route solves for x*, so a config run and a run of the

@@ -1,7 +1,6 @@
 """Tests for the trace container, rate fitting, and lemma certification."""
 
 import copy
-import io
 import os
 import subprocess
 import sys
@@ -56,6 +55,15 @@ def make_record(i, dh, grad_evals=None, comms=None):
     )
 
 
+def trace_of(values, iters=None):
+    """A Trace whose dh_gap column is ``values``, at ``iters`` (0, 1, ...
+    by default)."""
+    trace = Trace()
+    for i, v in zip(range(len(values)) if iters is None else iters, values):
+        trace.append(make_record(int(i), v))
+    return trace
+
+
 class TestTrace:
     def test_append_requires_monotone_counters(self):
         trace = Trace()
@@ -83,65 +91,46 @@ class TestTrace:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "trace column grad_evals decreased from 5 to 3"
 
-    def test_csv_roundtrip(self):
-        trace = Trace()
-        for i in range(5):
-            trace.append(make_record(i, 2.0 ** -i))
-        back = Trace.from_csv(io.StringIO(trace.to_csv_string()))
-        assert len(back) == 5
-        for a, b in zip(trace.records, back.records):
-            assert a.as_row() == b.as_row()
-
     def test_csv_floats_use_shortest_roundtrip(self):
         trace = Trace()
         trace.append(make_record(0, 0.1))
         assert ",0.1," in trace.to_csv_string()
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            Trace.from_csv(io.StringIO("a,b,c\n"))
 
 
 class TestRateFit:
     def test_exact_geometric(self):
         r = 0.9
         values = r ** np.arange(40)
-        assert rate_fit(values, 20) == pytest.approx(r, rel=1e-9)
+        assert rate_fit(trace_of(values), 20) == pytest.approx(r, rel=1e-9)
 
     def test_constant_sequence(self):
-        assert rate_fit(np.ones(30), 10) == pytest.approx(1.0, rel=1e-12)
+        assert rate_fit(trace_of(np.ones(30)), 10) == pytest.approx(1.0, rel=1e-12)
 
     def test_respects_iteration_column(self):
         r = 0.8
         iters = np.arange(0, 40, 2)
         values = r ** iters
-        assert rate_fit(values, 10, iters=iters) == pytest.approx(r, rel=1e-9)
+        assert rate_fit(trace_of(values, iters), 10) == pytest.approx(r, rel=1e-9)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            rate_fit(np.array([1.0]), 5)
+            rate_fit(trace_of([1.0]), 5)
 
     def test_ignores_exact_zeros(self):
         values = np.concatenate([0.5 ** np.arange(20), np.zeros(5)])
-        assert rate_fit(values, 10) == pytest.approx(0.5, rel=1e-9)
+        assert rate_fit(trace_of(values), 10) == pytest.approx(0.5, rel=1e-9)
 
 
 class TestPlateau:
-    def trace_from_values(self, values):
-        trace = Trace()
-        for i, v in enumerate(values):
-            trace.append(make_record(i, v))
-        return trace
-
     def test_flat_tail_detected(self):
         values = np.concatenate([0.5 ** np.arange(20), np.full(20, 1e-6)])
-        level, is_plateau = plateau_level(self.trace_from_values(values))
+        level, is_plateau = plateau_level(trace_of(values))
         assert is_plateau
         assert level == pytest.approx(1e-6)
 
     def test_decaying_tail_not_a_plateau(self):
         values = 0.5 ** np.arange(40)
-        _, is_plateau = plateau_level(self.trace_from_values(values))
+        _, is_plateau = plateau_level(trace_of(values))
         assert not is_plateau
 
 
@@ -262,8 +251,8 @@ class TestSuccessorPotentials:
     def test_criterion_5_divergence_counts(self, monkeypatch):
         # component divergences are counted by rows, one per index, since a
         # call takes an index array: 100 states x (32 slot errors + one per
-        # successor); 3 f divergences per SVRG state. O(n^2) per state would
-        # read 105,600 and 6,500.
+        # successor); 2 f divergences per SVRG state (anchor and x_t). O(n^2)
+        # per state would read 105,600 and 6,500.
         counts = {"component_divergence": 0, "f_divergence": 0}
         for name in counts:
             original = getattr(DiagonalQuadratic, name)
@@ -275,7 +264,7 @@ class TestSuccessorPotentials:
             monkeypatch.setattr(DiagonalQuadratic, name, counted)
         checks = Battery(quick=True).criterion_5()
         assert all(c.passed for c in checks)
-        assert counts == {"component_divergence": 6400, "f_divergence": 300}
+        assert counts == {"component_divergence": 6400, "f_divergence": 200}
 
 
 class TestCheckResult:

@@ -116,12 +116,6 @@ class TestPoissonKL:
         with pytest.raises(InvalidData, match="barrier_weight must be finite"):
             PoissonKL(np.ones((2, 2)), [1.0, 1.0], barrier_weight=bad)
 
-    def test_no_euclidean_smoothness_bound(self):
-        obj = PoissonKL(np.array([[1.0]]), np.array([1.0]))
-        with pytest.raises(InvalidData, match="rel_smoothness"):
-            obj.smoothness_bound()
-
-
     @pytest.mark.parametrize("groups", [
         [np.array([0]), np.array([3])],   # past the last row
         [np.array([0]), np.array([-1])],  # negative rows are not wrapped
@@ -300,9 +294,9 @@ class TestCachedOperators:
                 same_or_same_violation(lambda: obj.mu_step(x), fresh_mu_step(obj, x))
 
     def test_sparse_transposes_share_the_blocks_arrays(self):
-        # a loaded instance's A has int32 indices, as sp.csr_matrix stores
-        # them; the generator's radon_matrix hands over int64 indices, which
-        # the objective narrows to int32 once, for A and A^T alike
+        # scipy stores these small operators with int32 indices, both the
+        # generator's radon_matrix and a loaded instance's sp.csr_matrix;
+        # A^T and each block's transpose are views of the same arrays
         gen = gen_tomography(16, 3, seed=1).objective
         obj = PoissonKL(sp.csr_matrix(gen.A.toarray()), gen.b, groups=gen.groups)
         pairs = [(Ai, AiT) for o in (gen, obj) for Ai, AiT, _ in o._blocks]
@@ -365,6 +359,13 @@ class TestPoissonRelL:
         sparse = rel_L(sp.csr_matrix(A), b)
         assert sparse == pytest.approx(dense, rel=1e-12)
 
+    def test_stored_zero_is_not_support(self):
+        # column 1 holds a stored zero in row 0, so its support is row 1 alone
+        A = sp.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 1]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+        assert A.nnz == 3
+        assert rel_L(A, [1.0, 2.0]) == rel_L(A.toarray(), [1.0, 2.0]) == 1.0
+
     def test_grouped_component_count(self):
         A = np.eye(4)
         b = np.array([1.0, 2.0, 3.0, 4.0])
@@ -394,14 +395,6 @@ class TestLogisticL2:
         )
         np.testing.assert_allclose(obj.full_grad(x), mean_partial, rtol=1e-10, atol=1e-12)
 
-    def test_hess_vec_matches_finite_difference(self):
-        obj, rng = self.build()
-        x = rng.normal(size=4) * 0.5
-        u = rng.normal(size=4)
-        eps = 1e-6
-        fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
-        np.testing.assert_allclose(obj.hess_vec(x, u), fd, rtol=1e-4, atol=1e-5)
-
     @staticmethod
     def build_sparse_rows(seed, sparse, grouped):
         """A 30 x 5 instance with about 40% zeros, dense or CSR, grouped into
@@ -414,12 +407,13 @@ class TestLogisticL2:
         return obj, rng
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_hessian_matches_stacked_hess_vec(self, sparse):
+    def test_hessian_matches_finite_difference(self, sparse):
         obj, rng = self.build_sparse_rows(13, sparse, grouped=True)
+        eps = 1e-6
         for _ in range(5):
-            x = rng.normal(size=5)
-            stacked = np.column_stack([obj.hess_vec(x, e) for e in np.eye(5)])
-            np.testing.assert_allclose(obj.hessian(x), stacked, rtol=1e-12, atol=0.0)
+            x, u = rng.normal(size=(2, 5))
+            fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
+            np.testing.assert_allclose(obj.hessian(x) @ u, fd, rtol=1e-4, atol=1e-5)
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("grouped", [False, True])
@@ -510,3 +504,8 @@ class TestDiagonalQuadratic:
     def test_non_positive_weight_rejected(self, weight):
         with pytest.raises(InvalidData, match="positive"):
             DiagonalQuadratic([[1.0, weight]], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(InvalidData, match="centers must be finite"):
+            DiagonalQuadratic([[1.0, 1.0]], [[0.0, center]])

@@ -115,13 +115,10 @@ def loop_radon_matrix(size, n_angles):
                     rows.append(np.full(np.sum(ok), row))
                     cols.append(cy[ok] * size + cx[ok])
                     vals.append(w[ok])
-    A = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_angles * size, size * size),
     ).tocsr()
-    A.indices = A.indices.astype(np.int64)
-    A.indptr = A.indptr.astype(np.int64)
-    return A
 
 
 class TestRadon:

@@ -270,14 +270,14 @@ class TestSigma2:
             sigma2_estimate(problem.objective, problem.reference, x, 0.5 * x, 1e6)
 
     def test_preconditioner_reference_is_rejected(self):
-        # the stacked dual divergence, and the stacked mirror steps of the
-        # successor potentials, need a closed-form map
+        # the dual divergences of sigma2_estimate, and the stacked mirror
+        # steps of the successor potentials, need a closed-form map
         data = gen_gaussian_logistic_data(40, 3, seed=3)
         problem = gen_preconditioned(data, n_nodes=2, N=10, n_prec=10,
                                      lam=1e-3, c_prec=1e-3, seed=3)
         obj, ref = problem.objective, problem.reference
         x = np.zeros(3)
-        with pytest.raises(ValueError, match="not a stack"):
+        with pytest.raises(ValueError, match="closed-form conjugate"):
             sigma2_estimate(obj, ref, x, x, 0.1)
         with pytest.raises(ValueError, match="not a stack"):
             saga_successor_potentials(SagaState.init(x, obj, store_anchors=True),
