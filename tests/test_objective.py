@@ -387,6 +387,14 @@ class TestLogisticL2:
         fd = finite_difference_grad(obj.value, x)
         np.testing.assert_allclose(obj.full_grad(x), fd, rtol=1e-5, atol=1e-5)
 
+    def test_hess_vec_matches_finite_difference(self):
+        obj, rng = self.build()
+        x = rng.normal(size=4) * 0.5
+        u = rng.normal(size=4)
+        eps = 1e-6
+        fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
+        np.testing.assert_allclose(obj.hessian(x) @ u, fd, rtol=1e-4, atol=1e-5)
+
     def test_full_grad_is_mean_of_partials(self):
         obj, rng = self.build()
         x = rng.normal(size=4) * 0.5
@@ -406,14 +414,24 @@ class TestLogisticL2:
         obj = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01, groups=groups)
         return obj, rng
 
+    @staticmethod
+    def block_hess_vec(obj, x, u):
+        """grad^2 f(x) @ u as the mean over components of each block's
+        (1/N_i) A_i^T diag(s(1 - s)) A_i u, plus lam u."""
+        Hu = np.zeros(obj.dim)
+        for g in obj.groups:
+            Ai, yi = obj.A[g], obj.labels[g]
+            s = 1.0 / (1.0 + np.exp(-yi * np.asarray(Ai @ x).ravel()))
+            Hu += np.asarray(Ai.T @ (s * (1.0 - s) * np.asarray(Ai @ u).ravel())).ravel() / len(g)
+        return Hu / obj.n_components + obj.lam * u
+
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_hessian_matches_finite_difference(self, sparse):
+    def test_hessian_matches_stacked_hess_vec(self, sparse):
         obj, rng = self.build_sparse_rows(13, sparse, grouped=True)
-        eps = 1e-6
         for _ in range(5):
-            x, u = rng.normal(size=(2, 5))
-            fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
-            np.testing.assert_allclose(obj.hessian(x) @ u, fd, rtol=1e-4, atol=1e-5)
+            x = rng.normal(size=5)
+            stacked = np.column_stack([self.block_hess_vec(obj, x, e) for e in np.eye(5)])
+            np.testing.assert_allclose(obj.hessian(x), stacked, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("grouped", [False, True])
