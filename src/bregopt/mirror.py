@@ -29,25 +29,27 @@ import numpy as np
 
 from .errors import DomainViolation, InnerSolveFailure, StepOutOfDomain
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 _LOG_TINY = float(np.log(_TINY))
 _LOG_MAX = float(np.log(np.finfo(float).max))
 # step lengths tried along a Newton direction of the preconditioner's solve
 _BACKTRACK = [0.5**k for k in range(31)]
-# DomainViolation messages, formatted with the kind and the index
+# DomainViolation and StepOutOfDomain messages, formatted with the kind and
+# the index
 _OUTSIDE_DUAL = "{}: dual point outside conjugate domain at component {}"
 _NOT_POSITIVE = "{}: component {} is not strictly positive"
+_LEFT_DUAL = "{}: mirror step left the conjugate domain at component {}"
 
 
-def _require(ok, message, kind):
-    """Raise DomainViolation at the first False entry of the boolean mask
-    ``ok`` in C order: an int index for a 1-D mask, a tuple for a stack.
-    One count on success (cheaper than ``ok.all()``), ``argmin`` on failure."""
+def _require(ok, message, kind, error=DomainViolation):
+    """Raise ``error`` at the first False entry of the boolean mask ``ok`` in
+    C order: an int index for a 1-D mask, a tuple for a stack. One count on
+    success (cheaper than ``ok.all()``), ``argmin`` on failure."""
     if np.count_nonzero(ok) == ok.size:
         return
     k = int(np.argmin(ok))
     idx = k if ok.ndim == 1 else tuple(int(i) for i in np.unravel_index(k, ok.shape))
-    raise DomainViolation(message.format(kind, idx), index=idx)
+    raise error(message.format(kind, idx), index=idx)
 
 
 def _sum(v):
@@ -70,13 +72,14 @@ def _dot(a, b):
 class ReferenceFunction:
     """Common interface for mirror maps.
 
-    Subclasses implement ``value``, ``grad``, the unchecked conjugate maps
-    ``_grad_conjugate`` and ``_conjugate_value``, and the elementwise mask
-    ``dual_ok`` of the conjugate domain (and ``domain_ok`` where dom h is not
-    all of R^d). Checked entry points raise DomainViolation from a mask
-    through ``_require``: ``grad_conjugate`` checks its dual point once,
-    ``dual_divergence`` each argument once. Divergences are derived from
-    those unless a closed form is cheaper or more accurate.
+    Subclasses implement ``value``, ``grad`` and its unchecked form
+    ``_grad``, the unchecked conjugate maps ``_grad_conjugate`` and
+    ``_conjugate_value``, and the elementwise mask ``dual_ok`` of the
+    conjugate domain (and ``domain_ok`` where dom h is not all of R^d).
+    Checked entry points raise DomainViolation from a mask through
+    ``_require``: ``grad`` checks its point once, ``grad_conjugate`` its
+    dual point, ``dual_divergence`` each argument. Divergences are derived
+    from those unless a closed form is cheaper or more accurate.
     """
 
     kind = None
@@ -86,13 +89,29 @@ class ReferenceFunction:
     def check_domain(self, x):
         """Raise DomainViolation unless ``x`` is interior to dom h."""
 
-    # -- conjugate map ------------------------------------------------------
+    # -- primal and conjugate maps --------------------------------------------
 
     def grad_conjugate(self, y, warm_start=None):
         """grad h*(y); raises DomainViolation at the first False entry of
         ``dual_ok(y)``."""
         _require(self.dual_ok(y), _OUTSIDE_DUAL, self.kind)
         return self._grad_conjugate(y)
+
+    def advance(self, x, hx, g, eta):
+        """The mirror step from ``x`` along ``g``, given ``hx = grad h(x)``:
+        returns (x+, grad h(x+)) with x+ = grad h*(hx - eta g).
+
+        Neither ``x`` nor ``hx`` is checked: a caller carries ``hx`` from
+        a checked ``grad`` or from the previous ``advance`` (``x`` serves as
+        the warm start of an iterative conjugate map). The dual point is
+        checked once and raises StepOutOfDomain, as in :func:`mirror_step`;
+        grad h(x+) comes from the unchecked primal map, since a dual point
+        that passes ``dual_ok`` maps to an interior x+.
+        """
+        y = hx - eta * g
+        _require(self.dual_ok(y), _LEFT_DUAL, self.kind, StepOutOfDomain)
+        x_new = self._grad_conjugate(y)
+        return x_new, self._grad(x_new)
 
     # -- divergences ----------------------------------------------------------
 
@@ -134,6 +153,7 @@ class Euclidean(ReferenceFunction):
         d = x - y
         return 0.5 * _dot(d, d)
 
+    _grad = grad
     _conjugate_value = value
     _grad_conjugate = grad
     dual_divergence = divergence
@@ -149,6 +169,10 @@ class _PositiveOrthant(ReferenceFunction):
     def check_domain(self, x):
         _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
 
+    def grad(self, x):
+        _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
+        return self._grad(x)
+
 
 class LogBarrier(_PositiveOrthant):
     """h(x) = -sum log x_i on the strictly positive orthant.
@@ -160,23 +184,22 @@ class LogBarrier(_PositiveOrthant):
     kind = "log_barrier"
 
     def dual_ok(self, y):
-        # NaN fails both comparisons; -1/y is inf for a subnormal y and 0
-        # for y = -inf
-        return (y < -_TINY) & (y > -np.inf)
+        # NaN fails both tests; -1/y is inf for a subnormal y and 0 for
+        # y = -inf. isfinite is the cheaper second test: it excludes -inf,
+        # and +inf already fails the first.
+        return (y < -_TINY) & np.isfinite(y)
 
     def value(self, x):
         return -_sum(np.log(x))
 
-    def grad(self, x):
-        _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
+    def _grad(self, x):
         return -1.0 / x
 
     def _conjugate_value(self, y):
         # h*(y) = -d - sum log(-y_i)
         return -float(y.shape[-1]) - _sum(np.log(-y))
 
-    def _grad_conjugate(self, y):
-        return -1.0 / y
+    _grad_conjugate = _grad
 
     def divergence(self, x, y):
         """D_h(x, y) = sum(u - log(1 + u)) with u = x/y - 1.
@@ -209,8 +232,7 @@ class NegEntropy(_PositiveOrthant):
     def value(self, x):
         return _sum(x * np.log(x))
 
-    def grad(self, x):
-        _require(self.domain_ok(x), _NOT_POSITIVE, self.kind)
+    def _grad(self, x):
         return np.log(x) + 1.0
 
     def _conjugate_value(self, y):
@@ -227,10 +249,14 @@ class Preconditioner(ReferenceFunction):
     grad h(x) = y by damped Newton from the caller's warm start, with Hessian
     ``inner.hessian(x) + c_prec I``. A step x - t p is accepted once
     ||grad h(x - t p) - y|| <= (1 - 1e-4 t) ||r||, t halving from 1, and its
-    gradient is the next residual r: one Newton iteration costs one gradient
-    pass over the N preconditioning rows plus an O(N d^2 + d^3) Hessian build
-    and solve in d^2 memory. Every solve takes at least one Newton step and
-    at most ``inner_passes``; one left above ``inner_tol`` raises
+    gradient is the next residual r: each trial point costs one gradient
+    pass over the N preconditioning rows, and each Newton iteration an
+    O(N d^2 + d^3) Hessian build and solve in d^2 memory. ``grad_conjugate``
+    takes one more pass for the first residual, at the warm start;
+    ``advance`` takes that gradient from its caller and returns the accepted
+    trial point's, so a step of ``run()`` makes no other inner gradient
+    pass. Every solve takes at least one Newton step and at most
+    ``inner_passes``; one left above ``inner_tol`` raises
     :class:`InnerSolveFailure` (a StepFailure) with its residual. Only
     methods of ``inner`` are called. Points are 1-D: the conjugate map
     rejects a stack. h* has no closed form, so ``dual_divergence`` raises
@@ -264,7 +290,17 @@ class Preconditioner(ReferenceFunction):
         if np.ndim(y) != 1:
             raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")
         x = np.zeros_like(y) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-        r = self.grad(x) - y
+        return self._newton(y, x, self.grad(x))[0]
+
+    def advance(self, x, hx, g, eta):
+        """``ReferenceFunction.advance``: the solve starts from ``x`` with
+        ``hx`` and returns its last accepted trial point's gradient."""
+        return self._newton(hx - eta * g, x, hx)
+
+    def _newton(self, y, x, gx):
+        """Solve grad h(x) = y by damped Newton from ``x``, whose gradient
+        is ``gx``; returns the solution and its gradient."""
+        r = gx - y
         res = np.linalg.norm(r)
         if not np.isfinite(res):
             raise InnerSolveFailure("preconditioner: non-finite inner gradient")
@@ -279,18 +315,19 @@ class Preconditioner(ReferenceFunction):
                 raise InnerSolveFailure("preconditioner: singular inner Hessian") from None
             for t in _BACKTRACK:  # a NaN residual never passes
                 x_new = x - t * p
-                r_new = self.grad(x_new) - y
+                g_new = self.grad(x_new)
+                r_new = g_new - y
                 res_new = np.linalg.norm(r_new)
                 if res_new <= (1.0 - 1e-4 * t) * res:
                     break
             else:
                 break  # no decrease along the Newton direction: stop at x
-            x, r, res = x_new, r_new, res_new
+            x, gx, r, res = x_new, g_new, r_new, res_new
         if res > self.inner_tol:
             raise InnerSolveFailure(
                 f"preconditioner: residual {res:.3g} above inner_tol {self.inner_tol:.3g} "
                 f"within {self.inner_passes} Newton steps")
-        return x
+        return x, gx
 
     def dual_divergence(self, a, b):
         raise ValueError("preconditioner: a dual divergence needs a closed-form conjugate")
@@ -315,13 +352,14 @@ def mirror_step(ref, x, g, eta):
     """One Bregman gradient step from ``x`` against gradient estimate ``g``.
 
     Returns the unique minimizer of eta <g, z> + D_h(z, x), computed as
-    grad h*(grad h(x) - eta g). The dual point is checked once, by
-    ``grad_conjugate``; its :class:`DomainViolation` is raised as
-    :class:`StepOutOfDomain` with the offending component index, and callers
-    may retry with a halved step size. A closed-form map also takes a stack
-    of estimates ``g`` (``x`` broadcasts): one step per row, each equal to
-    the 1-D step bit for bit, the index of a violation a (row, component)
-    tuple.
+    grad h*(grad h(x) - eta g). ``x`` is checked by ``grad``, and the dual
+    point once, by ``grad_conjugate``; its :class:`DomainViolation` is
+    raised as :class:`StepOutOfDomain` with the offending component index,
+    and callers may retry with a halved step size. A closed-form map also
+    takes a stack of estimates ``g`` (``x`` broadcasts): one step per row,
+    each equal to the 1-D step bit for bit, the index of a violation a
+    (row, component) tuple. A caller that steps from each output again can
+    carry grad h along with ``ReferenceFunction.advance`` instead.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -329,5 +367,5 @@ def mirror_step(ref, x, g, eta):
     try:
         return ref.grad_conjugate(y, warm_start=x)
     except DomainViolation as exc:
-        raise StepOutOfDomain(f"{ref.kind}: mirror step left the conjugate domain at "
-                              f"component {exc.index}", index=exc.index) from exc
+        raise StepOutOfDomain(_LEFT_DUAL.format(ref.kind, exc.index),
+                              index=exc.index) from exc

@@ -410,8 +410,8 @@ class LogisticL2(FiniteSumObjective):
 
 
 class DiagonalQuadratic(FiniteSumObjective):
-    """f_i(x) = (1/2) sum_j Q_ij (x_j - C_ij)^2 with positive weights Q and
-    finite centers C.
+    """f_i(x) = (1/2) sum_j Q_ij (x_j - C_ij)^2 with finite positive weights
+    Q and finite centers C.
 
     The minimizer of f is closed form, which makes these instances exact
     oracles for the Euclidean-geometry solvers.
@@ -427,8 +427,8 @@ class DiagonalQuadratic(FiniteSumObjective):
         if Q.ndim != 2 or not Q.size:
             raise InvalidData("quadratic: weights must be a matrix with at least one "
                               "component and one unknown")
-        if not np.all(Q > 0):  # NaN fails
-            raise InvalidData("quadratic: weights must be positive")
+        if not np.all((Q > 0) & (Q < np.inf)):  # NaN fails
+            raise InvalidData("quadratic: weights must be finite and positive")
         if not np.all(np.isfinite(C)):
             raise InvalidData("quadratic: centers must be finite")
         self.Q = Q

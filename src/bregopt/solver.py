@@ -22,7 +22,6 @@ from .errors import (
     StepOutOfDomain,
 )
 from .metrics import Trace, TraceRecord
-from .mirror import mirror_step
 from .rng import make_rng
 
 METHODS = ("bgd", "bsgd", "bsaga", "bsvrg", "mu")
@@ -288,11 +287,17 @@ def _epoch_draws(rng, n, steps):
 def run(config, problem):
     """Execute the configured method on ``problem`` and return a Trace.
 
-    Each iteration draws its random numbers (the component index, then for
-    BSVRG the anchor refresh coin), computes the method's gradient estimate
-    once and takes the mirror step under the halving safeguard, which retries
-    the mirror step alone from the same estimate. BSGD and BSAGA draw their
-    indices one epoch at a time. Deterministic given the seed. The final
+    The four Bregman methods evaluate grad h(x0) once, before the first
+    record, so a start outside dom h raises DomainViolation; each mirror
+    step then hands grad h at the new iterate to the next
+    (``ReferenceFunction.advance``), and no step checks or maps its
+    iterate again. Each iteration draws its random numbers (the component
+    index, then for BSVRG the anchor refresh coin), computes the method's
+    gradient estimate once and takes the mirror step under the halving
+    safeguard, which retries the mirror step alone from the same estimate
+    and the same grad h(x). BSGD and BSAGA draw their indices one epoch at a
+    time. Deterministic given the seed; the trajectory equals a chain of
+    :func:`~bregopt.mirror.mirror_step` calls bit for bit. The final
     iterate is left on ``trace.x``. On StepFailure the partial trace is
     attached to the raised :class:`RunFailure`. Method mu takes the
     objective's own ``mu_step``; an objective without one raises InvalidData
@@ -322,6 +327,8 @@ def run(config, problem):
     step_evals, step_comms = (1, component) if stochastic else (n, full_round)
 
     x = np.asarray(problem.x0, dtype=float).copy()
+    # grad h(x0), checked once; each step carries grad h to the next iterate
+    hx = None if method == "mu" else ref.grad(x)
     grad_evals, comms = 0, 0.0
     if method == "bsaga":
         state = SagaState.init(x, obj, store_anchors=gains is not None)
@@ -368,19 +375,22 @@ def run(config, problem):
             )
         )
 
+    advance, tries = ref.advance, range(config.max_halvings + 1)
+
     def step(x, g):
-        """The mirror step from ``x`` along ``g``, halving eta on
-        StepOutOfDomain up to ``max_halvings`` times."""
-        nonlocal halvings_total
+        """The mirror step from the current iterate ``x``, whose grad h is
+        ``hx``, along ``g``, halving eta on StepOutOfDomain up to
+        ``max_halvings`` times; every retry starts from the same ``hx``."""
+        nonlocal halvings_total, hx
         eta = eta_now
-        for k in range(config.max_halvings + 1):
+        for k in tries:
             try:
-                x_next = mirror_step(ref, x, g, eta)
+                x, hx = advance(x, hx, g, eta)
             except StepOutOfDomain:
                 eta *= 0.5
                 continue
             halvings_total += k
-            return x_next
+            return x
         raise StepFailure(f"step failed after {config.max_halvings} halvings")
 
     gain_now = 1.0

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from bregopt import (
 )
 from bregopt.cli import _build_problem, main
 from bregopt.solver import METHODS
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("distributed_*.cfg"))
 
 
 def strip_wall(text):
@@ -218,7 +222,8 @@ class TestRun:
         assert "group indices must lie in [0, 20)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault, message", [
-        ("x0", "'x0' is not finite"), ("centers", "centers must be finite")])
+        ("x0", "'x0' is not finite"), ("centers", "centers must be finite"),
+        ("weights", "weights must be finite and positive")])
     def test_non_finite_quadratic_instance_is_usage_error(self, tmp_path, capsys,
                                                          fault, message):
         # save_instance writes the values as they are; the run must not start
@@ -226,8 +231,10 @@ class TestRun:
         problem = ProblemInstance(objective=obj, reference=Euclidean(), x0=np.zeros(3))
         if fault == "x0":
             problem.x0 = np.array([np.inf, 0.0, 0.0])
-        else:
+        elif fault == "centers":
             obj.C[1, 2] = np.nan
+        else:  # inf passes Q > 0, and every step from it would halve to exhaustion
+            obj.Q[:, 2] = np.inf
         inst = str(tmp_path / "inst.bin")
         save_instance(inst, problem)
         assert main(["run", "--instance", inst, "--method", "bsgd",
@@ -355,6 +362,18 @@ class TestRun:
         assert main(args + ["-o", a]) == 0
         assert main(args + ["-o", b]) == 0
         assert strip_wall(open(a).read()) == strip_wall(open(b).read())
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda p: p.stem)
+def test_example_config_runs(cfg, tmp_path):
+    # each shipped config steps through the preconditioner's carried path
+    out = tmp_path / "trace.csv"
+    assert main(["run", "-c", str(cfg), "--epochs", "2", "-o", str(out)]) == 0
+    assert np.isfinite(trace_column(out, "f_gap")[-1])
+
+
+def test_example_configs_present():
+    assert CONFIGS, "no configs/distributed_*.cfg to run"
 
 
 class TestVerify:

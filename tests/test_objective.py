@@ -523,6 +523,10 @@ class TestDiagonalQuadratic:
         with pytest.raises(InvalidData, match="positive"):
             DiagonalQuadratic([[1.0, weight]], [[0.0, 0.0]])
 
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(InvalidData, match="weights must be finite"):
+            DiagonalQuadratic([[1.0, np.inf]], [[0.0, 0.0]])
+
     @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
     def test_non_finite_center_rejected(self, center):
         with pytest.raises(InvalidData, match="centers must be finite"):

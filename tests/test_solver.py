@@ -411,17 +411,29 @@ class TestRunHarness:
         np.testing.assert_array_equal(info.value.trace.x, problem.x0)
 
     @pytest.mark.parametrize("method", ["bgd", "bsgd", "bsaga", "bsvrg"])
-    @pytest.mark.parametrize("keep_x_star", [True, False])
-    def test_nan_start_is_rejected(self, method, keep_x_star):
-        # with x_star the first record's D_h(x_star, x0) rejects x0, without
-        # it the first mirror step's grad h(x0) does
+    @pytest.mark.parametrize("keep_x_star, first", [
+        pytest.param(keep, first, id=f"{keep}{tag}")
+        for first, tag in [(np.nan, ""), (0.0, "-zero"), (-np.inf, "-neginf")]
+        for keep in (True, False)
+    ])
+    def test_nan_start_is_rejected(self, method, keep_x_star, first):
+        # run() evaluates grad h(x0), checked, before the first record and
+        # before any objective call; no later step checks its iterate again
         problem = self.problem()
-        problem.x0 = np.array([np.nan, 1.0, 1.0, 1.0, 1.0])
+        problem.x0 = np.array([first, 1.0, 1.0, 1.0, 1.0])
         if not keep_x_star:
             problem.x_star = None
         with pytest.raises(DomainViolation) as info:
             run(SolverConfig(method=method, eta=0.01, epochs=1.0), problem)
         assert info.value.index == 0
+        assert str(info.value).startswith("log_barrier: component 0")
+
+    def test_mu_accepts_a_zero_start_coordinate(self):
+        problem = self.problem()
+        problem.x0 = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        problem.x_star = None
+        trace = run(SolverConfig(method="mu", epochs=3.0), problem)
+        assert trace.final.iter == 3 and np.all(np.isfinite(trace.x))
 
     def test_nan_start_is_rejected_by_mu(self):
         problem = self.problem()
@@ -622,6 +634,30 @@ class TestRecordColumns:
         solve_reference(problem)
         self.replay_and_compare(problem, eta=0.5, steps=6)
 
+    @pytest.mark.parametrize("center, halvings", [(0.5, [3, 2]), (2.0, [4])])
+    def test_neg_entropy_with_halvings(self, center, halvings):
+        # the float-range quadratic of test_neg_entropy_float_range_halves;
+        # from center 0.5 the second step, taken from the carried grad h,
+        # halves too (a third would not come back into the float range)
+        obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), center))
+        problem = ProblemInstance(objective=obj, reference=NegEntropy(), x0=np.ones(3),
+                                  x_star=obj.minimizer(), f_star=0.0)
+        config = SolverConfig(method="bgd", eta=1e4, epochs=float(len(halvings)),
+                              record_every=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # f overflows near 1e271
+            trace = self.compare_with_replay(problem, config)
+        assert list(np.diff(trace.column("halvings"))) == halvings
+
+    @pytest.mark.parametrize("case", [c for c in REPLAY_CASES if c != "mu"])
+    def test_euclidean(self, case):
+        obj = small_quadratic(seed=4)
+        xs = obj.minimizer()
+        problem = ProblemInstance(objective=obj, reference=Euclidean(), x0=np.zeros(3),
+                                  x_star=xs, f_star=obj.value(xs))
+        config = SolverConfig(eta=0.2, epochs=3.0, seed=5, record_every=1,
+                              **REPLAY_CASES[case])
+        self.compare_with_replay(problem, config)
+
     @pytest.mark.parametrize("keep_f_star", [True, False])
     def test_poisson_interpolation(self, keep_f_star):
         # without f_star the f_gap column is NaN, but D_f(x*, x) is still
@@ -631,3 +667,35 @@ class TestRecordColumns:
             problem.f_star = None
         eta = 1.0 / (2.0 * problem.meta["L_rel"])
         self.replay_and_compare(problem, eta=eta, steps=8)
+
+
+def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
+    # run() takes one inner gradient pass at x0 and then one per Newton trial
+    # point; the public route (mirror_step, grad_conjugate) takes two more
+    # per step: grad h(x), and the first residual at the warm start
+    data = gen_gaussian_logistic_data(120, 5, seed=3)
+    problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                 lam=1e-3, c_prec=1e-3, seed=3)
+    problem.x_star = None  # records then make no inner pass
+    ref = problem.reference
+    calls = []
+    full_grad = ref.inner.full_grad
+    monkeypatch.setattr(ref.inner, "full_grad", lambda x: calls.append(1) or full_grad(x))
+    config = SolverConfig(method="bsgd", eta=0.5, epochs=2.0, seed=4, record_every=1)
+    trace = run(config, problem)
+    run_calls = len(calls)
+    calls.clear()
+    replayed = list(_replay(problem, config))
+    steps = trace.final.iter
+    assert steps == 8 and np.array_equal(trace.x, replayed[-1][4])
+    assert run_calls == 1 + len(calls) - 2 * steps
+
+    x = problem.x0 + 0.1
+    hx = ref.grad(x)
+    calls.clear()
+    assert np.array_equal(ref.grad_conjugate(hx, warm_start=x), x)
+    assert len(calls) == 2  # the first residual, then the one trial point
+    calls.clear()
+    x_new, hx_new = ref.advance(x, hx, np.zeros_like(x), 1.0)
+    assert np.array_equal(x_new, x) and np.array_equal(hx_new, hx)
+    assert len(calls) == 1
