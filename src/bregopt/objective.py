@@ -102,6 +102,31 @@ class FiniteSumObjective:
                          for k, j in enumerate(i)])
 
 
+def _row_block(A, g):
+    """(A_g, A_g^T) for the rows ``g`` of A, both views of A when g is a
+    contiguous ascending range, else built from the copy ``A[g]``.
+
+    A dense view is a basic slice; a sparse one is a CSR matrix on slices of
+    A's ``data`` and ``indices`` with a rebased ``indptr``, and its
+    transpose a CSC matrix on the same three arrays.
+    """
+    if len(g) > 1 and not (g[1:] - g[:-1] == 1).all():
+        B = A[g]
+        return B, B.T
+    lo, hi = int(g[0]), int(g[0]) + len(g)
+    if not sp.issparse(A):
+        B = A[lo:hi]
+        return B, B.T
+    start, end = A.indptr[lo], A.indptr[hi]
+    B = sp.csr_matrix((A.data[start:end], A.indices[start:end], A.indptr[lo:hi + 1] - start),
+                      shape=(hi - lo, A.shape[1]))
+    BT = B.T
+    # scipy's constructor copies a slice under half of its base; share it again
+    B.data = BT.data = A.data[start:end]
+    B.indices = BT.indices = A.indices[start:end]
+    return B, BT
+
+
 def _index_groups(groups, rows, kind):
     """Component row groups as 1-D int64 index arrays.
 
@@ -139,9 +164,12 @@ class PoissonKL(FiniteSumObjective):
 
     With a dense A and one row per component, a component gradient is the
     row kernel a_i (1 - b_i / <a_i, x>) on a view of the row of A; otherwise
-    each block's transpose A_i^T is built once at construction, as are A^T
-    and the column sums A^T 1 (a sparse block's transpose is a CSC view of
-    the block's own arrays). A, b and groups must not be mutated afterwards.
+    each block A_i and its transpose A_i^T are built once at construction,
+    as are A^T and the column sums A^T 1. A block whose rows form a
+    contiguous range (each angle of a tomography operator) is a view of A,
+    and a sparse one's transpose a CSC view of the same slices of A's
+    arrays, so the operator is held once; any other block is a copy of its
+    rows. A, b and groups must not be mutated afterwards.
     """
 
     kind = "poisson_kl"
@@ -171,8 +199,7 @@ class PoissonKL(FiniteSumObjective):
             self._rows = [(self.A[j], float(self.b[j]))
                           for g in self.groups for j in g.tolist()]
         else:
-            blocks = [self.A[g] for g in self.groups]
-            self._blocks = [(Ai, Ai.T, self.b[g]) for Ai, g in zip(blocks, self.groups)]
+            self._blocks = [(*_row_block(self.A, g), self.b[g]) for g in self.groups]
         self._AT = self.A.T
         self._col_sums = np.asarray(self._AT @ np.ones(self.A.shape[0])).ravel()
 
@@ -274,6 +301,14 @@ class PoissonKL(FiniteSumObjective):
             Hu = Hu + self.barrier_weight * u / x**2
         return Hu
 
+    def check_mu_domain(self, x):
+        """DomainViolation at the first coordinate of x that is not >= 0
+        (NaN fails), the domain of :meth:`mu_step`."""
+        ok = x >= 0
+        if not ok.all():
+            raise DomainViolation("poisson_kl: multiplicative updates need x >= 0",
+                                  index=int(np.argmin(ok)))
+
     def mu_step(self, x):
         """One multiplicative (Lucy-Richardson / EM) update for min D_KL(b, Ax).
 
@@ -289,10 +324,7 @@ class PoissonKL(FiniteSumObjective):
             raise InvalidData("poisson_kl: multiplicative updates minimise the KL term "
                               "only, but barrier_weight is positive")
         x = np.asarray(x, dtype=float)
-        ok = x >= 0  # NaN fails
-        if not ok.all():
-            raise DomainViolation("poisson_kl: multiplicative updates need x >= 0",
-                                  index=int(np.argmin(ok)))
+        self.check_mu_domain(x)
         rates = self._rates(self.A, self.b, x)
         ratio = np.zeros_like(rates)
         obs = self.b > 0
@@ -320,7 +352,8 @@ class LogisticL2(FiniteSumObjective):
     """f_i(x) = (1/N_i) sum_{r in block i} log(1 + exp(-y_r <a_r, x>))
     + (lam/2) ||x||^2, with labels y in {-1, +1}.
 
-    Ungrouped, every row is its own component (N_i = 1).
+    Ungrouped, every row is its own component (N_i = 1). Blocks are built
+    as in :class:`PoissonKL`: views of A for contiguous row ranges.
     """
 
     kind = "logistic_l2"
@@ -341,7 +374,7 @@ class LogisticL2(FiniteSumObjective):
         if not self.A.shape[1]:
             raise InvalidData("logistic_l2: the objective needs at least one unknown")
         self.groups = _index_groups(groups, self.A.shape[0], self.kind)
-        self._blocks = [(self.A[g], self.labels[g]) for g in self.groups]
+        self._blocks = [(*_row_block(self.A, g), self.labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
         w = np.zeros(A.shape[0])
         for g in self.groups:
@@ -363,7 +396,7 @@ class LogisticL2(FiniteSumObjective):
     def value_component(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.value_component, i, x)
-        Ai, yi = self._blocks[i]
+        Ai, _, yi = self._blocks[i]
         m = self._margins(Ai, yi, x)
         return float(np.mean(_log1pexp(-m))) + 0.5 * self.lam * float(x @ x)
 
@@ -376,10 +409,10 @@ class LogisticL2(FiniteSumObjective):
     def partial_grad(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.partial_grad, i, x)
-        Ai, yi = self._blocks[i]
+        Ai, AiT, yi = self._blocks[i]
         m = self._margins(Ai, yi, x)
         s = _sigmoid(-m)
-        g = Ai.T @ (-yi * s / len(yi))
+        g = AiT @ (-yi * s / len(yi))
         return np.asarray(g).ravel() + self.lam * x
 
     def full_grad(self, x):

@@ -133,16 +133,19 @@ def radon_matrix(size, n_angles):
     bin.
 
     The operator is assembled one angle at a time, vectorised over
-    (bin, corner, step); entries reach the COO-to-CSR sum bin by bin, each
-    bin corner by corner in step order.
+    (bin, corner, step): each angle's entries, already in row (bin) order,
+    become one CSR block, and the blocks are stacked in angle order. A
+    row's entries reach it corner by corner in step order, and scipy sorts
+    and sums duplicates row by row, so every row keeps the entry order and
+    the summation order of a COO-to-CSR conversion of all angles at once,
+    while only one angle's triples are held at a time.
     """
     if size < 1 or n_angles < 1:
         raise ValueError("size and n_angles must be at least 1")
     half = size / 2.0
     offsets = np.arange(size) - half + 0.5  # detector bin offsets
     steps = np.arange(-half, half + 1e-9, 1.0)  # sample positions along the ray
-    bins = np.arange(size)
-    rows, cols, vals = [], [], []
+    blocks = []
     for a in range(n_angles):
         theta = np.pi * a / n_angles
         ct, st = np.cos(theta), np.sin(theta)
@@ -158,13 +161,11 @@ def radon_matrix(size, n_angles):
         cy = iy[:, None] + _CORNER_DY
         w = np.stack(((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy), axis=1)
         ok = (cx >= 0) & (cx < size) & (cy >= 0) & (cy < size) & (w > 0)
-        rows.append(np.repeat(a * size + bins, np.count_nonzero(ok, axis=(1, 2))))
-        cols.append(cy[ok] * size + cx[ok])
-        vals.append(w[ok])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_angles * size, size * size),
-    ).tocsr()
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(ok, axis=(1, 2)))))
+        block = sp.csr_matrix((w[ok], cy[ok] * size + cx[ok], indptr), shape=(size, size * size))
+        block.sum_duplicates()
+        blocks.append(block)
+    return sp.vstack(blocks, format="csr")
 
 
 def operator_hash(A):
@@ -175,7 +176,7 @@ def operator_hash(A):
         h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
         h.update(A.indptr.astype(np.int64).tobytes())
         h.update(A.indices.astype(np.int64).tobytes())
-        h.update(A.data.astype(np.float64).tobytes())
+        h.update(A.data.astype(np.float64, copy=False).tobytes())
     else:
         h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
         h.update(np.asarray(A, dtype=np.float64).tobytes())
@@ -418,7 +419,7 @@ def _put_matrix(arrays, key, A):
         arrays.update({f"{key}_shape": np.asarray(A.shape, dtype=np.int64),
                        f"{key}_indptr": A.indptr.astype(np.int64),
                        f"{key}_indices": A.indices.astype(np.int64),
-                       f"{key}_data": A.data.astype(np.float64)})
+                       f"{key}_data": A.data.astype(np.float64, copy=False)})
     else:
         arrays[key] = np.asarray(A, dtype=np.float64)
 

@@ -10,6 +10,7 @@ that mirror step alone, from the same estimate, with a halved step size, and
 the trace shows each such intervention.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -298,10 +299,13 @@ def run(config, problem):
     and the same grad h(x). BSGD and BSAGA draw their indices one epoch at a
     time. Deterministic given the seed; the trajectory equals a chain of
     :func:`~bregopt.mirror.mirror_step` calls bit for bit. The final
-    iterate is left on ``trace.x``. On StepFailure the partial trace is
-    attached to the raised :class:`RunFailure`. Method mu takes the
-    objective's own ``mu_step``; an objective without one raises InvalidData
-    before the first record.
+    iterate is left on ``trace.x``. A record whose f_gap, D_h(x_star, x) or
+    D_f(x_star, x) comes out non-finite raises StepFailure naming the
+    column and the iteration; columns without f_star or x_star are NaN by
+    design and never computed. On StepFailure the partial trace is attached
+    to the raised :class:`RunFailure`. Method mu takes the objective's own
+    ``mu_step``, and x0 must lie in its domain (``check_mu_domain``); an
+    objective without one raises InvalidData before the first record.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
@@ -327,8 +331,13 @@ def run(config, problem):
     step_evals, step_comms = (1, component) if stochastic else (n, full_round)
 
     x = np.asarray(problem.x0, dtype=float).copy()
-    # grad h(x0), checked once; each step carries grad h to the next iterate
-    hx = None if method == "mu" else ref.grad(x)
+    # x0 is checked before the first record: MU's domain, or grad h(x0),
+    # checked once; each step carries grad h to the next iterate
+    if method == "mu":
+        obj.check_mu_domain(x)
+        hx = None
+    else:
+        hx = ref.grad(x)
     grad_evals, comms = 0, 0.0
     if method == "bsaga":
         state = SagaState.init(x, obj, store_anchors=gains is not None)
@@ -343,17 +352,24 @@ def run(config, problem):
     f_x_star = obj.value(x_star) if x_star is not None else None
     start = time.perf_counter()
 
+    def finite(column, value):
+        """``value``, computed for ``column`` of the record at iteration t;
+        StepFailure when it is not finite."""
+        if not math.isfinite(value):
+            raise StepFailure(f"iteration {t}: {column} is {value}, not finite")
+        return value
+
     def record(eta_now, gain_now):
         nonlocal min_df
         if x_star is not None:
             f_x, g_x = obj.value_and_grad(x)
         else:
             f_x = obj.value(x) if f_star is not None else None
-        f_gap = float(f_x - f_star) if f_star is not None else float("nan")
+        f_gap = finite("f_gap", float(f_x - f_star)) if f_star is not None else float("nan")
         if x_star is not None:
-            dh_gap = float(ref.divergence(x_star, x))
+            dh_gap = finite("dh_gap", float(ref.divergence(x_star, x)))
             # FiniteSumObjective.f_divergence(x_star, x), term for term
-            d_f = float(f_x_star - f_x - g_x @ (x_star - x))
+            d_f = finite("min_df_gap", float(f_x_star - f_x - g_x @ (x_star - x)))
             min_df = min(min_df, d_f)
             min_df_gap = float(min_df)
         else:
@@ -395,7 +411,6 @@ def run(config, problem):
 
     gain_now = 1.0
     eta_now = float("nan") if method == "mu" else step_policy(config, l_rel, gain_now)
-    record(eta_now, gain_now)
 
     if method == "bsvrg":
         draws = (int(rng.integers(n)) for _ in range(steps_total))
@@ -405,6 +420,7 @@ def run(config, problem):
         draws = (None for _ in range(steps_total))
 
     try:
+        record(eta_now, gain_now)
         for i in draws:
             if gains is not None:
                 gain_now = gain_bound(state, gains, n)
@@ -428,11 +444,11 @@ def run(config, problem):
                 comms += full_round
             if t % record_every == 0:
                 record(eta_now, gain_now)
+        if trace.final.iter != t:
+            record(eta_now, gain_now)
     except StepFailure as exc:
         trace.x = x
         raise RunFailure(str(exc), trace) from exc
 
-    if trace.final.iter != t:
-        record(eta_now, gain_now)
     trace.x = x
     return trace

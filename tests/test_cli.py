@@ -9,6 +9,7 @@ import pytest
 from bregopt import (
     DiagonalQuadratic,
     Euclidean,
+    NegEntropy,
     ProblemInstance,
     gen_gaussian_logistic_data,
     gen_interpolation,
@@ -353,6 +354,21 @@ class TestRun:
         assert "above inner_tol" in capsys.readouterr().err
         lines = open(trace_path).read().splitlines()
         assert lines[0].startswith("iter,") and len(lines) == 2
+
+    def test_overflowing_objective_keeps_partial_trace(self, tmp_path, capsys):
+        # the neg-entropy step to iteration 2 lands near 1e271, where f overflows
+        obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), 0.5))
+        problem = ProblemInstance(objective=obj, reference=NegEntropy(), x0=np.ones(3),
+                                  x_star=obj.minimizer(), f_star=0.0)
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        trace_path = str(tmp_path / "partial.csv")
+        with np.errstate(over="ignore"):
+            code = main(["run", "--instance", inst, "--method", "bgd", "--eta", "1e4",
+                         "--epochs", "5", "--record-every", "1", "-o", trace_path])
+        assert code == 4
+        assert "iteration 2: f_gap is inf, not finite" in capsys.readouterr().err
+        assert trace_column(trace_path, "iter") == [0.0, 1.0]
 
     def test_determinism_modulo_wall_clock(self, tmp_path):
         inst = self.gen_instance(tmp_path)

@@ -14,7 +14,7 @@ from bregopt import (
     PoissonKL,
 )
 from bregopt.objective import _log1pexp
-from bregopt.problems import gen_tomography
+from bregopt.problems import gen_tomography, load_instance, save_instance
 from bregopt.rng import make_rng
 
 
@@ -254,7 +254,8 @@ def same_or_same_violation(call, want):
 def grouped_poisson(draw):
     """A sparse or dense PoissonKL with row blocks (a dense one has a block
     of at least two rows, so the block path is taken), and points that may
-    leave the domain through zero or negative coordinates."""
+    leave the domain through zero or negative coordinates. Half of the
+    time the blocks are contiguous row ranges, which are views of A."""
     sparse = draw(st.booleans())
     first = 1 if sparse else 2  # the smallest end of the first block
     n, d = draw(st.integers(first, 8)), draw(st.integers(1, 6))
@@ -262,7 +263,7 @@ def grouped_poisson(draw):
     A = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
     b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
     b[~A.any(axis=1)] = 0.0
-    order = np.array(draw(st.permutations(range(n))))
+    order = np.arange(n) if draw(st.booleans()) else np.array(draw(st.permutations(range(n))))
     cuts = draw(st.sets(st.integers(first, n - 1))) if n > first else set()
     groups = np.split(order, sorted(cuts))
     weight = draw(st.sampled_from([0.0, 0.3]))
@@ -296,7 +297,8 @@ class TestCachedOperators:
     def test_sparse_transposes_share_the_blocks_arrays(self):
         # scipy stores these small operators with int32 indices, both the
         # generator's radon_matrix and a loaded instance's sp.csr_matrix;
-        # A^T and each block's transpose are views of the same arrays
+        # A^T and each block's transpose are views of the same arrays, and
+        # each block (one angle, a contiguous row range) a view of A's
         gen = gen_tomography(16, 3, seed=1).objective
         obj = PoissonKL(sp.csr_matrix(gen.A.toarray()), gen.b, groups=gen.groups)
         pairs = [(Ai, AiT) for o in (gen, obj) for Ai, AiT, _ in o._blocks]
@@ -307,6 +309,34 @@ class TestCachedOperators:
             assert Ai.indices.dtype == Ai.indptr.dtype == np.int32
             for part in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(Ai, part), getattr(AiT, part))
+        for o in (gen, obj):
+            for Ai, _, _ in o._blocks:
+                assert np.shares_memory(o.A.data, Ai.data)
+                assert np.shares_memory(o.A.indices, Ai.indices)
+
+    def test_tomography_blocks_are_views_of_the_operator(self, tmp_path):
+        problem = gen_tomography(64, 60, seed=1)
+        path = tmp_path / "tomo.bin"
+        save_instance(path, problem)
+        for o in (problem.objective, load_instance(path).objective):
+            assert len(o._blocks) == 60
+            for Ai, AiT, _ in o._blocks:
+                for B in (Ai, AiT):
+                    assert np.shares_memory(o.A.data, B.data)
+                    assert np.shares_memory(o.A.indices, B.indices)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_only_contiguous_blocks_are_views(self, sparse):
+        A = np.arange(1.0, 13.0).reshape(6, 2)
+        A = sp.csr_matrix(A) if sparse else A
+        groups = [np.arange(0, 3), np.array([3, 5]), np.array([4])]
+        objs = (PoissonKL(A, np.ones(6), groups=groups),
+                LogisticL2(A, np.ones(6), groups=groups))
+        for o in objs:
+            shared = [np.shares_memory(o.A.data if sparse else o.A,
+                                       block[0].data if sparse else block[0])
+                      for block in o._blocks]
+            assert shared == [True, False, True]
 
     def test_objectives_need_an_unknown(self):
         with pytest.raises(InvalidData, match="at least one unknown"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bregopt import (
+    BregoptError,
     DiagonalQuadratic,
     DomainViolation,
     Euclidean,
@@ -410,6 +411,39 @@ class TestRunHarness:
         assert len(info.value.trace) == 1
         np.testing.assert_array_equal(info.value.trace.x, problem.x0)
 
+    @pytest.mark.parametrize("keep_f_star, column", [(True, "f_gap"), (False, "min_df_gap")])
+    def test_overflowing_objective_fails_the_run(self, keep_f_star, column):
+        # from center 0.5 the step to iteration 2 (2 halvings) lands near
+        # 1e271, inside the neg-entropy domain, where f overflows; without
+        # f_star, the overflow reaches D_f(x_star, x)
+        obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), 0.5))
+        problem = ProblemInstance(objective=obj, reference=NegEntropy(), x0=np.ones(3),
+                                  x_star=obj.minimizer(), f_star=0.0 if keep_f_star else None)
+        config = SolverConfig(method="bgd", eta=1e4, epochs=5.0, record_every=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RunFailure) as info:
+            run(config, problem)
+        assert str(info.value).startswith(f"iteration 2: {column} is ")
+        trace = info.value.trace
+        assert trace.column("iter").tolist() == [0, 1]
+        assert np.all(np.isfinite(trace.x)) and trace.x.max() > 1e270
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([Euclidean, LogBarrier, NegEntropy]), st.floats(-2.0, 160.0),
+           st.floats(0.1, 10.0), st.sampled_from(["bgd", "bsgd"]))
+    def test_records_are_finite_or_the_run_fails(self, family, log_eta, center, method):
+        obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), center))
+        xs = obj.minimizer()
+        problem = ProblemInstance(objective=obj, reference=family(), x0=np.ones(3),
+                                  x_star=xs, f_star=obj.value(xs))
+        config = SolverConfig(method=method, eta=10.0**log_eta, epochs=3.0, record_every=1)
+        try:
+            with np.errstate(all="ignore"):
+                trace = run(config, problem)
+        except BregoptError:
+            return
+        for column in ("f_gap", "dh_gap", "min_df_gap"):
+            assert np.all(np.isfinite(trace.column(column))), column
+
     @pytest.mark.parametrize("method", ["bgd", "bsgd", "bsaga", "bsvrg"])
     @pytest.mark.parametrize("keep_x_star, first", [
         pytest.param(keep, first, id=f"{keep}{tag}")
@@ -569,19 +603,22 @@ class TestRecordColumns:
 
     def compare_with_replay(self, problem, config):
         """Run ``config`` and compare every column but wall_s, by ``==``,
-        with the replay; returns the trace."""
+        with the replay; returns the trace. Without x_star the divergence
+        columns must be NaN."""
         obj, ref = problem.objective, problem.reference
         x_star, f_star = problem.x_star, problem.f_star
         trace = run(config, problem)
         expected = list(_replay(problem, config))
         assert len(trace) == len(expected)
         min_df = np.inf
+        dh_gap = min_df_gap = float("nan")
         for rec, (t, epoch, grad_evals, comms, x, eta, gain, halvings) in zip(
                 trace.records, expected):
-            min_df = min(min_df, obj.f_divergence(x_star, x))
+            if x_star is not None:
+                min_df = min(min_df, obj.f_divergence(x_star, x))
+                dh_gap, min_df_gap = float(ref.divergence(x_star, x)), float(min_df)
             f_gap = float("nan") if f_star is None else float(obj.value(x) - f_star)
-            want = (t, epoch, grad_evals, comms, f_gap,
-                    float(ref.divergence(x_star, x)), float(min_df), eta, gain,
+            want = (t, epoch, grad_evals, comms, f_gap, dh_gap, min_df_gap, eta, gain,
                     halvings)
             got = (rec.iter, rec.epoch, rec.grad_evals, rec.comms, rec.f_gap,
                    rec.dh_gap, rec.min_df_gap, rec.eta, rec.gain, rec.halvings)
@@ -638,14 +675,15 @@ class TestRecordColumns:
     def test_neg_entropy_with_halvings(self, center, halvings):
         # the float-range quadratic of test_neg_entropy_float_range_halves;
         # from center 0.5 the second step, taken from the carried grad h,
-        # halves too (a third would not come back into the float range)
+        # halves too (a third would not come back into the float range).
+        # f overflows at the last iterate, which a record with x_star or
+        # f_star rejects (test_overflowing_objective_fails_the_run), so the
+        # records here compute nothing
         obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), center))
-        problem = ProblemInstance(objective=obj, reference=NegEntropy(), x0=np.ones(3),
-                                  x_star=obj.minimizer(), f_star=0.0)
+        problem = ProblemInstance(objective=obj, reference=NegEntropy(), x0=np.ones(3))
         config = SolverConfig(method="bgd", eta=1e4, epochs=float(len(halvings)),
                               record_every=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # f overflows near 1e271
-            trace = self.compare_with_replay(problem, config)
+        trace = self.compare_with_replay(problem, config)
         assert list(np.diff(trace.column("halvings"))) == halvings
 
     @pytest.mark.parametrize("case", [c for c in REPLAY_CASES if c != "mu"])
