@@ -31,9 +31,7 @@ from .metrics import (
     certify_lemmas,
     plateau_level,
     rate_fit,
-    saga_potential,
     sigma2_estimate,
-    svrg_potential,
 )
 from .mirror import (
     Euclidean,
@@ -42,7 +40,6 @@ from .mirror import (
     Preconditioner,
     ReferenceFunction,
     make_reference,
-    mirror_step,
 )
 from .objective import (
     DiagonalQuadratic,

@@ -17,7 +17,7 @@ from .errors import (
     InsufficientData,
     TraceInvariantError,
 )
-from .mirror import make_reference, mirror_step
+from .mirror import make_reference
 from .objective import DiagonalQuadratic, PoissonKL
 from .rng import make_rng
 
@@ -154,40 +154,32 @@ def _saga_psi(dh, errors, eta):
     return dh / eta + 0.5 * n * (sum(errors) / n)
 
 
-def saga_potential(state, obj, ref, x_star, eta):
-    """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t."""
-    errors = saga_slot_errors(state, obj, x_star)
-    return _saga_psi(ref.divergence(x_star, state.x), errors, eta)
-
-
 def saga_successor_potentials(state, obj, ref, x_star, eta):
-    """psi_t and the potential after each of the n possible next steps.
+    """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t, H_t the mean slot error
+    D_{f_j}(phi_j, x_star), and the potential after each of the n possible
+    next steps.
 
     Step i moves x_t along the SAGA estimate of component i and anchor i to
     x_t, so only slot i's error changes, to D_{f_i}(x_t, x_star). The n
     estimates, steps and divergences D_h(x_star, .) and the 2n slot errors
     are one stacked call each, so ``ref`` must be a closed-form map (a
-    Preconditioner raises ValueError). Each value equals :func:`saga_potential`
-    of the stepped state bit for bit. Returns (psi_t, [psi after step i]).
+    Preconditioner raises ValueError). Each value equals the potential of
+    the state one ``bsaga_step`` reaches, recomputed from scratch, bit for
+    bit. Returns (psi_t, [psi after step i]).
     """
     from .solver import saga_gradient  # the solver imports this module
     idx = np.arange(obj.n_components)
     errors = saga_slot_errors(state, obj, x_star)
     moved = obj.component_divergence(idx, state.x, x_star).tolist()
-    X = mirror_step(ref, state.x, saga_gradient(state, obj, idx)[1], eta)
+    X = ref.advance(state.x, ref.grad(state.x), saga_gradient(state, obj, idx)[1], eta)[0]
     successors = [_saga_psi(dh, errors[:i] + [moved[i]] + errors[i + 1:], eta)
                   for i, dh in enumerate(ref.divergence(x_star, X).tolist())]
     return _saga_psi(ref.divergence(x_star, state.x), errors, eta), successors
 
 
-def svrg_potential(state, obj, ref, x_star, eta, p):
-    """psi_t = D_h(x_star, x_t) + (eta / 2p) D_f(phi_t, x_star)."""
-    memory = (eta / (2.0 * p)) * obj.f_divergence(state.anchor, x_star)
-    return ref.divergence(x_star, state.x) + memory
-
-
 def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
-    """psi_t and the potential after each of the n possible next steps, in
+    """psi_t = D_h(x_star, x_t) + (eta / 2p) D_f(phi_t, x_star), phi_t the
+    anchor, and the potential after each of the n possible next steps, in
     expectation over the refresh coin (the anchor stays with probability
     1 - p, else moves to x_t). Stacked as :func:`saga_successor_potentials`,
     with its contract on ``ref``. Returns (psi_t, [expected psi after step i]).
@@ -195,9 +187,9 @@ def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
     from .solver import svrg_gradient  # the solver imports this module
     anchor = obj.f_divergence(state.anchor, x_star)
     memory = (eta / (2.0 * p)) * ((1.0 - p) * anchor + p * obj.f_divergence(state.x, x_star))
-    X = mirror_step(ref, state.x, svrg_gradient(state, obj, np.arange(obj.n_components)), eta)
+    G = svrg_gradient(state, obj, np.arange(obj.n_components))
+    X = ref.advance(state.x, ref.grad(state.x), G, eta)[0]
     successors = [dh + memory for dh in ref.divergence(x_star, X).tolist()]
-    # svrg_potential bit for bit, reusing the anchor divergence
     psi = ref.divergence(x_star, state.x) + (eta / (2.0 * p)) * anchor
     return psi, successors
 

@@ -104,9 +104,15 @@ class ReferenceFunction:
         Neither ``x`` nor ``hx`` is checked: a caller carries ``hx`` from
         a checked ``grad`` or from the previous ``advance`` (``x`` serves as
         the warm start of an iterative conjugate map). The dual point is
-        checked once and raises StepOutOfDomain, as in :func:`mirror_step`;
-        grad h(x+) comes from the unchecked primal map, since a dual point
-        that passes ``dual_ok`` maps to an interior x+.
+        checked once and raises StepOutOfDomain at its first entry outside
+        ``dual_ok``; x+ equals the checked route ``grad_conjugate(grad(x)
+        - eta g, warm_start=x)`` bit for bit, and the index of a violation
+        is the one that route's DomainViolation carries. grad h(x+) comes
+        from the unchecked primal map, since a dual point that passes
+        ``dual_ok`` maps to an interior x+. A closed-form map also takes a
+        stack of estimates ``g`` (``x`` and ``hx`` broadcast): one step per
+        row, each equal to the 1-D step bit for bit, the index of a
+        violation a (row, component) tuple.
         """
         y = hx - eta * g
         _require(self.dual_ok(y), _LEFT_DUAL, self.kind, StepOutOfDomain)
@@ -258,9 +264,9 @@ class Preconditioner(ReferenceFunction):
     pass. Every solve takes at least one Newton step and at most
     ``inner_passes``; one left above ``inner_tol`` raises
     :class:`InnerSolveFailure` (a StepFailure) with its residual. Only
-    methods of ``inner`` are called. Points are 1-D: the conjugate map
-    rejects a stack. h* has no closed form, so ``dual_divergence`` raises
-    ValueError.
+    methods of ``inner`` are called. Points are 1-D: the conjugate map and
+    ``advance`` reject a stack with ValueError. h* has no closed form, so
+    ``dual_divergence`` raises ValueError.
     """
 
     kind = "preconditioner"
@@ -287,19 +293,22 @@ class Preconditioner(ReferenceFunction):
         return self.value(x) - h_y - _dot(g_y + self.c_prec * y, x - y)
 
     def grad_conjugate(self, y, warm_start=None):
-        if np.ndim(y) != 1:
-            raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")
         x = np.zeros_like(y) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-        return self._newton(y, x, self.grad(x))[0]
+        return self._newton(y, x)[0]
 
     def advance(self, x, hx, g, eta):
         """``ReferenceFunction.advance``: the solve starts from ``x`` with
         ``hx`` and returns its last accepted trial point's gradient."""
         return self._newton(hx - eta * g, x, hx)
 
-    def _newton(self, y, x, gx):
+    def _newton(self, y, x, gx=None):
         """Solve grad h(x) = y by damped Newton from ``x``, whose gradient
-        is ``gx``; returns the solution and its gradient."""
+        ``gx`` is computed here unless given; returns the solution and its
+        gradient. A stack ``y`` raises ValueError."""
+        if np.ndim(y) != 1:
+            raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")
+        if gx is None:
+            gx = self.grad(x)
         r = gx - y
         res = np.linalg.norm(r)
         if not np.isfinite(res):
@@ -347,25 +356,3 @@ def make_reference(kind):
     except KeyError:
         raise ValueError(f"unknown reference kind: {kind!r}") from None
 
-
-def mirror_step(ref, x, g, eta):
-    """One Bregman gradient step from ``x`` against gradient estimate ``g``.
-
-    Returns the unique minimizer of eta <g, z> + D_h(z, x), computed as
-    grad h*(grad h(x) - eta g). ``x`` is checked by ``grad``, and the dual
-    point once, by ``grad_conjugate``; its :class:`DomainViolation` is
-    raised as :class:`StepOutOfDomain` with the offending component index,
-    and callers may retry with a halved step size. A closed-form map also
-    takes a stack of estimates ``g`` (``x`` broadcasts): one step per row,
-    each equal to the 1-D step bit for bit, the index of a violation a
-    (row, component) tuple. A caller that steps from each output again can
-    carry grad h along with ``ReferenceFunction.advance`` instead.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    y = ref.grad(x) - eta * g
-    try:
-        return ref.grad_conjugate(y, warm_start=x)
-    except DomainViolation as exc:
-        raise StepOutOfDomain(_LEFT_DUAL.format(ref.kind, exc.index),
-                              index=exc.index) from exc

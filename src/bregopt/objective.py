@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainViolation, InvalidData
-from .mirror import _dot
+from .mirror import _dot, _require
 
 
 def _entries(A):
@@ -150,7 +150,10 @@ def _index_groups(groups, rows, kind):
     return groups
 
 
-_RATE_VIOLATION = "poisson_kl: (Ax)_i <= 0 at an observed row"
+# DomainViolation messages, formatted with the kind and the index
+_RATE_VIOLATION = "{}: rate (Ax)_i not positive at observed row {}"
+_BARRIER_VIOLATION = "{}: barrier requires x > 0, fails at component {}"
+_MU_VIOLATION = "{}: multiplicative updates need x >= 0, fails at component {}"
 
 
 class PoissonKL(FiniteSumObjective):
@@ -213,11 +216,9 @@ class PoissonKL(FiniteSumObjective):
 
     def _rates(self, A, b, x):
         """The rates A x as a flat array; DomainViolation unless every row
-        with a positive count has a positive rate."""
+        with a positive count has a positive rate (NaN is not)."""
         rates = np.asarray(A @ x).ravel()
-        bad = (b > 0) & (rates <= 0)
-        if np.count_nonzero(bad):
-            raise DomainViolation(_RATE_VIOLATION, index=int(np.argmax(bad)))
+        _require((b <= 0) | (rates > 0), _RATE_VIOLATION, self.kind)
         return rates
 
     def _block(self, i):
@@ -240,8 +241,7 @@ class PoissonKL(FiniteSumObjective):
     def _barrier_value(self, x):
         if self.barrier_weight == 0.0:
             return 0.0
-        if not np.all(x > 0):
-            raise DomainViolation("poisson_kl: barrier requires x > 0")
+        _require(x > 0, _BARRIER_VIOLATION, self.kind)
         return -self.barrier_weight * float(np.sum(np.log(x)))
 
     def value(self, x):
@@ -273,8 +273,8 @@ class PoissonKL(FiniteSumObjective):
             a, bi = self._rows[i]
             if bi > 0:
                 r = a @ x
-                if r <= 0:
-                    raise DomainViolation(_RATE_VIOLATION, index=0)
+                if not r > 0:  # NaN fails
+                    raise DomainViolation(_RATE_VIOLATION.format(self.kind, 0), index=0)
                 g = a * (1.0 - bi / r)
                 g += 0.0
             else:
@@ -289,25 +289,26 @@ class PoissonKL(FiniteSumObjective):
             g = g - self.barrier_weight / x
         return g
 
-    def hess_vec(self, x, u):
-        """grad^2 f(x) @ u."""
+    def hessian(self, x):
+        """grad^2 f(x) = A^T diag(b / (Ax)^2) A / n + barrier_weight
+        diag(1 / x^2) as a dense d x d array, from one pass over A (rows
+        with a zero count have zero weight)."""
         rates = self._rates(self.A, self.b, x)
         w = np.zeros_like(rates)
         pos = self.b > 0
         w[pos] = self.b[pos] / rates[pos] ** 2
-        Au = np.asarray(self.A @ u).ravel()
-        Hu = np.asarray(self._AT @ (w * Au)).ravel() / self.n_components
+        WA = sp.diags(w) @ self.A if sp.issparse(self.A) else w[:, None] * self.A
+        H = self._AT @ WA
+        H = H.toarray() if sp.issparse(H) else H
+        H /= self.n_components
         if self.barrier_weight:
-            Hu = Hu + self.barrier_weight * u / x**2
-        return Hu
+            H.flat[:: self.dim + 1] += self.barrier_weight / x**2  # the diagonal
+        return H
 
     def check_mu_domain(self, x):
         """DomainViolation at the first coordinate of x that is not >= 0
         (NaN fails), the domain of :meth:`mu_step`."""
-        ok = x >= 0
-        if not ok.all():
-            raise DomainViolation("poisson_kl: multiplicative updates need x >= 0",
-                                  index=int(np.argmin(ok)))
+        _require(x >= 0, _MU_VIOLATION, self.kind)
 
     def mu_step(self, x):
         """One multiplicative (Lucy-Richardson / EM) update for min D_KL(b, Ax).

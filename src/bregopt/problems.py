@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     StepOutOfDomain,
 )
-from .mirror import LogBarrier, Preconditioner, make_reference, mirror_step
+from .mirror import LogBarrier, Preconditioner, make_reference
 from .objective import DiagonalQuadratic, LogisticL2, PoissonKL
 from .rng import make_rng
 
@@ -378,13 +378,14 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
         # deterministic Bregman descent with the theoretical step
         ref = LogBarrier()
         x = np.asarray(problem.x0, dtype=float).copy()
+        hx = ref.grad(x)
         eta = 1.0 / obj.rel_smoothness()
         for _ in range(max_iter):
             g = obj.full_grad(x)
             if np.linalg.norm(g) <= tol:
                 break
             try:
-                x = mirror_step(ref, x, g, eta)
+                x, hx = ref.advance(x, hx, g, eta)
             except StepOutOfDomain:
                 eta *= 0.5
         problem.x_star = x

@@ -297,8 +297,9 @@ def run(config, problem):
     gradient estimate once and takes the mirror step under the halving
     safeguard, which retries the mirror step alone from the same estimate
     and the same grad h(x). BSGD and BSAGA draw their indices one epoch at a
-    time. Deterministic given the seed; the trajectory equals a chain of
-    :func:`~bregopt.mirror.mirror_step` calls bit for bit. The final
+    time. Deterministic given the seed; the trajectory equals bit for bit
+    the chain of checked steps ``grad_conjugate(grad(x) - eta g,
+    warm_start=x)``, which map and check every iterate again. The final
     iterate is left on ``trace.x``. A record whose f_gap, D_h(x_star, x) or
     D_f(x_star, x) comes out non-finite raises StepFailure naming the
     column and the iteration; columns without f_star or x_star are NaN by

@@ -4,6 +4,10 @@ The criteria share a Battery instance so that the determinism criterion can
 replay every solver run registered by the earlier criteria. Each test prints
 the individual check lines before asserting, so a failing criterion shows
 exactly which quantity missed its tolerance and by how much.
+
+Each check's measured value, except the ``*/runtime_s`` timings, is also
+pinned by ``float.hex`` in PINNED: a change that moves a value, even within
+its tolerance, fails here, and one that moves it on purpose updates the pin.
 """
 
 import pytest
@@ -16,11 +20,55 @@ def battery():
     return Battery()
 
 
+PINNED = {
+    "euclidean/duality": "0x0.0p+0",
+    "euclidean/midpoint": "0x0.0p+0",
+    "euclidean/cocoercivity": "0x0.0p+0",
+    "euclidean/descent_identity": "0x1.956b6ebd54bc7p-50",
+    "euclidean/variance_decomposition": "0x1.0000000000000p-48",
+    "log_barrier/duality": "0x1.efbf219bad8aep-51",
+    "log_barrier/midpoint": "0x0.0p+0",
+    "log_barrier/cocoercivity": "0x0.0p+0",
+    "log_barrier/descent_identity": "0x1.182ab78085786p-51",
+    "log_barrier/variance_decomposition": "0x1.8000000000000p-49",
+    "neg_entropy/duality": "0x1.085c9cb895293p-49",
+    "neg_entropy/midpoint": "0x0.0p+0",
+    "neg_entropy/cocoercivity": "0x0.0p+0",
+    "neg_entropy/descent_identity": "0x1.57831f08f8988p-50",
+    "neg_entropy/variance_decomposition": "0x1.0000000000000p-47",
+    "c2/dh_ratio": "0x1.8a15e0a536cf5p-34",
+    "c2/tail_rate": "0x1.ffd743f88b298p-1",
+    "c3/plateaus_detected": "0x0.0p+0",
+    "c3/level_ratio": "-0x1.d4671ecadc16cp-2",
+    "c4/saga_rate": "0x1.e9279f42d47a9p-1",
+    "c4/saga_final_dh": "0x1.4f4c800000000p-102",
+    "c4/bsgd_plateau": "0x0.0p+0",
+    "c4/separation": "-0x1.aff9b4971cfe2p+98",
+    "c5/saga_contraction": "0x1.ce9425bf38260p-54",
+    "c5/svrg_contraction": "0x1.017a59ec0845dp-55",
+    "c6/thresholds_reached": "0x0.0p+0",
+    "c6/epoch_ratio": "0x1.999999999999ap-3",
+    "c6/mu_parity": "0x1.96e287f7f51c3p-6",
+    "c7/comms_advantage": "-0x1.8000000000000p+3",
+    "c7/bsgd_early_match": "0x1.6db6db6db6db7p-1",
+    "c7/bsgd_plateau_above": "-0x1.72a5560f1b340p-9",
+    "c8/hessian_ordering": "-0x1.164a97c87325fp-2",
+    "c8/dense_bound": "0x0.0p+0",
+    "c8/strict_improvement": "-0x1.4000000000000p+3",
+    "c9/monotone": "-0x1.10b0e60000000p-29",
+    "c9/fixed_point": "0x0.0p+0",
+    "c10/byte_identical": "0x0.0p+0",
+}
+
+
 def assert_all_pass(checks):
     for check in checks:
         print(check.line())
     failing = [c.name for c in checks if not c.passed]
     assert not failing, f"failed checks: {failing}"
+    values = {c.name: float(c.max_violation).hex() for c in checks
+              if not c.name.endswith("/runtime_s")}
+    assert values == {name: PINNED.get(name) for name in values}
 
 
 class TestAcceptance:

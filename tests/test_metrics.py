@@ -24,12 +24,9 @@ from bregopt import (
     bsaga_step,
     bsvrg_step,
     certify_lemmas,
-    mirror_step,
     plateau_level,
     rate_fit,
-    saga_potential,
     svrg_gradient,
-    svrg_potential,
     SvrgState,
     TraceInvariantError,
 )
@@ -41,10 +38,24 @@ from bregopt.metrics import (
 )
 from bregopt.rng import make_rng
 from bregopt.verify import Battery
+from oracles import mirror_step
 
 
 def mirror(ref, eta):
     return lambda x, g: mirror_step(ref, x, g, eta)
+
+
+def saga_potential(state, obj, ref, x_star, eta):
+    """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t, recomputed from scratch."""
+    errors = saga_slot_errors(state, obj, x_star)
+    n = len(errors)
+    return ref.divergence(x_star, state.x) / eta + 0.5 * n * (sum(errors) / n)
+
+
+def svrg_potential(state, obj, ref, x_star, eta, p):
+    """psi_t = D_h(x_star, x_t) + (eta / 2p) D_f(phi_t, x_star)."""
+    memory = (eta / (2.0 * p)) * obj.f_divergence(state.anchor, x_star)
+    return ref.divergence(x_star, state.x) + memory
 
 
 def make_record(i, dh, grad_evals=None, comms=None):

@@ -1,4 +1,4 @@
-"""Tests for reference functions and the mirror step."""
+"""Tests for reference functions and the mirror step ``advance``."""
 
 import numpy as np
 import pytest
@@ -19,11 +19,15 @@ from bregopt import (
     StepFailure,
     StepOutOfDomain,
     make_reference,
-    mirror_step,
 )
 from bregopt.rng import make_rng
 
 KINDS = ("euclidean", "log_barrier", "neg_entropy")
+
+
+def advance_step(ref, x, g, eta):
+    """x+ of the package's mirror step ``advance`` from a checked grad h(x)."""
+    return ref.advance(x, ref.grad(x), g, eta)[0]
 
 
 def interior_point(kind, rng, d):
@@ -55,19 +59,19 @@ class TestLogBarrier:
 
     def test_mirror_step_scalar(self):
         ref = LogBarrier()
-        out = mirror_step(ref, np.array([1.0]), np.array([1.0]), 0.5)
+        out = advance_step(ref, np.array([1.0]), np.array([1.0]), 0.5)
         np.testing.assert_allclose(out, [2.0 / 3.0], rtol=1e-12)
 
     def test_step_out_of_domain(self):
         ref = LogBarrier()
         with pytest.raises(StepOutOfDomain) as info:
-            mirror_step(ref, np.array([1.0]), np.array([-3.0]), 0.5)
+            advance_step(ref, np.array([1.0]), np.array([-3.0]), 0.5)
         assert info.value.index == 0
 
     def test_nan_dual_point_out_of_domain(self):
         # grad h(1) - 0.1 * nan is nan in component 0, which is not < 0
         with pytest.raises(StepOutOfDomain) as info:
-            mirror_step(LogBarrier(), np.ones(3), np.array([np.nan, 0.0, 0.0]), 0.1)
+            advance_step(LogBarrier(), np.ones(3), np.array([np.nan, 0.0, 0.0]), 0.1)
         assert info.value.index == 0
         with pytest.raises(DomainViolation) as info:
             LogBarrier().grad_conjugate(np.array([-1.0, np.nan]))
@@ -78,7 +82,7 @@ class TestLogBarrier:
         x = np.array([1.0, 1e300])
         g = np.array([0.0, np.nextafter(-1.0 / 1e300, 0.0)])
         with pytest.raises(StepOutOfDomain) as info:
-            mirror_step(LogBarrier(), x, g, 1.0)
+            advance_step(LogBarrier(), x, g, 1.0)
         assert info.value.index == 1
         with pytest.raises(DomainViolation) as info:
             LogBarrier().grad_conjugate(np.array([-1.0, -5e-324]))
@@ -121,7 +125,7 @@ class TestLogBarrier:
 class TestEuclidean:
     def test_mirror_step_is_gradient_step(self):
         ref = Euclidean()
-        out = mirror_step(ref, np.array([1.0, 2.0]), np.array([1.0, 0.0]), 0.5)
+        out = advance_step(ref, np.array([1.0, 2.0]), np.array([1.0, 0.0]), 0.5)
         np.testing.assert_allclose(out, [0.5, 2.0])
 
     @pytest.mark.parametrize("g, index", [
@@ -131,7 +135,7 @@ class TestEuclidean:
     ])
     def test_non_finite_dual_point_out_of_domain(self, g, index):
         with pytest.raises(StepOutOfDomain) as info:
-            mirror_step(Euclidean(), np.zeros(2), np.array(g), 1.0)
+            advance_step(Euclidean(), np.zeros(2), np.array(g), 1.0)
         assert info.value.index == index
         with pytest.raises(DomainViolation) as info:
             Euclidean().grad_conjugate(-np.array(g))
@@ -160,7 +164,7 @@ class TestNegEntropy:
     ])
     def test_step_out_of_float_range(self, g, index):
         with pytest.raises(StepOutOfDomain) as info:
-            mirror_step(NegEntropy(), np.ones(2), np.array(g), 1.0)
+            advance_step(NegEntropy(), np.ones(2), np.array(g), 1.0)
         assert info.value.index == index
         with pytest.raises(DomainViolation) as info:
             NegEntropy().grad_conjugate(np.ones(2) - np.array(g))
@@ -183,7 +187,7 @@ def test_primal_point_outside_positive_orthant(ref, x, index):
     with pytest.raises(DomainViolation):
         ref.divergence(np.ones(2), x)
     with pytest.raises(DomainViolation):
-        mirror_step(ref, x, np.zeros(2), 0.1)
+        advance_step(ref, x, np.zeros(2), 0.1)
 
 
 @pytest.mark.parametrize("ref", [LogBarrier(), NegEntropy()], ids=lambda r: r.kind)
@@ -396,19 +400,24 @@ def test_batched_rows_match_1d_calls_bytewise(kind, data):
 @given(data=_stacks(2), eta=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
 def test_stacked_mirror_step_rows_match_1d_steps_bytewise(kind, data, eta):
     # one (d,) iterate and a stack of estimates, as in the successor
-    # potentials of criterion 5; large estimates leave the domains
+    # potentials of criterion 5; large estimates leave the domains. Each row
+    # of the stacked advance, x+ and grad h(x+), is the 1-D step's
     ref = make_reference(kind)
     a, G = data
     x = a[0] if kind == "euclidean" else np.abs(a[0]) + 0.1
     assume(np.all(np.isfinite(x)))
+    hx = ref.grad(x)
     with np.errstate(all="ignore"):
-        rows = [_outcome(mirror_step, ref, x, g, eta) for g in G]
-        status, value = _outcome(mirror_step, ref, x, G, eta)
+        rows = [_outcome(ref.advance, x, hx, g, eta) for g in G]
+        status, value = _outcome(ref.advance, x, hx, G, eta)
     failing = [k for k, (s, _) in enumerate(rows) if s == "err"]
     if not failing:
-        assert status == "ok" and value.shape == G.shape
-        for k, (_, step) in enumerate(rows):
-            assert value[k].tobytes() == step.tobytes()
+        assert status == "ok"
+        X, HX = value
+        assert X.shape == HX.shape == G.shape
+        for k, (_, (x_k, hx_k)) in enumerate(rows):
+            assert X[k].tobytes() == x_k.tobytes()
+            assert HX[k].tobytes() == hx_k.tobytes()
     else:
         assert status == "err" and value == (failing[0], rows[failing[0]][1])
 

@@ -59,15 +59,26 @@ class TestPoissonKL:
         np.testing.assert_allclose(obj.full_grad(x), fd, rtol=1e-5, atol=1e-5)
 
     def test_hess_vec_matches_finite_difference(self):
+        # dense and CSR, ungrouped and grouped, with and without the barrier
         rng = make_rng(3)
-        A = rng.uniform(0.1, 1.0, size=(5, 3))
-        b = rng.uniform(0.5, 3.0, size=5)
-        obj = PoissonKL(A, b)
-        x = rng.uniform(0.5, 2.0, size=3)
-        u = rng.normal(size=3)
-        eps = 1e-6
-        fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
-        np.testing.assert_allclose(obj.hess_vec(x, u), fd, rtol=1e-5, atol=1e-5)
+        A = rng.uniform(0.1, 1.0, size=(6, 3))
+        A[rng.random(size=(6, 3)) < 0.3] = 0.0
+        A[:, 0] += 0.1  # no zero row
+        b = rng.uniform(0.5, 3.0, size=6)
+        b[2] = 0.0
+        groups = [np.array([0, 1]), np.array([2, 3, 4]), np.array([5])]
+        for M in (A, sp.csr_matrix(A)):
+            for g in (None, groups):
+                for weight in (0.0, 0.3):
+                    obj = PoissonKL(M, b, groups=g, barrier_weight=weight)
+                    x = rng.uniform(0.5, 2.0, size=3)
+                    u = rng.normal(size=3)
+                    eps = 1e-6
+                    fd = (obj.full_grad(x + eps * u) - obj.full_grad(x - eps * u)) / (2 * eps)
+                    H = obj.hessian(x)
+                    assert type(H) is np.ndarray and H.shape == (3, 3)
+                    np.testing.assert_allclose(H, H.T, rtol=1e-12)
+                    np.testing.assert_allclose(H @ u, fd, rtol=1e-5, atol=1e-5)
 
     def test_grouped_components(self):
         rng = make_rng(4)
@@ -86,9 +97,11 @@ class TestPoissonKL:
             obj.value(np.array([0.0]))
 
     def test_barrier_rejects_nan_point(self):
-        obj = PoissonKL(np.ones((2, 2)), np.ones(2), barrier_weight=0.1)
-        with pytest.raises(DomainViolation, match="barrier"):
-            obj.value(np.array([np.nan, 1.0]))
+        # zero counts: no observed row's rate sees the NaN, the barrier does
+        obj = PoissonKL(np.ones((2, 2)), np.zeros(2), barrier_weight=0.1)
+        with pytest.raises(DomainViolation, match="barrier") as info:
+            obj.value(np.array([1.0, np.nan]))
+        assert info.value.index == 1
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("groups", [None, [np.array([0, 1]), np.array([2])]])
@@ -136,6 +149,43 @@ class TestPoissonKL:
             PoissonKL(np.ones((3, 2)), np.ones(2))
         with pytest.raises(InvalidData):
             LogisticL2(np.ones((3, 2)), np.ones(4))
+
+
+@st.composite
+def poisson_with_nan_point(draw):
+    """A dense or CSR PoissonKL with positive entries and counts, grouped or
+    not, with or without the barrier, and a point with one NaN coordinate:
+    every rate comes out NaN."""
+    sparse = draw(st.booleans())
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    A = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n * d, max_size=n * d)))
+    b = np.array(draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n)))
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    groups = np.split(np.arange(n), sorted(cuts)) if draw(st.booleans()) else None
+    weight = draw(st.sampled_from([0.0, 0.3]))
+    M = A.reshape(n, d)
+    obj = PoissonKL(sp.csr_matrix(M) if sparse else M, b, groups=groups, barrier_weight=weight)
+    x = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d)))
+    x[draw(st.integers(0, d - 1))] = np.nan
+    return obj, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(poisson_with_nan_point())
+def test_nan_coordinate_raises_at_every_entry_point(case):
+    # a NaN rate is not positive: no entry point returns NaN
+    obj, x = case
+    every = np.arange(obj.n_components)
+    calls = [lambda: obj.value(x), lambda: obj.full_grad(x), lambda: obj.hessian(x),
+             lambda: obj.value_component(every, x), lambda: obj.partial_grad(every, x)]
+    calls += [lambda i=i: obj.value_component(i, x) for i in range(obj.n_components)]
+    calls += [lambda i=i: obj.partial_grad(i, x) for i in range(obj.n_components)]
+    if not obj.barrier_weight:
+        calls.append(lambda: obj.mu_step(x))
+    for call in calls:
+        with pytest.raises(DomainViolation) as info:
+            call()
+        assert info.value.index is not None
 
 
 def _block_grad(obj, j, x):
@@ -195,7 +245,7 @@ def fresh_rates(A, b, x):
     """A x, and the index of the first observed row with a nonpositive rate
     (None when there is none)."""
     rates = np.asarray(A @ x).ravel()
-    bad = (b > 0) & (rates <= 0)
+    bad = (b > 0) & ~(rates > 0)  # a NaN rate is not positive
     return rates, (int(np.argmax(bad)) if bad.any() else None)
 
 
@@ -290,7 +340,16 @@ class TestCachedOperators:
                 want = want / obj.n_components
                 want = want - bw / x if bw else want
             same_or_same_violation(lambda: obj.full_grad(x), want)
-            same_or_same_violation(lambda: obj.hess_vec(x, u), fresh_hess_vec(obj, x, u))
+            want = fresh_hess_vec(obj, x, u)
+            if isinstance(want, int):
+                same_or_same_violation(lambda: obj.hessian(x), want)
+            else:
+                H = obj.hessian(x)
+                if np.all(np.isfinite(H)) and np.all(np.isfinite(want)):
+                    # the entries of H are sums of nonnegative terms, so
+                    # |H| |u| bounds the roundoff of both routes
+                    scale = np.abs(H) @ np.abs(u)
+                    assert np.all(np.abs(H @ u - want) <= 1e-12 * scale)
             if not bw:
                 same_or_same_violation(lambda: obj.mu_step(x), fresh_mu_step(obj, x))
 

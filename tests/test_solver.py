@@ -29,7 +29,6 @@ from bregopt import (
     gen_interpolation,
     gen_preconditioned,
     load_instance,
-    mirror_step,
     run,
     saga_gradient,
     save_instance,
@@ -44,6 +43,7 @@ from bregopt.metrics import (
     svrg_successor_potentials,
 )
 from bregopt.rng import make_rng
+from oracles import mirror_step
 
 
 GAIN_CONSTANTS = {"mu_h": 1.0, "L_h": 2.0, "M": 1e-3, "L_rel": 3.0, "mu_rel": 0.1}
@@ -709,7 +709,7 @@ class TestRecordColumns:
 
 def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     # run() takes one inner gradient pass at x0 and then one per Newton trial
-    # point; the public route (mirror_step, grad_conjugate) takes two more
+    # point; the checked route (grad, then grad_conjugate) takes two more
     # per step: grad h(x), and the first residual at the warm start
     data = gen_gaussian_logistic_data(120, 5, seed=3)
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
