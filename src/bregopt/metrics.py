@@ -1,9 +1,9 @@
-"""Convergence diagnostics, potentials and numerical lemma certification.
+"""Convergence diagnostics and numerical lemma certification.
 
 This module owns the trace format (per-iteration metric records streamed to
-CSV), the variance and Lyapunov quantities used by the convergence theory,
-and :func:`certify_lemmas`, which checks the structural identities and
-inequalities behind the solvers on seeded random inputs.
+CSV), the variance proxy of the convergence theory, rate fitting and
+plateau detection, and :func:`certify_lemmas`, which checks the structural
+identities and inequalities behind the solvers on seeded random inputs.
 """
 
 import io
@@ -11,12 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    AnchorsUnavailable,
-    DomainViolation,
-    InsufficientData,
-    TraceInvariantError,
-)
+from .errors import DomainViolation, InsufficientData, TraceInvariantError
 from .mirror import make_reference
 from .objective import DiagonalQuadratic, PoissonKL
 from .rng import make_rng
@@ -113,7 +108,7 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# variance and potentials
+# variance
 # ---------------------------------------------------------------------------
 
 
@@ -137,61 +132,6 @@ def sigma2_estimate(obj, ref, x, x_star, eta, max_exact=10**4, samples=2000, see
         raise DomainViolation("variance assumption unverifiable at this probe point") from exc
     stderr = 0.0 if n <= max_exact else float(np.std(vals) / np.sqrt(len(vals)))
     return float(np.mean(vals)), stderr
-
-
-def saga_slot_errors(state, obj, x_star):
-    """[D_{f_j}(phi_j, x_star) for j = 0..n-1] in slot order, from one
-    stacked component divergence; needs stored anchors."""
-    if state.anchors is None:
-        raise AnchorsUnavailable("SAGA state was created without anchor storage")
-    idx = np.arange(obj.n_components)
-    return obj.component_divergence(idx, state.anchors, x_star).tolist()
-
-
-def _saga_psi(dh, errors, eta):
-    # psi = D_h(x_star, x) / eta + (n/2) H, H the mean of the slot errors
-    n = len(errors)
-    return dh / eta + 0.5 * n * (sum(errors) / n)
-
-
-def saga_successor_potentials(state, obj, ref, x_star, eta):
-    """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t, H_t the mean slot error
-    D_{f_j}(phi_j, x_star), and the potential after each of the n possible
-    next steps.
-
-    Step i moves x_t along the SAGA estimate of component i and anchor i to
-    x_t, so only slot i's error changes, to D_{f_i}(x_t, x_star). The n
-    estimates, steps and divergences D_h(x_star, .) and the 2n slot errors
-    are one stacked call each, so ``ref`` must be a closed-form map (a
-    Preconditioner raises ValueError). Each value equals the potential of
-    the state one ``bsaga_step`` reaches, recomputed from scratch, bit for
-    bit. Returns (psi_t, [psi after step i]).
-    """
-    from .solver import saga_gradient  # the solver imports this module
-    idx = np.arange(obj.n_components)
-    errors = saga_slot_errors(state, obj, x_star)
-    moved = obj.component_divergence(idx, state.x, x_star).tolist()
-    X = ref.advance(state.x, ref.grad(state.x), saga_gradient(state, obj, idx)[1], eta)[0]
-    successors = [_saga_psi(dh, errors[:i] + [moved[i]] + errors[i + 1:], eta)
-                  for i, dh in enumerate(ref.divergence(x_star, X).tolist())]
-    return _saga_psi(ref.divergence(x_star, state.x), errors, eta), successors
-
-
-def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
-    """psi_t = D_h(x_star, x_t) + (eta / 2p) D_f(phi_t, x_star), phi_t the
-    anchor, and the potential after each of the n possible next steps, in
-    expectation over the refresh coin (the anchor stays with probability
-    1 - p, else moves to x_t). Stacked as :func:`saga_successor_potentials`,
-    with its contract on ``ref``. Returns (psi_t, [expected psi after step i]).
-    """
-    from .solver import svrg_gradient  # the solver imports this module
-    anchor = obj.f_divergence(state.anchor, x_star)
-    memory = (eta / (2.0 * p)) * ((1.0 - p) * anchor + p * obj.f_divergence(state.x, x_star))
-    G = svrg_gradient(state, obj, np.arange(obj.n_components))
-    X = ref.advance(state.x, ref.grad(state.x), G, eta)[0]
-    successors = [dh + memory for dh in ref.divergence(x_star, X).tolist()]
-    psi = ref.divergence(x_star, state.x) + (eta / (2.0 * p)) * anchor
-    return psi, successors
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ class FiniteSumObjective:
                          for k, j in enumerate(i)])
 
 
+def _gram(A, AT, w):
+    """A^T diag(w) A as a dense array, ``AT`` the transpose of A."""
+    WA = sp.diags(w) @ A if sp.issparse(A) else w[:, None] * A
+    H = AT @ WA
+    return H.toarray() if sp.issparse(H) else H
+
+
 def _row_block(A, g):
     """(A_g, A_g^T) for the rows ``g`` of A, both views of A when g is a
     contiguous ascending range, else built from the copy ``A[g]``.
@@ -238,10 +245,17 @@ class PoissonKL(FiniteSumObjective):
             val += float(np.sum(bp * np.log(bp / rp) - bp + rp))
         return val
 
-    def _barrier_value(self, x):
+    def _barrier_on(self, x):
+        """Whether the barrier term is present; when it is, DomainViolation
+        at the first coordinate of x that is not > 0 (NaN fails)."""
         if self.barrier_weight == 0.0:
-            return 0.0
+            return False
         _require(x > 0, _BARRIER_VIOLATION, self.kind)
+        return True
+
+    def _barrier_value(self, x):
+        if not self._barrier_on(x):
+            return 0.0
         return -self.barrier_weight * float(np.sum(np.log(x)))
 
     def value(self, x):
@@ -279,13 +293,13 @@ class PoissonKL(FiniteSumObjective):
                 g += 0.0
             else:
                 g = a + 0.0
-        if self.barrier_weight:
+        if self._barrier_on(x):
             g = g - self.barrier_weight / x
         return g
 
     def full_grad(self, x):
         g = self._kl_grad(self.A, self._AT, self.b, x) / self.n_components
-        if self.barrier_weight:
+        if self._barrier_on(x):
             g = g - self.barrier_weight / x
         return g
 
@@ -297,11 +311,9 @@ class PoissonKL(FiniteSumObjective):
         w = np.zeros_like(rates)
         pos = self.b > 0
         w[pos] = self.b[pos] / rates[pos] ** 2
-        WA = sp.diags(w) @ self.A if sp.issparse(self.A) else w[:, None] * self.A
-        H = self._AT @ WA
-        H = H.toarray() if sp.issparse(H) else H
+        H = _gram(self.A, self._AT, w)
         H /= self.n_components
-        if self.barrier_weight:
+        if self._barrier_on(x):
             H.flat[:: self.dim + 1] += self.barrier_weight / x**2  # the diagonal
         return H
 
@@ -436,9 +448,7 @@ class LogisticL2(FiniteSumObjective):
         m = self._margins(self.A, self.labels, x)
         s = _sigmoid(m)
         w = s * (1.0 - s) * self._row_weight
-        WA = sp.diags(w) @ self.A if sp.issparse(self.A) else w[:, None] * self.A
-        H = self.A.T @ WA
-        H = H.toarray() if sp.issparse(H) else H
+        H = _gram(self.A, self.A.T, w)
         H.flat[:: self.dim + 1] += self.lam  # the diagonal
         return H
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AnchorsUnavailable,
     InvalidConstants,
     InvalidData,
     StepFailure,
@@ -201,6 +202,64 @@ def bsvrg_step(state, obj, i, step, refresh):
         state.anchor = x_prev.copy()
         state.anchor_grad = obj.full_grad(state.anchor)
     return state
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov potentials of the SAGA and SVRG states
+# ---------------------------------------------------------------------------
+
+
+def saga_slot_errors(state, obj, x_star):
+    """[D_{f_j}(phi_j, x_star) for j = 0..n-1] in slot order, from one
+    stacked component divergence; needs stored anchors."""
+    if state.anchors is None:
+        raise AnchorsUnavailable("SAGA state was created without anchor storage")
+    idx = np.arange(obj.n_components)
+    return obj.component_divergence(idx, state.anchors, x_star).tolist()
+
+
+def _saga_psi(dh, errors, eta):
+    # psi = D_h(x_star, x) / eta + (n/2) H, H the mean of the slot errors
+    n = len(errors)
+    return dh / eta + 0.5 * n * (sum(errors) / n)
+
+
+def saga_successor_potentials(state, obj, ref, x_star, eta):
+    """psi_t = D_h(x_star, x_t) / eta + (n/2) H_t, H_t the mean slot error
+    D_{f_j}(phi_j, x_star), and the potential after each of the n possible
+    next steps.
+
+    Step i moves x_t along the SAGA estimate of component i and anchor i to
+    x_t, so only slot i's error changes, to D_{f_i}(x_t, x_star). The n
+    estimates, steps and divergences D_h(x_star, .) and the 2n slot errors
+    are one stacked call each, so ``ref`` must be a closed-form map (a
+    Preconditioner raises ValueError). Each value equals the potential of
+    the state one ``bsaga_step`` reaches, recomputed from scratch, bit for
+    bit. Returns (psi_t, [psi after step i]).
+    """
+    idx = np.arange(obj.n_components)
+    errors = saga_slot_errors(state, obj, x_star)
+    moved = obj.component_divergence(idx, state.x, x_star).tolist()
+    X = ref.advance(state.x, ref.grad(state.x), saga_gradient(state, obj, idx)[1], eta)[0]
+    successors = [_saga_psi(dh, errors[:i] + [moved[i]] + errors[i + 1:], eta)
+                  for i, dh in enumerate(ref.divergence(x_star, X).tolist())]
+    return _saga_psi(ref.divergence(x_star, state.x), errors, eta), successors
+
+
+def svrg_successor_potentials(state, obj, ref, x_star, eta, p):
+    """psi_t = D_h(x_star, x_t) + (eta / 2p) D_f(phi_t, x_star), phi_t the
+    anchor, and the potential after each of the n possible next steps, in
+    expectation over the refresh coin (the anchor stays with probability
+    1 - p, else moves to x_t). Stacked as :func:`saga_successor_potentials`,
+    with its contract on ``ref``. Returns (psi_t, [expected psi after step i]).
+    """
+    anchor = obj.f_divergence(state.anchor, x_star)
+    memory = (eta / (2.0 * p)) * ((1.0 - p) * anchor + p * obj.f_divergence(state.x, x_star))
+    G = svrg_gradient(state, obj, np.arange(obj.n_components))
+    X = ref.advance(state.x, ref.grad(state.x), G, eta)[0]
+    successors = [dh + memory for dh in ref.divergence(x_star, X).tolist()]
+    psi = ref.divergence(x_star, state.x) + (eta / (2.0 * p)) * anchor
+    return psi, successors
 
 
 # ---------------------------------------------------------------------------

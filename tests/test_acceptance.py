@@ -1,9 +1,11 @@
 """Acceptance battery, one test per criterion.
 
 The criteria share a Battery instance so that the determinism criterion can
-replay every solver run registered by the earlier criteria. Each test prints
-the individual check lines before asserting, so a failing criterion shows
-exactly which quantity missed its tolerance and by how much.
+replay every solver run registered by the earlier criteria. Each criterion
+runs through ``Battery.criterion``, as ``bregopt verify`` runs it, so its
+``c{k}/runtime_s`` bound is checked too. Each test prints the individual
+check lines before asserting, so a failing criterion shows exactly which
+quantity missed its tolerance and by how much.
 
 Each check's measured value, except the ``*/runtime_s`` timings, is also
 pinned by ``float.hex`` in PINNED: a change that moves a value, even within
@@ -73,31 +75,41 @@ def assert_all_pass(checks):
 
 class TestAcceptance:
     def test_criterion_1_lemma_certification(self, battery):
-        assert_all_pass(battery.criterion_1())
+        assert_all_pass(battery.criterion(1))
 
     def test_criterion_2_interpolation_linear_rate(self, battery):
-        assert_all_pass(battery.criterion_2())
+        assert_all_pass(battery.criterion(2))
 
     def test_criterion_3_plateau_scales_with_step(self, battery):
-        assert_all_pass(battery.criterion_3())
+        assert_all_pass(battery.criterion(3))
 
     def test_criterion_4_saga_beats_sgd_plateau(self, battery):
-        assert_all_pass(battery.criterion_4())
+        assert_all_pass(battery.criterion(4))
 
     def test_criterion_5_potential_contraction(self, battery):
-        assert_all_pass(battery.criterion_5())
+        assert_all_pass(battery.criterion(5))
 
     def test_criterion_6_tomography_epoch_budget(self, battery):
-        assert_all_pass(battery.criterion_6())
+        assert_all_pass(battery.criterion(6))
 
     def test_criterion_7_distributed_comm_budget(self, battery):
-        assert_all_pass(battery.criterion_7())
+        assert_all_pass(battery.criterion(7))
 
     def test_criterion_8_sparse_smoothness_constant(self, battery):
-        assert_all_pass(battery.criterion_8())
+        assert_all_pass(battery.criterion(8))
 
     def test_criterion_9_multiplicative_updates(self, battery):
-        assert_all_pass(battery.criterion_9())
+        assert_all_pass(battery.criterion(9))
 
     def test_criterion_10_trace_determinism(self, battery):
-        assert_all_pass(battery.criterion_10())
+        assert_all_pass(battery.criterion(10))
+
+
+def test_criterion_10_names_each_run_whose_replay_differs():
+    battery = Battery()
+    battery.criterion(4)  # registers c4_bsaga, then c4_bsgd
+    name, config, problem, csv = battery._registry[1]
+    battery._registry[1] = (name, config, problem, csv[:-1])  # drop one digit
+    (check,) = battery.criterion(10)
+    assert not check.passed
+    assert check.line().endswith("[replay differs: c4_bsgd] FAIL")

@@ -405,3 +405,19 @@ class TestVerify:
                      "--negative-control", "--report", report])
         assert code == 1
         assert "FAIL" in open(report).read()
+
+    @pytest.mark.parametrize("negative_control", [False, True])
+    def test_quick_battery_prints_pinned_check_names(self, capsys, negative_control):
+        argv = ["verify", "--quick", "--samples", "40"]
+        code = main(argv + ["--negative-control"] * negative_control)
+        lines = capsys.readouterr().out.splitlines()
+        lemmas = [f"{kind}/{lemma}" for kind in ("euclidean", "log_barrier", "neg_entropy")
+                  for lemma in ("duality", "midpoint", "cocoercivity", "descent_identity",
+                                "variance_decomposition")]
+        expected = (lemmas + ["negative_control/euclidean/cocoercivity"] * negative_control
+                    + ["c1/runtime_s", "c5/saga_contraction", "c5/svrg_contraction",
+                       "c5/runtime_s", "c8/hessian_ordering", "c8/dense_bound",
+                       "c8/strict_improvement", "c8/runtime_s", "c9/monotone",
+                       "c9/fixed_point", "c9/runtime_s"])
+        assert [line.split(" ", 1)[0] for line in lines[:-1]] == expected
+        assert code == int(negative_control)

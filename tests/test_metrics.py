@@ -30,13 +30,13 @@ from bregopt import (
     SvrgState,
     TraceInvariantError,
 )
-from bregopt.metrics import (
-    CERT_DIM,
+from bregopt.metrics import CERT_DIM
+from bregopt.rng import make_rng
+from bregopt.solver import (
     saga_slot_errors,
     saga_successor_potentials,
     svrg_successor_potentials,
 )
-from bregopt.rng import make_rng
 from bregopt.verify import Battery
 from oracles import mirror_step
 

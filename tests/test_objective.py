@@ -104,6 +104,19 @@ class TestPoissonKL:
         assert info.value.index == 1
 
     @pytest.mark.parametrize("sparse", [False, True])
+    def test_barrier_rejects_negative_coordinate_everywhere(self, sparse):
+        # both rates stay positive at x, so only the barrier sees x_1 < 0
+        A = np.array([[1.0, 0.1], [1.0, 0.2]])
+        obj = PoissonKL(sp.csr_matrix(A) if sparse else A, [1.0, 1.0], barrier_weight=0.3)
+        x = np.array([1.0, -0.5])
+        for call in (obj.value, obj.full_grad, obj.hessian,
+                     lambda x: obj.partial_grad(0, x),
+                     lambda x: obj.partial_grad(np.array([1, 0]), x)):
+            with pytest.raises(DomainViolation, match="barrier") as info:
+                call(x)
+            assert info.value.index == 1
+
+    @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("groups", [None, [np.array([0, 1]), np.array([2])]])
     def test_zero_row_with_positive_count_rejected(self, sparse, groups):
         # row 1 is zero; its group also holds the nonzero row 0
@@ -189,9 +202,10 @@ def test_nan_coordinate_raises_at_every_entry_point(case):
 
 
 def _block_grad(obj, j, x):
-    """Component gradient of row j through the (1, d) block path."""
+    """Component gradient of row j through the (1, d) block path, the
+    barrier's domain checked after the rate's."""
     g = obj._kl_grad(obj.A[j:j + 1], obj.A[j:j + 1].T, obj.b[j:j + 1], x)
-    return g - obj.barrier_weight / x if obj.barrier_weight else g
+    return g - obj.barrier_weight / x if obj._barrier_on(x) else g
 
 
 @st.composite
@@ -227,7 +241,8 @@ class TestRowKernel:
                 except DomainViolation as exc:
                     with pytest.raises(DomainViolation) as info:
                         obj.partial_grad(i, x)
-                    assert info.value.index == exc.index == 0
+                    assert str(info.value) == str(exc)
+                    assert info.value.index == exc.index
                     continue
                 got = obj.partial_grad(i, x)
             assert got.tobytes() == want.tobytes()
@@ -247,6 +262,13 @@ def fresh_rates(A, b, x):
     rates = np.asarray(A @ x).ravel()
     bad = (b > 0) & ~(rates > 0)  # a NaN rate is not positive
     return rates, (int(np.argmax(bad)) if bad.any() else None)
+
+
+def barrier_violation(x):
+    """The index of the first coordinate of x that is not > 0 (None when
+    there is none), where a barrier term fails."""
+    bad = ~(x > 0)  # NaN is not positive
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def fresh_kl_grad(A, b, x):
@@ -269,7 +291,10 @@ def fresh_hess_vec(obj, x, u):
     w[pos] = obj.b[pos] / rates[pos] ** 2
     Au = np.asarray(obj.A @ u).ravel()
     Hu = np.asarray(obj.A.T @ (w * Au)).ravel() / obj.n_components
-    return Hu + obj.barrier_weight * u / x**2 if obj.barrier_weight else Hu
+    if not obj.barrier_weight:
+        return Hu
+    bad = barrier_violation(x)
+    return Hu + obj.barrier_weight * u / x**2 if bad is None else bad
 
 
 def fresh_mu_step(obj, x):
@@ -333,12 +358,15 @@ class TestCachedOperators:
             for i, g in enumerate(obj.groups):
                 want = fresh_kl_grad(obj.A[g], obj.b[g], x)
                 if bw and not isinstance(want, int):
-                    want = want - bw / x
+                    bad = barrier_violation(x)
+                    want = want - bw / x if bad is None else bad
                 same_or_same_violation(lambda: obj.partial_grad(i, x), want)
             want = fresh_kl_grad(obj.A, obj.b, x)
             if not isinstance(want, int):
                 want = want / obj.n_components
-                want = want - bw / x if bw else want
+                if bw:
+                    bad = barrier_violation(x)
+                    want = want - bw / x if bad is None else bad
             same_or_same_violation(lambda: obj.full_grad(x), want)
             want = fresh_hess_vec(obj, x, u)
             if isinstance(want, int):

@@ -37,12 +37,9 @@ from bregopt import (
     step_policy,
     svrg_gradient,
 )
-from bregopt.metrics import (
-    TRACE_COLUMNS,
-    saga_successor_potentials,
-    svrg_successor_potentials,
-)
+from bregopt.metrics import TRACE_COLUMNS
 from bregopt.rng import make_rng
+from bregopt.solver import saga_successor_potentials, svrg_successor_potentials
 from oracles import mirror_step
 
 
