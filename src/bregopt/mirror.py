@@ -127,6 +127,13 @@ class ReferenceFunction:
         self.check_domain(y)
         return self.value(x) - self.value(y) - _dot(self.grad(y), x - y)
 
+    def divergence_from(self, x):
+        """D_h(x, .) for a fixed ``x``: a function of (y, hy) equal to
+        ``divergence(x, y)`` bit for bit, where ``hy`` is grad h(y) if the
+        caller carries it, else None. A closed-form map keeps its own
+        divergence and has no use for ``hy``."""
+        return lambda y, hy=None: self.divergence(x, y)
+
     def dual_divergence(self, a, b):
         """D_{h*}(a, b) for a, b in the conjugate domain, from h* directly;
         a reference function without a closed-form conjugate raises
@@ -291,6 +298,19 @@ class Preconditioner(ReferenceFunction):
         f_y, g_y = self.inner.value_and_grad(y)
         h_y = float(f_y) + 0.5 * self.c_prec * float(y @ y)
         return self.value(x) - h_y - _dot(g_y + self.c_prec * y, x - y)
+
+    def divergence_from(self, x):
+        """``ReferenceFunction.divergence_from``: h(x) is evaluated here,
+        once; each divergence then makes one value pass over the inner data
+        and takes grad h(y) from ``hy`` (a gradient pass when it is None)."""
+        h_x = self.value(x)
+
+        def divergence(y, hy=None):
+            if hy is None:
+                hy = self.grad(y)
+            return h_x - self.value(y) - _dot(hy, x - y)
+
+        return divergence
 
     def grad_conjugate(self, y, warm_start=None):
         x = np.zeros_like(y) if warm_start is None else np.asarray(warm_start, dtype=float).copy()

@@ -157,6 +157,13 @@ def _index_groups(groups, rows, kind):
     return groups
 
 
+def _counts(b):
+    """(rows with a positive count, the other rows, the positive counts) of
+    the counts ``b``: two boolean masks and the counts on the first."""
+    pos = b > 0
+    return pos, ~pos, b[pos]
+
+
 # DomainViolation messages, formatted with the kind and the index
 _RATE_VIOLATION = "{}: rate (Ax)_i not positive at observed row {}"
 _BARRIER_VIOLATION = "{}: barrier requires x > 0, fails at component {}"
@@ -175,11 +182,14 @@ class PoissonKL(FiniteSumObjective):
     With a dense A and one row per component, a component gradient is the
     row kernel a_i (1 - b_i / <a_i, x>) on a view of the row of A; otherwise
     each block A_i and its transpose A_i^T are built once at construction,
-    as are A^T and the column sums A^T 1. A block whose rows form a
-    contiguous range (each angle of a tomography operator) is a view of A,
-    and a sparse one's transpose a CSC view of the same slices of A's
-    arrays, so the operator is held once; any other block is a copy of its
-    rows. A, b and groups must not be mutated afterwards.
+    each beside its positive-count rows and counts, as are A^T, the column
+    sums A^T 1 and the positive-count rows and counts of all of b. A block
+    whose rows form a contiguous range (each angle of a tomography
+    operator) is a view of A, and a sparse one's transpose a CSC view of
+    the same slices of A's arrays, so the operator is held once; any other
+    block is a copy of its rows. A, b and groups must not be mutated
+    afterwards. ``value_and_grad`` and ``value_and_mu_step`` pair f(x) with
+    grad f(x) or the MU step from one product A x.
     """
 
     kind = "poisson_kl"
@@ -210,6 +220,8 @@ class PoissonKL(FiniteSumObjective):
                           for g in self.groups for j in g.tolist()]
         else:
             self._blocks = [(*_row_block(self.A, g), self.b[g]) for g in self.groups]
+            self._block_counts = [_counts(bi) for _, _, bi in self._blocks]
+        self._counts = _counts(self.b)
         self._AT = self.A.T
         self._col_sums = np.asarray(self._AT @ np.ones(self.A.shape[0])).ravel()
 
@@ -221,27 +233,29 @@ class PoissonKL(FiniteSumObjective):
     def dim(self):
         return self.A.shape[1]
 
-    def _rates(self, A, b, x):
+    def _rates(self, A, counts, x):
         """The rates A x as a flat array; DomainViolation unless every row
-        with a positive count has a positive rate (NaN is not)."""
+        with a positive count has a positive rate (NaN is not). ``counts``
+        is ``_counts`` of the rows' counts."""
         rates = np.asarray(A @ x).ravel()
-        _require((b <= 0) | (rates > 0), _RATE_VIOLATION, self.kind)
+        _require(counts[1] | (rates > 0), _RATE_VIOLATION, self.kind)
         return rates
 
     def _block(self, i):
-        """(rows of A, counts) of component i, rows as a 2-D block."""
+        """(rows of A, ``_counts`` of their counts) of component i, rows as a
+        2-D block."""
         if self._rows is None:
-            Ai, _, bi = self._blocks[i]
-            return Ai, bi
+            return self._blocks[i][0], self._block_counts[i]
         a, bi = self._rows[i]
-        return a[None, :], np.array([bi])
+        return a[None, :], _counts(np.array([bi]))
 
-    def _kl_terms(self, A, b, x):
-        rates = self._rates(A, b, x)
-        pos = b > 0
-        val = float(np.sum(rates[~pos]))
-        if np.any(pos):
-            bp, rp = b[pos], rates[pos]
+    @staticmethod
+    def _kl_terms(rates, counts):
+        """The KL fit of the rows whose rates are ``rates``."""
+        pos, zero, bp = counts
+        val = float(np.sum(rates[zero]))
+        if bp.size:
+            rp = rates[pos]
             val += float(np.sum(bp * np.log(bp / rp) - bp + rp))
         return val
 
@@ -258,20 +272,27 @@ class PoissonKL(FiniteSumObjective):
             return 0.0
         return -self.barrier_weight * float(np.sum(np.log(x)))
 
+    def _full_rates(self, x):
+        return self._rates(self.A, self._counts, x)
+
     def value(self, x):
-        return self._kl_terms(self.A, self.b, x) / self.n_components + self._barrier_value(x)
+        return self._value(x, self._full_rates(x))
+
+    def _value(self, x, rates):
+        return self._kl_terms(rates, self._counts) / self.n_components + self._barrier_value(x)
 
     def value_component(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.value_component, i, x)
-        Ai, bi = self._block(i)
-        return self._kl_terms(Ai, bi, x) + self._barrier_value(x)
+        Ai, counts = self._block(i)
+        return self._kl_terms(self._rates(Ai, counts, x), counts) + self._barrier_value(x)
 
-    def _kl_grad(self, A, AT, b, x):
-        rates = self._rates(A, b, x)
+    @staticmethod
+    def _kl_grad(AT, rates, counts):
+        """A^T (1 - b / Ax) over the observed rows, the others' coefficient 1."""
+        pos, _, bp = counts
         coeff = np.ones_like(rates)
-        pos = b > 0
-        coeff[pos] = 1.0 - b[pos] / rates[pos]
+        coeff[pos] = 1.0 - bp / rates[pos]
         g = AT @ coeff
         return np.asarray(g).ravel()
 
@@ -279,7 +300,9 @@ class PoissonKL(FiniteSumObjective):
         if isinstance(i, np.ndarray):
             return self._each(self.partial_grad, i, x)
         if self._rows is None:
-            g = self._kl_grad(*self._blocks[i], x)
+            Ai, AiT, _ = self._blocks[i]
+            counts = self._block_counts[i]
+            g = self._kl_grad(AiT, self._rates(Ai, counts, x), counts)
         else:
             # row kernel, byte for byte _kl_grad on the (1, d) block: adding
             # 0.0 turns the -0.0 of a zero entry times a negative coefficient
@@ -298,19 +321,28 @@ class PoissonKL(FiniteSumObjective):
         return g
 
     def full_grad(self, x):
-        g = self._kl_grad(self.A, self._AT, self.b, x) / self.n_components
+        return self._full_grad(x, self._full_rates(x))
+
+    def _full_grad(self, x, rates):
+        g = self._kl_grad(self._AT, rates, self._counts) / self.n_components
         if self._barrier_on(x):
             g = g - self.barrier_weight / x
         return g
+
+    def value_and_grad(self, x):
+        """``(value(x), full_grad(x))`` from one product A x; a point outside
+        the domain raises the DomainViolation that ``value`` raises."""
+        rates = self._full_rates(x)
+        return self._value(x, rates), self._full_grad(x, rates)
 
     def hessian(self, x):
         """grad^2 f(x) = A^T diag(b / (Ax)^2) A / n + barrier_weight
         diag(1 / x^2) as a dense d x d array, from one pass over A (rows
         with a zero count have zero weight)."""
-        rates = self._rates(self.A, self.b, x)
+        rates = self._full_rates(x)
+        pos, _, bp = self._counts
         w = np.zeros_like(rates)
-        pos = self.b > 0
-        w[pos] = self.b[pos] / rates[pos] ** 2
+        w[pos] = bp / rates[pos] ** 2
         H = _gram(self.A, self._AT, w)
         H /= self.n_components
         if self._barrier_on(x):
@@ -333,15 +365,29 @@ class PoissonKL(FiniteSumObjective):
         the KL term alone: an objective with a barrier term raises
         InvalidData.
         """
+        x = np.asarray(x, dtype=float)
+        self._check_mu(x)
+        return self._mu_step(x, self._full_rates(x))
+
+    def value_and_mu_step(self, x):
+        """``(value(x), mu_step(x))`` from one product A x; a point outside
+        either domain raises what ``value``, then ``mu_step``, raises."""
+        x = np.asarray(x, dtype=float)
+        rates = self._full_rates(x)
+        value = self._value(x, rates)
+        self._check_mu(x)
+        return value, self._mu_step(x, rates)
+
+    def _check_mu(self, x):
         if self.barrier_weight:
             raise InvalidData("poisson_kl: multiplicative updates minimise the KL term "
                               "only, but barrier_weight is positive")
-        x = np.asarray(x, dtype=float)
         self.check_mu_domain(x)
-        rates = self._rates(self.A, self.b, x)
+
+    def _mu_step(self, x, rates):
+        pos, _, bp = self._counts
         ratio = np.zeros_like(rates)
-        obs = self.b > 0
-        ratio[obs] = self.b[obs] / rates[obs]
+        ratio[pos] = bp / rates[pos]
         num = np.asarray(self._AT @ ratio).ravel()
         out = x.copy()
         live = self._col_sums > 0

@@ -138,7 +138,8 @@ def radon_matrix(size, n_angles):
     row's entries reach it corner by corner in step order, and scipy sorts
     and sums duplicates row by row, so every row keeps the entry order and
     the summation order of a COO-to-CSR conversion of all angles at once,
-    while only one angle's triples are held at a time.
+    while only one angle's triples are held at a time. Each block keeps
+    copies of its summed arrays, not views of the unsummed ones.
     """
     if size < 1 or n_angles < 1:
         raise ValueError("size and n_angles must be at least 1")
@@ -164,7 +165,8 @@ def radon_matrix(size, n_angles):
         indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(ok, axis=(1, 2)))))
         block = sp.csr_matrix((w[ok], cy[ok] * size + cx[ok], indptr), shape=(size, size * size))
         block.sum_duplicates()
-        blocks.append(block)
+        # the sum may leave views of the unsummed arrays; a copy frees them
+        blocks.append(block.copy())
     return sp.vstack(blocks, format="csr")
 
 

@@ -5,9 +5,10 @@ then takes the mirror step x+ = grad h*(grad h(x) - eta g_t). :func:`run`
 draws every random number from a counter-based generator (see
 :mod:`bregopt.rng`), so a (config, problem, seed) triple determines the
 trajectory bit-for-bit. A mirror step that would leave the reference
-function's domain raises :class:`StepOutOfDomain`; the run harness retries
-that mirror step alone, from the same estimate, with a halved step size, and
-the trace shows each such intervention.
+function's domain raises :class:`StepOutOfDomain`, and one whose
+preconditioner solve stops short :class:`InnerSolveFailure`; the run harness
+retries that mirror step alone, from the same estimate, with a halved step
+size, and the trace shows each such intervention.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AnchorsUnavailable,
+    InnerSolveFailure,
     InvalidConstants,
     InvalidData,
     StepFailure,
@@ -47,9 +49,10 @@ class SolverConfig:
     constant. Setting ``gain_constants`` (Bregman-SAGA only) selects the
     gain rule eta_t = step_multiplier / (8 L_rel G_t) with the regularity
     metadata mu_h, L_h, M, L_rel, mu_rel. Every mirror step runs under the
-    halving safeguard: a step leaving the domain is retried with a halved
-    step size, up to ``max_halvings`` times, and the base step size is
-    restored afterwards.
+    halving safeguard: a step leaving the domain, or one whose
+    preconditioner solve stops short, is retried with a halved step size,
+    up to ``max_halvings`` times, and the base step size is restored
+    afterwards.
     """
 
     method: str = "bsgd"
@@ -161,11 +164,12 @@ def bsaga_step(state, obj, i, step):
     """One Bregman-SAGA step with component ``i``: the mirror step
     ``step(x, g)`` along the SAGA estimate, then the table slot update."""
     n = obj.n_components
-    g_new, g = saga_gradient(state, obj, i)
+    g_new = obj.partial_grad(i, state.x)
+    diff = g_new - state.table[i]  # saga_gradient's estimate is diff + table_mean
     x_prev = state.x
-    state.x = step(state.x, g)
+    state.x = step(state.x, diff + state.table_mean)
     # slot update: anchor phi_i <- pre-step iterate, stored gradient refreshed
-    state.table_mean = state.table_mean + (g_new - state.table[i]) / n
+    state.table_mean = state.table_mean + diff / n
     state.table[i] = g_new
     if state.anchors is not None:
         old_term = float(np.linalg.norm(state.x - state.anchors[i]))
@@ -355,17 +359,23 @@ def run(config, problem):
     index, then for BSVRG the anchor refresh coin), computes the method's
     gradient estimate once and takes the mirror step under the halving
     safeguard, which retries the mirror step alone from the same estimate
-    and the same grad h(x). BSGD and BSAGA draw their indices one epoch at a
-    time. Deterministic given the seed; the trajectory equals bit for bit
-    the chain of checked steps ``grad_conjugate(grad(x) - eta g,
-    warm_start=x)``, which map and check every iterate again. The final
-    iterate is left on ``trace.x``. A record whose f_gap, D_h(x_star, x) or
-    D_f(x_star, x) comes out non-finite raises StepFailure naming the
-    column and the iteration; columns without f_star or x_star are NaN by
-    design and never computed. On StepFailure the partial trace is attached
-    to the raised :class:`RunFailure`. Method mu takes the objective's own
-    ``mu_step``, and x0 must lie in its domain (``check_mu_domain``); an
-    objective without one raises InvalidData before the first record.
+    and the same grad h(x), on StepOutOfDomain or InnerSolveFailure alike,
+    at most ``max_halvings`` times in one step. BSGD and BSAGA draw their
+    indices one epoch at a time. Deterministic given the seed; the
+    trajectory equals bit for bit the chain of checked steps
+    ``grad_conjugate(grad(x) - eta g, warm_start=x)``, which map and check
+    every iterate again. The final iterate is left on ``trace.x``. A record
+    whose f_gap, D_h(x_star, x) or D_f(x_star, x) comes out non-finite
+    raises StepFailure naming the column and the iteration; columns without
+    f_star or x_star are NaN by design and never computed. A record that a
+    step follows computes f(x) with BGD's gradient (``value_and_grad``) or
+    MU's next iterate (``value_and_mu_step``, without x_star) and hands it
+    to the step. D_h(x_star, x) comes from ``ref.divergence_from(x_star)``
+    with the carried grad h(x). On StepFailure the partial trace is
+    attached to the raised :class:`RunFailure`. Method mu takes the
+    objective's own ``mu_step``, and x0 must lie in its domain
+    (``check_mu_domain``); an objective without one raises InvalidData
+    before the first record.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
@@ -409,7 +419,8 @@ def run(config, problem):
     trace = Trace(metadata={"method": method, "seed": config.seed})
     t, halvings_total = 0, 0
     min_df = np.inf
-    f_x_star = obj.value(x_star) if x_star is not None else None
+    if x_star is not None:
+        f_x_star, dh_star = obj.value(x_star), ref.divergence_from(x_star)
     start = time.perf_counter()
 
     def finite(column, value):
@@ -419,15 +430,22 @@ def run(config, problem):
             raise StepFailure(f"iteration {t}: {column} is {value}, not finite")
         return value
 
-    def record(eta_now, gain_now):
+    def record(eta_now, gain_now, stepping):
+        """Append the record of iteration t. With ``stepping`` (a step
+        follows), return what that step can take from the record's data
+        pass: BGD's grad f(x) or MU's next iterate, else None."""
         nonlocal min_df
-        if x_star is not None:
+        ahead = None
+        if x_star is not None or (stepping and method == "bgd" and f_star is not None):
             f_x, g_x = obj.value_and_grad(x)
+            ahead = g_x if stepping and method == "bgd" else None
+        elif stepping and method == "mu" and f_star is not None:
+            f_x, ahead = obj.value_and_mu_step(x)
         else:
             f_x = obj.value(x) if f_star is not None else None
         f_gap = finite("f_gap", float(f_x - f_star)) if f_star is not None else float("nan")
         if x_star is not None:
-            dh_gap = finite("dh_gap", float(ref.divergence(x_star, x)))
+            dh_gap = finite("dh_gap", float(dh_star(x, hx)))
             # FiniteSumObjective.f_divergence(x_star, x), term for term
             d_f = finite("min_df_gap", float(f_x_star - f_x - g_x @ (x_star - x)))
             min_df = min(min_df, d_f)
@@ -450,24 +468,26 @@ def run(config, problem):
                 wall_s=time.perf_counter() - start,
             )
         )
+        return ahead
 
     advance, tries = ref.advance, range(config.max_halvings + 1)
 
     def step(x, g):
         """The mirror step from the current iterate ``x``, whose grad h is
-        ``hx``, along ``g``, halving eta on StepOutOfDomain up to
-        ``max_halvings`` times; every retry starts from the same ``hx``."""
+        ``hx``, along ``g``, halving eta on StepOutOfDomain or
+        InnerSolveFailure up to ``max_halvings`` times; every retry starts
+        from the same ``hx``."""
         nonlocal halvings_total, hx
         eta = eta_now
         for k in tries:
             try:
                 x, hx = advance(x, hx, g, eta)
-            except StepOutOfDomain:
-                eta *= 0.5
+            except (StepOutOfDomain, InnerSolveFailure) as exc:
+                eta, last = 0.5 * eta, exc
                 continue
             halvings_total += k
             return x
-        raise StepFailure(f"step failed after {config.max_halvings} halvings")
+        raise StepFailure(f"step failed after {config.max_halvings} halvings: {last}") from last
 
     gain_now = 1.0
     eta_now = float("nan") if method == "mu" else step_policy(config, l_rel, gain_now)
@@ -480,7 +500,7 @@ def run(config, problem):
         draws = (None for _ in range(steps_total))
 
     try:
-        record(eta_now, gain_now)
+        ahead = record(eta_now, gain_now, steps_total > 0)
         for i in draws:
             if gains is not None:
                 gain_now = gain_bound(state, gains, n)
@@ -493,9 +513,10 @@ def run(config, problem):
                 refresh = bool(rng.random() < config.p)
                 x = bsvrg_step(state, obj, i, step, refresh).x
             elif method == "bgd":
-                x = step(x, obj.full_grad(x))
+                x = step(x, obj.full_grad(x) if ahead is None else ahead)
             else:
-                x = obj.mu_step(x)
+                x = obj.mu_step(x) if ahead is None else ahead
+            ahead = None
             t += 1
             grad_evals += step_evals
             comms += step_comms
@@ -503,9 +524,9 @@ def run(config, problem):
                 grad_evals += n
                 comms += full_round
             if t % record_every == 0:
-                record(eta_now, gain_now)
+                ahead = record(eta_now, gain_now, t < steps_total)
         if trace.final.iter != t:
-            record(eta_now, gain_now)
+            record(eta_now, gain_now, False)
     except StepFailure as exc:
         trace.x = x
         raise RunFailure(str(exc), trace) from exc

@@ -385,12 +385,12 @@ class Battery:
         xs = rng.uniform(0.2, 1.0, size=10)
         b = poisson_sample(A @ xs, 92).astype(float)
         obj = PoissonKL(A, b)
-        x = np.ones(10)
         worst_increase = -np.inf
-        prev = obj.value(x)
+        # f at each of the 1001 iterates, each beside the next iterate from
+        # the same product A x (the last of these is never evaluated)
+        prev, x = obj.value_and_mu_step(np.ones(10))
         for _ in range(1000):
-            x = obj.mu_step(x)
-            val = obj.value(x)
+            val, x = obj.value_and_mu_step(x)
             worst_increase = max(worst_increase, val - prev)
             prev = val
         fixed = PoissonKL(A, A @ xs).mu_step(xs)

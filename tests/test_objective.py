@@ -13,7 +13,7 @@ from bregopt import (
     LogisticL2,
     PoissonKL,
 )
-from bregopt.objective import _log1pexp
+from bregopt.objective import _counts, _log1pexp
 from bregopt.problems import gen_tomography, load_instance, save_instance
 from bregopt.rng import make_rng
 
@@ -190,11 +190,12 @@ def test_nan_coordinate_raises_at_every_entry_point(case):
     obj, x = case
     every = np.arange(obj.n_components)
     calls = [lambda: obj.value(x), lambda: obj.full_grad(x), lambda: obj.hessian(x),
+             lambda: obj.value_and_grad(x),
              lambda: obj.value_component(every, x), lambda: obj.partial_grad(every, x)]
     calls += [lambda i=i: obj.value_component(i, x) for i in range(obj.n_components)]
     calls += [lambda i=i: obj.partial_grad(i, x) for i in range(obj.n_components)]
     if not obj.barrier_weight:
-        calls.append(lambda: obj.mu_step(x))
+        calls += [lambda: obj.mu_step(x), lambda: obj.value_and_mu_step(x)]
     for call in calls:
         with pytest.raises(DomainViolation) as info:
             call()
@@ -204,7 +205,8 @@ def test_nan_coordinate_raises_at_every_entry_point(case):
 def _block_grad(obj, j, x):
     """Component gradient of row j through the (1, d) block path, the
     barrier's domain checked after the rate's."""
-    g = obj._kl_grad(obj.A[j:j + 1], obj.A[j:j + 1].T, obj.b[j:j + 1], x)
+    A, counts = obj.A[j:j + 1], _counts(obj.b[j:j + 1])
+    g = obj._kl_grad(A.T, obj._rates(A, counts, x), counts)
     return g - obj.barrier_weight / x if obj._barrier_on(x) else g
 
 
@@ -435,6 +437,50 @@ class TestCachedOperators:
         for shape in [(2, 0), (0, 2), (3,)]:
             with pytest.raises(InvalidData, match="one unknown"):
                 DiagonalQuadratic(np.ones(shape), np.zeros(shape))
+
+
+def same_as_separate_calls(pair, first, second):
+    """``pair()`` equals ``(first(), second())`` byte for byte, or raises
+    what the first of those to fail raises: same type, message and index."""
+    try:
+        want = first(), second()
+    except (DomainViolation, InvalidData) as exc:
+        with pytest.raises(type(exc)) as info:
+            pair()
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "index", None) == getattr(exc, "index", None)
+        return
+    value, array = pair()
+    assert type(value) is type(want[0])
+    assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
+    assert array.tobytes() == want[1].tobytes()
+
+
+class TestPairings:
+    """value_and_grad and value_and_mu_step share one product A x."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(singleton_poisson().map(lambda case: (case[0], case[2])),
+                     grouped_poisson().map(lambda case: case[:2])))
+    def test_match_the_separate_calls_bytewise(self, case):
+        # dense one-row components (the row kernel), and dense or CSR blocks
+        # that are contiguous row ranges or permuted rows, with or without
+        # the barrier, at points that may leave either domain
+        obj, x = case
+        with np.errstate(all="ignore"):
+            same_as_separate_calls(lambda: obj.value_and_grad(x),
+                                   lambda: obj.value(x), lambda: obj.full_grad(x))
+            same_as_separate_calls(lambda: obj.value_and_mu_step(x),
+                                   lambda: obj.value(x), lambda: obj.mu_step(x))
+
+    def test_one_product_each(self, monkeypatch):
+        obj = PoissonKL(make_rng(3).uniform(0.1, 1.0, size=(6, 3)), np.arange(6.0))
+        rates = obj._rates
+        calls = []
+        monkeypatch.setattr(obj, "_rates", lambda *a: calls.append(1) or rates(*a))
+        obj.value_and_grad(np.ones(3))
+        obj.value_and_mu_step(np.ones(3))
+        assert len(calls) == 2
 
 
 def rel_L(A, b, **kwargs):

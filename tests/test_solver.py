@@ -734,3 +734,61 @@ def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     x_new, hx_new = ref.advance(x, hx, np.zeros_like(x), 1.0)
     assert np.array_equal(x_new, x) and np.array_equal(hx_new, hx)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["bgd", "mu"])
+def test_records_hand_their_operator_product_to_the_step(monkeypatch, method):
+    # with f_star set, each record that a step follows computes f(x) and the
+    # step's gradient or MU iterate from one product A x; the final record
+    # computes f(x) alone: T + 1 products for T steps (2T + 1 with separate
+    # calls)
+    problem = gen_interpolation(30, 4, seed=5)
+    problem.x_star = None
+    obj = problem.objective
+    rates, calls = obj._rates, []
+    monkeypatch.setattr(obj, "_rates", lambda *a: calls.append(1) or rates(*a))
+    trace = run(SolverConfig(method=method, epochs=5.0, record_every=1), problem)
+    assert len(trace) == 6 and len(calls) == 6
+
+
+def test_preconditioned_records_make_no_inner_gradient_pass(monkeypatch):
+    # h(x_star) is evaluated once per run and grad h(x) comes with the
+    # iterate: a record makes one inner value pass, and the run takes exactly
+    # the inner gradient passes it takes without x_star
+    data = gen_gaussian_logistic_data(120, 5, seed=3)
+    problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                 lam=1e-3, c_prec=1e-3, seed=3)
+    solve_reference(problem)
+    ref, x_star = problem.reference, problem.x_star
+    calls = {"value": [], "full_grad": [], "value_and_grad": []}
+    for name, seen in calls.items():
+        def counted(x, _seen=seen, _original=getattr(ref.inner, name)):
+            _seen.append(x)
+            return _original(x)
+        monkeypatch.setattr(ref.inner, name, counted)
+    config = SolverConfig(method="bsaga", eta=0.5, epochs=2.0, seed=4, record_every=1)
+    trace = run(config, problem)
+    assert sum(x is x_star for x in calls["value"]) == 1
+    assert len(calls["value"]) == 1 + len(trace)
+    assert not calls["value_and_grad"]
+    with_x_star = len(calls["full_grad"])
+    for seen in calls.values():
+        seen.clear()
+    problem.x_star = None
+    assert run(config, problem).to_csv_string().count("\n") == len(trace) + 1
+    assert len(calls["full_grad"]) == with_x_star
+
+
+def test_safeguard_halves_on_a_stopped_inner_solve():
+    # the default step from iteration 5 on leaves the Newton solve above
+    # inner_tol after its 10 steps; halving eta retries the step as it does
+    # for one leaving the domain
+    data = gen_gaussian_logistic_data(400, 10, seed=41, separation=1.0)
+    problem = gen_preconditioned(data, n_nodes=5, N=80, n_prec=80, lam=1e-5,
+                                 c_prec=1e-5, seed=42)
+    config = SolverConfig(method="bsaga", epochs=5.0, seed=3)
+    trace = run(config, problem)
+    assert trace.final.iter == 25 and trace.final.halvings == 9
+    config.max_halvings = 0
+    with pytest.raises(RunFailure, match="after 0 halvings: .*above inner_tol"):
+        run(config, problem)
