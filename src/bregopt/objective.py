@@ -18,18 +18,31 @@ uniformly sampled component gradient is an unbiased estimate of grad f.
 Component methods also take an index array i and stacked points (a 1-D point
 serves every row); row k equals the call with i[k] bit for bit. Quadratics
 take whole-array passes, the other families one index at a time.
+
+A may be a dense array or a scipy sparse matrix. scipy is imported on first
+use, only where a sparse matrix is built or arrives, and a sparseness test
+(``_issparse``) reads an already imported ``scipy.sparse`` only, so dense
+objectives need numpy alone.
 """
 
+import sys
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainViolation, InvalidData
 from .mirror import _dot, _require
 
 
+def _issparse(A):
+    """Whether A is a scipy sparse matrix, without importing scipy: no such
+    matrix exists before ``scipy.sparse`` has been imported."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(A)
+
+
 def _entries(A):
     """The stored entries of a dense or sparse matrix."""
-    return A.data if sp.issparse(A) else A
+    return A.data if _issparse(A) else A
 
 
 def _finite_nonnegative(values):
@@ -103,10 +116,13 @@ class FiniteSumObjective:
 
 
 def _gram(A, AT, w):
-    """A^T diag(w) A as a dense array, ``AT`` the transpose of A."""
-    WA = sp.diags(w) @ A if sp.issparse(A) else w[:, None] * A
-    H = AT @ WA
-    return H.toarray() if sp.issparse(H) else H
+    """A^T diag(w) A as a dense array for a dense or sparse A, ``AT`` the
+    transpose of A."""
+    if isinstance(A, np.ndarray):
+        return AT @ (w[:, None] * A)
+    import scipy.sparse as sp
+
+    return (AT @ (sp.diags(w) @ A)).toarray()
 
 
 def _row_block(A, g):
@@ -121,9 +137,11 @@ def _row_block(A, g):
         B = A[g]
         return B, B.T
     lo, hi = int(g[0]), int(g[0]) + len(g)
-    if not sp.issparse(A):
+    if isinstance(A, np.ndarray):
         B = A[lo:hi]
         return B, B.T
+    import scipy.sparse as sp
+
     start, end = A.indptr[lo], A.indptr[hi]
     B = sp.csr_matrix((A.data[start:end], A.indices[start:end], A.indptr[lo:hi + 1] - start),
                       shape=(hi - lo, A.shape[1]))
@@ -196,7 +214,7 @@ class PoissonKL(FiniteSumObjective):
 
     def __init__(self, A, b, groups=None, barrier_weight=0.0):
         b = np.asarray(b, dtype=float)
-        self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
+        self.A = A.tocsr() if _issparse(A) else np.asarray(A, dtype=float)
         if not _finite_nonnegative(_entries(self.A)):
             raise InvalidData("poisson_kl: A must be finite and nonnegative")
         if not _finite_nonnegative(b):
@@ -215,7 +233,7 @@ class PoissonKL(FiniteSumObjective):
             raise InvalidData("poisson_kl: barrier_weight must be finite and nonnegative")
         self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._rows = self._blocks = None
-        if not sp.issparse(self.A) and all(len(g) == 1 for g in self.groups):
+        if isinstance(self.A, np.ndarray) and all(len(g) == 1 for g in self.groups):
             self._rows = [(self.A[j], float(self.b[j]))
                           for g in self.groups for j in g.tolist()]
         else:
@@ -423,7 +441,7 @@ class LogisticL2(FiniteSumObjective):
             raise InvalidData("logistic_l2: labels must be in {-1, +1}")
         if not _finite_nonnegative(lam):
             raise InvalidData("logistic_l2: lam must be finite and nonnegative")
-        self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
+        self.A = A.tocsr() if _issparse(A) else np.asarray(A, dtype=float)
         if not np.all(np.isfinite(_entries(self.A))):
             raise InvalidData("logistic_l2: A must be finite")
         self.labels = labels

@@ -8,6 +8,11 @@ concurrently. Three experiment families are covered:
   Poisson-corrupted sinogram,
 * simulated statistically-preconditioned distributed logistic regression
   (communication is accounted, not performed over a network).
+
+scipy is imported on first use: by the sparse operators (``radon_matrix``
+for tomography, CSR matrices in instance files, ``load_libsvm``) and by the
+L-BFGS reference solve of logistic objectives. Dense instances, their files
+and the Poisson reference solves need numpy alone.
 """
 
 import hashlib
@@ -16,18 +21,19 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     InsufficientData,
     InvalidData,
     LabelError,
     ParseError,
+    StepFailure,
     StepOutOfDomain,
 )
 from .mirror import LogBarrier, Preconditioner, make_reference
-from .objective import DiagonalQuadratic, LogisticL2, PoissonKL
+from .objective import DiagonalQuadratic, LogisticL2, PoissonKL, _issparse
 from .rng import make_rng
+from .solver import SolverConfig
 
 
 @dataclass
@@ -143,6 +149,8 @@ def radon_matrix(size, n_angles):
     """
     if size < 1 or n_angles < 1:
         raise ValueError("size and n_angles must be at least 1")
+    import scipy.sparse as sp
+
     half = size / 2.0
     offsets = np.arange(size) - half + 0.5  # detector bin offsets
     steps = np.arange(-half, half + 1e-9, 1.0)  # sample positions along the ray
@@ -173,7 +181,7 @@ def radon_matrix(size, n_angles):
 def operator_hash(A):
     """Stable hex digest of a sparse or dense operator, for trace metadata."""
     h = hashlib.sha256()
-    if sp.issparse(A):
+    if _issparse(A):
         A = A.tocsr()
         h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
         h.update(A.indptr.astype(np.int64).tobytes())
@@ -238,6 +246,8 @@ def load_libsvm(path):
     Labels are coerced to {-1, +1} (0/1 conventions accepted). Duplicate
     indices within a line are rejected.
     """
+    import scipy.sparse as sp
+
     rows, cols, vals, labels = [], [], [], []
     n_rows = 0
     max_col = -1
@@ -350,12 +360,17 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
 
     Fills in x_star and f_star in place and returns the problem. Logistic
     objectives are solved with scipy's deterministic L-BFGS; Poisson KL
-    objectives with multiplicative updates followed by a gradient-norm check.
+    objectives with multiplicative updates, or, with a barrier term, with
+    Bregman gradient descent under the log-barrier until the gradient norm
+    is at most ``tol``. A step that leaves the domain halves the step size
+    (for the rest of the solve) and is retried from the same gradient, up to
+    ``SolverConfig``'s default ``max_halvings`` times in one iteration; then
+    StepFailure names the offending component.
     """
-    from scipy.optimize import minimize
-
     obj = problem.objective
     if isinstance(obj, LogisticL2):
+        from scipy.optimize import minimize
+
         res = minimize(
             lambda x: obj.value(x),
             np.asarray(problem.x0, dtype=float),
@@ -386,10 +401,16 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
             g = obj.full_grad(x)
             if np.linalg.norm(g) <= tol:
                 break
-            try:
-                x, hx = ref.advance(x, hx, g, eta)
-            except StepOutOfDomain:
-                eta *= 0.5
+            for _ in range(SolverConfig.max_halvings + 1):
+                try:
+                    x, hx = ref.advance(x, hx, g, eta)
+                    break
+                except StepOutOfDomain as exc:
+                    last = exc
+                    eta *= 0.5
+            else:
+                raise StepFailure(f"reference solve: step failed after "
+                                  f"{SolverConfig.max_halvings} halvings: {last}") from last
         problem.x_star = x
         problem.f_star = float(obj.value(x))
     else:
@@ -417,7 +438,7 @@ def _digest(fh):
 
 def _put_matrix(arrays, key, A):
     """Store A as ``key`` when dense, else as its CSR parts ``key_*``."""
-    if sp.issparse(A):
+    if _issparse(A):
         A = A.tocsr()
         arrays.update({f"{key}_shape": np.asarray(A.shape, dtype=np.int64),
                        f"{key}_indptr": A.indptr.astype(np.int64),
@@ -541,6 +562,8 @@ class _Archive:
         """A dense matrix, or a CSR matrix from its parts."""
         if f"{key}_shape" not in self.names:
             return self.array(key, "f", (None, None))
+        import scipy.sparse as sp
+
         A = sp.csr_matrix((self.array(f"{key}_data", "f", (None,)),
                            self.array(f"{key}_indices", "i", (None,)),
                            self.array(f"{key}_indptr", "i", (None,))),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregopt import (
@@ -284,13 +284,22 @@ def fresh_kl_grad(A, b, x):
     return np.asarray(A.T @ coeff).ravel()
 
 
-def fresh_hess_vec(obj, x, u):
+def fresh_weights(obj, x):
+    """The Hessian's row weights b / (Ax)^2, 0 on the rows with a zero
+    count, or the index where ``fresh_rates`` fails."""
     rates, bad = fresh_rates(obj.A, obj.b, x)
     if bad is not None:
         return bad
     w = np.zeros_like(rates)
     pos = obj.b > 0
     w[pos] = obj.b[pos] / rates[pos] ** 2
+    return w
+
+
+def fresh_hess_vec(obj, x, u):
+    w = fresh_weights(obj, x)
+    if isinstance(w, int):
+        return w
     Au = np.asarray(obj.A @ u).ravel()
     Hu = np.asarray(obj.A.T @ (w * Au)).ravel() / obj.n_components
     if not obj.barrier_weight:
@@ -352,6 +361,9 @@ def grouped_poisson(draw):
 class TestCachedOperators:
     @settings(max_examples=150, deadline=None)
     @given(grouped_poisson())
+    @example((PoissonKL(np.array([[0, 0.1, 7, 7], [0.5, 0, 0.1, 5], [5, 2, 3, 3], [0.3, 2, 0, 1]]),
+                        np.array([0.1, 5, 0, 0]), groups=[np.array([0, 1]), np.array([2, 3])]),
+              np.array([0.0, 0, 0, 1]), np.array([0, 0, 0, 2.2e-309])))
     def test_match_freshly_built_transposes_bytewise(self, case):
         obj, x, u = case
         assert obj._rows is None
@@ -377,9 +389,15 @@ class TestCachedOperators:
                 H = obj.hessian(x)
                 if np.all(np.isfinite(H)) and np.all(np.isfinite(want)):
                     # the entries of H are sums of nonnegative terms, so
-                    # |H| |u| bounds the roundoff of both routes
+                    # |H| |u| bounds the roundoff of both routes in the
+                    # normal range. Below it a product rounds to the
+                    # subnormal spacing instead: up to d such errors in
+                    # each entry of H u and of A u, and the fresh route
+                    # carries the latter through A^T diag(w) / n.
                     scale = np.abs(H) @ np.abs(u)
-                    assert np.all(np.abs(H @ u - want) <= 1e-12 * scale)
+                    carried = np.asarray(obj.A.T @ fresh_weights(obj, x)).ravel() / obj.n_components
+                    floor = 2 * obj.dim * np.finfo(float).smallest_subnormal * (1 + carried)
+                    assert np.all(np.abs(H @ u - want) <= 1e-12 * scale + floor)
             if not bw:
                 same_or_same_violation(lambda: obj.mu_step(x), fresh_mu_step(obj, x))
 

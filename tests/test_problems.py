@@ -2,7 +2,10 @@
 
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zipfile
@@ -19,10 +22,14 @@ from bregopt import (
     InsufficientData,
     InvalidData,
     LabelError,
+    LogBarrier,
     NegEntropy,
     ParseError,
     PoissonKL,
     ProblemInstance,
+    SolverConfig,
+    StepFailure,
+    StepOutOfDomain,
     gen_gaussian_logistic_data,
     gen_interpolation,
     gen_preconditioned,
@@ -31,11 +38,14 @@ from bregopt import (
     load_libsvm,
     poisson_sample,
     radon_matrix,
+    run,
     save_instance,
     shepp_logan,
+    solve_reference,
 )
 from bregopt.problems import operator_hash, write_manifest
 from bregopt.rng import make_rng
+from bregopt.verify import _csv_without_wall
 
 
 class TestInterpolation:
@@ -631,3 +641,119 @@ class TestCraftedArchives:
             tracemalloc.stop()
         # no buffer beyond what the small file could hold
         assert peak < 2**24, fault
+
+
+def barrier_poisson():
+    rng = make_rng(11)
+    A = rng.uniform(0.0, 1.0, size=(40, 6))
+    b = poisson_sample(A @ rng.uniform(0.2, 1.0, size=6), 12).astype(float)
+    obj = PoissonKL(A, b, barrier_weight=0.5)
+    return ProblemInstance(objective=obj, reference=LogBarrier(), x0=np.ones(6))
+
+
+def count_calls(monkeypatch, obj, name, replace=None):
+    """The arguments of every call of ``obj.name``, which calls ``replace``
+    (default the original) with them."""
+    calls = []
+    call = replace or getattr(obj, name)
+
+    def counted(*args):
+        calls.append(args)
+        return call(*args)
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+class TestSolveReference:
+    """The barrier branch retries a step that leaves the domain from the
+    same gradient, with eta halved for the rest of the solve."""
+
+    def test_retries_reuse_the_gradient_and_keep_eta_halved(self, monkeypatch):
+        problem = barrier_poisson()
+        grads = count_calls(monkeypatch, problem.objective, "full_grad")
+        advance = LogBarrier.advance
+
+        def fail_twice(ref, x, hx, g, eta):
+            if len(steps) <= 2:
+                raise StepOutOfDomain("log_barrier: left at component 1", index=1)
+            return advance(ref, x, hx, g, eta)
+        steps = count_calls(monkeypatch, LogBarrier, "advance", fail_twice)
+        solve_reference(problem, max_iter=2)
+        eta = 1.0 / problem.objective.rel_smoothness()
+        assert len(grads) == 2
+        assert [call[-1] for call in steps] == [eta, eta / 2, eta / 4, eta / 4]
+        gradients = [call[3] for call in steps]
+        assert gradients[0] is gradients[1] is gradients[2] is not gradients[3]
+
+    def test_gives_up_after_max_halvings(self, monkeypatch):
+        problem = barrier_poisson()
+        grads = count_calls(monkeypatch, problem.objective, "full_grad")
+
+        def leave(ref, x, hx, g, eta):
+            raise StepOutOfDomain("log_barrier: mirror step left the conjugate domain "
+                                  "at component 4", index=4)
+        steps = count_calls(monkeypatch, LogBarrier, "advance", leave)
+        with pytest.raises(StepFailure, match="after 30 halvings: .* at component 4"):
+            solve_reference(problem)
+        assert len(grads) == 1 and len(steps) == SolverConfig.max_halvings + 1
+
+
+def fresh_interpreter(script, *args):
+    """Run ``script`` in a new interpreter on this checkout's sources and
+    return the JSON it prints last."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestScipyOnFirstUse:
+    """scipy is imported by sparse operators and the L-BFGS reference solve
+    only; this process has it loaded already, so each check runs in a new
+    interpreter."""
+
+    def test_dense_work_loads_no_scipy(self, tmp_path):
+        script = f"""
+import json, sys
+import bregopt.cli
+from bregopt import SolverConfig, gen_interpolation, load_instance, run, save_instance
+from bregopt.solver import METHODS
+from bregopt.verify import Battery
+path = sys.argv[1]
+save_instance(path, gen_interpolation(30, 4, seed=5))
+problem = load_instance(path)
+lengths = [len(run(SolverConfig(method=m, eta=10.0, epochs=2.0, seed=2, max_halvings=60),
+                   problem)) for m in METHODS]
+passed = all(check.passed for check in Battery(quick=True).criterion(9))
+print(json.dumps([lengths, passed, {SCIPY_MODULES}]))
+"""
+        lengths, passed, scipy_modules = fresh_interpreter(script, str(tmp_path / "interp.bin"))
+        assert len(lengths) == 5 and min(lengths) > 1 and passed
+        assert scipy_modules == []
+
+    def test_csr_instance_file_in_a_new_interpreter(self, tmp_path):
+        path = str(tmp_path / "tomo.bin")
+        save_instance(path, gen_tomography(16, 6, seed=1, noise=False))
+        problem = load_instance(path)
+        config = dict(method="bsaga", step_multiplier=10.0, epochs=2.0, seed=1)
+        script = f"""
+import hashlib, json, sys
+from bregopt import SolverConfig, load_instance, run
+from bregopt.problems import operator_hash
+from bregopt.verify import _csv_without_wall
+before = {SCIPY_MODULES}
+problem = load_instance(sys.argv[1])
+trace = run(SolverConfig(**{config!r}), problem)
+print(json.dumps([before, "scipy.sparse" in sys.modules, operator_hash(problem.objective.A),
+                  hashlib.sha256(_csv_without_wall(trace).encode()).hexdigest()]))
+"""
+        before, loaded, op_hash, digest = fresh_interpreter(script, path)
+        assert before == [] and loaded
+        assert op_hash == operator_hash(problem.objective.A)
+        trace = run(SolverConfig(**config), problem)
+        assert digest == hashlib.sha256(_csv_without_wall(trace).encode()).hexdigest()
