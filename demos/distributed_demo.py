@@ -10,8 +10,6 @@ each method needs to reach a sequence of suboptimality thresholds.
 
 import argparse
 
-import numpy as np
-
 from bregopt import (
     SolverConfig,
     gen_gaussian_logistic_data,

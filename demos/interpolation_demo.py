@@ -9,8 +9,6 @@ and prints the Bregman distance to the optimum per epoch.
 
 import argparse
 
-import numpy as np
-
 from bregopt import SolverConfig, gen_interpolation, run
 
 

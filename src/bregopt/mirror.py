@@ -262,13 +262,12 @@ class Preconditioner(ReferenceFunction):
     grad h(x) = y by damped Newton from the caller's warm start, with Hessian
     ``inner.hessian(x) + c_prec I``. A step x - t p is accepted once
     ||grad h(x - t p) - y|| <= (1 - 1e-4 t) ||r||, t halving from 1, and its
-    gradient is the next residual r: each trial point costs one gradient
-    pass over the N preconditioning rows, and each Newton iteration an
-    O(N d^2 + d^3) Hessian build and solve in d^2 memory. ``grad_conjugate``
-    takes one more pass for the first residual, at the warm start;
-    ``advance`` takes that gradient from its caller and returns the accepted
-    trial point's, so a step of ``run()`` makes no other inner gradient
-    pass. Every solve takes at least one Newton step and at most
+    gradient is the next residual r. Each point a solve visits, its start
+    and each trial, costs one pass over the N preconditioning rows (an inner
+    :class:`~bregopt.objective.Point`), which gives its gradient and its
+    O(N d^2 + d^3) Hessian build and solve in d^2 memory. ``advance`` takes
+    the start's gradient from its caller and returns the accepted trial
+    point's. Every solve takes at least one Newton step and at most
     ``inner_passes``; one left above ``inner_tol`` raises
     :class:`InnerSolveFailure` (a StepFailure) with its residual. Only
     methods of ``inner`` are called. Points are 1-D: the conjugate map and
@@ -295,9 +294,9 @@ class Preconditioner(ReferenceFunction):
     def divergence(self, x, y):
         """D_h(x, y), with h(y) and grad h(y) from one pass over the inner
         data; the float operations of ``value`` and ``grad``."""
-        f_y, g_y = self.inner.value_and_grad(y)
-        h_y = float(f_y) + 0.5 * self.c_prec * float(y @ y)
-        return self.value(x) - h_y - _dot(g_y + self.c_prec * y, x - y)
+        at_y = self.inner.at(y)
+        h_y = float(at_y.value) + 0.5 * self.c_prec * float(y @ y)
+        return self.value(x) - h_y - _dot(at_y.grad + self.c_prec * y, x - y)
 
     def divergence_from(self, x):
         """``ReferenceFunction.divergence_from``: h(x) is evaluated here,
@@ -327,8 +326,9 @@ class Preconditioner(ReferenceFunction):
         gradient. A stack ``y`` raises ValueError."""
         if np.ndim(y) != 1:
             raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")
+        here = self.inner.at(x)
         if gx is None:
-            gx = self.grad(x)
+            gx = here.grad + self.c_prec * x
         r = gx - y
         res = np.linalg.norm(r)
         if not np.isfinite(res):
@@ -336,7 +336,7 @@ class Preconditioner(ReferenceFunction):
         for k in range(self.inner_passes):
             if k and res <= self.inner_tol:  # a step below inner_tol must still move
                 break
-            H = self.inner.hessian(x)
+            H = here.hessian()
             H.flat[:: len(x) + 1] += self.c_prec
             try:
                 p = np.linalg.solve(H, r)
@@ -344,14 +344,15 @@ class Preconditioner(ReferenceFunction):
                 raise InnerSolveFailure("preconditioner: singular inner Hessian") from None
             for t in _BACKTRACK:  # a NaN residual never passes
                 x_new = x - t * p
-                g_new = self.grad(x_new)
+                trial = self.inner.at(x_new)
+                g_new = trial.grad + self.c_prec * x_new
                 r_new = g_new - y
                 res_new = np.linalg.norm(r_new)
                 if res_new <= (1.0 - 1e-4 * t) * res:
                     break
             else:
                 break  # no decrease along the Newton direction: stop at x
-            x, gx, r, res = x_new, g_new, r_new, res_new
+            x, here, gx, r, res = x_new, trial, g_new, r_new, res_new
         if res > self.inner_tol:
             raise InnerSolveFailure(
                 f"preconditioner: residual {res:.3g} above inner_tol {self.inner_tol:.3g} "

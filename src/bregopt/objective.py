@@ -13,6 +13,8 @@ Three families are provided:
   Euclidean-geometry test instances where everything has a closed form.
 
 Objectives are immutable after construction and safe for concurrent reads.
+``obj.at(x)`` returns the :class:`Point` of f at x: its value, gradient,
+Hessian and (PoissonKL) MU step share one data pass at x.
 All component gradients are plain gradients of f_i (not divided by n), so a
 uniformly sampled component gradient is an unbiased estimate of grad f.
 Component methods also take an index array i and stacked points (a 1-D point
@@ -66,43 +68,80 @@ def _log1pexp(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
+class Point:
+    """f at one point x, from :meth:`FiniteSumObjective.at`.
+
+    ``value``, ``grad`` and (PoissonKL) ``mu_step`` are computed on first
+    read and kept; ``hessian()`` builds a new array on each call. All come
+    from one checked data pass at x (``data``), made on first use, so a
+    point outside the domain raises when a quantity is read. x and the
+    point's arrays are read-only to its users: the point copies nothing.
+    """
+
+    __slots__ = ("obj", "x", "_data", "_value", "_grad", "_mu_step")
+
+    def __init__(self, obj, x):
+        self.obj, self.x = obj, x
+        self._data = self._value = self._grad = self._mu_step = None
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = self.obj._data(self.x)
+        return self._data
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = self.obj._value(self)
+        return self._value
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = self.obj._grad(self)
+        return self._grad
+
+    @property
+    def mu_step(self):
+        if self._mu_step is None:
+            self._mu_step = self.obj._mu_step(self)
+        return self._mu_step
+
+    def hessian(self):
+        return self.obj._hessian(self)
+
+
 class FiniteSumObjective:
-    """Interface shared by all finite-sum objectives."""
+    """Interface shared by all finite-sum objectives. A subclass defines
+    ``n_components``, ``dim``, ``value_component(i, x)``, ``partial_grad(i,
+    x)`` (grad f_i(x)) and the :class:`Point` formulas ``_value(p)``,
+    ``_grad(p)`` and, where it has them, ``_hessian(p)``, ``_mu_step(p)``
+    and the data pass ``_data(x)``."""
 
     kind = None
 
-    @property
-    def n_components(self):
-        raise NotImplementedError
-
-    @property
-    def dim(self):
-        raise NotImplementedError
+    def at(self, x):
+        """The :class:`Point` of f at x."""
+        return Point(self, x)
 
     def value(self, x):
         """f(x) = (1/n) sum_i f_i(x)."""
-        raise NotImplementedError
-
-    def value_component(self, i, x):
-        raise NotImplementedError
-
-    def partial_grad(self, i, x):
-        """grad f_i(x)."""
-        raise NotImplementedError
+        return self.at(x).value
 
     def full_grad(self, x):
         """grad f(x) = (1/n) sum_i grad f_i(x)."""
-        raise NotImplementedError
+        return self.at(x).grad
 
-    def value_and_grad(self, x):
-        """(f(x), grad f(x)), equal to ``(value(x), full_grad(x))`` bit for
-        bit; subclasses override it to share one pass over the data."""
-        return self.value(x), self.full_grad(x)
+    def hessian(self, x):
+        """grad^2 f(x) as a dense d x d array."""
+        return self.at(x).hessian()
 
     def f_divergence(self, x, y):
         """D_f(x, y) = f(x) - f(y) - <grad f(y), x - y>."""
-        f_y, g_y = self.value_and_grad(y)
-        return float(self.value(x) - f_y - g_y @ (x - y))
+        at_y = self.at(y)
+        f_y = at_y.value
+        return float(self.value(x) - f_y - at_y.grad @ (x - y))
 
     def component_divergence(self, i, x, y):
         """D_{f_i}(x, y), used by the SAGA/SVRG potentials."""
@@ -206,8 +245,7 @@ class PoissonKL(FiniteSumObjective):
     operator) is a view of A, and a sparse one's transpose a CSC view of
     the same slices of A's arrays, so the operator is held once; any other
     block is a copy of its rows. A, b and groups must not be mutated
-    afterwards. ``value_and_grad`` and ``value_and_mu_step`` pair f(x) with
-    grad f(x) or the MU step from one product A x.
+    afterwards.
     """
 
     kind = "poisson_kl"
@@ -290,14 +328,11 @@ class PoissonKL(FiniteSumObjective):
             return 0.0
         return -self.barrier_weight * float(np.sum(np.log(x)))
 
-    def _full_rates(self, x):
+    def _data(self, x):
         return self._rates(self.A, self._counts, x)
 
-    def value(self, x):
-        return self._value(x, self._full_rates(x))
-
-    def _value(self, x, rates):
-        return self._kl_terms(rates, self._counts) / self.n_components + self._barrier_value(x)
+    def _value(self, p):
+        return self._kl_terms(p.data, self._counts) / self.n_components + self._barrier_value(p.x)
 
     def value_component(self, i, x):
         if isinstance(i, np.ndarray):
@@ -338,33 +373,22 @@ class PoissonKL(FiniteSumObjective):
             g = g - self.barrier_weight / x
         return g
 
-    def full_grad(self, x):
-        return self._full_grad(x, self._full_rates(x))
-
-    def _full_grad(self, x, rates):
-        g = self._kl_grad(self._AT, rates, self._counts) / self.n_components
-        if self._barrier_on(x):
-            g = g - self.barrier_weight / x
+    def _grad(self, p):
+        g = self._kl_grad(self._AT, p.data, self._counts) / self.n_components
+        if self._barrier_on(p.x):
+            g = g - self.barrier_weight / p.x
         return g
 
-    def value_and_grad(self, x):
-        """``(value(x), full_grad(x))`` from one product A x; a point outside
-        the domain raises the DomainViolation that ``value`` raises."""
-        rates = self._full_rates(x)
-        return self._value(x, rates), self._full_grad(x, rates)
-
-    def hessian(self, x):
-        """grad^2 f(x) = A^T diag(b / (Ax)^2) A / n + barrier_weight
-        diag(1 / x^2) as a dense d x d array, from one pass over A (rows
-        with a zero count have zero weight)."""
-        rates = self._full_rates(x)
+    def _hessian(self, p):
+        """A^T diag(b / (Ax)^2) A / n + barrier_weight diag(1 / x^2)."""
+        rates = p.data
         pos, _, bp = self._counts
         w = np.zeros_like(rates)
         w[pos] = bp / rates[pos] ** 2
         H = _gram(self.A, self._AT, w)
         H /= self.n_components
-        if self._barrier_on(x):
-            H.flat[:: self.dim + 1] += self.barrier_weight / x**2  # the diagonal
+        if self._barrier_on(p.x):
+            H.flat[:: self.dim + 1] += self.barrier_weight / p.x**2  # the diagonal
         return H
 
     def check_mu_domain(self, x):
@@ -381,29 +405,18 @@ class PoissonKL(FiniteSumObjective):
         stay zero, which happens naturally on long runs whose limit lies on
         the boundary, so x need only be nonnegative. The update minimises
         the KL term alone: an objective with a barrier term raises
-        InvalidData.
+        InvalidData. That check comes first, then the domain, then the rates.
         """
-        x = np.asarray(x, dtype=float)
-        self._check_mu(x)
-        return self._mu_step(x, self._full_rates(x))
+        return self.at(x).mu_step
 
-    def value_and_mu_step(self, x):
-        """``(value(x), mu_step(x))`` from one product A x; a point outside
-        either domain raises what ``value``, then ``mu_step``, raises."""
-        x = np.asarray(x, dtype=float)
-        rates = self._full_rates(x)
-        value = self._value(x, rates)
-        self._check_mu(x)
-        return value, self._mu_step(x, rates)
-
-    def _check_mu(self, x):
+    def _mu_step(self, p):
         if self.barrier_weight:
             raise InvalidData("poisson_kl: multiplicative updates minimise the KL term "
                               "only, but barrier_weight is positive")
+        x = np.asarray(p.x, dtype=float)
         self.check_mu_domain(x)
-
-    def _mu_step(self, x, rates):
         pos, _, bp = self._counts
+        rates = p.data
         ratio = np.zeros_like(rates)
         ratio[pos] = bp / rates[pos]
         num = np.asarray(self._AT @ ratio).ravel()
@@ -477,11 +490,11 @@ class LogisticL2(FiniteSumObjective):
         m = self._margins(Ai, yi, x)
         return float(np.mean(_log1pexp(-m))) + 0.5 * self.lam * float(x @ x)
 
-    def value(self, x):
-        return self._value(x, self._margins(self.A, self.labels, x))
+    def _data(self, x):
+        return self._margins(self.A, self.labels, x)
 
-    def _value(self, x, m):
-        return float(self._row_weight @ _log1pexp(-m)) + 0.5 * self.lam * float(x @ x)
+    def _value(self, p):
+        return float(self._row_weight @ _log1pexp(-p.data)) + 0.5 * self.lam * float(p.x @ p.x)
 
     def partial_grad(self, i, x):
         if isinstance(i, np.ndarray):
@@ -492,25 +505,14 @@ class LogisticL2(FiniteSumObjective):
         g = AiT @ (-yi * s / len(yi))
         return np.asarray(g).ravel() + self.lam * x
 
-    def full_grad(self, x):
-        return self._full_grad(x, self._margins(self.A, self.labels, x))
-
-    def _full_grad(self, x, m):
-        s = _sigmoid(-m)
+    def _grad(self, p):
+        s = _sigmoid(-p.data)
         g = self.A.T @ (-self.labels * s * self._row_weight)
-        return np.asarray(g).ravel() + self.lam * x
+        return np.asarray(g).ravel() + self.lam * p.x
 
-    def value_and_grad(self, x):
-        """``(value(x), full_grad(x))`` from one product A x."""
-        m = self._margins(self.A, self.labels, x)
-        return self._value(x, m), self._full_grad(x, m)
-
-    def hessian(self, x):
-        """grad^2 f(x) = A^T diag(s(1 - s) w) A + lam I as a dense d x d
-        array, from one pass over A (s the sigmoid of the margins, w the
-        row weights)."""
-        m = self._margins(self.A, self.labels, x)
-        s = _sigmoid(m)
+    def _hessian(self, p):
+        """A^T diag(s(1 - s) w) A + lam I, s = sigmoid(margins), w the row weights."""
+        s = _sigmoid(p.data)
         w = s * (1.0 - s) * self._row_weight
         H = _gram(self.A, self.A.T, w)
         H.flat[:: self.dim + 1] += self.lam  # the diagonal
@@ -554,15 +556,15 @@ class DiagonalQuadratic(FiniteSumObjective):
         d = x - self.C[i]
         return 0.5 * _dot(self.Q[i], d * d)
 
-    def value(self, x):
-        d = x[None, :] - self.C
+    def _value(self, p):
+        d = p.x[None, :] - self.C
         return 0.5 * float(np.sum(self.Q * d * d)) / self.n_components
 
     def partial_grad(self, i, x):
         return self.Q[i] * (x - self.C[i])
 
-    def full_grad(self, x):
-        return np.mean(self.Q * (x[None, :] - self.C), axis=0)
+    def _grad(self, p):
+        return np.mean(self.Q * (p.x[None, :] - self.C), axis=0)
 
     def minimizer(self):
         return np.sum(self.Q * self.C, axis=0) / np.sum(self.Q, axis=0)

@@ -371,10 +371,14 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
     if isinstance(obj, LogisticL2):
         from scipy.optimize import minimize
 
+        def fun(x):  # (f(x), grad f(x)) from one pass over the data
+            here = obj.at(x)
+            return here.value, here.grad
+
         res = minimize(
-            lambda x: obj.value(x),
+            fun,
             np.asarray(problem.x0, dtype=float),
-            jac=lambda x: obj.full_grad(x),
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": max_iter, "ftol": 1e-18, "gtol": tol},
         )

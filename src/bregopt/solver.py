@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AnchorsUnavailable,
+    DomainViolation,
     InnerSolveFailure,
     InvalidConstants,
     InvalidData,
@@ -351,31 +352,28 @@ def _epoch_draws(rng, n, steps):
 def run(config, problem):
     """Execute the configured method on ``problem`` and return a Trace.
 
-    The four Bregman methods evaluate grad h(x0) once, before the first
-    record, so a start outside dom h raises DomainViolation; each mirror
-    step then hands grad h at the new iterate to the next
-    (``ReferenceFunction.advance``), and no step checks or maps its
-    iterate again. Each iteration draws its random numbers (the component
-    index, then for BSVRG the anchor refresh coin), computes the method's
-    gradient estimate once and takes the mirror step under the halving
-    safeguard, which retries the mirror step alone from the same estimate
-    and the same grad h(x), on StepOutOfDomain or InnerSolveFailure alike,
-    at most ``max_halvings`` times in one step. BSGD and BSAGA draw their
-    indices one epoch at a time. Deterministic given the seed; the
+    Each iteration draws its random numbers (the component index, then for
+    BSVRG the anchor refresh coin; BSGD and BSAGA draw an epoch's indices at
+    once), computes the method's gradient estimate once and takes the mirror
+    step under the halving safeguard, which retries the mirror step alone
+    from the same estimate and grad h(x), with eta halved, on
+    StepOutOfDomain or InnerSolveFailure, at most ``max_halvings`` times in
+    one step. The four Bregman methods check x0 through grad h(x0) and carry
+    grad h to each new iterate (``ReferenceFunction.advance``), so the
     trajectory equals bit for bit the chain of checked steps
-    ``grad_conjugate(grad(x) - eta g, warm_start=x)``, which map and check
-    every iterate again. The final iterate is left on ``trace.x``. A record
-    whose f_gap, D_h(x_star, x) or D_f(x_star, x) comes out non-finite
-    raises StepFailure naming the column and the iteration; columns without
-    f_star or x_star are NaN by design and never computed. A record that a
-    step follows computes f(x) with BGD's gradient (``value_and_grad``) or
-    MU's next iterate (``value_and_mu_step``, without x_star) and hands it
-    to the step. D_h(x_star, x) comes from ``ref.divergence_from(x_star)``
-    with the carried grad h(x). On StepFailure the partial trace is
-    attached to the raised :class:`RunFailure`. Method mu takes the
-    objective's own ``mu_step``, and x0 must lie in its domain
-    (``check_mu_domain``); an objective without one raises InvalidData
-    before the first record.
+    ``grad_conjugate(grad(x) - eta g, warm_start=x)``, deterministic given
+    the seed. MU takes the objective's ``mu_step`` (InvalidData without one)
+    from an x0 that passes ``check_mu_domain``. Records and the BGD and MU
+    steps read the iterate's point ``obj.at(x)``, so a record and the step
+    after it share one data pass; the stochastic steps build none.
+    D_h(x_star, x) comes from ``ref.divergence_from(x_star)`` with the
+    carried grad h(x). Columns without f_star or x_star are NaN and never
+    computed; a non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
+    StepFailure naming the column and the iteration. A StepFailure, or a
+    DomainViolation after the first record (named with its iteration),
+    raises a :class:`RunFailure` carrying the partial trace; a
+    DomainViolation at x0 or in its record is raised as it is. The final
+    iterate is left on ``trace.x``.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
@@ -430,45 +428,33 @@ def run(config, problem):
             raise StepFailure(f"iteration {t}: {column} is {value}, not finite")
         return value
 
-    def record(eta_now, gain_now, stepping):
-        """Append the record of iteration t. With ``stepping`` (a step
-        follows), return what that step can take from the record's data
-        pass: BGD's grad f(x) or MU's next iterate, else None."""
+    here = obj.at(x)
+
+    def point():
+        """The Point at the current iterate, built again after a step."""
+        nonlocal here
+        if here.x is not x:
+            here = obj.at(x)
+        return here
+
+    def record(eta_now, gain_now):
+        """Append the record of iteration t."""
         nonlocal min_df
-        ahead = None
-        if x_star is not None or (stepping and method == "bgd" and f_star is not None):
-            f_x, g_x = obj.value_and_grad(x)
-            ahead = g_x if stepping and method == "bgd" else None
-        elif stepping and method == "mu" and f_star is not None:
-            f_x, ahead = obj.value_and_mu_step(x)
-        else:
-            f_x = obj.value(x) if f_star is not None else None
-        f_gap = finite("f_gap", float(f_x - f_star)) if f_star is not None else float("nan")
+        p = point()
+        f_gap = dh_gap = min_df_gap = float("nan")
+        if f_star is not None:
+            f_gap = finite("f_gap", float(p.value - f_star))
         if x_star is not None:
+            g_x = p.grad  # read beside f(x), before D_h, while the data pass is in cache
             dh_gap = finite("dh_gap", float(dh_star(x, hx)))
             # FiniteSumObjective.f_divergence(x_star, x), term for term
-            d_f = finite("min_df_gap", float(f_x_star - f_x - g_x @ (x_star - x)))
+            d_f = finite("min_df_gap", float(f_x_star - p.value - g_x @ (x_star - x)))
             min_df = min(min_df, d_f)
             min_df_gap = float(min_df)
-        else:
-            dh_gap = float("nan")
-            min_df_gap = float("nan")
-        trace.append(
-            TraceRecord(
-                iter=t,
-                epoch=t * (1.0 / n if stochastic else 1.0),
-                grad_evals=grad_evals,
-                comms=comms,
-                f_gap=f_gap,
-                dh_gap=dh_gap,
-                min_df_gap=min_df_gap,
-                eta=eta_now,
-                gain=gain_now,
-                halvings=halvings_total,
-                wall_s=time.perf_counter() - start,
-            )
-        )
-        return ahead
+        trace.append(TraceRecord(
+            iter=t, epoch=t * (1.0 / n if stochastic else 1.0), grad_evals=grad_evals,
+            comms=comms, f_gap=f_gap, dh_gap=dh_gap, min_df_gap=min_df_gap, eta=eta_now,
+            gain=gain_now, halvings=halvings_total, wall_s=time.perf_counter() - start))
 
     advance, tries = ref.advance, range(config.max_halvings + 1)
 
@@ -500,7 +486,7 @@ def run(config, problem):
         draws = (None for _ in range(steps_total))
 
     try:
-        ahead = record(eta_now, gain_now, steps_total > 0)
+        record(eta_now, gain_now)
         for i in draws:
             if gains is not None:
                 gain_now = gain_bound(state, gains, n)
@@ -513,10 +499,9 @@ def run(config, problem):
                 refresh = bool(rng.random() < config.p)
                 x = bsvrg_step(state, obj, i, step, refresh).x
             elif method == "bgd":
-                x = step(x, obj.full_grad(x) if ahead is None else ahead)
+                x = step(x, point().grad)
             else:
-                x = obj.mu_step(x) if ahead is None else ahead
-            ahead = None
+                x = point().mu_step
             t += 1
             grad_evals += step_evals
             comms += step_comms
@@ -524,12 +509,17 @@ def run(config, problem):
                 grad_evals += n
                 comms += full_round
             if t % record_every == 0:
-                ahead = record(eta_now, gain_now, t < steps_total)
+                record(eta_now, gain_now)
         if trace.final.iter != t:
-            record(eta_now, gain_now, False)
+            record(eta_now, gain_now)
     except StepFailure as exc:
         trace.x = x
         raise RunFailure(str(exc), trace) from exc
+    except DomainViolation as exc:
+        if not len(trace):  # x0 is outside the domain
+            raise
+        trace.x = x
+        raise RunFailure(f"iteration {t}: {exc}", trace) from exc
 
     trace.x = x
     return trace

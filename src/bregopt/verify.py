@@ -387,12 +387,13 @@ class Battery:
         obj = PoissonKL(A, b)
         worst_increase = -np.inf
         # f at each of the 1001 iterates, each beside the next iterate from
-        # the same product A x (the last of these is never evaluated)
-        prev, x = obj.value_and_mu_step(np.ones(10))
+        # the same product A x
+        here = obj.at(np.ones(10))
+        prev = here.value
         for _ in range(1000):
-            val, x = obj.value_and_mu_step(x)
-            worst_increase = max(worst_increase, val - prev)
-            prev = val
+            here = obj.at(here.mu_step)
+            worst_increase = max(worst_increase, here.value - prev)
+            prev = here.value
         fixed = PoissonKL(A, A @ xs).mu_step(xs)
         preserved = np.array_equal(fixed, xs)
         return [

@@ -370,6 +370,29 @@ class TestRun:
         assert "iteration 2: f_gap is inf, not finite" in capsys.readouterr().err
         assert trace_column(trace_path, "iter") == [0.0, 1.0]
 
+    @pytest.mark.parametrize("flip_x0", [False, True])
+    def test_domain_violation_after_the_first_record_keeps_partial_trace(
+            self, tmp_path, capsys, flip_x0):
+        # the Euclidean map lets a step leave the Poisson objective's domain,
+        # which the next component gradient finds: exit 4 with the trace so
+        # far. A start outside the domain fails at the first record: exit 2.
+        problem = gen_interpolation(20, 4, 1)
+        problem.reference = Euclidean()
+        if flip_x0:
+            problem.x0 = -problem.x0
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        trace_path = tmp_path / "partial.csv"
+        code = main(["run", "--instance", inst, "--method", "bsgd", "--eta", "50",
+                     "--epochs", "3", "-o", str(trace_path)])
+        err = capsys.readouterr().err
+        assert "poisson_kl: rate (Ax)_i not positive at observed row 0" in err
+        if flip_x0:
+            assert code == 2 and err.startswith("error: ") and not trace_path.exists()
+        else:
+            assert code == 4 and err.startswith("solver failure: iteration 1: ")
+            assert trace_column(trace_path, "iter") == [0.0]
+
     def test_determinism_modulo_wall_clock(self, tmp_path):
         inst = self.gen_instance(tmp_path)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -186,16 +186,18 @@ def poisson_with_nan_point(draw):
 @settings(max_examples=100, deadline=None)
 @given(poisson_with_nan_point())
 def test_nan_coordinate_raises_at_every_entry_point(case):
-    # a NaN rate is not positive: no entry point returns NaN
+    # a NaN rate is not positive: no entry point returns NaN, and a point
+    # raises again on every read (a failed data pass is not kept)
     obj, x = case
     every = np.arange(obj.n_components)
+    here = obj.at(x)
     calls = [lambda: obj.value(x), lambda: obj.full_grad(x), lambda: obj.hessian(x),
-             lambda: obj.value_and_grad(x),
+             lambda: here.value, lambda: here.grad, lambda: here.hessian(), lambda: here.value,
              lambda: obj.value_component(every, x), lambda: obj.partial_grad(every, x)]
     calls += [lambda i=i: obj.value_component(i, x) for i in range(obj.n_components)]
     calls += [lambda i=i: obj.partial_grad(i, x) for i in range(obj.n_components)]
     if not obj.barrier_weight:
-        calls += [lambda: obj.mu_step(x), lambda: obj.value_and_mu_step(x)]
+        calls += [lambda: obj.mu_step(x), lambda: here.mu_step, lambda: obj.at(x).mu_step]
     for call in calls:
         with pytest.raises(DomainViolation) as info:
             call()
@@ -457,25 +459,45 @@ class TestCachedOperators:
                 DiagonalQuadratic(np.ones(shape), np.zeros(shape))
 
 
-def same_as_separate_calls(pair, first, second):
-    """``pair()`` equals ``(first(), second())`` byte for byte, or raises
-    what the first of those to fail raises: same type, message and index."""
+def read(here, name):
+    """Quantity ``name`` of the point ``here``; the Hessian is a call."""
+    return here.hessian() if name == "hessian" else getattr(here, name)
+
+
+SEPARATE = {"value": "value", "grad": "full_grad", "hessian": "hessian", "mu_step": "mu_step"}
+
+
+def same_as_separate_calls(obj, x, names):
+    """Reading ``names`` in turn from one point ``obj.at(x)`` gives the
+    separate one-shot calls byte for byte, or raises what the first of those
+    to fail raises: same type, message and index."""
     try:
-        want = first(), second()
+        want = [getattr(obj, SEPARATE[name])(x) for name in names]
     except (DomainViolation, InvalidData) as exc:
+        here = obj.at(x)
         with pytest.raises(type(exc)) as info:
-            pair()
+            for name in names:
+                read(here, name)
         assert str(info.value) == str(exc)
         assert getattr(info.value, "index", None) == getattr(exc, "index", None)
         return
-    value, array = pair()
-    assert type(value) is type(want[0])
-    assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
-    assert array.tobytes() == want[1].tobytes()
+    here = obj.at(x)
+    for name, expected in zip(names, want):
+        got = read(here, name)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def counted_passes(monkeypatch, obj, name):
+    """The list that grows by one entry, the point x, per call of the data
+    pass ``obj.<name>`` (``_rates`` or ``_margins``)."""
+    original, seen = getattr(obj, name), []
+    monkeypatch.setattr(obj, name, lambda A, b, x: seen.append(x) or original(A, b, x))
+    return seen
 
 
 class TestPairings:
-    """value_and_grad and value_and_mu_step share one product A x."""
+    """The quantities of one point share one product A x."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(singleton_poisson().map(lambda case: (case[0], case[2])),
@@ -483,22 +505,36 @@ class TestPairings:
     def test_match_the_separate_calls_bytewise(self, case):
         # dense one-row components (the row kernel), and dense or CSR blocks
         # that are contiguous row ranges or permuted rows, with or without
-        # the barrier, at points that may leave either domain
+        # the barrier, at points that may leave either domain; the MU step
+        # checks the barrier and its own domain before the rates
         obj, x = case
         with np.errstate(all="ignore"):
-            same_as_separate_calls(lambda: obj.value_and_grad(x),
-                                   lambda: obj.value(x), lambda: obj.full_grad(x))
-            same_as_separate_calls(lambda: obj.value_and_mu_step(x),
-                                   lambda: obj.value(x), lambda: obj.mu_step(x))
+            for names in (("value", "grad", "hessian"), ("value", "mu_step"),
+                          ("mu_step", "value"), ("grad", "hessian", "mu_step")):
+                same_as_separate_calls(obj, x, names)
 
     def test_one_product_each(self, monkeypatch):
         obj = PoissonKL(make_rng(3).uniform(0.1, 1.0, size=(6, 3)), np.arange(6.0))
-        rates = obj._rates
-        calls = []
-        monkeypatch.setattr(obj, "_rates", lambda *a: calls.append(1) or rates(*a))
-        obj.value_and_grad(np.ones(3))
-        obj.value_and_mu_step(np.ones(3))
+        calls = counted_passes(monkeypatch, obj, "_rates")
+        here = obj.at(np.ones(3))
+        here.value, here.grad, here.hessian(), here.mu_step, here.value
+        obj.at(np.ones(3)).mu_step
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_hessians_are_new_arrays(self, sparse):
+        # the preconditioner adds c_prec to a Hessian's diagonal in place
+        A = make_rng(4).uniform(0.1, 1.0, size=(6, 3))
+        A = sp.csr_matrix(A) if sparse else A
+        x = np.array([0.5, 1.0, 2.0])
+        for obj in (PoissonKL(A, np.arange(6.0), barrier_weight=0.1),
+                    LogisticL2(A, np.where(np.arange(6) % 2, 1.0, -1.0), lam=0.1)):
+            here, want = obj.at(x), obj.hessian(x)
+            H = here.hessian()
+            H += 1.0
+            again = here.hessian()
+            assert again is not H and not np.shares_memory(again, H)
+            assert again.tobytes() == want.tobytes()
 
 
 def rel_L(A, b, **kwargs):
@@ -616,15 +652,21 @@ class TestLogisticL2:
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("grouped", [False, True])
-    def test_value_and_grad_is_value_and_full_grad_bytewise(self, sparse, grouped):
+    def test_value_and_grad_is_value_and_full_grad_bytewise(self, sparse, grouped,
+                                                             monkeypatch):
+        # one point reads its value, gradient and Hessian from one margin pass
         obj, rng = self.build_sparse_rows(12, sparse, grouped)
         for _ in range(5):
             x, y = rng.normal(size=(2, 5))
-            f, g = obj.value_and_grad(x)
-            assert f.hex() == obj.value(x).hex()
-            assert g.tobytes() == obj.full_grad(x).tobytes()
+            same_as_separate_calls(obj, x, ("value", "grad", "hessian"))
             generic = float(obj.value(x) - obj.value(y) - obj.full_grad(y) @ (x - y))
             assert obj.f_divergence(x, y).hex() == generic.hex()
+        calls = counted_passes(monkeypatch, obj, "_margins")
+        here = obj.at(x)
+        here.value, here.grad, here.hessian(), here.hessian()
+        assert len(calls) == 1
+        obj.f_divergence(x, y)
+        assert len(calls) == 3
 
     def test_value_at_zero(self):
         obj, _ = self.build(lam=0.0)

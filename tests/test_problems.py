@@ -697,6 +697,28 @@ class TestSolveReference:
             solve_reference(problem)
         assert len(grads) == 1 and len(steps) == SolverConfig.max_halvings + 1
 
+    def test_lbfgs_makes_one_margin_pass_per_evaluation(self, monkeypatch):
+        # scipy reads f and grad f at each point from one pass over the data,
+        # and the solution is the one separate value and gradient calls give
+        import scipy.optimize
+
+        data = gen_gaussian_logistic_data(120, 5, seed=3)
+        problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                     lam=1e-3, c_prec=1e-3, seed=3)
+        obj = problem.objective
+        separate = scipy.optimize.minimize(
+            obj.value, problem.x0, jac=obj.full_grad, method="L-BFGS-B",
+            options={"maxiter": 200000, "ftol": 1e-18, "gtol": 1e-12})
+        passes = count_calls(monkeypatch, obj, "_margins")
+        minimize, results = scipy.optimize.minimize, []
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *a, **k: results.append(minimize(*a, **k)) or results[-1])
+        solve_reference(problem)
+        assert len(results) == 1 and results[0].nfev > 10
+        assert len(passes) == results[0].nfev + 1  # and f(x_star)
+        assert problem.x_star.tobytes() == separate.x.tobytes()
+        assert problem.f_star == obj.value(separate.x)
+
 
 def fresh_interpreter(script, *args):
     """Run ``script`` in a new interpreter on this checkout's sources and

@@ -1,5 +1,7 @@
 """Tests for solver steps, step-size policies, and the run harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from bregopt import (
     InvalidConstants,
     InvalidData,
     LogBarrier,
+    LogisticL2,
     NegEntropy,
     PoissonKL,
     ProblemInstance,
@@ -284,6 +287,34 @@ class TestSigma2:
             svrg_successor_potentials(SvrgState.init(x, obj), obj, ref, x, 0.1, 0.5)
 
 
+@st.composite
+def run_cases(draw):
+    """(problem, config): a small Poisson (with or without barrier),
+    logistic or quadratic objective under a closed-form map, from a start
+    that may leave either domain, with a method (MU on the Poisson
+    objective without barrier only) and eta from 1e-3 to 1e8."""
+    family = draw(st.sampled_from(["poisson", "barrier", "logistic", "quadratic"]))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    if family == "logistic":
+        obj = LogisticL2(rng.normal(size=(6, 3)), np.where(rng.random(6) < 0.5, -1.0, 1.0),
+                         lam=0.1)
+    elif family == "quadratic":
+        obj = DiagonalQuadratic(rng.uniform(0.5, 2.0, size=(4, 3)),
+                                rng.uniform(0.2, 2.0, size=(4, 3)))
+    else:
+        obj = PoissonKL(rng.uniform(0.0, 1.0, size=(6, 3)), rng.uniform(0.0, 3.0, size=6),
+                        barrier_weight=0.1 if family == "barrier" else 0.0)
+    x_star = rng.uniform(0.2, 2.0, size=3)
+    x0 = np.array(draw(st.lists(st.floats(-0.5, 2.0), min_size=3, max_size=3)))
+    ref = draw(st.sampled_from([Euclidean, LogBarrier, NegEntropy]))()
+    problem = ProblemInstance(objective=obj, reference=ref, x0=x0, x_star=x_star,
+                              f_star=obj.value(x_star))
+    methods = ["bgd", "bsgd", "bsaga", "bsvrg"] + (["mu"] if family == "poisson" else [])
+    config = SolverConfig(method=draw(st.sampled_from(methods)),
+                          eta=10.0 ** draw(st.floats(-3.0, 8.0)), epochs=3.0, record_every=1)
+    return problem, config
+
+
 class TestRunHarness:
     def problem(self):
         return gen_interpolation(20, 5, seed=0)
@@ -358,10 +389,11 @@ class TestRunHarness:
     def test_estimate_computed_once_per_step(self, monkeypatch, method, partial, full):
         # a halving retries the mirror step alone: 40 steps (2 epochs of 20
         # components) make 1 estimate each, plus the SAGA table's n and the
-        # SVRG anchor's full gradients
+        # SVRG anchor's full gradients (the objective's gradient formula
+        # _grad, which every full gradient reaches through its point)
         problem = self.problem()
         problem.x_star = problem.f_star = None
-        counts = {"partial_grad": 0, "full_grad": 0}
+        counts = {"partial_grad": 0, "_grad": 0}
         obj = problem.objective
         for name in counts:
             def counted(*args, _name=name, _original=getattr(obj, name)):
@@ -374,7 +406,24 @@ class TestRunHarness:
         assert counts["partial_grad"] == partial
         if full is None:  # one per anchor: the initial one and each refresh
             full = 1 + (trace.final.grad_evals - 20 - 40) // 20
-        assert counts["full_grad"] == full
+        assert counts["_grad"] == full
+
+    @pytest.mark.parametrize("method", ["bgd", "bsgd", "bsaga", "bsvrg", "mu"])
+    def test_points_per_run(self, monkeypatch, method):
+        # BSGD, BSAGA and BSVRG steps build no point, so a run builds one
+        # per record (the first serves x0), and BSVRG one per anchor full
+        # gradient; BGD and MU build one per iterate
+        problem = self.problem()
+        problem.x_star = problem.f_star = None
+        obj, points = problem.objective, []
+        at = obj.at
+        monkeypatch.setattr(obj, "at", lambda x: points.append(x) or at(x))
+        trace = run(SolverConfig(method=method, eta=0.01, epochs=2.0, record_every=3), problem)
+        steps, n = trace.final.iter, obj.n_components
+        want = {"bgd": steps + 1, "mu": steps + 1,
+                "bsvrg": len(trace) + (trace.final.grad_evals - steps) // n}
+        assert len(points) == want.get(method, len(trace))
+        assert len(points) == len({id(x) for x in points})
 
     def test_run_failure_carries_partial_trace(self):
         problem = self.problem()
@@ -437,6 +486,26 @@ class TestRunHarness:
             with np.errstate(all="ignore"):
                 trace = run(config, problem)
         except BregoptError:
+            return
+        for column in ("f_gap", "dh_gap", "min_df_gap"):
+            assert np.all(np.isfinite(trace.column(column))), column
+
+    @settings(max_examples=150, deadline=None)
+    @given(run_cases())
+    def test_every_run_returns_finite_records_or_fails_with_its_trace(self, case):
+        # a DomainViolation escapes only at x0: a run without steps raises it
+        # too. The partial trace is empty only when x0's record is not finite.
+        problem, config = case
+        try:
+            with np.errstate(all="ignore"):
+                trace = run(config, problem)
+        except RunFailure as exc:
+            trace = exc.trace
+            assert len(trace) or str(exc).startswith("iteration 0: ")
+        except DomainViolation as exc:
+            with pytest.raises(DomainViolation) as info, np.errstate(all="ignore"):
+                run(dataclasses.replace(config, epochs=0.0), problem)
+            assert str(info.value) == str(exc)
             return
         for column in ("f_gap", "dh_gap", "min_df_gap"):
             assert np.all(np.isfinite(trace.column(column))), column
@@ -705,17 +774,21 @@ class TestRecordColumns:
 
 
 def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
-    # run() takes one inner gradient pass at x0 and then one per Newton trial
+    # run() takes one inner gradient at x0 and then one per Newton trial
     # point; the checked route (grad, then grad_conjugate) takes two more
-    # per step: grad h(x), and the first residual at the warm start
+    # per step: grad h(x), and the first residual at the warm start. The
+    # inner objective's gradient formula _grad counts every inner gradient.
     data = gen_gaussian_logistic_data(120, 5, seed=3)
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
                                  lam=1e-3, c_prec=1e-3, seed=3)
     problem.x_star = None  # records then make no inner pass
     ref = problem.reference
     calls = []
-    full_grad = ref.inner.full_grad
-    monkeypatch.setattr(ref.inner, "full_grad", lambda x: calls.append(1) or full_grad(x))
+    grad = ref.inner._grad
+    monkeypatch.setattr(ref.inner, "_grad", lambda p: calls.append(1) or grad(p))
+    passes = []
+    margins = ref.inner._margins
+    monkeypatch.setattr(ref.inner, "_margins", lambda *a: passes.append(1) or margins(*a))
     config = SolverConfig(method="bsgd", eta=0.5, epochs=2.0, seed=4, record_every=1)
     trace = run(config, problem)
     run_calls = len(calls)
@@ -728,55 +801,97 @@ def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     x = problem.x0 + 0.1
     hx = ref.grad(x)
     calls.clear()
+    passes.clear()
     assert np.array_equal(ref.grad_conjugate(hx, warm_start=x), x)
     assert len(calls) == 2  # the first residual, then the one trial point
+    assert len(passes) == 2  # the first Hessian shares the first residual's
     calls.clear()
+    passes.clear()
     x_new, hx_new = ref.advance(x, hx, np.zeros_like(x), 1.0)
     assert np.array_equal(x_new, x) and np.array_equal(hx_new, hx)
     assert len(calls) == 1
+    assert len(passes) == 2  # the first Hessian, then the trial point
 
 
-@pytest.mark.parametrize("method", ["bgd", "mu"])
-def test_records_hand_their_operator_product_to_the_step(monkeypatch, method):
-    # with f_star set, each record that a step follows computes f(x) and the
-    # step's gradient or MU iterate from one product A x; the final record
-    # computes f(x) alone: T + 1 products for T steps (2T + 1 with separate
-    # calls)
+@pytest.mark.parametrize("method, keep_x_star", [
+    ("bgd", False), ("mu", False), ("bgd", True), ("mu", True),
+], ids=["bgd", "mu", "bgd-x_star", "mu-x_star"])
+def test_records_hand_their_operator_product_to_the_step(monkeypatch, method, keep_x_star):
+    # each record reads f(x) (and with x_star grad f(x)) from the point the
+    # step then takes its gradient or MU iterate from: one product A x per
+    # iterate, T + 1 for T steps (2T + 1 with separate calls), and with
+    # x_star one more for f(x_star) (MU made 2T + 2 before points)
     problem = gen_interpolation(30, 4, seed=5)
-    problem.x_star = None
+    if not keep_x_star:
+        problem.x_star = None
     obj = problem.objective
     rates, calls = obj._rates, []
     monkeypatch.setattr(obj, "_rates", lambda *a: calls.append(1) or rates(*a))
     trace = run(SolverConfig(method=method, epochs=5.0, record_every=1), problem)
-    assert len(trace) == 6 and len(calls) == 6
+    assert len(trace) == 6 and len(calls) == 6 + keep_x_star
 
 
 def test_preconditioned_records_make_no_inner_gradient_pass(monkeypatch):
     # h(x_star) is evaluated once per run and grad h(x) comes with the
-    # iterate: a record makes one inner value pass, and the run takes exactly
-    # the inner gradient passes it takes without x_star
+    # iterate: a record makes one inner value, and the run takes exactly the
+    # inner gradients it takes without x_star (counted at the inner
+    # objective's formulas _value and _grad, which every value and gradient
+    # reaches through its point)
     data = gen_gaussian_logistic_data(120, 5, seed=3)
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
                                  lam=1e-3, c_prec=1e-3, seed=3)
     solve_reference(problem)
     ref, x_star = problem.reference, problem.x_star
-    calls = {"value": [], "full_grad": [], "value_and_grad": []}
+    calls = {"_value": [], "_grad": []}
     for name, seen in calls.items():
-        def counted(x, _seen=seen, _original=getattr(ref.inner, name)):
-            _seen.append(x)
-            return _original(x)
+        def counted(p, _seen=seen, _original=getattr(ref.inner, name)):
+            _seen.append(p.x)
+            return _original(p)
         monkeypatch.setattr(ref.inner, name, counted)
     config = SolverConfig(method="bsaga", eta=0.5, epochs=2.0, seed=4, record_every=1)
     trace = run(config, problem)
-    assert sum(x is x_star for x in calls["value"]) == 1
-    assert len(calls["value"]) == 1 + len(trace)
-    assert not calls["value_and_grad"]
-    with_x_star = len(calls["full_grad"])
+    assert sum(x is x_star for x in calls["_value"]) == 1
+    assert len(calls["_value"]) == 1 + len(trace)
+    with_x_star = len(calls["_grad"])
     for seen in calls.values():
         seen.clear()
     problem.x_star = None
     assert run(config, problem).to_csv_string().count("\n") == len(trace) + 1
-    assert len(calls["full_grad"]) == with_x_star
+    assert len(calls["_grad"]) == with_x_star
+
+
+def test_preconditioned_run_makes_one_inner_pass_per_point(monkeypatch):
+    # within a solve each point the Newton loop visits (its start, then each
+    # trial) costs one margin pass: an accepted trial's pass also gives the
+    # next Newton Hessian. Outside the solves: h(x_star), grad h(x0) and one
+    # value per record.
+    data = gen_gaussian_logistic_data(120, 5, seed=3)
+    problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                 lam=1e-3, c_prec=1e-3, seed=3)
+    solve_reference(problem)
+    ref, inner = problem.reference, problem.reference.inner
+    solve = {"index": None, "count": 0}  # the advance call in progress, if any
+    passes, grads = [], []  # (solve index or None, x), and the solve index of each gradient
+    margins, grad, advance = inner._margins, inner._grad, ref.advance
+    monkeypatch.setattr(inner, "_margins",
+                        lambda A, y, x: passes.append((solve["index"], x)) or margins(A, y, x))
+    monkeypatch.setattr(inner, "_grad", lambda p: grads.append(solve["index"]) or grad(p))
+
+    def counted_advance(*args):
+        solve["index"], solve["count"] = solve["count"], solve["count"] + 1
+        try:
+            return advance(*args)
+        finally:
+            solve["index"] = None
+
+    monkeypatch.setattr(ref, "advance", counted_advance)
+    config = SolverConfig(method="bsaga", eta=0.5, epochs=2.0, seed=4, record_every=1)
+    trace = run(config, problem)
+    assert solve["count"] == trace.final.iter + trace.final.halvings > 1
+    for k in range(solve["count"]):
+        points = [x for s, x in passes if s == k]
+        assert len({id(x) for x in points}) == len(points) == 1 + grads.count(k)
+    assert sum(s is None for s, _ in passes) == 2 + len(trace)
 
 
 def test_safeguard_halves_on_a_stopped_inner_solve():
