@@ -278,8 +278,12 @@ class Preconditioner(ReferenceFunction):
     kind = "preconditioner"
 
     def __init__(self, inner_objective, c_prec=0.0, inner_tol=1e-6, inner_passes=10):
-        if c_prec < 0:
-            raise ValueError("c_prec must be nonnegative")
+        if not (np.isfinite(c_prec) and c_prec >= 0):
+            raise ValueError(f"c_prec must be finite and nonnegative, got {c_prec!r}")
+        if not inner_tol > 0:  # NaN fails
+            raise ValueError(f"inner_tol must be positive, got {inner_tol!r}")
+        if not inner_passes >= 1:
+            raise ValueError(f"inner_passes must be at least 1, got {inner_passes!r}")
         self.inner = inner_objective
         self.c_prec = float(c_prec)
         self.inner_tol = float(inner_tol)

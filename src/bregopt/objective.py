@@ -392,8 +392,12 @@ class PoissonKL(FiniteSumObjective):
         return H
 
     def check_mu_domain(self, x):
-        """DomainViolation at the first coordinate of x that is not >= 0
-        (NaN fails), the domain of :meth:`mu_step`."""
+        """The precondition of :meth:`mu_step`, reading no data: InvalidData
+        for a barrier term, then DomainViolation at the first coordinate of
+        x that is not >= 0 (NaN fails)."""
+        if self.barrier_weight:
+            raise InvalidData("poisson_kl: multiplicative updates minimise the KL term "
+                              "only, but barrier_weight is positive")
         _require(x >= 0, _MU_VIOLATION, self.kind)
 
     def mu_step(self, x):
@@ -405,14 +409,11 @@ class PoissonKL(FiniteSumObjective):
         stay zero, which happens naturally on long runs whose limit lies on
         the boundary, so x need only be nonnegative. The update minimises
         the KL term alone: an objective with a barrier term raises
-        InvalidData. That check comes first, then the domain, then the rates.
+        InvalidData. :meth:`check_mu_domain` comes first, then the rates.
         """
         return self.at(x).mu_step
 
     def _mu_step(self, p):
-        if self.barrier_weight:
-            raise InvalidData("poisson_kl: multiplicative updates minimise the KL term "
-                              "only, but barrier_weight is positive")
         x = np.asarray(p.x, dtype=float)
         self.check_mu_domain(x)
         pos, _, bp = self._counts
@@ -466,7 +467,7 @@ class LogisticL2(FiniteSumObjective):
         self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._blocks = [(*_row_block(self.A, g), self.labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
-        w = np.zeros(A.shape[0])
+        w = np.zeros(self.A.shape[0])
         for g in self.groups:
             w[g] = 1.0 / (len(g) * self.n_components)
         self._row_weight = w

@@ -27,13 +27,11 @@ from .errors import (
     InvalidData,
     LabelError,
     ParseError,
-    StepFailure,
-    StepOutOfDomain,
 )
 from .mirror import LogBarrier, Preconditioner, make_reference
 from .objective import DiagonalQuadratic, LogisticL2, PoissonKL, _issparse
 from .rng import make_rng
-from .solver import SolverConfig
+from .solver import halved_advance
 
 
 @dataclass
@@ -362,10 +360,9 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
     objectives are solved with scipy's deterministic L-BFGS; Poisson KL
     objectives with multiplicative updates, or, with a barrier term, with
     Bregman gradient descent under the log-barrier until the gradient norm
-    is at most ``tol``. A step that leaves the domain halves the step size
-    (for the rest of the solve) and is retried from the same gradient, up to
-    ``SolverConfig``'s default ``max_halvings`` times in one iteration; then
-    StepFailure names the offending component.
+    is at most ``tol``. Each step runs under ``run()``'s halving safeguard
+    (:func:`~bregopt.solver.halved_advance`, StepFailure once it gives up),
+    and the step size stays halved for the rest of the solve.
     """
     obj = problem.objective
     if isinstance(obj, LogisticL2):
@@ -405,16 +402,8 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
             g = obj.full_grad(x)
             if np.linalg.norm(g) <= tol:
                 break
-            for _ in range(SolverConfig.max_halvings + 1):
-                try:
-                    x, hx = ref.advance(x, hx, g, eta)
-                    break
-                except StepOutOfDomain as exc:
-                    last = exc
-                    eta *= 0.5
-            else:
-                raise StepFailure(f"reference solve: step failed after "
-                                  f"{SolverConfig.max_halvings} halvings: {last}") from last
+            x, hx, k = halved_advance(ref.advance, x, hx, g, eta)
+            eta *= 0.5**k
         problem.x_star = x
         problem.f_star = float(obj.value(x))
     else:

@@ -6,9 +6,9 @@ draws every random number from a counter-based generator (see
 :mod:`bregopt.rng`), so a (config, problem, seed) triple determines the
 trajectory bit-for-bit. A mirror step that would leave the reference
 function's domain raises :class:`StepOutOfDomain`, and one whose
-preconditioner solve stops short :class:`InnerSolveFailure`; the run harness
-retries that mirror step alone, from the same estimate, with a halved step
-size, and the trace shows each such intervention.
+preconditioner solve stops short :class:`InnerSolveFailure`;
+:func:`halved_advance` retries that mirror step alone, from the same
+estimate, with a halved step size, and the trace shows each halving.
 """
 
 import math
@@ -31,6 +31,7 @@ from .rng import make_rng
 
 METHODS = ("bgd", "bsgd", "bsaga", "bsvrg", "mu")
 GAIN_KEYS = ("mu_h", "L_h", "M", "L_rel", "mu_rel")
+MAX_HALVINGS = 30  # retries of one mirror step under the halving safeguard
 
 
 def _positive(value):
@@ -50,10 +51,9 @@ class SolverConfig:
     constant. Setting ``gain_constants`` (Bregman-SAGA only) selects the
     gain rule eta_t = step_multiplier / (8 L_rel G_t) with the regularity
     metadata mu_h, L_h, M, L_rel, mu_rel. Every mirror step runs under the
-    halving safeguard: a step leaving the domain, or one whose
-    preconditioner solve stops short, is retried with a halved step size,
-    up to ``max_halvings`` times, and the base step size is restored
-    afterwards.
+    halving safeguard of :func:`halved_advance`, at most
+    :data:`MAX_HALVINGS` halvings a step, and the base step size is
+    restored afterwards.
     """
 
     method: str = "bsgd"
@@ -64,7 +64,6 @@ class SolverConfig:
     p: float = 0.1  # bsvrg anchor refresh probability
     gain_constants: dict = None
     record_every: int = None  # iterations between trace records; default 1 epoch
-    max_halvings: int = 30
 
     def validate(self):
         """Raise ValueError unless every field holds a usable value."""
@@ -90,9 +89,6 @@ class SolverConfig:
         if self.record_every is not None and not _count(self.record_every, 1):
             raise ValueError("record_every must be a positive integer, "
                              f"got {self.record_every!r}")
-        if not _count(self.max_halvings, 0):
-            raise ValueError("max_halvings must be a nonnegative integer, "
-                             f"got {self.max_halvings!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +325,22 @@ def step_policy(config, l_rel, gain):
 # ---------------------------------------------------------------------------
 
 
+def halved_advance(advance, x, hx, g, eta, failure=None):
+    """The halving safeguard: ``advance(x, hx, g, eta * 0.5**k)`` for k = 0,
+    1, ..., MAX_HALVINGS until one raises neither StepOutOfDomain nor
+    InnerSolveFailure, every try from the same x, grad h(x) ``hx`` and
+    estimate ``g``. A caller that has tried eta itself passes that
+    ``failure`` and the retries start at k = 1. Returns (x+, grad h(x+), k);
+    StepFailure naming the last cause once every try has failed.
+    """
+    for k in range(0 if failure is None else 1, MAX_HALVINGS + 1):
+        try:
+            return (*advance(x, hx, g, eta * 0.5**k), k)
+        except (StepOutOfDomain, InnerSolveFailure) as exc:
+            failure = exc
+    raise StepFailure(f"step failed after {MAX_HALVINGS} halvings: {failure}") from failure
+
+
 class RunFailure(StepFailure):
     """StepFailure that carries the partial trace accumulated so far."""
 
@@ -355,25 +367,25 @@ def run(config, problem):
     Each iteration draws its random numbers (the component index, then for
     BSVRG the anchor refresh coin; BSGD and BSAGA draw an epoch's indices at
     once), computes the method's gradient estimate once and takes the mirror
-    step under the halving safeguard, which retries the mirror step alone
-    from the same estimate and grad h(x), with eta halved, on
-    StepOutOfDomain or InnerSolveFailure, at most ``max_halvings`` times in
-    one step. The four Bregman methods check x0 through grad h(x0) and carry
-    grad h to each new iterate (``ReferenceFunction.advance``), so the
-    trajectory equals bit for bit the chain of checked steps
-    ``grad_conjugate(grad(x) - eta g, warm_start=x)``, deterministic given
-    the seed. MU takes the objective's ``mu_step`` (InvalidData without one)
-    from an x0 that passes ``check_mu_domain``. Records and the BGD and MU
-    steps read the iterate's point ``obj.at(x)``, so a record and the step
-    after it share one data pass; the stochastic steps build none.
+    step at eta, handing a StepOutOfDomain or InnerSolveFailure to the
+    halving safeguard :func:`halved_advance`, which retries from the same
+    estimate and grad h(x). The four Bregman methods check x0 through
+    grad h(x0) and carry grad h to each new iterate
+    (``ReferenceFunction.advance``), so the trajectory equals bit for bit
+    the chain of checked steps ``grad_conjugate(grad(x) - eta g,
+    warm_start=x)``, deterministic given the seed. MU takes the objective's
+    ``mu_step`` (InvalidData without one) from an x0 that passes
+    ``check_mu_domain``, checked before any product A x. Records and the
+    BGD and MU steps read the iterate's point ``obj.at(x)``, so a record and
+    the step after it share one data pass; the stochastic steps build none.
     D_h(x_star, x) comes from ``ref.divergence_from(x_star)`` with the
     carried grad h(x). Columns without f_star or x_star are NaN and never
     computed; a non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
-    StepFailure naming the column and the iteration. A StepFailure, or a
-    DomainViolation after the first record (named with its iteration),
-    raises a :class:`RunFailure` carrying the partial trace; a
-    DomainViolation at x0 or in its record is raised as it is. The final
-    iterate is left on ``trace.x``.
+    DomainViolation naming the column. A StepFailure or DomainViolation
+    before or in the first record is bad input and is raised as it is; one
+    after it raises a :class:`RunFailure` carrying the partial trace, its
+    message prefixed ``iteration {t}: ``. The final iterate is left on
+    ``trace.x``.
     """
     config.validate()
     obj, ref = problem.objective, problem.reference
@@ -422,10 +434,10 @@ def run(config, problem):
     start = time.perf_counter()
 
     def finite(column, value):
-        """``value``, computed for ``column`` of the record at iteration t;
-        StepFailure when it is not finite."""
+        """``value``, computed for ``column`` of a record; DomainViolation
+        when it is not finite: x lies outside where the record is defined."""
         if not math.isfinite(value):
-            raise StepFailure(f"iteration {t}: {column} is {value}, not finite")
+            raise DomainViolation(f"{column} is {value}, not finite")
         return value
 
     here = obj.at(x)
@@ -456,24 +468,19 @@ def run(config, problem):
             comms=comms, f_gap=f_gap, dh_gap=dh_gap, min_df_gap=min_df_gap, eta=eta_now,
             gain=gain_now, halvings=halvings_total, wall_s=time.perf_counter() - start))
 
-    advance, tries = ref.advance, range(config.max_halvings + 1)
+    advance = ref.advance
 
     def step(x, g):
         """The mirror step from the current iterate ``x``, whose grad h is
-        ``hx``, along ``g``, halving eta on StepOutOfDomain or
-        InnerSolveFailure up to ``max_halvings`` times; every retry starts
-        from the same ``hx``."""
+        ``hx``, along ``g``; a failure of the first try at eta_now goes to
+        :func:`halved_advance`."""
         nonlocal halvings_total, hx
-        eta = eta_now
-        for k in tries:
-            try:
-                x, hx = advance(x, hx, g, eta)
-            except (StepOutOfDomain, InnerSolveFailure) as exc:
-                eta, last = 0.5 * eta, exc
-                continue
+        try:
+            x, hx = advance(x, hx, g, eta_now)
+        except (StepOutOfDomain, InnerSolveFailure) as exc:
+            x, hx, k = halved_advance(advance, x, hx, g, eta_now, exc)
             halvings_total += k
-            return x
-        raise StepFailure(f"step failed after {config.max_halvings} halvings: {last}") from last
+        return x
 
     gain_now = 1.0
     eta_now = float("nan") if method == "mu" else step_policy(config, l_rel, gain_now)
@@ -512,14 +519,10 @@ def run(config, problem):
                 record(eta_now, gain_now)
         if trace.final.iter != t:
             record(eta_now, gain_now)
-    except StepFailure as exc:
-        trace.x = x
-        raise RunFailure(str(exc), trace) from exc
-    except DomainViolation as exc:
-        if not len(trace):  # x0 is outside the domain
+    except (StepFailure, DomainViolation) as exc:
+        if not len(trace):  # x0 is bad input
             raise
-        trace.x = x
         raise RunFailure(f"iteration {t}: {exc}", trace) from exc
-
-    trace.x = x
+    finally:
+        trace.x = x
     return trace

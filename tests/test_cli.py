@@ -74,7 +74,7 @@ BAD_PROBLEM_VALUES = [
     ("interpolation", "n", "abc"), ("interpolation", "n", "-5"),
     ("tomography", "size", "8"), ("tomography", "angles", "0"),
     ("tomography", "noise", "maybe"), ("interpolation", "seed", "-1"),
-    ("interpolation", "seed", str(2**64)),
+    ("interpolation", "seed", str(2**64)), ("preconditioned", "c_prec", "nan"),
 ]
 
 
@@ -85,7 +85,7 @@ BAD_PROBLEM_VALUES = [
 def test_bad_problem_value_is_usage_error(tmp_path, capsys, generator, key, value, route):
     out = tmp_path / "inst.bin"
     if route == "flag":
-        code = main(["gen", generator, f"--{key}={value}", "-o", str(out)])
+        code = main(["gen", generator, f"--{key.replace('_', '-')}={value}", "-o", str(out)])
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[problem]\ngenerator = {generator}\n{key} = {value}\n"
@@ -248,7 +248,7 @@ class TestRun:
         for key, value in [
             ("step_multiplier", "-1"), ("step_multiplier", "nan"), ("eta", "nan"),
             ("eta", "inf"), ("eta", "0"), ("seed", "-1"), ("seed", str(2**64)),
-            ("max_halvings", "-1"), ("record_every", "-3"), ("record_every", "0"),
+            ("record_every", "-3"), ("record_every", "0"),
             ("p", "nan"), ("epochs", "inf"), ("method", "sgd"),
         ]
         for route in ("flag", "file")
@@ -267,6 +267,22 @@ class TestRun:
         )
         assert main(["run", "-c", str(cfg), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_max_halvings_is_no_option(self, tmp_path, capsys, route):
+        # the halving budget is the constant bregopt.solver.MAX_HALVINGS
+        key = "max_halvings = 5\n" if route == "file" else ""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[problem]\ngenerator = interpolation\nn = 20\nd = 5\n"
+                       f"[solver]\neta = 0.01\n{key}[output]\ntrace = {tmp_path / 'a.csv'}\n")
+        if route == "flag":
+            with pytest.raises(SystemExit) as info:
+                main(["run", "-c", str(cfg), "--max-halvings", "5"])
+            code, message = info.value.code, "unrecognized arguments: --max-halvings"
+        else:
+            code, message = main(["run", "-c", str(cfg)]), "unknown key 'max_halvings'"
+        assert code == 2 and message in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("text", [
@@ -392,6 +408,21 @@ class TestRun:
         else:
             assert code == 4 and err.startswith("solver failure: iteration 1: ")
             assert trace_column(trace_path, "iter") == [0.0]
+
+    def test_non_finite_first_record_is_usage_error(self, tmp_path, capsys):
+        # a subnormal rate makes f(x0) overflow: x0 is bad input, not a failed step
+        problem = gen_interpolation(20, 4, 1)
+        problem.reference = Euclidean()
+        problem.x0 = np.array([0.0, 0.0, 0.0, 1e-310])
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        trace_path = tmp_path / "t.csv"
+        with np.errstate(over="ignore"):
+            code = main(["run", "--instance", inst, "--method", "bsgd",
+                         "-o", str(trace_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: f_gap is inf, not finite\n"
+        assert not trace_path.exists()
 
     def test_determinism_modulo_wall_clock(self, tmp_path):
         inst = self.gen_instance(tmp_path)

@@ -59,14 +59,12 @@ GAINS = {"mu_h": 1.0, "L_h": 2.0, "M": 1e-3, "L_rel": 3.0, "mu_rel": 0.1}
 BREGMAN = ("bgd", "bsgd", "bsaga", "bsvrg")
 # instance -> (builder, shared config fields, methods)
 CASES = {
-    "interpolation": (interpolation, dict(eta=10.0, epochs=3.0, seed=2, record_every=1,
-                                          max_halvings=60), BREGMAN + ("mu",)),
+    "interpolation": (interpolation, dict(eta=10.0, epochs=3.0, seed=2, record_every=1),
+                      BREGMAN + ("mu",)),
     "interpolation-gain": (interpolation, dict(gain_constants=GAINS, step_multiplier=1e4,
-                                               epochs=3.0, seed=2, record_every=5,
-                                               max_halvings=60), ("bsaga",)),
+                                               epochs=3.0, seed=2, record_every=5), ("bsaga",)),
     "interpolation-f-star": (lambda: interpolation(keep_x_star=False),
-                             dict(eta=10.0, epochs=3.0, seed=2, max_halvings=60),
-                             BREGMAN + ("mu",)),
+                             dict(eta=10.0, epochs=3.0, seed=2), BREGMAN + ("mu",)),
     "tomography": (tomography, dict(step_multiplier=10.0, epochs=4.0, seed=1),
                    BREGMAN + ("mu",)),
     "barrier-poisson": (barrier_poisson, dict(epochs=4.0, seed=3), BREGMAN),

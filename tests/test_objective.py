@@ -680,6 +680,14 @@ class TestLogisticL2:
             with pytest.raises(InvalidData, match="A must be finite"):
                 LogisticL2(A, [1.0])
 
+    def test_nested_list_matrix_is_accepted(self):
+        # as PoissonKL does, the constructor takes A as nested lists
+        listed = LogisticL2([[1.0, 2.0], [3.0, 4.0]], [1, -1])
+        array = LogisticL2(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0]))
+        x = np.array([0.5, -0.25])
+        assert listed.value(x) == array.value(x)
+        np.testing.assert_array_equal(listed.hessian(x), array.hessian(x))
+
 
 def masked_log1pexp(t):
     """The two-branch form _log1pexp must reproduce bit for bit."""

@@ -42,6 +42,7 @@ from bregopt import (
     save_instance,
     shepp_logan,
     solve_reference,
+    solver,
 )
 from bregopt.problems import operator_hash, write_manifest
 from bregopt.rng import make_rng
@@ -521,6 +522,17 @@ class TestInstanceFiles:
         with pytest.raises(InvalidData, match="nonsense"):
             load_instance(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("c_prec", np.nan), ("c_prec", np.inf), ("c_prec", -1.0), ("inner_tol", np.nan),
+        ("inner_tol", 0.0), ("inner_passes", np.int64(0))])
+    def test_bad_preconditioner_parameter_is_invalid_data(self, tmp_path, key, value):
+        path = instance_file(tmp_path, preconditioned_instance())
+        members = read_members(path)
+        members[key] = np.array(value)
+        write_archive(path, members)
+        with pytest.raises(InvalidData, match=key):
+            load_instance(path)
+
     def test_roundtrip_keeps_the_row_kernel(self, tmp_path):
         path = str(tmp_path / "inst.bin")
         save_instance(path, gen_interpolation(20, 5, seed=1))
@@ -666,7 +678,8 @@ def count_calls(monkeypatch, obj, name, replace=None):
 
 class TestSolveReference:
     """The barrier branch retries a step that leaves the domain from the
-    same gradient, with eta halved for the rest of the solve."""
+    same gradient, under run()'s safeguard, with eta halved for the rest of
+    the solve."""
 
     def test_retries_reuse_the_gradient_and_keep_eta_halved(self, monkeypatch):
         problem = barrier_poisson()
@@ -695,7 +708,7 @@ class TestSolveReference:
         steps = count_calls(monkeypatch, LogBarrier, "advance", leave)
         with pytest.raises(StepFailure, match="after 30 halvings: .* at component 4"):
             solve_reference(problem)
-        assert len(grads) == 1 and len(steps) == SolverConfig.max_halvings + 1
+        assert len(grads) == 1 and len(steps) == solver.MAX_HALVINGS + 1
 
     def test_lbfgs_makes_one_margin_pass_per_evaluation(self, monkeypatch):
         # scipy reads f and grad f at each point from one pass over the data,
@@ -749,8 +762,8 @@ from bregopt.verify import Battery
 path = sys.argv[1]
 save_instance(path, gen_interpolation(30, 4, seed=5))
 problem = load_instance(path)
-lengths = [len(run(SolverConfig(method=m, eta=10.0, epochs=2.0, seed=2, max_halvings=60),
-                   problem)) for m in METHODS]
+lengths = [len(run(SolverConfig(method=m, eta=10.0, epochs=2.0, seed=2), problem))
+           for m in METHODS]
 passed = all(check.passed for check in Battery(quick=True).criterion(9))
 print(json.dumps([lengths, passed, {SCIPY_MODULES}]))
 """

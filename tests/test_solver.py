@@ -23,6 +23,7 @@ from bregopt import (
     RunFailure,
     SagaState,
     SolverConfig,
+    StepFailure,
     StepOutOfDomain,
     SvrgState,
     bsaga_step,
@@ -37,6 +38,7 @@ from bregopt import (
     save_instance,
     sigma2_estimate,
     solve_reference,
+    solver,
     step_policy,
     svrg_gradient,
 )
@@ -221,9 +223,23 @@ class TestMultiplicativeUpdates:
         assert info.value.index == 1
 
     def test_barrier_weight_rejected(self):
+        # the barrier check comes before the sign check
         obj = PoissonKL(np.eye(2), np.ones(2), barrier_weight=0.1)
-        with pytest.raises(InvalidData, match="barrier_weight"):
-            obj.mu_step(np.ones(2))
+        for x in (np.ones(2), -np.ones(2)):
+            with pytest.raises(InvalidData, match="barrier_weight"):
+                obj.mu_step(x)
+
+    def test_run_refuses_a_barrier_objective_before_any_product(self, monkeypatch):
+        A = make_rng(11).uniform(0.1, 1.0, size=(8, 3))
+        obj = PoissonKL(A, A @ np.ones(3), barrier_weight=0.5)
+        x_star = np.ones(3)
+        problem = ProblemInstance(objective=obj, reference=LogBarrier(), x0=np.full(3, 2.0),
+                                  x_star=x_star, f_star=obj.value(x_star))
+        rates = []
+        monkeypatch.setattr(obj, "_rates", lambda *args: rates.append(args))
+        with pytest.raises(InvalidData, match="barrier_weight is positive"):
+            run(SolverConfig(method="mu", epochs=1.0), problem)
+        assert rates == []
 
 
 class TestSigma2:
@@ -400,7 +416,7 @@ class TestRunHarness:
                 counts[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(obj, name, counted)
-        config = SolverConfig(method=method, eta=10.0, epochs=2.0, max_halvings=60)
+        config = SolverConfig(method=method, eta=10.0, epochs=2.0)
         trace = run(config, problem)
         assert trace.final.halvings > 0
         assert counts["partial_grad"] == partial
@@ -425,23 +441,24 @@ class TestRunHarness:
         assert len(points) == want.get(method, len(trace))
         assert len(points) == len({id(x) for x in points})
 
-    def test_run_failure_carries_partial_trace(self):
+    def test_run_failure_carries_partial_trace(self, monkeypatch):
         problem = self.problem()
-        config = SolverConfig(method="bsgd", eta=1e8, epochs=2.0, max_halvings=0)
-        with pytest.raises(RunFailure) as info:
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+        config = SolverConfig(method="bsgd", eta=1e8, epochs=2.0)
+        prefix = r"^iteration \d+: step failed after 0 halvings: "
+        with pytest.raises(RunFailure, match=prefix) as info:
             run(config, problem)
         assert len(info.value.trace) >= 1
 
     def test_halving_safeguard_recovers(self):
         problem = self.problem()
-        config = SolverConfig(method="bsgd", eta=10.0, epochs=2.0, seed=0,
-                              max_halvings=60)
+        config = SolverConfig(method="bsgd", eta=10.0, epochs=2.0, seed=0)
         trace = run(config, problem)
         assert trace.final.halvings > 0
         assert np.isfinite(trace.final.f_gap)
 
     @pytest.mark.parametrize("center", [0.5, 2.0])
-    def test_neg_entropy_float_range_halves(self, center):
+    def test_neg_entropy_float_range_halves(self, monkeypatch, center):
         # from x = 1 the full step takes exp(y - 1) below the float range
         # (center 0.5) or above it (center 2); halved steps stay inside
         obj = DiagonalQuadratic(np.ones((2, 3)), np.full((2, 3), center))
@@ -451,7 +468,7 @@ class TestRunHarness:
         trace = run(config, problem)
         assert trace.final.halvings == (4 if center > 1 else 3)
         assert np.all(np.isfinite(trace.x)) and np.all(trace.x > 0)
-        config.max_halvings = 0
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
         with pytest.raises(RunFailure) as info:
             run(config, problem)
         assert len(info.value.trace) == 1
@@ -493,15 +510,16 @@ class TestRunHarness:
     @settings(max_examples=150, deadline=None)
     @given(run_cases())
     def test_every_run_returns_finite_records_or_fails_with_its_trace(self, case):
-        # a DomainViolation escapes only at x0: a run without steps raises it
-        # too. The partial trace is empty only when x0's record is not finite.
+        # a failure at x0, a non-finite first record included, is a
+        # DomainViolation raised as it is: a run without steps raises it too.
+        # Every RunFailure carries at least one record.
         problem, config = case
         try:
             with np.errstate(all="ignore"):
                 trace = run(config, problem)
         except RunFailure as exc:
             trace = exc.trace
-            assert len(trace) or str(exc).startswith("iteration 0: ")
+            assert len(trace) and str(exc).startswith("iteration ")
         except DomainViolation as exc:
             with pytest.raises(DomainViolation) as info, np.errstate(all="ignore"):
                 run(dataclasses.replace(config, epochs=0.0), problem)
@@ -603,7 +621,7 @@ def _replay(problem, config):
     def safeguarded(step):
         nonlocal halvings
         trial = eta
-        for k in range(config.max_halvings + 1):
+        for k in range(solver.MAX_HALVINGS + 1):
             try:
                 out = step(trial)
                 halvings += k
@@ -705,7 +723,7 @@ class TestRecordColumns:
         # rule gets the same effect from its step multiplier
         problem = gen_interpolation(20, 5, seed=0)
         config = SolverConfig(eta=10.0, step_multiplier=1e4, epochs=2.0, seed=2,
-                              record_every=1, max_halvings=60, **REPLAY_CASES[case])
+                              record_every=1, **REPLAY_CASES[case])
         trace = self.compare_with_replay(problem, config)
         assert (trace.final.halvings > 0) == (case != "mu")
 
@@ -714,8 +732,7 @@ class TestRecordColumns:
         # 2.5 epochs of n = 20: run() draws indices in chunks of 20, 20 and
         # 10; the replay draws one scalar index per step
         problem = gen_interpolation(20, 5, seed=0)
-        config = SolverConfig(method=method, eta=10.0, epochs=2.5, seed=3,
-                              record_every=1, max_halvings=60)
+        config = SolverConfig(method=method, eta=10.0, epochs=2.5, seed=3, record_every=1)
         trace = self.compare_with_replay(problem, config)
         assert trace.final.iter == 50 and trace.final.halvings > 0
 
@@ -894,7 +911,32 @@ def test_preconditioned_run_makes_one_inner_pass_per_point(monkeypatch):
     assert sum(s is None for s, _ in passes) == 2 + len(trace)
 
 
-def test_safeguard_halves_on_a_stopped_inner_solve():
+@pytest.mark.parametrize("budget", [0, 4])
+def test_max_halvings_is_the_budget_of_run_and_solve_reference(monkeypatch, budget):
+    # both callers share one safeguard: patching its constant changes both,
+    # and each makes 1 + budget tries, halving eta from the first
+    A = make_rng(11).uniform(0.1, 1.0, size=(8, 3))
+    obj = PoissonKL(A, A @ np.ones(3), barrier_weight=0.5)
+    problem = ProblemInstance(objective=obj, reference=LogBarrier(), x0=np.ones(3))
+    monkeypatch.setattr(solver, "MAX_HALVINGS", budget)
+    etas = []
+
+    def leave(ref, x, hx, g, eta):
+        etas.append(eta)
+        raise StepOutOfDomain("log_barrier: left at component 2", index=2)
+    monkeypatch.setattr(LogBarrier, "advance", leave)
+    message = f"step failed after {budget} halvings: log_barrier: left at component 2"
+    with pytest.raises(StepFailure) as info:
+        solve_reference(problem)
+    assert str(info.value) == message
+    with pytest.raises(RunFailure) as info:
+        run(SolverConfig(method="bgd", eta=0.1, epochs=1.0), problem)
+    assert str(info.value) == "iteration 0: " + message
+    eta = 1.0 / obj.rel_smoothness()
+    assert etas == [e * 0.5**k for e in (eta, 0.1) for k in range(budget + 1)]
+
+
+def test_safeguard_halves_on_a_stopped_inner_solve(monkeypatch):
     # the default step from iteration 5 on leaves the Newton solve above
     # inner_tol after its 10 steps; halving eta retries the step as it does
     # for one leaving the domain
@@ -904,6 +946,6 @@ def test_safeguard_halves_on_a_stopped_inner_solve():
     config = SolverConfig(method="bsaga", epochs=5.0, seed=3)
     trace = run(config, problem)
     assert trace.final.iter == 25 and trace.final.halvings == 9
-    config.max_halvings = 0
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
     with pytest.raises(RunFailure, match="after 0 halvings: .*above inner_tol"):
         run(config, problem)
