@@ -12,6 +12,8 @@ import configparser
 import dataclasses
 import sys
 
+import numpy as np
+
 from .errors import BregoptError, ParseError
 from .metrics import rate_fit
 from .problems import (
@@ -232,12 +234,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            code = cmd_gen(args)
-        elif args.command == "run":
-            code = cmd_run(args)
-        else:
-            code = cmd_verify(args)
+        # a non-finite value raises its typed error; numpy's floating-point
+        # warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            if args.command == "gen":
+                code = cmd_gen(args)
+            elif args.command == "run":
+                code = cmd_run(args)
+            else:
+                code = cmd_verify(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         code = EXIT_USAGE

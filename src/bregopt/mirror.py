@@ -97,6 +97,14 @@ class ReferenceFunction:
         _require(self.dual_ok(y), _OUTSIDE_DUAL, self.kind)
         return self._grad_conjugate(y)
 
+    def for_run(self):
+        """The mirror steps and divergences of one run: an object with this
+        map's ``advance`` and ``divergence_from``. A closed-form map keeps
+        nothing between steps and returns itself; the
+        :class:`Preconditioner` returns a fresh per-run solve state, so the
+        map itself is never written to."""
+        return self
+
     def advance(self, x, hx, g, eta):
         """The mirror step from ``x`` along ``g``, given ``hx = grad h(x)``:
         returns (x+, grad h(x+)) with x+ = grad h*(hx - eta g).
@@ -259,20 +267,33 @@ class Preconditioner(ReferenceFunction):
     """h(x) = f0(x) + (c_prec/2) ||x||^2 built from an inner objective f0.
 
     The conjugate map has no closed form; ``grad_conjugate`` solves
-    grad h(x) = y by damped Newton from the caller's warm start, with Hessian
-    ``inner.hessian(x) + c_prec I``. A step x - t p is accepted once
-    ||grad h(x - t p) - y|| <= (1 - 1e-4 t) ||r||, t halving from 1, and its
-    gradient is the next residual r. Each point a solve visits, its start
-    and each trial, costs one pass over the N preconditioning rows (an inner
-    :class:`~bregopt.objective.Point`), which gives its gradient and its
-    O(N d^2 + d^3) Hessian build and solve in d^2 memory. ``advance`` takes
-    the start's gradient from its caller and returns the accepted trial
-    point's. Every solve takes at least one Newton step and at most
-    ``inner_passes``; one left above ``inner_tol`` raises
-    :class:`InnerSolveFailure` (a StepFailure) with its residual. Only
-    methods of ``inner`` are called. Points are 1-D: the conjugate map and
-    ``advance`` reject a stack with ValueError. h* has no closed form, so
-    ``dual_divergence`` raises ValueError.
+    grad h(x) = y by damped Newton from the caller's warm start, with the
+    Newton matrix ``inner.hessian(x) + c_prec I``. A step x - t p is accepted
+    once ||grad h(x - t p) - y|| <= (1 - 1e-4 t) ||r||, t halving from 1,
+    and its gradient is the next residual r. Each point a solve visits, its
+    start and each trial, costs one pass over the N preconditioning rows (an
+    inner :class:`~bregopt.objective.Point`), which gives its gradient and
+    its O(N d^2 + d^3) matrix build and solve in d^2 memory. Every solve
+    takes at least one Newton step and at most ``inner_passes``; one left
+    above ``inner_tol`` raises :class:`InnerSolveFailure` (a StepFailure)
+    with its residual. ``advance`` takes the start's gradient from its
+    caller and returns the accepted trial point's.
+
+    A run steps through :meth:`for_run`, a state of its own that carries the
+    Newton matrix its last solve used and the inner point of its iterate.
+    Each solve's first step is a chord (simplified-Newton) step along the
+    carried matrix, and each later step builds the matrix at its accepted
+    trial. A solve whose chord direction fails its line search, or that
+    ends above ``inner_tol``, is solved once more from its start with the
+    matrix built there, as ``advance`` solves it: the stale matrix costs
+    work but never fails a step. The record's h(x) and the next solve read
+    the carried point, so a run makes one inner pass per point it visits.
+    The map holds no run state and is not written after construction, so
+    runs may share it.
+
+    Only methods of ``inner`` are called. Points are 1-D: the conjugate map
+    and ``advance`` reject a stack with ValueError. h* has no closed form,
+    so ``dual_divergence`` raises ValueError.
     """
 
     kind = "preconditioner"
@@ -289,8 +310,13 @@ class Preconditioner(ReferenceFunction):
         self.inner_tol = float(inner_tol)
         self.inner_passes = int(inner_passes)
 
+    def _h(self, at_y):
+        """h(y) from the inner point ``at_y`` at y."""
+        y = at_y.x
+        return float(at_y.value) + 0.5 * self.c_prec * float(y @ y)
+
     def value(self, x):
-        return float(self.inner.value(x)) + 0.5 * self.c_prec * float(x @ x)
+        return self._h(self.inner.at(x))
 
     def grad(self, x):
         return self.inner.full_grad(x) + self.c_prec * x
@@ -299,72 +325,130 @@ class Preconditioner(ReferenceFunction):
         """D_h(x, y), with h(y) and grad h(y) from one pass over the inner
         data; the float operations of ``value`` and ``grad``."""
         at_y = self.inner.at(y)
-        h_y = float(at_y.value) + 0.5 * self.c_prec * float(y @ y)
-        return self.value(x) - h_y - _dot(at_y.grad + self.c_prec * y, x - y)
+        return self.value(x) - self._h(at_y) - _dot(at_y.grad + self.c_prec * y, x - y)
 
     def divergence_from(self, x):
         """``ReferenceFunction.divergence_from``: h(x) is evaluated here,
         once; each divergence then makes one value pass over the inner data
         and takes grad h(y) from ``hy`` (a gradient pass when it is None)."""
+        return self._divergence_from(x, self.inner.at)
+
+    def _divergence_from(self, x, at):
+        """``divergence_from(x)`` reading h(y) from the inner point ``at(y)``."""
         h_x = self.value(x)
 
         def divergence(y, hy=None):
             if hy is None:
                 hy = self.grad(y)
-            return h_x - self.value(y) - _dot(hy, x - y)
+            return h_x - self._h(at(y)) - _dot(hy, x - y)
 
         return divergence
 
+    def for_run(self):
+        """A fresh :class:`PreconditionedRun` on this map."""
+        return PreconditionedRun(self)
+
     def grad_conjugate(self, y, warm_start=None):
         x = np.zeros_like(y) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-        return self._newton(y, x)[0]
+        return self._newton(y, self.inner.at(x))[0]
 
     def advance(self, x, hx, g, eta):
         """``ReferenceFunction.advance``: the solve starts from ``x`` with
         ``hx`` and returns its last accepted trial point's gradient."""
-        return self._newton(hx - eta * g, x, hx)
+        return self._newton(hx - eta * g, self.inner.at(x), hx)[:2]
 
-    def _newton(self, y, x, gx=None):
-        """Solve grad h(x) = y by damped Newton from ``x``, whose gradient
-        ``gx`` is computed here unless given; returns the solution and its
-        gradient. A stack ``y`` raises ValueError."""
+    def _newton(self, y, here, gx=None, chord=None):
+        """Solve grad h(x) = y by damped Newton from the inner point ``here``
+        at x, whose gradient ``gx`` is computed here unless given. Each step
+        builds its matrix at its start, except that the first goes along the
+        Newton matrix ``chord`` when one is given; if that step finds no
+        decrease, or the solve ends above inner_tol, it is solved again from
+        x without ``chord``. Returns the solution, its gradient, its inner
+        point and the last Newton matrix used. A stack ``y`` raises
+        ValueError."""
         if np.ndim(y) != 1:
             raise ValueError("preconditioner: the conjugate map takes one 1-D point, not a stack")
-        here = self.inner.at(x)
         if gx is None:
-            gx = here.grad + self.c_prec * x
+            gx = here.grad + self.c_prec * here.x
+        start, start_gx = here, gx
         r = gx - y
         res = np.linalg.norm(r)
         if not np.isfinite(res):
             raise InnerSolveFailure("preconditioner: non-finite inner gradient")
+        H = chord
         for k in range(self.inner_passes):
             if k and res <= self.inner_tol:  # a step below inner_tol must still move
                 break
-            H = here.hessian()
-            H.flat[:: len(x) + 1] += self.c_prec
-            try:
-                p = np.linalg.solve(H, r)
-            except np.linalg.LinAlgError:
-                raise InnerSolveFailure("preconditioner: singular inner Hessian") from None
-            for t in _BACKTRACK:  # a NaN residual never passes
-                x_new = x - t * p
-                trial = self.inner.at(x_new)
-                g_new = trial.grad + self.c_prec * x_new
-                r_new = g_new - y
-                res_new = np.linalg.norm(r_new)
-                if res_new <= (1.0 - 1e-4 * t) * res:
-                    break
-            else:
+            if k or H is None:
+                H = self._newton_matrix(here)
+            step = self._line_search(y, here, r, res, H)
+            if step is None:
                 break  # no decrease along the Newton direction: stop at x
-            x, here, gx, r, res = x_new, trial, g_new, r_new, res_new
+            here, gx, r, res = step
+        if chord is not None and (here is start or res > self.inner_tol):
+            return self._newton(y, start, start_gx)  # the carried matrix did not serve
         if res > self.inner_tol:
             raise InnerSolveFailure(
                 f"preconditioner: residual {res:.3g} above inner_tol {self.inner_tol:.3g} "
                 f"within {self.inner_passes} Newton steps")
-        return x, gx
+        return here.x, gx, here, H
+
+    def _newton_matrix(self, here):
+        """inner.hessian + c_prec I at the inner point ``here``."""
+        H = here.hessian()
+        H.flat[:: len(here.x) + 1] += self.c_prec
+        return H
+
+    def _line_search(self, y, here, r, res, H):
+        """The damped step from ``here`` along p = H^-1 r: (inner point,
+        gradient, residual, residual norm) of the first trial x - t p that
+        decreases the residual enough, or None when none does."""
+        try:
+            p = np.linalg.solve(H, r)
+        except np.linalg.LinAlgError:
+            raise InnerSolveFailure("preconditioner: singular inner Hessian") from None
+        x = here.x
+        for t in _BACKTRACK:  # a NaN residual never passes
+            x_new = x - t * p
+            trial = self.inner.at(x_new)
+            g_new = trial.grad + self.c_prec * x_new
+            r_new = g_new - y
+            res_new = np.linalg.norm(r_new)
+            if res_new <= (1.0 - 1e-4 * t) * res:
+                return trial, g_new, r_new, res_new
+        return None
 
     def dual_divergence(self, a, b):
         raise ValueError("preconditioner: a dual divergence needs a closed-form conjugate")
+
+
+class PreconditionedRun:
+    """One run's state on a shared :class:`Preconditioner`, from
+    ``Preconditioner.for_run``: the Newton matrix its last solve used and
+    the inner point of the iterate it is at. ``advance`` and
+    ``divergence_from`` are the map's, except that each solve's first step
+    is a chord step along the carried matrix and that both read the carried
+    iterate's inner point instead of making a pass. An iterate is matched
+    to its point by identity, so iterates are read-only."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.matrix = None
+        self.point = None
+
+    def at(self, x):
+        """The inner point at ``x``: the carried one when it is at x."""
+        if self.point is None or self.point.x is not x:
+            self.point = self.ref.inner.at(x)
+        return self.point
+
+    def advance(self, x, hx, g, eta):
+        x_new, hx_new, self.point, self.matrix = self.ref._newton(
+            hx - eta * g, self.at(x), hx, self.matrix)
+        return x_new, hx_new
+
+    def divergence_from(self, x):
+        return self.ref._divergence_from(x, self.at)
 
 
 _KINDS = {

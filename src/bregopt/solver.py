@@ -143,7 +143,8 @@ class SvrgState:
     @classmethod
     def init(cls, x0, obj):
         x0 = np.asarray(x0, dtype=float).copy()
-        return cls(x=x0, anchor=x0.copy(), anchor_grad=obj.full_grad(x0))
+        anchor = x0.copy()
+        return cls(x=x0, anchor=anchor, anchor_grad=obj.full_grad(anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +371,19 @@ def run(config, problem):
     step at eta, handing a StepOutOfDomain or InnerSolveFailure to the
     halving safeguard :func:`halved_advance`, which retries from the same
     estimate and grad h(x). The four Bregman methods check x0 through
-    grad h(x0) and carry grad h to each new iterate
-    (``ReferenceFunction.advance``), so the trajectory equals bit for bit
-    the chain of checked steps ``grad_conjugate(grad(x) - eta g,
-    warm_start=x)``, deterministic given the seed. MU takes the objective's
+    grad h(x0) and carry grad h to each new iterate through the run's own
+    ``ref.for_run()`` (``advance``), so for a closed-form map the trajectory
+    equals bit for bit the chain of checked steps ``grad_conjugate(grad(x)
+    - eta g, warm_start=x)``, and for a Preconditioner that of one fresh
+    ``for_run()`` state, whose solves carry their Newton matrix;
+    deterministic given the seed. MU takes the objective's
     ``mu_step`` (InvalidData without one) from an x0 that passes
     ``check_mu_domain``, checked before any product A x. Records and the
     BGD and MU steps read the iterate's point ``obj.at(x)``, so a record and
     the step after it share one data pass; the stochastic steps build none.
-    D_h(x_star, x) comes from ``ref.divergence_from(x_star)`` with the
-    carried grad h(x). Columns without f_star or x_star are NaN and never
-    computed; a non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
+    D_h(x_star, x) comes from the run state's ``divergence_from(x_star)``
+    with the carried grad h(x). Columns without f_star or x_star are NaN
+    and never computed; a non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
     DomainViolation naming the column. A StepFailure or DomainViolation
     before or in the first record is bad input and is raised as it is; one
     after it raises a :class:`RunFailure` carrying the partial trace, its
@@ -425,12 +428,15 @@ def run(config, problem):
     elif method == "bsvrg":
         state = SvrgState.init(x, obj)
         grad_evals, comms = n, full_round
+    if method in ("bsaga", "bsvrg"):
+        x = state.x  # the iterate the steps move, so the first record's points serve them
 
+    mirror = ref.for_run()  # this run's mirror steps; the shared ref stays untouched
     trace = Trace(metadata={"method": method, "seed": config.seed})
     t, halvings_total = 0, 0
     min_df = np.inf
     if x_star is not None:
-        f_x_star, dh_star = obj.value(x_star), ref.divergence_from(x_star)
+        f_x_star, dh_star = obj.value(x_star), mirror.divergence_from(x_star)
     start = time.perf_counter()
 
     def finite(column, value):
@@ -468,7 +474,7 @@ def run(config, problem):
             comms=comms, f_gap=f_gap, dh_gap=dh_gap, min_df_gap=min_df_gap, eta=eta_now,
             gain=gain_now, halvings=halvings_total, wall_s=time.perf_counter() - start))
 
-    advance = ref.advance
+    advance = mirror.advance
 
     def step(x, g):
         """The mirror step from the current iterate ``x``, whose grad h is

@@ -334,14 +334,17 @@ class Battery:
 
         saga_comms = _first_hit(saga, "comms", 1e-5)
         bgd_comms = _first_hit(bgd, "comms", 1e-5)
-        early = _first_hit(sgd, "comms", 1e-2) / _first_hit(saga, "comms", 1e-2)
+        sgd_early, saga_early = _first_hit(sgd, "comms", 1e-2), _first_hit(saga, "comms", 1e-2)
         tail = sgd.column("f_gap")[-max(len(sgd) // 4, 3):]
         sgd_level = float(np.median(tail))
         return [
-            CheckResult("c7/comms_advantage", 1, saga_comms - bgd_comms + 1.0, 0.0),
-            CheckResult("c7/bsgd_early_match", 1, early, 2.0),
-            CheckResult("c7/bsgd_plateau_above", 1,
-                        saga.final.f_gap - sgd_level, 0.0),
+            CheckResult("c7/comms_advantage", 1, saga_comms - bgd_comms + 1.0, 0.0,
+                        note=f"comms to f_gap<=1e-5: bsaga={saga_comms:g} bgd={bgd_comms:g}"),
+            CheckResult("c7/bsgd_early_match", 1, sgd_early / saga_early, 2.0,
+                        note=f"comms to f_gap<=1e-2: bsgd={sgd_early:g} bsaga={saga_early:g}"),
+            CheckResult("c7/bsgd_plateau_above", 1, saga.final.f_gap - sgd_level, 0.0,
+                        note=f"bsaga final f_gap={saga.final.f_gap:.4g} "
+                             f"bsgd tail level={sgd_level:.4g}"),
         ]
 
     def criterion_8(self):

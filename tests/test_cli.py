@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +426,21 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == "error: f_gap is inf, not finite\n"
         assert not trace_path.exists()
+
+    def test_non_finite_first_record_prints_only_its_error(self, tmp_path):
+        # in a fresh interpreter, where numpy's overflow warning in f(x0)
+        # would reach stderr, stderr holds the typed error and nothing else
+        problem = gen_interpolation(20, 4, 1)
+        problem.reference = Euclidean()
+        problem.x0 = np.array([0.0, 0.0, 0.0, 1e-310])
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        script = "import sys\nfrom bregopt.cli import main\nsys.exit(main(sys.argv[1:]))"
+        out = subprocess.run([sys.executable, "-c", script, "run", "--instance", inst,
+                              "--method", "bsgd", "-o", str(tmp_path / "t.csv")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (2, "error: f_gap is inf, not finite\n")
 
     def test_determinism_modulo_wall_clock(self, tmp_path):
         inst = self.gen_instance(tmp_path)

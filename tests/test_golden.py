@@ -110,11 +110,11 @@ GOLDEN = {
     "interpolation-gain": {
         "bsaga": "768bc21d235ccc4527989124dc6fa8528aac3a0317ab5d8cbba7b92d9a1886b6"
     },
-    "preconditioned": {
-        "bgd": "bd711ac57fcb54a673f00a9a998016970def5db9637a56ad2d51444389a37121",
-        "bsaga": "2412483d244a375b4ccdfb4d095ef9323da07b257bab517cd4a90214ae67babf",
-        "bsgd": "89940a6c7de2f3e95126a23d15775b63cd2515964e369add60e07d98a321f213",
-        "bsvrg": "8b5ee08e3210e6311240539129148f71f050d74eed1ac31a772f92f8cf06fed9"
+    "preconditioned": {  # re-recorded when each solve began along the run's carried Newton matrix
+        "bgd": "b8ce732e73ab9d605de81db11a6e762d178d92c57eea99b07b83aba709e4283a",
+        "bsaga": "1fcc6041657bba4e2efbc57cf4c721d1df960b93937d7fd985ba162c044f97e1",
+        "bsgd": "fcad72c7051f8fc6ef31d23304053438c637049061f92dc7a006aecb44050b0c",
+        "bsvrg": "770e1b4290c803f4642f4897ad6036a287df6ed4d0c8447f8db0e1f3be1ed73b"
     },
     "tomography": {
         "bgd": "021b01f95e8b9b456771f7fa479f38ceab1fc3d61b66a26325a5342357619677",

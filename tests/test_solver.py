@@ -1,10 +1,12 @@
 """Tests for solver steps, step-size policies, and the run harness."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +21,7 @@ from bregopt import (
     LogisticL2,
     NegEntropy,
     PoissonKL,
+    Preconditioner,
     ProblemInstance,
     RunFailure,
     SagaState,
@@ -43,6 +46,7 @@ from bregopt import (
     svrg_gradient,
 )
 from bregopt.metrics import TRACE_COLUMNS
+from bregopt.mirror import PreconditionedRun
 from bregopt.rng import make_rng
 from bregopt.solver import saga_successor_potentials, svrg_successor_potentials
 from oracles import mirror_step
@@ -588,9 +592,20 @@ def _replay(problem, config):
     for the gain rule's anchor distances, which come from SagaState. Draws
     come from ``make_rng(seed)`` in run()'s order: the index before the
     step, the SVRG refresh coin after it. A step leaving the domain is
-    retried with half the step size.
+    retried with half the step size. Steps take the checked route
+    ``mirror_step``; a preconditioned step, whose solve starts along the
+    Newton matrix of the one before, goes through one fresh ``for_run()``
+    state from a checked grad h(x).
     """
     obj, ref, comm = problem.objective, problem.reference, problem.comm_model
+    if isinstance(ref, Preconditioner):
+        solves = ref.for_run()
+
+        def mirror(x, g, eta):
+            return solves.advance(x, ref.grad(x), g, eta)[0]
+    else:
+        def mirror(x, g, eta):
+            return mirror_step(ref, x, g, eta)
     n = obj.n_components
     method, gains = config.method, config.gain_constants
     full_round = comm.full_round if comm is not None else 0.0
@@ -639,25 +654,25 @@ def _replay(problem, config):
             x = obj.mu_step(x)
         elif method == "bgd":
             g = obj.full_grad(x)
-            x = safeguarded(lambda e: mirror_step(ref, x, g, e))
+            x = safeguarded(lambda e: mirror(x, g, e))
         elif method == "bsgd":
             g = obj.partial_grad(i, x)
-            x = safeguarded(lambda e: mirror_step(ref, x, g, e))
+            x = safeguarded(lambda e: mirror(x, g, e))
         elif method == "bsaga" and gains is not None:
             gain = gain_bound(saga, gains, n)
             eta = config.step_multiplier / (8.0 * gains["L_rel"] * gain)
             bsaga_step(saga, obj, i,
-                       lambda x, g: safeguarded(lambda e: mirror_step(ref, x, g, e)))
+                       lambda x, g: safeguarded(lambda e: mirror(x, g, e)))
             x = saga.x
         elif method == "bsaga":
             g_new = obj.partial_grad(i, x)
             g = g_new - table[i] + mean
-            x = safeguarded(lambda e: mirror_step(ref, x, g, e))
+            x = safeguarded(lambda e: mirror(x, g, e))
             mean = mean + (g_new - table[i]) / n
             table[i] = g_new
         elif method == "bsvrg":
             g = obj.partial_grad(i, x) - obj.partial_grad(i, anchor) + anchor_grad
-            x_prev, x = x, safeguarded(lambda e: mirror_step(ref, x, g, e))
+            x_prev, x = x, safeguarded(lambda e: mirror(x, g, e))
         grad_evals += 1 if stochastic else n
         comms += component if stochastic else full_round
         if method == "bsvrg" and rng.random() < config.p:
@@ -792,8 +807,7 @@ class TestRecordColumns:
 
 def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     # run() takes one inner gradient at x0 and then one per Newton trial
-    # point; the checked route (grad, then grad_conjugate) takes two more
-    # per step: grad h(x), and the first residual at the warm start. The
+    # point; the replay takes one more per step, its checked grad h(x). The
     # inner objective's gradient formula _grad counts every inner gradient.
     data = gen_gaussian_logistic_data(120, 5, seed=3)
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
@@ -813,7 +827,7 @@ def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     replayed = list(_replay(problem, config))
     steps = trace.final.iter
     assert steps == 8 and np.array_equal(trace.x, replayed[-1][4])
-    assert run_calls == 1 + len(calls) - 2 * steps
+    assert run_calls == 1 + len(calls) - steps
 
     x = problem.x0 + 0.1
     hx = ref.grad(x)
@@ -828,6 +842,21 @@ def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     assert np.array_equal(x_new, x) and np.array_equal(hx_new, hx)
     assert len(calls) == 1
     assert len(passes) == 2  # the first Hessian, then the trial point
+
+    # a run's state builds its first matrix at x as advance does; the next
+    # solve, from the same point, steps along that matrix: exactly the cold
+    # solve, less the pass for its first Hessian
+    solves = ref.for_run()
+    passes.clear()
+    x_new, hx_new = solves.advance(x, hx, np.zeros_like(x), 1.0)
+    assert np.array_equal(x_new, x) and len(passes) == 2
+    g = make_rng(6).normal(size=x.size)
+    cold = ref.advance(x_new, hx_new, g, 0.1)
+    passes.clear()
+    calls.clear()
+    carried = solves.advance(x_new, hx_new, g, 0.1)
+    assert all(map(np.array_equal, carried, cold))
+    assert len(passes) == len(calls) >= 1  # one pass per trial point, nothing at x
 
 
 @pytest.mark.parametrize("method, keep_x_star", [
@@ -878,37 +907,39 @@ def test_preconditioned_records_make_no_inner_gradient_pass(monkeypatch):
 
 
 def test_preconditioned_run_makes_one_inner_pass_per_point(monkeypatch):
-    # within a solve each point the Newton loop visits (its start, then each
-    # trial) costs one margin pass: an accepted trial's pass also gives the
-    # next Newton Hessian. Outside the solves: h(x_star), grad h(x0) and one
-    # value per record.
+    # a solve starts from the run's carried point at x, along the carried
+    # Newton matrix, so each pass within a solve is a trial point, whose
+    # gradient it takes (an accepted trial's pass also gives the next Newton
+    # matrix); a record reads the carried point. Outside the solves:
+    # h(x_star), grad h(x0) and the first record's h(x0).
     data = gen_gaussian_logistic_data(120, 5, seed=3)
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
                                  lam=1e-3, c_prec=1e-3, seed=3)
     solve_reference(problem)
-    ref, inner = problem.reference, problem.reference.inner
+    inner = problem.reference.inner
     solve = {"index": None, "count": 0}  # the advance call in progress, if any
     passes, grads = [], []  # (solve index or None, x), and the solve index of each gradient
-    margins, grad, advance = inner._margins, inner._grad, ref.advance
+    margins, grad, advance = inner._margins, inner._grad, PreconditionedRun.advance
     monkeypatch.setattr(inner, "_margins",
                         lambda A, y, x: passes.append((solve["index"], x)) or margins(A, y, x))
     monkeypatch.setattr(inner, "_grad", lambda p: grads.append(solve["index"]) or grad(p))
 
-    def counted_advance(*args):
+    def counted_advance(self, *args):
         solve["index"], solve["count"] = solve["count"], solve["count"] + 1
         try:
-            return advance(*args)
+            return advance(self, *args)
         finally:
             solve["index"] = None
 
-    monkeypatch.setattr(ref, "advance", counted_advance)
+    monkeypatch.setattr(PreconditionedRun, "advance", counted_advance)
     config = SolverConfig(method="bsaga", eta=0.5, epochs=2.0, seed=4, record_every=1)
     trace = run(config, problem)
     assert solve["count"] == trace.final.iter + trace.final.halvings > 1
     for k in range(solve["count"]):
         points = [x for s, x in passes if s == k]
-        assert len({id(x) for x in points}) == len(points) == 1 + grads.count(k)
-    assert sum(s is None for s, _ in passes) == 2 + len(trace)
+        assert len({id(x) for x in points}) == len(points) == grads.count(k) >= 1
+    assert sum(s is None for s, _ in passes) == 3
+    assert len({x.tobytes() for _, x in passes}) == len(passes) - 1  # x0 twice
 
 
 @pytest.mark.parametrize("budget", [0, 4])
@@ -945,7 +976,122 @@ def test_safeguard_halves_on_a_stopped_inner_solve(monkeypatch):
                                  c_prec=1e-5, seed=42)
     config = SolverConfig(method="bsaga", epochs=5.0, seed=3)
     trace = run(config, problem)
-    assert trace.final.iter == 25 and trace.final.halvings == 9
+    assert trace.final.iter == 25 and trace.final.halvings == 8
     monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
     with pytest.raises(RunFailure, match="after 0 halvings: .*above inner_tol"):
         run(config, problem)
+
+
+def _wall_free(trace):
+    return [line.rsplit(",", 1)[0] for line in trace.to_csv_string().splitlines()]
+
+
+class _Turns:
+    """Runs two threads one at a time; ``hand_over`` passes the turn to the
+    other thread, unless it has finished, and waits for it to come back."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.turn, self.done, self.order = 0, [False, False], []
+        self.local = threading.local()
+
+    def run(self, k, fn):
+        self.local.k = k
+        with self.cond:
+            self.cond.wait_for(lambda: self.turn == k)
+        try:
+            return fn()
+        finally:
+            with self.cond:
+                self.done[k], self.turn = True, 1 - k
+                self.cond.notify_all()
+
+    def hand_over(self):
+        k = self.local.k
+        self.order.append(k)
+        with self.cond:
+            if not self.done[1 - k]:
+                self.turn = 1 - k
+                self.cond.notify_all()
+                self.cond.wait_for(lambda: self.turn == k)
+
+
+def test_interleaved_runs_on_one_preconditioner_match_each_run_alone(monkeypatch):
+    # two runs share one Preconditioner and take turns at every inner point
+    # either builds; each run's solves carry their own Newton matrix and
+    # point, so each trace is the one the run gives alone
+    data = gen_gaussian_logistic_data(120, 5, seed=3)
+    problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                 lam=1e-3, c_prec=1e-3, seed=3)
+    solve_reference(problem)
+    configs = [SolverConfig(method="bsaga", eta=0.5, epochs=2.0, seed=4, record_every=1),
+               SolverConfig(method="bsgd", eta=0.3, epochs=2.0, seed=5, record_every=1)]
+    alone = [_wall_free(run(config, problem)) for config in configs]
+    inner, turns = problem.reference.inner, _Turns()
+    at = inner.at
+    monkeypatch.setattr(inner, "at", lambda x: turns.hand_over() or at(x))
+    results = [None, None]
+
+    def worker(k):
+        try:
+            results[k] = _wall_free(turns.run(k, lambda: run(configs[k], problem)))
+        except Exception as exc:  # reported below
+            results[k] = exc
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == alone
+    assert turns.order[:6] == [0, 1, 0, 1, 0, 1] and min(map(turns.order.count, (0, 1))) > 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), warm=st.booleans(),
+       passes=st.integers(1, 4), etas=st.lists(st.floats(0.01, 30.0), min_size=1, max_size=5))
+@example(seed=0, sparse=False, warm=True, passes=1, etas=[30.0, 30.0])  # halves
+def test_carried_solves_meet_inner_tol(seed, sparse, warm, passes, etas):
+    # every solve of a run state, cold (its first) or along a carried
+    # matrix (warm starts from one carried from elsewhere), and each halved
+    # retry after a solve stops short, meets inner_tol at the step it returns
+    rng = make_rng(seed)
+    A = rng.normal(size=(40, 5)) * (rng.random(size=(40, 5)) < 0.7)
+    labels = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    inner = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=1e-3)
+    ref = Preconditioner(inner, c_prec=1e-3, inner_tol=1e-8, inner_passes=passes)
+    solves = ref.for_run()
+    if warm:
+        far = 2.0 * rng.normal(size=5)
+        solver.halved_advance(solves.advance, far, ref.grad(far), rng.normal(size=5), 1.0)
+    x = rng.normal(size=5)
+    hx = ref.grad(x)
+    for eta in etas:
+        g = rng.normal(size=5)
+        x_new, hx_new, k = solver.halved_advance(solves.advance, x, hx, g, eta)
+        y = hx - (eta * 0.5**k) * g
+        assert np.linalg.norm(ref.grad(x_new) - y) <= ref.inner_tol
+        assert np.array_equal(hx_new, ref.grad(x_new))
+        x, hx = x_new, hx_new
+
+
+def test_carried_solves_build_a_third_of_a_matrix_per_step(monkeypatch):
+    # late in a run a step's chord step along the carried matrix meets
+    # inner_tol by itself; each later Newton step builds its matrix from
+    # its trial's pass, and every point costs one inner pass (x0 two: grad
+    # h(x0), then the first record). A cold solve per step built 403.
+    data = gen_gaussian_logistic_data(1000, 10, seed=0)
+    problem = gen_preconditioned(data, n_nodes=10, N=100, n_prec=100, lam=1e-5,
+                                 c_prec=1e-5, seed=0)
+    solve_reference(problem)
+    inner = problem.reference.inner
+    builds, passes = [], []
+    hessian, margins = inner._hessian, inner._margins
+    monkeypatch.setattr(inner, "_hessian", lambda p: builds.append(1) or hessian(p))
+    monkeypatch.setattr(inner, "_margins",
+                        lambda A, y, x: passes.append(x.tobytes()) or margins(A, y, x))
+    trace = run(SolverConfig(method="bsaga", eta=0.05, epochs=30.0, seed=4, record_every=1),
+                problem)
+    assert (trace.final.iter, trace.final.halvings, len(builds)) == (300, 0, 111)
+    assert len(set(passes)) == len(passes) - 1
