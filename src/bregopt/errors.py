@@ -31,7 +31,7 @@ class StepFailure(BregoptError):
 
 
 class InnerSolveFailure(StepFailure):
-    """The preconditioner's conjugate solve ended above ``inner_tol`` (its
+    """The preconditioner's conjugate solve ended above ``INNER_TOL`` (its
     Newton cap reached or its residual no longer decreasing), or met a
     non-finite gradient or a singular Hessian. A StepFailure, so that
     ``run()`` keeps the partial trace."""

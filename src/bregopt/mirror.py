@@ -14,7 +14,8 @@ Four reference functions are provided:
 * :class:`LogBarrier`     h(x) = -sum log x_i on the positive orthant
 * :class:`NegEntropy`     h(x) = sum x_i log x_i on the positive orthant
 * :class:`Preconditioner` h(x) = f0(x) + c/2 ||x||^2 for an inner objective f0
-  (statistical preconditioning; the conjugate map is solved by damped Newton)
+  (statistical preconditioning; the conjugate map is solved by damped Newton
+  to the residual INNER_TOL within INNER_PASSES Newton steps)
 
 The closed-form maps (Euclidean, LogBarrier, NegEntropy) also take a stack
 of points: every array argument may carry leading batch axes, maps act
@@ -34,6 +35,10 @@ _LOG_TINY = float(np.log(_TINY))
 _LOG_MAX = float(np.log(np.finfo(float).max))
 # step lengths tried along a Newton direction of the preconditioner's solve
 _BACKTRACK = [0.5**k for k in range(31)]
+# the preconditioner's inner solve: the residual norm it must reach, and the
+# most Newton steps it may take
+INNER_TOL = 1e-6
+INNER_PASSES = 10
 # DomainViolation and StepOutOfDomain messages, formatted with the kind and
 # the index
 _OUTSIDE_DUAL = "{}: dual point outside conjugate domain at component {}"
@@ -79,7 +84,9 @@ class ReferenceFunction:
     Checked entry points raise DomainViolation from a mask through
     ``_require``: ``grad`` checks its point once, ``grad_conjugate`` its
     dual point, ``dual_divergence`` each argument. Divergences are derived
-    from those unless a closed form is cheaper or more accurate.
+    from those unless a closed form is cheaper or more accurate. A run talks
+    to a map only through :meth:`for_run`: its ``grad``, ``advance`` and
+    ``divergence``.
     """
 
     kind = None
@@ -91,18 +98,18 @@ class ReferenceFunction:
 
     # -- primal and conjugate maps --------------------------------------------
 
-    def grad_conjugate(self, y, warm_start=None):
+    def grad_conjugate(self, y):
         """grad h*(y); raises DomainViolation at the first False entry of
         ``dual_ok(y)``."""
         _require(self.dual_ok(y), _OUTSIDE_DUAL, self.kind)
         return self._grad_conjugate(y)
 
     def for_run(self):
-        """The mirror steps and divergences of one run: an object with this
-        map's ``advance`` and ``divergence_from``. A closed-form map keeps
-        nothing between steps and returns itself; the
-        :class:`Preconditioner` returns a fresh per-run solve state, so the
-        map itself is never written to."""
+        """What one run talks to this map through: an object with the
+        map's checked ``grad`` (for x0), ``advance`` and ``divergence``. A
+        closed-form map keeps nothing between steps and returns itself; the
+        :class:`Preconditioner` returns a fresh :class:`PreconditionedRun`,
+        so the map itself is never written to."""
         return self
 
     def advance(self, x, hx, g, eta):
@@ -110,12 +117,12 @@ class ReferenceFunction:
         returns (x+, grad h(x+)) with x+ = grad h*(hx - eta g).
 
         Neither ``x`` nor ``hx`` is checked: a caller carries ``hx`` from
-        a checked ``grad`` or from the previous ``advance`` (``x`` serves as
-        the warm start of an iterative conjugate map). The dual point is
+        a checked ``grad`` or from the previous ``advance`` (``x`` is where
+        an iterative conjugate map starts its solve). The dual point is
         checked once and raises StepOutOfDomain at its first entry outside
         ``dual_ok``; x+ equals the checked route ``grad_conjugate(grad(x)
-        - eta g, warm_start=x)`` bit for bit, and the index of a violation
-        is the one that route's DomainViolation carries. grad h(x+) comes
+        - eta g)`` bit for bit, and the index of a violation is the one
+        that route's DomainViolation carries. grad h(x+) comes
         from the unchecked primal map, since a dual point that passes
         ``dual_ok`` maps to an interior x+. A closed-form map also takes a
         stack of estimates ``g`` (``x`` and ``hx`` broadcast): one step per
@@ -134,13 +141,6 @@ class ReferenceFunction:
         self.check_domain(x)
         self.check_domain(y)
         return self.value(x) - self.value(y) - _dot(self.grad(y), x - y)
-
-    def divergence_from(self, x):
-        """D_h(x, .) for a fixed ``x``: a function of (y, hy) equal to
-        ``divergence(x, y)`` bit for bit, where ``hy`` is grad h(y) if the
-        caller carries it, else None. A closed-form map keeps its own
-        divergence and has no use for ``hy``."""
-        return lambda y, hy=None: self.divergence(x, y)
 
     def dual_divergence(self, a, b):
         """D_{h*}(a, b) for a, b in the conjugate domain, from h* directly;
@@ -266,30 +266,23 @@ class NegEntropy(_PositiveOrthant):
 class Preconditioner(ReferenceFunction):
     """h(x) = f0(x) + (c_prec/2) ||x||^2 built from an inner objective f0.
 
-    The conjugate map has no closed form; ``grad_conjugate`` solves
-    grad h(x) = y by damped Newton from the caller's warm start, with the
-    Newton matrix ``inner.hessian(x) + c_prec I``. A step x - t p is accepted
-    once ||grad h(x - t p) - y|| <= (1 - 1e-4 t) ||r||, t halving from 1,
-    and its gradient is the next residual r. Each point a solve visits, its
-    start and each trial, costs one pass over the N preconditioning rows (an
-    inner :class:`~bregopt.objective.Point`), which gives its gradient and
-    its O(N d^2 + d^3) matrix build and solve in d^2 memory. Every solve
-    takes at least one Newton step and at most ``inner_passes``; one left
-    above ``inner_tol`` raises :class:`InnerSolveFailure` (a StepFailure)
-    with its residual. ``advance`` takes the start's gradient from its
-    caller and returns the accepted trial point's.
+    The conjugate map has no closed form: grad h(x) = y is solved by damped
+    Newton, with the Newton matrix ``inner.hessian(x) + c_prec I``. A step
+    x - t p is accepted once ||grad h(x - t p) - y|| <= (1 - 1e-4 t) ||r||,
+    t halving from 1, and its gradient is the next residual r. Each point a
+    solve visits, its start and each trial, costs one pass over the N
+    preconditioning rows (an inner :class:`~bregopt.objective.Point`), which
+    gives its gradient and its O(N d^2 + d^3) matrix build and solve in d^2
+    memory. Every solve takes at least one Newton step and at most
+    :data:`INNER_PASSES`; one left above :data:`INNER_TOL` raises
+    :class:`InnerSolveFailure` (a StepFailure) with its residual.
+    ``grad_conjugate(y)`` solves from 0.
 
-    A run steps through :meth:`for_run`, a state of its own that carries the
-    Newton matrix its last solve used and the inner point of its iterate.
-    Each solve's first step is a chord (simplified-Newton) step along the
-    carried matrix, and each later step builds the matrix at its accepted
-    trial. A solve whose chord direction fails its line search, or that
-    ends above ``inner_tol``, is solved once more from its start with the
-    matrix built there, as ``advance`` solves it: the stale matrix costs
-    work but never fails a step. The record's h(x) and the next solve read
-    the carried point, so a run makes one inner pass per point it visits.
-    The map holds no run state and is not written after construction, so
-    runs may share it.
+    Steps are taken by the :class:`PreconditionedRun` that :meth:`for_run`
+    returns, a state of each run's own; ``advance`` is the first step of a
+    fresh one, a solve from x with the matrix built there, and
+    ``divergence`` its divergence. The map holds no run state and is not
+    written after construction, so runs may share it.
 
     Only methods of ``inner`` are called. Points are 1-D: the conjugate map
     and ``advance`` reject a stack with ValueError. h* has no closed form,
@@ -298,17 +291,11 @@ class Preconditioner(ReferenceFunction):
 
     kind = "preconditioner"
 
-    def __init__(self, inner_objective, c_prec=0.0, inner_tol=1e-6, inner_passes=10):
+    def __init__(self, inner_objective, c_prec=0.0):
         if not (np.isfinite(c_prec) and c_prec >= 0):
             raise ValueError(f"c_prec must be finite and nonnegative, got {c_prec!r}")
-        if not inner_tol > 0:  # NaN fails
-            raise ValueError(f"inner_tol must be positive, got {inner_tol!r}")
-        if not inner_passes >= 1:
-            raise ValueError(f"inner_passes must be at least 1, got {inner_passes!r}")
         self.inner = inner_objective
         self.c_prec = float(c_prec)
-        self.inner_tol = float(inner_tol)
-        self.inner_passes = int(inner_passes)
 
     def _h(self, at_y):
         """h(y) from the inner point ``at_y`` at y."""
@@ -324,45 +311,26 @@ class Preconditioner(ReferenceFunction):
     def divergence(self, x, y):
         """D_h(x, y), with h(y) and grad h(y) from one pass over the inner
         data; the float operations of ``value`` and ``grad``."""
-        at_y = self.inner.at(y)
-        return self.value(x) - self._h(at_y) - _dot(at_y.grad + self.c_prec * y, x - y)
-
-    def divergence_from(self, x):
-        """``ReferenceFunction.divergence_from``: h(x) is evaluated here,
-        once; each divergence then makes one value pass over the inner data
-        and takes grad h(y) from ``hy`` (a gradient pass when it is None)."""
-        return self._divergence_from(x, self.inner.at)
-
-    def _divergence_from(self, x, at):
-        """``divergence_from(x)`` reading h(y) from the inner point ``at(y)``."""
-        h_x = self.value(x)
-
-        def divergence(y, hy=None):
-            if hy is None:
-                hy = self.grad(y)
-            return h_x - self._h(at(y)) - _dot(hy, x - y)
-
-        return divergence
+        return self.for_run().divergence(x, y)
 
     def for_run(self):
         """A fresh :class:`PreconditionedRun` on this map."""
         return PreconditionedRun(self)
 
-    def grad_conjugate(self, y, warm_start=None):
-        x = np.zeros_like(y) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-        return self._newton(y, self.inner.at(x))[0]
+    def grad_conjugate(self, y):
+        return self._newton(y, self.inner.at(np.zeros_like(y)))[0]
 
     def advance(self, x, hx, g, eta):
-        """``ReferenceFunction.advance``: the solve starts from ``x`` with
-        ``hx`` and returns its last accepted trial point's gradient."""
-        return self._newton(hx - eta * g, self.inner.at(x), hx)[:2]
+        """``ReferenceFunction.advance``: the first step of a fresh
+        :class:`PreconditionedRun`."""
+        return self.for_run().advance(x, hx, g, eta)
 
     def _newton(self, y, here, gx=None, chord=None):
         """Solve grad h(x) = y by damped Newton from the inner point ``here``
         at x, whose gradient ``gx`` is computed here unless given. Each step
         builds its matrix at its start, except that the first goes along the
         Newton matrix ``chord`` when one is given; if that step finds no
-        decrease, or the solve ends above inner_tol, it is solved again from
+        decrease, or the solve ends above INNER_TOL, it is solved again from
         x without ``chord``. Returns the solution, its gradient, its inner
         point and the last Newton matrix used. A stack ``y`` raises
         ValueError."""
@@ -376,8 +344,8 @@ class Preconditioner(ReferenceFunction):
         if not np.isfinite(res):
             raise InnerSolveFailure("preconditioner: non-finite inner gradient")
         H = chord
-        for k in range(self.inner_passes):
-            if k and res <= self.inner_tol:  # a step below inner_tol must still move
+        for k in range(INNER_PASSES):
+            if k and res <= INNER_TOL:  # a step below INNER_TOL must still move
                 break
             if k or H is None:
                 H = self._newton_matrix(here)
@@ -385,12 +353,12 @@ class Preconditioner(ReferenceFunction):
             if step is None:
                 break  # no decrease along the Newton direction: stop at x
             here, gx, r, res = step
-        if chord is not None and (here is start or res > self.inner_tol):
+        if chord is not None and (here is start or res > INNER_TOL):
             return self._newton(y, start, start_gx)  # the carried matrix did not serve
-        if res > self.inner_tol:
+        if res > INNER_TOL:
             raise InnerSolveFailure(
-                f"preconditioner: residual {res:.3g} above inner_tol {self.inner_tol:.3g} "
-                f"within {self.inner_passes} Newton steps")
+                f"preconditioner: residual {res:.3g} above inner_tol {INNER_TOL:.3g} "
+                f"within {INNER_PASSES} Newton steps")
         return here.x, gx, here, H
 
     def _newton_matrix(self, here):
@@ -424,17 +392,26 @@ class Preconditioner(ReferenceFunction):
 
 class PreconditionedRun:
     """One run's state on a shared :class:`Preconditioner`, from
-    ``Preconditioner.for_run``: the Newton matrix its last solve used and
-    the inner point of the iterate it is at. ``advance`` and
-    ``divergence_from`` are the map's, except that each solve's first step
-    is a chord step along the carried matrix and that both read the carried
-    iterate's inner point instead of making a pass. An iterate is matched
-    to its point by identity, so iterates are read-only."""
+    ``Preconditioner.for_run``, and the one place a preconditioner takes a
+    step. It carries the Newton matrix its last solve used, the inner point
+    of the iterate it is at, and h at the fixed x of its divergences.
+
+    ``grad``, ``advance`` and ``divergence`` are the map's, except that they
+    read the carried point instead of making a pass, and that a solve after
+    the first begins with a chord (simplified-Newton) step along the carried
+    matrix; each later Newton step builds the matrix at its accepted trial.
+    A solve whose chord direction fails its line search, or that ends above
+    INNER_TOL, is solved once more from its start with the matrix built
+    there, as a fresh state solves it: the stale matrix costs work but never
+    fails a step. So a run makes one inner pass per point it visits. An
+    iterate is matched to its point, and the fixed x to h(x), by identity,
+    so iterates are read-only."""
 
     def __init__(self, ref):
         self.ref = ref
         self.matrix = None
         self.point = None
+        self.h_x = None  # (x, h(x)) of the divergences' fixed x
 
     def at(self, x):
         """The inner point at ``x``: the carried one when it is at x."""
@@ -442,13 +419,22 @@ class PreconditionedRun:
             self.point = self.ref.inner.at(x)
         return self.point
 
+    def grad(self, x):
+        """grad h(x), from the inner point at x, which is carried on."""
+        return self.at(x).grad + self.ref.c_prec * x
+
     def advance(self, x, hx, g, eta):
         x_new, hx_new, self.point, self.matrix = self.ref._newton(
             hx - eta * g, self.at(x), hx, self.matrix)
         return x_new, hx_new
 
-    def divergence_from(self, x):
-        return self.ref._divergence_from(x, self.at)
+    def divergence(self, x, y):
+        """D_h(x, y): h(x) is evaluated once while x stays the same array,
+        h(y) and grad h(y) come from the inner point at y."""
+        if self.h_x is None or self.h_x[0] is not x:
+            self.h_x = (x, self.ref.value(x))
+        at_y = self.at(y)
+        return self.h_x[1] - self.ref._h(at_y) - _dot(at_y.grad + self.ref.c_prec * y, x - y)
 
 
 _KINDS = {

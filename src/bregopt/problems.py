@@ -300,8 +300,7 @@ def gen_gaussian_logistic_data(n_rows, d, seed, separation=1.0):
     return A, labels
 
 
-def gen_preconditioned(dataset, n_nodes, N, n_prec, lam, c_prec, seed,
-                       inner_tol=1e-6, inner_passes=10):
+def gen_preconditioned(dataset, n_nodes, N, n_prec, lam, c_prec, seed):
     """Simulated statistically-preconditioned distributed instance.
 
     ``dataset`` is (matrix, labels). Rows are shuffled and partitioned into
@@ -328,8 +327,7 @@ def gen_preconditioned(dataset, n_nodes, N, n_prec, lam, c_prec, seed,
     obj = LogisticL2(A, labels, lam=lam, groups=groups)
     prec_rows = np.arange(n_prec)  # node 0's first n_prec rows
     inner = LogisticL2(A[prec_rows], labels[prec_rows], lam=lam)
-    ref = Preconditioner(inner, c_prec=c_prec, inner_tol=inner_tol,
-                         inner_passes=inner_passes)
+    ref = Preconditioner(inner, c_prec=c_prec)
     return ProblemInstance(
         objective=obj,
         reference=ref,
@@ -461,8 +459,7 @@ def _instance_arrays(problem):
     if ref.kind == "preconditioner":
         _put_matrix(arrays, "inner_A", ref.inner.A)
         arrays.update(inner_labels=ref.inner.labels, inner_lam=ref.inner.lam,
-                      c_prec=ref.c_prec, inner_tol=ref.inner_tol,
-                      inner_passes=ref.inner_passes)
+                      c_prec=ref.c_prec)
     comm = problem.comm_model
     optional = {"x_star": problem.x_star, "f_star": problem.f_star,
                 "comm": comm and [comm.full_round, comm.component],
@@ -594,9 +591,7 @@ def _read_instance(archive):
                            lam=archive.scalar("inner_lam"))
         if inner.dim != d:
             raise InvalidData(f"preconditioner dimension {inner.dim}, objective {d}")
-        ref = Preconditioner(inner, c_prec=archive.scalar("c_prec"),
-                             inner_tol=archive.scalar("inner_tol"),
-                             inner_passes=archive.scalar("inner_passes", "i"))
+        ref = Preconditioner(inner, c_prec=archive.scalar("c_prec"))
     else:
         ref = make_reference(ref_kind)
     comm = archive.optional("comm", (2,))
@@ -615,7 +610,8 @@ def load_instance(path):
     The digest is checked over the whole file before anything is parsed.
     A truncated or corrupt file, a version 1 file, and an archive with a
     missing key, a wrong dtype or shape, or data an objective rejects all
-    raise InvalidData.
+    raise InvalidData. A member nothing reads, such as the ``inner_tol``
+    and ``inner_passes`` that older preconditioned files carry, is ignored.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER)

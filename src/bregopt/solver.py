@@ -104,7 +104,8 @@ class SagaState:
     always equal the row mean of ``table``. Anchor points are stored only
     when requested (needed by the gain rule and the SAGA potential);
     ``sum_dist`` then tracks sum_j ||x_t - phi_j||, refreshed exactly every n
-    steps and overestimated incrementally in between.
+    steps and overestimated incrementally in between. ``init`` keeps the
+    caller's array as ``x``: a step rebinds ``x`` and never writes into it.
     """
 
     x: np.ndarray
@@ -121,7 +122,7 @@ class SagaState:
         table = np.stack([obj.partial_grad(i, x0) for i in range(n)])
         anchors = np.tile(x0, (n, 1)) if store_anchors else None
         return cls(
-            x=np.asarray(x0, dtype=float).copy(),
+            x=np.asarray(x0, dtype=float),
             table=table,
             table_mean=table.mean(axis=0),
             anchors=anchors,
@@ -134,7 +135,8 @@ class SagaState:
 
 @dataclass
 class SvrgState:
-    """Iterate, anchor point and stored anchor full gradient of Bregman-SVRG."""
+    """Iterate, anchor point and stored anchor full gradient of Bregman-SVRG;
+    ``init`` keeps the caller's array as ``x``, as :class:`SagaState` does."""
 
     x: np.ndarray
     anchor: np.ndarray
@@ -142,7 +144,7 @@ class SvrgState:
 
     @classmethod
     def init(cls, x0, obj):
-        x0 = np.asarray(x0, dtype=float).copy()
+        x0 = np.asarray(x0, dtype=float)
         anchor = x0.copy()
         return cls(x=x0, anchor=anchor, anchor_grad=obj.full_grad(anchor))
 
@@ -370,20 +372,20 @@ def run(config, problem):
     once), computes the method's gradient estimate once and takes the mirror
     step at eta, handing a StepOutOfDomain or InnerSolveFailure to the
     halving safeguard :func:`halved_advance`, which retries from the same
-    estimate and grad h(x). The four Bregman methods check x0 through
-    grad h(x0) and carry grad h to each new iterate through the run's own
-    ``ref.for_run()`` (``advance``), so for a closed-form map the trajectory
-    equals bit for bit the chain of checked steps ``grad_conjugate(grad(x)
-    - eta g, warm_start=x)``, and for a Preconditioner that of one fresh
-    ``for_run()`` state, whose solves carry their Newton matrix;
-    deterministic given the seed. MU takes the objective's
-    ``mu_step`` (InvalidData without one) from an x0 that passes
-    ``check_mu_domain``, checked before any product A x. Records and the
-    BGD and MU steps read the iterate's point ``obj.at(x)``, so a record and
-    the step after it share one data pass; the stochastic steps build none.
-    D_h(x_star, x) comes from the run state's ``divergence_from(x_star)``
-    with the carried grad h(x). Columns without f_star or x_star are NaN
-    and never computed; a non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
+    estimate and grad h(x). The run talks to the mirror map only through
+    ``mirror = ref.for_run()``: the four Bregman methods check x0 through
+    ``mirror.grad(x0)`` and carry grad h to each new iterate through
+    ``mirror.advance``, so for a closed-form map the trajectory equals bit
+    for bit the chain of checked steps ``grad_conjugate(grad(x) - eta g)``,
+    and for a Preconditioner that of one fresh ``for_run()`` state, whose
+    solves carry their Newton matrix; deterministic given the seed. MU
+    takes the objective's ``mu_step`` (InvalidData without one) from an x0
+    that passes ``check_mu_domain``, checked before any product A x.
+    Records and the BGD and MU steps read the iterate's point ``obj.at(x)``,
+    so a record and the step after it share one data pass; the stochastic
+    steps build none. D_h(x_star, x) is ``mirror.divergence(x_star, x)``.
+    Columns without f_star or x_star are NaN and never computed; a
+    non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
     DomainViolation naming the column. A StepFailure or DomainViolation
     before or in the first record is bad input and is raised as it is; one
     after it raises a :class:`RunFailure` carrying the partial trace, its
@@ -414,13 +416,14 @@ def run(config, problem):
     step_evals, step_comms = (1, component) if stochastic else (n, full_round)
 
     x = np.asarray(problem.x0, dtype=float).copy()
+    mirror = ref.for_run()  # this run's grad, steps and divergences; ref stays untouched
     # x0 is checked before the first record: MU's domain, or grad h(x0),
     # checked once; each step carries grad h to the next iterate
     if method == "mu":
         obj.check_mu_domain(x)
         hx = None
     else:
-        hx = ref.grad(x)
+        hx = mirror.grad(x)
     grad_evals, comms = 0, 0.0
     if method == "bsaga":
         state = SagaState.init(x, obj, store_anchors=gains is not None)
@@ -428,15 +431,12 @@ def run(config, problem):
     elif method == "bsvrg":
         state = SvrgState.init(x, obj)
         grad_evals, comms = n, full_round
-    if method in ("bsaga", "bsvrg"):
-        x = state.x  # the iterate the steps move, so the first record's points serve them
 
-    mirror = ref.for_run()  # this run's mirror steps; the shared ref stays untouched
     trace = Trace(metadata={"method": method, "seed": config.seed})
     t, halvings_total = 0, 0
     min_df = np.inf
     if x_star is not None:
-        f_x_star, dh_star = obj.value(x_star), mirror.divergence_from(x_star)
+        f_x_star = obj.value(x_star)
     start = time.perf_counter()
 
     def finite(column, value):
@@ -464,7 +464,7 @@ def run(config, problem):
             f_gap = finite("f_gap", float(p.value - f_star))
         if x_star is not None:
             g_x = p.grad  # read beside f(x), before D_h, while the data pass is in cache
-            dh_gap = finite("dh_gap", float(dh_star(x, hx)))
+            dh_gap = finite("dh_gap", float(mirror.divergence(x_star, x)))
             # FiniteSumObjective.f_divergence(x_star, x), term for term
             d_f = finite("min_df_gap", float(f_x_star - p.value - g_x @ (x_star - x)))
             min_df = min(min_df, d_f)

@@ -18,6 +18,7 @@ from bregopt import (
     gen_interpolation,
     gen_preconditioned,
     load_instance,
+    mirror,
     save_instance,
 )
 from bregopt.cli import _build_problem, main
@@ -360,10 +361,12 @@ class TestRun:
         lines = open(trace_path).read().splitlines()
         assert len(lines) >= 2
 
-    def test_exhausted_inner_solve_keeps_partial_trace(self, tmp_path, capsys):
+    def test_exhausted_inner_solve_keeps_partial_trace(self, tmp_path, capsys, monkeypatch):
         data = gen_gaussian_logistic_data(200, 5, seed=0)
         problem = gen_preconditioned(data, n_nodes=4, N=50, n_prec=50, lam=1e-3,
-                                     c_prec=1e-3, seed=0, inner_tol=1e-300, inner_passes=1)
+                                     c_prec=1e-3, seed=0)
+        monkeypatch.setattr(mirror, "INNER_TOL", 1e-300)
+        monkeypatch.setattr(mirror, "INNER_PASSES", 1)
         inst = str(tmp_path / "prec.bin")
         save_instance(inst, problem)
         trace_path = str(tmp_path / "partial.csv")

@@ -14,7 +14,9 @@ import pytest
 from bregopt import (
     LogBarrier,
     PoissonKL,
+    Preconditioner,
     ProblemInstance,
+    ReferenceFunction,
     SolverConfig,
     gen_gaussian_logistic_data,
     gen_interpolation,
@@ -129,6 +131,28 @@ GOLDEN = {
 @pytest.mark.parametrize("name", CASES)
 def test_trace_digests_unchanged(name):
     assert digests(name) == GOLDEN[name]
+
+
+class StrictRun:
+    """A run state that offers run() only the three methods of the run
+    protocol: grad (for x0), advance and divergence."""
+
+    __slots__ = ("grad", "advance", "divergence")
+
+    def __init__(self, mirror):
+        self.grad, self.advance, self.divergence = mirror.grad, mirror.advance, mirror.divergence
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_runs_need_only_the_run_protocol(monkeypatch, name):
+    made = []
+    for cls in (ReferenceFunction, Preconditioner):
+        def strict(self, _for_run=cls.for_run):
+            made.append(StrictRun(_for_run(self)))
+            return made[-1]
+        monkeypatch.setattr(cls, "for_run", strict)
+    assert digests(name) == GOLDEN[name]
+    assert len(made) >= len(GOLDEN[name])
 
 
 if __name__ == "__main__":  # print the table above

@@ -1,4 +1,5 @@
-"""Every module-level import in the package, its tests and demos is used."""
+"""Every module-level import in the package, its tests, its demos and the
+benchmark harness is used. Files are only parsed, never imported."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for d in ("src/bregopt", "tests", "demos") for p in (ROOT / d).glob("*.py")
+FILES = sorted(p for d in ("src/bregopt", "tests", "demos", "perfbench")
+               for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")  # a package __init__ re-exports its imports
 
 

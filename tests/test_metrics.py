@@ -325,7 +325,7 @@ class TestCertification:
             calls.append(("ok", y.copy()))
             return dual_ok(self, y)
 
-        def spy_step(self, y, warm_start=None):
+        def spy_step(self, y):
             calls.append(("step", y.copy()))
             return grad_conjugate(self, y)
 

@@ -19,6 +19,7 @@ from bregopt import (
     StepFailure,
     StepOutOfDomain,
     make_reference,
+    mirror,
 )
 from bregopt.rng import make_rng
 
@@ -250,13 +251,19 @@ class TestMakeReference:
 
 
 class TestPreconditioner:
+    @pytest.fixture(autouse=True)
+    def tight_solves(self, monkeypatch):
+        # each solve here must reach 1e-10, within 200 Newton steps
+        monkeypatch.setattr(mirror, "INNER_TOL", 1e-10)
+        monkeypatch.setattr(mirror, "INNER_PASSES", 200)
+
     def build(self, sparse=False):
         rng = make_rng(8)
         A = rng.normal(size=(30, 5))
         labels = np.sign(rng.normal(size=30))
         labels[labels == 0] = 1.0
         inner = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=0.01)
-        return Preconditioner(inner, c_prec=0.1, inner_tol=1e-10, inner_passes=200)
+        return Preconditioner(inner, c_prec=0.1)
 
     def test_grad_conjugate_inverts_grad(self):
         ref = self.build()
@@ -282,12 +289,13 @@ class TestPreconditioner:
             generic = ReferenceFunction.divergence(ref, x, y)
             assert ref.divergence(x, y).hex() == generic.hex()
 
-    def test_newton_cap_raises_inner_solve_failure(self):
+    def test_newton_cap_raises_inner_solve_failure(self, monkeypatch):
         ref = self.build()
-        capped = Preconditioner(ref.inner, c_prec=0.1, inner_tol=1e-300, inner_passes=1)
+        monkeypatch.setattr(mirror, "INNER_TOL", 1e-300)
+        monkeypatch.setattr(mirror, "INNER_PASSES", 1)
         y = ref.grad(np.full(5, 0.5))
         with pytest.raises(InnerSolveFailure, match="above inner_tol .* within 1 Newton") as info:
-            capped.grad_conjugate(y)
+            ref.grad_conjugate(y)
         assert isinstance(info.value, StepFailure)
         with pytest.raises(InnerSolveFailure, match="non-finite"):
             ref.grad_conjugate(np.full(5, np.nan))
@@ -297,16 +305,27 @@ class TestPreconditioner:
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), warm=st.booleans(),
        scale=st.floats(0.1, 3.0), lam=st.sampled_from([1e-5, 1e-2]))
 def test_preconditioner_conjugate_meets_inner_tol(seed, sparse, warm, scale, lam):
+    # the conjugate map solves from 0; warm, advance solves from a start
+    # near the solution, for the dual point it forms there
     rng = make_rng(seed)
     A = rng.normal(size=(40, 5)) * (rng.random(size=(40, 5)) < 0.7)
     labels = np.where(rng.random(40) < 0.5, -1.0, 1.0)
     inner = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=lam)
-    ref = Preconditioner(inner, c_prec=lam, inner_tol=1e-8, inner_passes=50)
+    ref = Preconditioner(inner, c_prec=lam)
     x_true = scale * rng.normal(size=5)
     y = ref.grad(x_true)
-    start = x_true + 0.1 * rng.normal(size=5) if warm else None
-    x = ref.grad_conjugate(y, warm_start=start)
-    assert np.linalg.norm(ref.grad(x) - y) <= ref.inner_tol
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mirror, "INNER_TOL", 1e-8)
+        patch.setattr(mirror, "INNER_PASSES", 50)
+        if warm:
+            start = x_true + 0.1 * rng.normal(size=5)
+            hx = ref.grad(start)
+            g = hx - y
+            y = hx - 1.0 * g
+            x = ref.advance(start, hx, g, 1.0)[0]
+        else:
+            x = ref.grad_conjugate(y)
+    assert np.linalg.norm(ref.grad(x) - y) <= 1e-8
 
 
 _SPECIAL = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 800.0, -800.0]
@@ -431,3 +450,30 @@ def test_preconditioner_rejects_a_stack():
         ref.grad_conjugate(np.zeros((2, 5)))
     with pytest.raises(ValueError, match="closed-form conjugate"):
         ref.dual_divergence(np.zeros((5, 5)), np.zeros(5))
+
+
+@pytest.mark.parametrize("kind", KINDS + ("preconditioner",))
+def test_a_fresh_run_state_is_the_map_bit_for_bit(kind):
+    # run() talks to a map only through for_run(): grad h(x0), then steps,
+    # then D_h(x_star, x). A fresh state gives the map's own floats: a
+    # closed-form map is its own state; the Preconditioner's reads its
+    # carried inner point where the map makes a pass
+    rng = make_rng(14)
+    if kind == "preconditioner":
+        A = rng.normal(size=(30, 5))
+        inner = LogisticL2(A, np.where(rng.normal(size=30) < 0, -1.0, 1.0), lam=0.01)
+        ref = Preconditioner(inner, c_prec=0.1)
+        x, x_star = rng.normal(size=(2, 5))
+    else:
+        ref = make_reference(kind)
+        x, x_star = (interior_point(kind, rng, 5) for _ in range(2))
+    g = 0.1 * rng.normal(size=5)
+    state = ref.for_run()
+    assert (state is ref) == (kind != "preconditioner")
+    hx = state.grad(x)
+    assert hx.tobytes() == ref.grad(x).tobytes()
+    x_new, hx_new = state.advance(x, hx, g, 0.1)
+    expected = ref.advance(x, ref.grad(x), g, 0.1)
+    assert x_new.tobytes() == expected[0].tobytes() and hx_new.tobytes() == expected[1].tobytes()
+    for a, b in ((x_star, x_new), (x_star, x), (x, x_new)):
+        assert state.divergence(a, b).hex() == ref.divergence(a, b).hex()

@@ -384,7 +384,7 @@ def preconditioned_instance(sparse=False):
         A[np.abs(A) < 0.5] = 0.0
         A = sp.csr_matrix(A)
     return gen_preconditioned((A, labels), n_nodes=4, N=10, n_prec=5, lam=1e-3,
-                              c_prec=1e-3, seed=1, inner_tol=1e-7, inner_passes=7)
+                              c_prec=1e-3, seed=1)
 
 
 # every objective kind, reference kind and matrix storage
@@ -441,7 +441,7 @@ class TestInstanceFiles:
     def test_preconditioner_roundtrip(self, tmp_path):
         problem = preconditioned_instance(sparse=True)
         ref = load_instance(instance_file(tmp_path, problem)).reference
-        assert (ref.c_prec, ref.inner_tol, ref.inner_passes) == (1e-3, 1e-7, 7)
+        assert ref.c_prec == 1e-3
         assert ref.inner.lam == 1e-3 and sp.issparse(ref.inner.A)
         assert (ref.inner.A != problem.reference.inner.A).nnz == 0
         np.testing.assert_array_equal(ref.inner.labels, problem.reference.inner.labels)
@@ -523,8 +523,7 @@ class TestInstanceFiles:
             load_instance(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("c_prec", np.nan), ("c_prec", np.inf), ("c_prec", -1.0), ("inner_tol", np.nan),
-        ("inner_tol", 0.0), ("inner_passes", np.int64(0))])
+        ("c_prec", np.nan), ("c_prec", np.inf), ("c_prec", -1.0)])
     def test_bad_preconditioner_parameter_is_invalid_data(self, tmp_path, key, value):
         path = instance_file(tmp_path, preconditioned_instance())
         members = read_members(path)
@@ -532,6 +531,24 @@ class TestInstanceFiles:
         write_archive(path, members)
         with pytest.raises(InvalidData, match=key):
             load_instance(path)
+
+    @pytest.mark.parametrize("inner_tol, inner_passes", [(1e-6, 10), (0.0, 0)],
+                             ids=["written", "once-refused"])
+    def test_old_inner_solve_members_are_ignored(self, tmp_path, inner_tol, inner_passes):
+        # files from before the inner-solve budget became the constants
+        # mirror.INNER_TOL and mirror.INNER_PASSES carry it as two members:
+        # such a file loads, nothing reads them, and it replays the same run
+        problem = preconditioned_instance()
+        solve_reference(problem)
+        path = instance_file(tmp_path, problem)
+        members = read_members(path)
+        assert not {"inner_tol", "inner_passes"} & set(members)
+        members.update(inner_tol=np.array(inner_tol), inner_passes=np.array(inner_passes))
+        old = str(tmp_path / "old.bin")
+        write_archive(old, members)
+        config = SolverConfig(method="bsaga", eta=0.5, epochs=3.0, seed=4, record_every=1)
+        traces = [_csv_without_wall(run(config, load_instance(p))) for p in (path, old)]
+        assert traces[0] == traces[1] == _csv_without_wall(run(config, problem))
 
     def test_roundtrip_keeps_the_row_kernel(self, tmp_path):
         path = str(tmp_path / "inst.bin")

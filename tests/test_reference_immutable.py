@@ -100,4 +100,4 @@ def test_finds_an_assignment_to_self():
                                   "class PreconditionedRun(ReferenceFunction):")
     assert as_reference != source
     assert {attr for cls, _, _, attr in self_assignments(as_reference)
-            if cls == "PreconditionedRun"} == {"point", "matrix"}
+            if cls == "PreconditionedRun"} == {"point", "matrix", "h_x"}

@@ -36,6 +36,7 @@ from bregopt import (
     gen_interpolation,
     gen_preconditioned,
     load_instance,
+    mirror,
     run,
     saga_gradient,
     save_instance,
@@ -833,23 +834,21 @@ def test_preconditioned_run_carries_the_inner_gradient(monkeypatch):
     hx = ref.grad(x)
     calls.clear()
     passes.clear()
-    assert np.array_equal(ref.grad_conjugate(hx, warm_start=x), x)
-    assert len(calls) == 2  # the first residual, then the one trial point
-    assert len(passes) == 2  # the first Hessian shares the first residual's
-    calls.clear()
-    passes.clear()
     x_new, hx_new = ref.advance(x, hx, np.zeros_like(x), 1.0)
     assert np.array_equal(x_new, x) and np.array_equal(hx_new, hx)
     assert len(calls) == 1
     assert len(passes) == 2  # the first Hessian, then the trial point
 
-    # a run's state builds its first matrix at x as advance does; the next
-    # solve, from the same point, steps along that matrix: exactly the cold
-    # solve, less the pass for its first Hessian
+    # a run's state takes grad h(x) from the point its first solve then
+    # builds its matrix from, and that solve is advance's; the next solve,
+    # from the same point, steps along that matrix: exactly the cold solve,
+    # less the pass for its first Hessian
     solves = ref.for_run()
+    calls.clear()
     passes.clear()
+    assert np.array_equal(solves.grad(x), hx)
     x_new, hx_new = solves.advance(x, hx, np.zeros_like(x), 1.0)
-    assert np.array_equal(x_new, x) and len(passes) == 2
+    assert np.array_equal(x_new, x) and len(passes) == len(calls) == 2
     g = make_rng(6).normal(size=x.size)
     cold = ref.advance(x_new, hx_new, g, 0.1)
     passes.clear()
@@ -911,7 +910,8 @@ def test_preconditioned_run_makes_one_inner_pass_per_point(monkeypatch):
     # Newton matrix, so each pass within a solve is a trial point, whose
     # gradient it takes (an accepted trial's pass also gives the next Newton
     # matrix); a record reads the carried point. Outside the solves:
-    # h(x_star), grad h(x0) and the first record's h(x0).
+    # h(x_star) and grad h(x0), whose point the first record reads. No
+    # point is passed twice.
     data = gen_gaussian_logistic_data(120, 5, seed=3)
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
                                  lam=1e-3, c_prec=1e-3, seed=3)
@@ -938,8 +938,8 @@ def test_preconditioned_run_makes_one_inner_pass_per_point(monkeypatch):
     for k in range(solve["count"]):
         points = [x for s, x in passes if s == k]
         assert len({id(x) for x in points}) == len(points) == grads.count(k) >= 1
-    assert sum(s is None for s, _ in passes) == 3
-    assert len({x.tobytes() for _, x in passes}) == len(passes) - 1  # x0 twice
+    assert sum(s is None for s, _ in passes) == 2
+    assert len({x.tobytes() for _, x in passes}) == len(passes)
 
 
 @pytest.mark.parametrize("budget", [0, 4])
@@ -967,9 +967,45 @@ def test_max_halvings_is_the_budget_of_run_and_solve_reference(monkeypatch, budg
     assert etas == [e * 0.5**k for e in (eta, 0.1) for k in range(budget + 1)]
 
 
+@pytest.mark.parametrize("tol, passes", [(1e-300, 1), (1e-300, 3), (1e-1, 10)])
+def test_inner_constants_are_the_budget_of_every_solve(monkeypatch, tol, passes):
+    # one patch of mirror.INNER_TOL and mirror.INNER_PASSES sets the budget
+    # of the conjugate map, the map's advance and a run's solves alike: a
+    # Newton matrix per step, at most INNER_PASSES steps, and a failure
+    # naming both when the residual stays above INNER_TOL; a loose INNER_TOL
+    # ends each solve early
+    data = gen_gaussian_logistic_data(120, 5, seed=3)
+    problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                 lam=1e-3, c_prec=1e-3, seed=3)
+    ref = problem.reference
+    builds, hessian = [], ref.inner._hessian
+    monkeypatch.setattr(ref.inner, "_hessian", lambda p: builds.append(1) or hessian(p))
+    monkeypatch.setattr(mirror, "INNER_TOL", tol)
+    monkeypatch.setattr(mirror, "INNER_PASSES", passes)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+    x = problem.x0 + 0.1
+    hx, g = ref.grad(x), np.linspace(-1.0, 1.0, x.size)
+    y = hx - 1.0 * g
+    solves = {"grad_conjugate": lambda: ref.grad_conjugate(y),
+              "advance": lambda: ref.advance(x, hx, g, 1.0)[0],
+              "run": lambda: run(SolverConfig(method="bgd", eta=1.0, epochs=1.0), problem)}
+    for name, solve in solves.items():
+        builds.clear()
+        if tol < 1e-6:
+            with pytest.raises(StepFailure, match=f"above inner_tol {tol:.3g} within {passes} "
+                                                  "Newton steps$"):
+                solve()
+            assert len(builds) == passes, name
+        else:
+            out = solve()
+            assert 1 <= len(builds) < passes, name
+            if name != "run":
+                assert 1e-6 < np.linalg.norm(ref.grad(out) - y) <= tol
+
+
 def test_safeguard_halves_on_a_stopped_inner_solve(monkeypatch):
     # the default step from iteration 5 on leaves the Newton solve above
-    # inner_tol after its 10 steps; halving eta retries the step as it does
+    # INNER_TOL after its 10 steps; halving eta retries the step as it does
     # for one leaving the domain
     data = gen_gaussian_logistic_data(400, 10, seed=41, separation=1.0)
     problem = gen_preconditioned(data, n_nodes=5, N=80, n_prec=80, lam=1e-5,
@@ -1055,32 +1091,35 @@ def test_interleaved_runs_on_one_preconditioner_match_each_run_alone(monkeypatch
 def test_carried_solves_meet_inner_tol(seed, sparse, warm, passes, etas):
     # every solve of a run state, cold (its first) or along a carried
     # matrix (warm starts from one carried from elsewhere), and each halved
-    # retry after a solve stops short, meets inner_tol at the step it returns
+    # retry after a solve stops short, meets INNER_TOL at the step it returns
     rng = make_rng(seed)
     A = rng.normal(size=(40, 5)) * (rng.random(size=(40, 5)) < 0.7)
     labels = np.where(rng.random(40) < 0.5, -1.0, 1.0)
     inner = LogisticL2(sp.csr_matrix(A) if sparse else A, labels, lam=1e-3)
-    ref = Preconditioner(inner, c_prec=1e-3, inner_tol=1e-8, inner_passes=passes)
+    ref = Preconditioner(inner, c_prec=1e-3)
     solves = ref.for_run()
-    if warm:
-        far = 2.0 * rng.normal(size=5)
-        solver.halved_advance(solves.advance, far, ref.grad(far), rng.normal(size=5), 1.0)
-    x = rng.normal(size=5)
-    hx = ref.grad(x)
-    for eta in etas:
-        g = rng.normal(size=5)
-        x_new, hx_new, k = solver.halved_advance(solves.advance, x, hx, g, eta)
-        y = hx - (eta * 0.5**k) * g
-        assert np.linalg.norm(ref.grad(x_new) - y) <= ref.inner_tol
-        assert np.array_equal(hx_new, ref.grad(x_new))
-        x, hx = x_new, hx_new
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mirror, "INNER_TOL", 1e-8)
+        patch.setattr(mirror, "INNER_PASSES", passes)
+        if warm:
+            far = 2.0 * rng.normal(size=5)
+            solver.halved_advance(solves.advance, far, ref.grad(far), rng.normal(size=5), 1.0)
+        x = rng.normal(size=5)
+        hx = ref.grad(x)
+        for eta in etas:
+            g = rng.normal(size=5)
+            x_new, hx_new, k = solver.halved_advance(solves.advance, x, hx, g, eta)
+            y = hx - (eta * 0.5**k) * g
+            assert np.linalg.norm(ref.grad(x_new) - y) <= 1e-8
+            assert np.array_equal(hx_new, ref.grad(x_new))
+            x, hx = x_new, hx_new
 
 
 def test_carried_solves_build_a_third_of_a_matrix_per_step(monkeypatch):
     # late in a run a step's chord step along the carried matrix meets
-    # inner_tol by itself; each later Newton step builds its matrix from
-    # its trial's pass, and every point costs one inner pass (x0 two: grad
-    # h(x0), then the first record). A cold solve per step built 403.
+    # INNER_TOL by itself; each later Newton step builds its matrix from
+    # its trial's pass, and every point, x0 included, costs one inner pass.
+    # A cold solve per step built 403.
     data = gen_gaussian_logistic_data(1000, 10, seed=0)
     problem = gen_preconditioned(data, n_nodes=10, N=100, n_prec=100, lam=1e-5,
                                  c_prec=1e-5, seed=0)
@@ -1094,4 +1133,4 @@ def test_carried_solves_build_a_third_of_a_matrix_per_step(monkeypatch):
     trace = run(SolverConfig(method="bsaga", eta=0.05, epochs=30.0, seed=4, record_every=1),
                 problem)
     assert (trace.final.iter, trace.final.halvings, len(builds)) == (300, 0, 111)
-    assert len(set(passes)) == len(passes) - 1
+    assert len(set(passes)) == len(passes)
