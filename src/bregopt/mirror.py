@@ -33,7 +33,7 @@ from .errors import DomainViolation, InnerSolveFailure, StepOutOfDomain
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = float(np.log(_TINY))
 _LOG_MAX = float(np.log(np.finfo(float).max))
-# step lengths tried along a Newton direction of the preconditioner's solve
+# step lengths tried along a damped Newton direction
 _BACKTRACK = [0.5**k for k in range(31)]
 # the preconditioner's inner solve: the residual norm it must reach, and the
 # most Newton steps it may take
@@ -72,6 +72,26 @@ def _dot(a, b):
     bit, which ``einsum`` and ``(a * b).sum(-1)`` do not."""
     s = np.vecdot(a, b)
     return float(s) if s.ndim == 0 else s
+
+
+def damped_newton_step(x, H, r, res, trial, singular):
+    """The damped Newton step for a residual r(x) whose Jacobian is ``H``:
+    p = H^-1 r, then the first of the trials x - t p, t = 1, 1/2, ...,
+    2^-30, whose residual norm is at most (1 - 1e-4 t) ``res``, the norm of
+    r at x. ``trial(z)`` returns a tuple whose last entry is the residual at
+    z; the step returns that tuple with the residual norm appended, or None
+    when no trial decreases the residual enough (a NaN residual never
+    does). A singular ``H`` raises ``singular``, a StepFailure."""
+    try:
+        p = np.linalg.solve(H, r)
+    except np.linalg.LinAlgError:
+        raise singular from None
+    for t in _BACKTRACK:
+        out = trial(x - t * p)
+        res_new = np.linalg.norm(out[-1])
+        if res_new <= (1.0 - 1e-4 * t) * res:
+            return (*out, res_new)
+    return None
 
 
 class ReferenceFunction:
@@ -343,13 +363,18 @@ class Preconditioner(ReferenceFunction):
         res = np.linalg.norm(r)
         if not np.isfinite(res):
             raise InnerSolveFailure("preconditioner: non-finite inner gradient")
+        def trial(z):  # (inner point, gradient, residual) at z
+            at_z = self.inner.at(z)
+            g = at_z.grad + self.c_prec * z
+            return at_z, g, g - y
+        singular = InnerSolveFailure("preconditioner: singular inner Hessian")
         H = chord
         for k in range(INNER_PASSES):
             if k and res <= INNER_TOL:  # a step below INNER_TOL must still move
                 break
             if k or H is None:
                 H = self._newton_matrix(here)
-            step = self._line_search(y, here, r, res, H)
+            step = damped_newton_step(here.x, H, r, res, trial, singular)
             if step is None:
                 break  # no decrease along the Newton direction: stop at x
             here, gx, r, res = step
@@ -366,25 +391,6 @@ class Preconditioner(ReferenceFunction):
         H = here.hessian()
         H.flat[:: len(here.x) + 1] += self.c_prec
         return H
-
-    def _line_search(self, y, here, r, res, H):
-        """The damped step from ``here`` along p = H^-1 r: (inner point,
-        gradient, residual, residual norm) of the first trial x - t p that
-        decreases the residual enough, or None when none does."""
-        try:
-            p = np.linalg.solve(H, r)
-        except np.linalg.LinAlgError:
-            raise InnerSolveFailure("preconditioner: singular inner Hessian") from None
-        x = here.x
-        for t in _BACKTRACK:  # a NaN residual never passes
-            x_new = x - t * p
-            trial = self.inner.at(x_new)
-            g_new = trial.grad + self.c_prec * x_new
-            r_new = g_new - y
-            res_new = np.linalg.norm(r_new)
-            if res_new <= (1.0 - 1e-4 * t) * res:
-                return trial, g_new, r_new, res_new
-        return None
 
     def dual_divergence(self, a, b):
         raise ValueError("preconditioner: a dual divergence needs a closed-form conjugate")

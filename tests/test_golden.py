@@ -133,6 +133,40 @@ def test_trace_digests_unchanged(name):
     assert digests(name) == GOLDEN[name]
 
 
+# the trace columns that read neither x_star nor f_star
+ITERATE_COLUMNS = ("iter", "epoch", "grad_evals", "comms", "eta", "gain", "halvings")
+
+
+def iterate_digests(config, problem):
+    """sha256 of the trace's ITERATE_COLUMNS and of its final iterate."""
+    trace = run(config, problem)
+    rows = "\n".join(",".join(trace._fmt(getattr(r, c)) for c in ITERATE_COLUMNS)
+                     for r in trace.records)
+    return [hashlib.sha256(rows.encode()).hexdigest(),
+            hashlib.sha256(trace.x.tobytes()).hexdigest()]
+
+
+# the preconditioned runs as far as their reference solution cannot reach:
+# a change to solve_reference moves only the gap columns of GOLDEN
+PRECONDITIONED_ITERATES = {
+    "bgd": ["cacc55b22f99e55e8f1f6004f9225feb834f8b066d71c428c50b3033a06cd255",
+            "e3f4855153d83da4302c3d19fd8baec4a49454695443fc0712945ce11d791d86"],
+    "bsaga": ["66cf6dda93331046f0cd2d04729dd32440366fe5bd5b9fd571ad3a055e969a73",
+              "eba3d15243cf06e3d1df66756e77999be0865cfc69f031057567abc29bbb675f"],
+    "bsgd": ["60a8edfb16d359a9a63a18455097012ecdbf3f283ac78dc808fd5b809df98d26",
+             "bfaaa3df94259cc271c6bbbfc4fae78e8ae644707a2b75c8d37c36e26d1a12b6"],
+    "bsvrg": ["66cf6dda93331046f0cd2d04729dd32440366fe5bd5b9fd571ad3a055e969a73",
+              "83ff9cf20325d6ab33523ec1af2e34afe779735fdf8a3719f3ef96ec4194dc42"],
+}
+
+
+def test_preconditioned_iterates_do_not_depend_on_the_reference_solve():
+    build, fields, methods = CASES["preconditioned"]
+    problem = build()
+    assert {m: iterate_digests(SolverConfig(method=m, **fields), problem)
+            for m in methods} == PRECONDITIONED_ITERATES
+
+
 class StrictRun:
     """A run state that offers run() only the three methods of the run
     protocol: grad (for x0), advance and divergence."""
