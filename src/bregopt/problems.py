@@ -9,10 +9,11 @@ concurrently. Three experiment families are covered:
 * simulated statistically-preconditioned distributed logistic regression
   (communication is accounted, not performed over a network).
 
-scipy is imported on first use: by the sparse operators (``radon_matrix``
-for tomography, CSR matrices in instance files, ``load_libsvm``) and by the
-L-BFGS reference solve of logistic objectives. Dense instances, their files
-and the Poisson reference solves need numpy alone.
+scipy is imported on first use, by the sparse operators only
+(``radon_matrix`` for tomography, CSR matrices in instance files,
+``load_libsvm``). Dense instances, their files and every reference solve
+need numpy alone: logistic objectives are solved by a shifted Newton
+method on their own Hessian.
 """
 
 import hashlib
@@ -27,8 +28,9 @@ from .errors import (
     InvalidData,
     LabelError,
     ParseError,
+    StepFailure,
 )
-from .mirror import LogBarrier, Preconditioner, make_reference
+from .mirror import LogBarrier, Preconditioner, damped_newton_step, make_reference
 from .objective import DiagonalQuadratic, LogisticL2, PoissonKL, _issparse
 from .rng import make_rng
 from .solver import halved_advance
@@ -355,30 +357,21 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
     """High-accuracy minimizer for instances without a closed-form optimum.
 
     Fills in x_star and f_star in place and returns the problem. Logistic
-    objectives are solved with scipy's deterministic L-BFGS; Poisson KL
-    objectives with multiplicative updates, or, with a barrier term, with
-    Bregman gradient descent under the log-barrier until the gradient norm
-    is at most ``tol``. Each step runs under ``run()``'s halving safeguard
+    objectives are solved by a shifted damped Newton method on grad f(x) =
+    0 until the 2-norm of the gradient is at most ``tol`` (see
+    :func:`_newton_reference`); it holds one d x d Newton matrix, as each
+    preconditioned inner solve does. Poisson KL objectives are solved with
+    multiplicative updates, or, with a barrier term, with Bregman gradient
+    descent under the log-barrier until the gradient norm is at most
+    ``tol``. Each such step runs under ``run()``'s halving safeguard
     (:func:`~bregopt.solver.halved_advance`, StepFailure once it gives up),
     and the step size stays halved for the rest of the solve.
     """
     obj = problem.objective
     if isinstance(obj, LogisticL2):
-        from scipy.optimize import minimize
-
-        def fun(x):  # (f(x), grad f(x)) from one pass over the data
-            here = obj.at(x)
-            return here.value, here.grad
-
-        res = minimize(
-            fun,
-            np.asarray(problem.x0, dtype=float),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 1e-18, "gtol": tol},
-        )
-        problem.x_star = res.x
-        problem.f_star = float(obj.value(res.x))
+        here = _newton_reference(obj, np.array(problem.x0, dtype=float), tol, max_iter)
+        problem.x_star = here.x
+        problem.f_star = here.value
     elif isinstance(obj, PoissonKL) and obj.barrier_weight == 0.0:
         x = np.asarray(problem.x0, dtype=float).copy()
         for _ in range(max_iter):
@@ -407,6 +400,42 @@ def solve_reference(problem, tol=1e-12, max_iter=200000):
     else:
         raise InvalidData("no reference-solution route for this objective kind")
     return problem
+
+
+def _newton_reference(obj, x, tol, max_iter):
+    """The point of ``obj`` where ||grad f|| <= tol, by damped Newton from x.
+
+    Each step solves (hessian + mu I) p = grad f with mu = min(||grad f||,
+    1e-8), a shift that keeps the matrix nonsingular when lam = 0 and A
+    has dependent columns (Li, Fukushima, Qi & Yamashita, Comput. Optim.
+    Appl. 2004) and vanishes at the solution, and takes the residual-
+    decrease backtracking of :func:`~bregopt.mirror.damped_newton_step`.
+    Each point visited is one ``obj.at`` data pass, which gives its
+    gradient, its value and the Hessian of the next step. A step that finds
+    no decrease, or ``max_iter`` steps, above ``tol`` raise StepFailure
+    naming the residual.
+    """
+    def trial(z):  # (point, gradient) at z
+        at_z = obj.at(z)
+        return at_z, at_z.grad
+
+    here = obj.at(x)
+    res = np.linalg.norm(here.grad)
+    singular = StepFailure("logistic reference: singular Newton matrix")
+    for _ in range(max_iter):
+        if res <= tol:
+            return here
+        H = here.hessian()
+        H.flat[:: obj.dim + 1] += min(res, 1e-8)
+        step = damped_newton_step(here.x, H, here.grad, res, trial, singular)
+        if step is None:
+            raise StepFailure(f"logistic reference: no Newton step decreases the "
+                              f"gradient norm {res:.3g} (tol {tol:.3g})")
+        here, _, res = step
+    if res > tol:
+        raise StepFailure(f"logistic reference: gradient norm {res:.3g} above tol "
+                          f"{tol:.3g} after {max_iter} Newton steps")
+    return here
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,14 @@ GOLDEN = {
     "interpolation-gain": {
         "bsaga": "768bc21d235ccc4527989124dc6fa8528aac3a0317ab5d8cbba7b92d9a1886b6"
     },
-    "preconditioned": {  # re-recorded when each solve began along the run's carried Newton matrix
-        "bgd": "b8ce732e73ab9d605de81db11a6e762d178d92c57eea99b07b83aba709e4283a",
-        "bsaga": "1fcc6041657bba4e2efbc57cf4c721d1df960b93937d7fd985ba162c044f97e1",
-        "bsgd": "fcad72c7051f8fc6ef31d23304053438c637049061f92dc7a006aecb44050b0c",
-        "bsvrg": "770e1b4290c803f4642f4897ad6036a287df6ed4d0c8447f8db0e1f3be1ed73b"
+    # re-recorded when solve_reference took the logistic x_star from a Newton
+    # solve: f_gap, dh_gap and min_df_gap moved in their last bits, the
+    # iterates did not (PRECONDITIONED_ITERATES below)
+    "preconditioned": {
+        "bgd": "d31a0ee61a7b7c08832272553bfb9fd13b705bb8101d4cfcd939c74a6f8a3880",
+        "bsaga": "97b7b830a7583b7c8de1c3c70163bc5946540ba77b483b2a8f684cc550fdd13e",
+        "bsgd": "077bfd7febd9499fa3db3fe7c2d2789e84727276d4a5ea11c22ffeb5490fcad9",
+        "bsvrg": "9f32226b0a57a6e6c3441e8fbe2fc7db9f3739ccb638372a82ae130349036340"
     },
     "tomography": {
         "bgd": "021b01f95e8b9b456771f7fa479f38ceab1fc3d61b66a26325a5342357619677",

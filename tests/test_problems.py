@@ -23,6 +23,7 @@ from bregopt import (
     InvalidData,
     LabelError,
     LogBarrier,
+    LogisticL2,
     NegEntropy,
     ParseError,
     PoissonKL,
@@ -44,6 +45,7 @@ from bregopt import (
     solve_reference,
     solver,
 )
+from bregopt.cli import main as cli_main
 from bregopt.problems import operator_hash, write_manifest
 from bregopt.rng import make_rng
 from bregopt.verify import _csv_without_wall
@@ -727,27 +729,80 @@ class TestSolveReference:
             solve_reference(problem)
         assert len(grads) == 1 and len(steps) == solver.MAX_HALVINGS + 1
 
-    def test_lbfgs_makes_one_margin_pass_per_evaluation(self, monkeypatch):
-        # scipy reads f and grad f at each point from one pass over the data,
-        # and the solution is the one separate value and gradient calls give
-        import scipy.optimize
 
-        data = gen_gaussian_logistic_data(120, 5, seed=3)
-        problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
-                                     lam=1e-3, c_prec=1e-3, seed=3)
+def logistic_instance(name):
+    """The preconditioned instance of precond-inner (perfbench) or of c7."""
+    if name == "precond-inner":
+        data = gen_gaussian_logistic_data(10 * 1000, 20, 0)
+        return gen_preconditioned(data, n_nodes=10, N=1000, n_prec=1000, lam=1e-5,
+                                  c_prec=1e-5, seed=0)
+    data = gen_gaussian_logistic_data(2000, 20, seed=41, separation=1.0)
+    return gen_preconditioned(data, n_nodes=10, N=200, n_prec=200, lam=1e-5, c_prec=1e-5,
+                              seed=42)
+
+
+def rank_deficient_instance(kind, seed):
+    """lam = 0 and one zero or one duplicated column: the Hessian of f is
+    singular everywhere."""
+    A, labels = gen_gaussian_logistic_data(120, 5, seed=seed)
+    A[:, 2] = 0.0 if kind == "zero" else A[:, 4]
+    return gen_preconditioned((A, labels), n_nodes=4, N=30, n_prec=20, lam=0.0,
+                              c_prec=1e-3, seed=seed)
+
+
+def negated_hessian(monkeypatch):
+    """Make every Newton direction of a logistic reference solve an ascent
+    direction, so that no step decreases the gradient norm."""
+    hessian = LogisticL2._hessian
+    monkeypatch.setattr(LogisticL2, "_hessian", lambda obj, p: -hessian(obj, p))
+
+
+class TestLogisticReference:
+    """Logistic objectives are solved by shifted damped Newton to a gradient
+    2-norm of at most tol; a solve that stops above tol raises StepFailure."""
+
+    @pytest.mark.parametrize("name", ["precond-inner", "c7"])
+    def test_reaches_tol_in_the_two_norm(self, name):
+        problem = solve_reference(logistic_instance(name))
+        assert np.linalg.norm(problem.objective.full_grad(problem.x_star)) <= 1e-12
+        assert problem.f_star == problem.objective.value(problem.x_star)
+
+    def test_makes_one_margin_pass_per_point(self, monkeypatch):
+        problem = logistic_instance("c7")
         obj = problem.objective
-        separate = scipy.optimize.minimize(
-            obj.value, problem.x0, jac=obj.full_grad, method="L-BFGS-B",
-            options={"maxiter": 200000, "ftol": 1e-18, "gtol": 1e-12})
+        points = count_calls(monkeypatch, obj, "at")
         passes = count_calls(monkeypatch, obj, "_margins")
-        minimize, results = scipy.optimize.minimize, []
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda *a, **k: results.append(minimize(*a, **k)) or results[-1])
         solve_reference(problem)
-        assert len(results) == 1 and results[0].nfev > 10
-        assert len(passes) == results[0].nfev + 1  # and f(x_star)
-        assert problem.x_star.tobytes() == separate.x.tobytes()
-        assert problem.f_star == obj.value(separate.x)
+        # one pass each at x0 and at every trial, none again at x_star for
+        # f_star or for the Hessians
+        assert len(passes) == len(points) > 2
+        assert len({id(x) for x, in points}) == len(points)
+        assert points[-1][0] is problem.x_star
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("kind", ["zero", "duplicated"])
+    def test_rank_deficient_instances_solve_to_tol(self, kind, seed):
+        problem = solve_reference(rank_deficient_instance(kind, seed))
+        assert np.linalg.norm(problem.objective.full_grad(problem.x_star)) <= 1e-12
+
+    def test_stall_raises_step_failure_naming_the_residual(self, monkeypatch):
+        negated_hessian(monkeypatch)
+        with pytest.raises(StepFailure, match=r"no Newton step decreases the gradient "
+                                              r"norm 0\.668 \(tol 1e-12\)"):
+            solve_reference(preconditioned_instance())
+
+    def test_max_iter_exit_above_tol_raises_step_failure(self):
+        with pytest.raises(StepFailure, match=r"gradient norm \S+ above tol 1e-12 after 1 "
+                                              r"Newton steps"):
+            solve_reference(preconditioned_instance(), max_iter=1)
+
+    def test_stalled_solve_is_exit_2_from_gen(self, monkeypatch, tmp_path, capsys):
+        negated_hessian(monkeypatch)
+        out = tmp_path / "prec.bin"
+        code = cli_main(["gen", "preconditioned", "--nodes", "2", "--samples", "10",
+                         "--d", "3", "-o", str(out)])
+        assert code == 2 and not out.exists()
+        assert "error: logistic reference: no Newton step decreases" in capsys.readouterr().err
 
 
 def fresh_interpreter(script, *args):
@@ -765,9 +820,8 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestScipyOnFirstUse:
-    """scipy is imported by sparse operators and the L-BFGS reference solve
-    only; this process has it loaded already, so each check runs in a new
-    interpreter."""
+    """scipy is imported by sparse operators only; this process has it
+    loaded already, so each check runs in a new interpreter."""
 
     def test_dense_work_loads_no_scipy(self, tmp_path):
         script = f"""
@@ -786,6 +840,26 @@ print(json.dumps([lengths, passed, {SCIPY_MODULES}]))
 """
         lengths, passed, scipy_modules = fresh_interpreter(script, str(tmp_path / "interp.bin"))
         assert len(lengths) == 5 and min(lengths) > 1 and passed
+        assert scipy_modules == []
+
+    def test_dense_preconditioned_work_loads_no_scipy(self, tmp_path):
+        script = f"""
+import json, sys
+import numpy as np
+from bregopt import (SolverConfig, gen_gaussian_logistic_data, gen_preconditioned,
+                     load_instance, run, save_instance, solve_reference)
+path = sys.argv[1]
+data = gen_gaussian_logistic_data(120, 5, seed=3)
+problem = solve_reference(gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                             lam=1e-3, c_prec=1e-3, seed=3))
+save_instance(path, problem)
+problem = load_instance(path)
+trace = run(SolverConfig(method="bsaga", eta=0.5, epochs=3.0, seed=4), problem)
+print(json.dumps([float(np.linalg.norm(problem.objective.full_grad(problem.x_star))),
+                  len(trace), {SCIPY_MODULES}]))
+"""
+        residual, length, scipy_modules = fresh_interpreter(script, str(tmp_path / "prec.bin"))
+        assert residual <= 1e-12 and length > 1
         assert scipy_modules == []
 
     def test_csr_instance_file_in_a_new_interpreter(self, tmp_path):
