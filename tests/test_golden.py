@@ -113,7 +113,7 @@ GOLDEN = {
         "bsaga": "768bc21d235ccc4527989124dc6fa8528aac3a0317ab5d8cbba7b92d9a1886b6"
     },
     # re-recorded when solve_reference took the logistic x_star from a Newton
-    # solve: f_gap, dh_gap and min_df_gap moved in their last bits, the
+    # solve: dh_gap and min_df_gap moved by at most 1e-8 relative, the
     # iterates did not (PRECONDITIONED_ITERATES below)
     "preconditioned": {
         "bgd": "d31a0ee61a7b7c08832272553bfb9fd13b705bb8101d4cfcd939c74a6f8a3880",
