@@ -12,8 +12,8 @@ concurrently. Three experiment families are covered:
 scipy is imported on first use, by the sparse operators only
 (``radon_matrix`` for tomography, CSR matrices in instance files,
 ``load_libsvm``). Dense instances, their files and every reference solve
-need numpy alone: logistic objectives are solved by a shifted Newton
-method on their own Hessian.
+need numpy alone: a reference solve is a shifted Newton method on the
+objective's own Hessian.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DomainViolation,
     InsufficientData,
     InvalidData,
     LabelError,
@@ -33,7 +34,6 @@ from .errors import (
 from .mirror import LogBarrier, Preconditioner, damped_newton_step, make_reference
 from .objective import DiagonalQuadratic, LogisticL2, PoissonKL, _issparse
 from .rng import make_rng
-from .solver import halved_advance
 
 
 @dataclass
@@ -353,89 +353,78 @@ def gen_preconditioned(dataset, n_nodes, N, n_prec, lam, c_prec, seed):
 # ---------------------------------------------------------------------------
 
 
-def solve_reference(problem, tol=1e-12, max_iter=200000):
+REFERENCE_TOL = 1e-12  # the reference solve stops at this gradient 2-norm
+REFERENCE_MAX_ITER = 200000  # its budget of Newton steps
+REFERENCE_BOUND = 1e-6  # its largest certified ||x - x*||, relative to 1 + ||x||
+
+
+def solve_reference(problem):
     """High-accuracy minimizer for instances without a closed-form optimum.
 
     Fills in x_star and f_star in place and returns the problem. Logistic
-    objectives are solved by a shifted damped Newton method on grad f(x) =
-    0 until the 2-norm of the gradient is at most ``tol`` (see
-    :func:`_newton_reference`); it holds one d x d Newton matrix, as each
-    preconditioned inner solve does. Poisson KL objectives are solved with
-    multiplicative updates, or, with a barrier term, with Bregman gradient
-    descent under the log-barrier until the gradient norm is at most
-    ``tol``. Each such step runs under ``run()``'s halving safeguard
-    (:func:`~bregopt.solver.halved_advance`, StepFailure once it gives up),
-    and the step size stays halved for the rest of the solve.
+    objectives, and Poisson KL objectives with a barrier term, are solved
+    by damped Newton on grad f(x) = 0 until the gradient 2-norm is at most
+    ``REFERENCE_TOL``; any other objective raises InvalidData. Each step
+    solves (hessian + mu I) p = grad f with mu = min(||grad f||, 1e-8), a
+    shift that keeps the matrix nonsingular when lam = 0 and A has
+    dependent columns (Li, Fukushima, Qi & Yamashita, Comput. Optim. Appl.
+    2004) and vanishes at the solution, and takes the residual-decrease
+    backtracking of :func:`~bregopt.mirror.damped_newton_step`, where a
+    trial outside the domain of f has a NaN residual and is never accepted.
+    Each point visited is one ``obj.at`` data pass, which gives its
+    gradient, its value and the Hessian of the next step; one d x d matrix
+    is held at a time, as in each preconditioned inner solve.
+
+    The point returned is certified: ||grad f(x)|| / lambda, with lambda
+    the smallest eigenvalue of the Hessian at x above numpy's rank cutoff
+    d eps lambda_max, bounds ||x - x*|| near x* for these self-concordant
+    objectives (Bach, EJS 2010). A step that finds no decrease,
+    ``REFERENCE_MAX_ITER`` steps above tol, or a bound above
+    ``REFERENCE_BOUND`` (1 + ||x||) raise StepFailure naming the objective
+    kind; the last means f has no minimizer, as for lam = 0 on linearly
+    separable data, or one too ill-conditioned to trust.
     """
     obj = problem.objective
-    if isinstance(obj, LogisticL2):
-        here = _newton_reference(obj, np.array(problem.x0, dtype=float), tol, max_iter)
-        problem.x_star = here.x
-        problem.f_star = here.value
-    elif isinstance(obj, PoissonKL) and obj.barrier_weight == 0.0:
-        x = np.asarray(problem.x0, dtype=float).copy()
-        for _ in range(max_iter):
-            x_new = obj.mu_step(x)
-            if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(x))):
-                x = x_new
-                break
-            x = x_new
-        problem.x_star = x
-        problem.f_star = float(obj.value(x))
-    elif isinstance(obj, PoissonKL):
-        # barrier-regularized KL: relatively strongly convex, solve by
-        # deterministic Bregman descent with the theoretical step
-        ref = LogBarrier()
-        x = np.asarray(problem.x0, dtype=float).copy()
-        hx = ref.grad(x)
-        eta = 1.0 / obj.rel_smoothness()
-        for _ in range(max_iter):
-            g = obj.full_grad(x)
-            if np.linalg.norm(g) <= tol:
-                break
-            x, hx, k = halved_advance(ref.advance, x, hx, g, eta)
-            eta *= 0.5**k
-        problem.x_star = x
-        problem.f_star = float(obj.value(x))
-    else:
-        raise InvalidData("no reference-solution route for this objective kind")
-    return problem
+    if not (isinstance(obj, LogisticL2) or (isinstance(obj, PoissonKL) and obj.barrier_weight)):
+        raise InvalidData(f"no reference-solution route for {obj.kind} objectives "
+                          "(logistic_l2, or poisson_kl with a barrier term)")
 
-
-def _newton_reference(obj, x, tol, max_iter):
-    """The point of ``obj`` where ||grad f|| <= tol, by damped Newton from x.
-
-    Each step solves (hessian + mu I) p = grad f with mu = min(||grad f||,
-    1e-8), a shift that keeps the matrix nonsingular when lam = 0 and A
-    has dependent columns (Li, Fukushima, Qi & Yamashita, Comput. Optim.
-    Appl. 2004) and vanishes at the solution, and takes the residual-
-    decrease backtracking of :func:`~bregopt.mirror.damped_newton_step`.
-    Each point visited is one ``obj.at`` data pass, which gives its
-    gradient, its value and the Hessian of the next step. A step that finds
-    no decrease, or ``max_iter`` steps, above ``tol`` raise StepFailure
-    naming the residual.
-    """
     def trial(z):  # (point, gradient) at z
         at_z = obj.at(z)
-        return at_z, at_z.grad
+        try:
+            return at_z, at_z.grad
+        except DomainViolation:
+            return at_z, np.nan
 
-    here = obj.at(x)
+    name = f"{obj.kind} reference"
+    here = obj.at(np.array(problem.x0, dtype=float))
     res = np.linalg.norm(here.grad)
-    singular = StepFailure("logistic reference: singular Newton matrix")
-    for _ in range(max_iter):
-        if res <= tol:
-            return here
+    singular = StepFailure(f"{name}: singular Newton matrix")
+    for _ in range(REFERENCE_MAX_ITER):
+        if res <= REFERENCE_TOL:
+            break
         H = here.hessian()
         H.flat[:: obj.dim + 1] += min(res, 1e-8)
         step = damped_newton_step(here.x, H, here.grad, res, trial, singular)
         if step is None:
-            raise StepFailure(f"logistic reference: no Newton step decreases the "
-                              f"gradient norm {res:.3g} (tol {tol:.3g})")
+            raise StepFailure(f"{name}: no Newton step decreases the gradient norm "
+                              f"{res:.3g} (tol {REFERENCE_TOL:.3g})")
         here, _, res = step
-    if res > tol:
-        raise StepFailure(f"logistic reference: gradient norm {res:.3g} above tol "
-                          f"{tol:.3g} after {max_iter} Newton steps")
-    return here
+    if res > REFERENCE_TOL:
+        raise StepFailure(f"{name}: gradient norm {res:.3g} above tol {REFERENCE_TOL:.3g} "
+                          f"after {REFERENCE_MAX_ITER} Newton steps")
+    ev = np.linalg.eigvalsh(here.hessian())
+    above = ev[ev > obj.dim * np.finfo(float).eps * ev[-1]]
+    lam = above[0] if above.size else 0.0
+    bound = res / lam if lam else math.inf
+    limit = REFERENCE_BOUND * (1.0 + np.linalg.norm(here.x))
+    if not bound <= limit:
+        raise StepFailure(f"{name}: certified distance bound {bound:.3g} to the minimizer "
+                          f"(gradient norm {res:.3g}, Hessian eigenvalue {lam:.3g}) above "
+                          f"{limit:.3g}; f may have no minimizer")
+    problem.x_star = here.x
+    problem.f_star = here.value
+    return problem
 
 
 # ---------------------------------------------------------------------------

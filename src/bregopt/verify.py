@@ -118,7 +118,7 @@ class Battery:
             objective=obj, reference=LogBarrier(), x0=np.ones(d),
             meta={"L_rel": obj.rel_smoothness()},
         )
-        solve_reference(prob, tol=1e-12, max_iter=30000)
+        solve_reference(prob)
         return prob
 
     def _interpolation_problem(self):

@@ -41,7 +41,7 @@ PINNED = {
     "c2/dh_ratio": "0x1.8a15e0a536cf5p-34",
     "c2/tail_rate": "0x1.ffd743f88b298p-1",
     "c3/plateaus_detected": "0x0.0p+0",
-    "c3/level_ratio": "-0x1.d4671ecadc16cp-2",
+    "c3/level_ratio": "-0x1.d4671ecadbebcp-2",
     "c4/saga_rate": "0x1.e9279f42d47a9p-1",
     "c4/saga_final_dh": "0x1.4f4c800000000p-102",
     "c4/bsgd_plateau": "0x0.0p+0",

@@ -30,7 +30,6 @@ from bregopt import (
     ProblemInstance,
     SolverConfig,
     StepFailure,
-    StepOutOfDomain,
     gen_gaussian_logistic_data,
     gen_interpolation,
     gen_preconditioned,
@@ -38,12 +37,12 @@ from bregopt import (
     load_instance,
     load_libsvm,
     poisson_sample,
+    problems,
     radon_matrix,
     run,
     save_instance,
     shepp_logan,
     solve_reference,
-    solver,
 )
 from bregopt.cli import main as cli_main
 from bregopt.problems import operator_hash, write_manifest
@@ -674,19 +673,20 @@ class TestCraftedArchives:
         assert peak < 2**24, fault
 
 
-def barrier_poisson():
+def barrier_poisson(x0=1.0, barrier_weight=0.5):
+    """The barrier-poisson instance of test_golden.py, from x0 times the
+    ones vector."""
     rng = make_rng(11)
     A = rng.uniform(0.0, 1.0, size=(40, 6))
     b = poisson_sample(A @ rng.uniform(0.2, 1.0, size=6), 12).astype(float)
-    obj = PoissonKL(A, b, barrier_weight=0.5)
-    return ProblemInstance(objective=obj, reference=LogBarrier(), x0=np.ones(6))
+    obj = PoissonKL(A, b, barrier_weight=barrier_weight)
+    return ProblemInstance(objective=obj, reference=LogBarrier(), x0=np.full(6, x0))
 
 
-def count_calls(monkeypatch, obj, name, replace=None):
-    """The arguments of every call of ``obj.name``, which calls ``replace``
-    (default the original) with them."""
+def count_calls(monkeypatch, obj, name):
+    """The arguments of every call of ``obj.name``, which still runs."""
     calls = []
-    call = replace or getattr(obj, name)
+    call = getattr(obj, name)
 
     def counted(*args):
         calls.append(args)
@@ -695,50 +695,24 @@ def count_calls(monkeypatch, obj, name, replace=None):
     return calls
 
 
-class TestSolveReference:
-    """The barrier branch retries a step that leaves the domain from the
-    same gradient, under run()'s safeguard, with eta halved for the rest of
-    the solve."""
-
-    def test_retries_reuse_the_gradient_and_keep_eta_halved(self, monkeypatch):
-        problem = barrier_poisson()
-        grads = count_calls(monkeypatch, problem.objective, "full_grad")
-        advance = LogBarrier.advance
-
-        def fail_twice(ref, x, hx, g, eta):
-            if len(steps) <= 2:
-                raise StepOutOfDomain("log_barrier: left at component 1", index=1)
-            return advance(ref, x, hx, g, eta)
-        steps = count_calls(monkeypatch, LogBarrier, "advance", fail_twice)
-        solve_reference(problem, max_iter=2)
-        eta = 1.0 / problem.objective.rel_smoothness()
-        assert len(grads) == 2
-        assert [call[-1] for call in steps] == [eta, eta / 2, eta / 4, eta / 4]
-        gradients = [call[3] for call in steps]
-        assert gradients[0] is gradients[1] is gradients[2] is not gradients[3]
-
-    def test_gives_up_after_max_halvings(self, monkeypatch):
-        problem = barrier_poisson()
-        grads = count_calls(monkeypatch, problem.objective, "full_grad")
-
-        def leave(ref, x, hx, g, eta):
-            raise StepOutOfDomain("log_barrier: mirror step left the conjugate domain "
-                                  "at component 4", index=4)
-        steps = count_calls(monkeypatch, LogBarrier, "advance", leave)
-        with pytest.raises(StepFailure, match="after 30 halvings: .* at component 4"):
-            solve_reference(problem)
-        assert len(grads) == 1 and len(steps) == solver.MAX_HALVINGS + 1
-
-
-def logistic_instance(name):
-    """The preconditioned instance of precond-inner (perfbench) or of c7."""
+def reference_instance(name):
+    """The instance of precond-inner (perfbench), c7, c3 or test_golden.py's
+    barrier-poisson case, without its reference solution."""
     if name == "precond-inner":
         data = gen_gaussian_logistic_data(10 * 1000, 20, 0)
         return gen_preconditioned(data, n_nodes=10, N=1000, n_prec=1000, lam=1e-5,
                                   c_prec=1e-5, seed=0)
-    data = gen_gaussian_logistic_data(2000, 20, seed=41, separation=1.0)
-    return gen_preconditioned(data, n_nodes=10, N=200, n_prec=200, lam=1e-5, c_prec=1e-5,
-                              seed=42)
+    if name == "c7":
+        data = gen_gaussian_logistic_data(2000, 20, seed=41, separation=1.0)
+        return gen_preconditioned(data, n_nodes=10, N=200, n_prec=200, lam=1e-5,
+                                  c_prec=1e-5, seed=42)
+    if name == "c3":
+        rng = make_rng(11)
+        A = rng.uniform(0.0, 1.0, size=(200, 20))
+        b = poisson_sample(A @ rng.uniform(0.2, 1.0, size=20), 12).astype(float)
+        return ProblemInstance(objective=PoissonKL(A, b, barrier_weight=0.5),
+                               reference=LogBarrier(), x0=np.ones(20))
+    return barrier_poisson()
 
 
 def rank_deficient_instance(kind, seed):
@@ -758,20 +732,23 @@ def negated_hessian(monkeypatch):
 
 
 class TestLogisticReference:
-    """Logistic objectives are solved by shifted damped Newton to a gradient
-    2-norm of at most tol; a solve that stops above tol raises StepFailure."""
+    """The one reference solve: logistic and barrier Poisson objectives are
+    solved by shifted damped Newton to a gradient 2-norm of at most
+    REFERENCE_TOL and certified; a solve that stops above it, or whose
+    certified bound is too large, raises StepFailure naming the objective
+    kind, and any other objective InvalidData."""
 
-    @pytest.mark.parametrize("name", ["precond-inner", "c7"])
+    @pytest.mark.parametrize("name", ["precond-inner", "c7", "c3", "barrier-poisson"])
     def test_reaches_tol_in_the_two_norm(self, name):
-        problem = solve_reference(logistic_instance(name))
+        problem = solve_reference(reference_instance(name))
         assert np.linalg.norm(problem.objective.full_grad(problem.x_star)) <= 1e-12
         assert problem.f_star == problem.objective.value(problem.x_star)
 
-    def test_makes_one_margin_pass_per_point(self, monkeypatch):
-        problem = logistic_instance("c7")
+    @staticmethod
+    def check_one_pass_per_point(monkeypatch, problem, data_pass):
         obj = problem.objective
         points = count_calls(monkeypatch, obj, "at")
-        passes = count_calls(monkeypatch, obj, "_margins")
+        passes = count_calls(monkeypatch, obj, data_pass)
         solve_reference(problem)
         # one pass each at x0 and at every trial, none again at x_star for
         # f_star or for the Hessians
@@ -779,22 +756,59 @@ class TestLogisticReference:
         assert len({id(x) for x, in points}) == len(points)
         assert points[-1][0] is problem.x_star
 
+    def test_makes_one_margin_pass_per_point(self, monkeypatch):
+        self.check_one_pass_per_point(monkeypatch, reference_instance("c7"), "_margins")
+
+    def test_makes_one_rate_pass_per_point(self, monkeypatch):
+        # trials outside the orthant (test below) count one pass each too
+        self.check_one_pass_per_point(monkeypatch, barrier_poisson(x0=5.0), "_rates")
+
+    def test_a_trial_outside_the_orthant_is_never_accepted(self, monkeypatch):
+        # from 5 times the ones vector, full Newton steps overshoot out of
+        # the orthant; such a trial's residual is NaN, so the step backtracks
+        problem = barrier_poisson(x0=5.0)
+        obj = problem.objective
+        points = count_calls(monkeypatch, obj, "at")
+        hessians = count_calls(monkeypatch, obj, "_hessian")  # one per accepted point
+        solve_reference(problem)
+        assert sum(not np.all(x > 0) for x, in points) == 2
+        assert all(np.all(p.x > 0) for p, in hessians) and len(hessians) > 2
+        assert hessians[-1][0].x is problem.x_star
+        assert np.linalg.norm(obj.full_grad(problem.x_star)) <= 1e-12
+
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("kind", ["zero", "duplicated"])
     def test_rank_deficient_instances_solve_to_tol(self, kind, seed):
         problem = solve_reference(rank_deficient_instance(kind, seed))
         assert np.linalg.norm(problem.objective.full_grad(problem.x_star)) <= 1e-12
 
+    def test_separable_data_without_regularization_is_refused(self):
+        # lam = 0 on linearly separable data: f has no minimizer, yet the
+        # gradient norm falls below tol where the Hessian all but vanishes
+        data = gen_gaussian_logistic_data(40, 5, seed=1, separation=5.0)
+        problem = gen_preconditioned(data, n_nodes=2, N=20, n_prec=10, lam=0.0,
+                                     c_prec=1e-3, seed=1)
+        with pytest.raises(StepFailure, match=r"^logistic_l2 reference: certified distance "
+                                              r"bound 93\.7 to the minimizer"):
+            solve_reference(problem)
+        assert problem.x_star is None and problem.f_star is None
+
+    def test_poisson_without_barrier_is_invalid_data(self):
+        with pytest.raises(InvalidData, match="no reference-solution route for poisson_kl"):
+            solve_reference(barrier_poisson(barrier_weight=0.0))
+
     def test_stall_raises_step_failure_naming_the_residual(self, monkeypatch):
         negated_hessian(monkeypatch)
-        with pytest.raises(StepFailure, match=r"no Newton step decreases the gradient "
-                                              r"norm 0\.668 \(tol 1e-12\)"):
+        with pytest.raises(StepFailure, match=r"^logistic_l2 reference: no Newton step "
+                                              r"decreases the gradient norm 0\.668 "
+                                              r"\(tol 1e-12\)"):
             solve_reference(preconditioned_instance())
 
-    def test_max_iter_exit_above_tol_raises_step_failure(self):
-        with pytest.raises(StepFailure, match=r"gradient norm \S+ above tol 1e-12 after 1 "
-                                              r"Newton steps"):
-            solve_reference(preconditioned_instance(), max_iter=1)
+    def test_max_iter_exit_above_tol_raises_step_failure(self, monkeypatch):
+        monkeypatch.setattr(problems, "REFERENCE_MAX_ITER", 1)
+        with pytest.raises(StepFailure, match=r"^logistic_l2 reference: gradient norm \S+ "
+                                              r"above tol 1e-12 after 1 Newton steps"):
+            solve_reference(preconditioned_instance())
 
     def test_stalled_solve_is_exit_2_from_gen(self, monkeypatch, tmp_path, capsys):
         negated_hessian(monkeypatch)
@@ -802,7 +816,8 @@ class TestLogisticReference:
         code = cli_main(["gen", "preconditioned", "--nodes", "2", "--samples", "10",
                          "--d", "3", "-o", str(out)])
         assert code == 2 and not out.exists()
-        assert "error: logistic reference: no Newton step decreases" in capsys.readouterr().err
+        assert ("error: logistic_l2 reference: no Newton step decreases"
+                in capsys.readouterr().err)
 
 
 def fresh_interpreter(script, *args):
