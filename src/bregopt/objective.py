@@ -72,10 +72,12 @@ class Point:
     """f at one point x, from :meth:`FiniteSumObjective.at`.
 
     ``value``, ``grad`` and (PoissonKL) ``mu_step`` are computed on first
-    read and kept; ``hessian()`` builds a new array on each call. All come
-    from one checked data pass at x (``data``), made on first use, so a
-    point outside the domain raises when a quantity is read. x and the
-    point's arrays are read-only to its users: the point copies nothing.
+    read and kept; ``hessian()`` builds a new array on each call and
+    ``slope_to(other)`` returns <grad f(x), other.x - x>. All come from one
+    checked data pass at x (``data``), made on first use, so a point outside
+    the domain raises when a quantity is read; ``slope_to`` may also read
+    the other point's pass. x and the point's arrays are read-only to its
+    users: the point copies nothing.
     """
 
     __slots__ = ("obj", "x", "_data", "_value", "_grad", "_mu_step")
@@ -111,13 +113,19 @@ class Point:
     def hessian(self):
         return self.obj._hessian(self)
 
+    def slope_to(self, other):
+        """<grad f(x), other.x - x>, ``other`` a point of the same f."""
+        return self.obj._slope(self, other)
+
 
 class FiniteSumObjective:
     """Interface shared by all finite-sum objectives. A subclass defines
     ``n_components``, ``dim``, ``value_component(i, x)``, ``partial_grad(i,
     x)`` (grad f_i(x)) and the :class:`Point` formulas ``_value(p)``,
     ``_grad(p)`` and, where it has them, ``_hessian(p)``, ``_mu_step(p)``
-    and the data pass ``_data(x)``."""
+    and the data pass ``_data(x)``. ``_slope(p, q)``, the slope
+    <grad f(p.x), q.x - p.x>, is the dot product with ``p.grad`` unless a
+    subclass reads it from the two points' data passes."""
 
     kind = None
 
@@ -139,9 +147,12 @@ class FiniteSumObjective:
 
     def f_divergence(self, x, y):
         """D_f(x, y) = f(x) - f(y) - <grad f(y), x - y>."""
-        at_y = self.at(y)
+        at_x, at_y = self.at(x), self.at(y)
         f_y = at_y.value
-        return float(self.value(x) - f_y - at_y.grad @ (x - y))
+        return float(at_x.value - f_y - at_y.slope_to(at_x))
+
+    def _slope(self, p, q):
+        return float(p.grad @ (q.x - p.x))
 
     def component_divergence(self, i, x, y):
         """D_{f_i}(x, y), used by the SAGA/SVRG potentials."""
@@ -510,6 +521,14 @@ class LogisticL2(FiniteSumObjective):
         s = _sigmoid(-p.data)
         g = self.A.T @ (-self.labels * s * self._row_weight)
         return np.asarray(g).ravel() + self.lam * p.x
+
+    def _slope(self, p, q):
+        """<grad f(x), x' - x> from the margins m of x and m' of x', no A^T
+        product: y * y = 1, so it is -(s * w) . (m' - m) + lam x . (x' - x),
+        s = sigmoid(-m) and w the row weights, as in ``_grad``."""
+        s = _sigmoid(-p.data)
+        return float(-(s * self._row_weight) @ (q.data - p.data)
+                     + self.lam * (p.x @ (q.x - p.x)))
 
     def _hessian(self, p):
         """A^T diag(s(1 - s) w) A + lam I, s = sigmoid(margins), w the row weights."""

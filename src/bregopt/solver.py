@@ -384,6 +384,8 @@ def run(config, problem):
     Records and the BGD and MU steps read the iterate's point ``obj.at(x)``,
     so a record and the step after it share one data pass; the stochastic
     steps build none. D_h(x_star, x) is ``mirror.divergence(x_star, x)``.
+    D_f(x_star, x) reads only the data passes at x and at x_star (made once,
+    for f(x_star)), through ``Point.slope_to``.
     Columns without f_star or x_star are NaN and never computed; a
     non-finite f_gap, D_h(x_star, x) or D_f(x_star, x) raises
     DomainViolation naming the column. A StepFailure or DomainViolation
@@ -436,7 +438,8 @@ def run(config, problem):
     t, halvings_total = 0, 0
     min_df = np.inf
     if x_star is not None:
-        f_x_star = obj.value(x_star)
+        star = obj.at(x_star)
+        f_x_star = star.value
     start = time.perf_counter()
 
     def finite(column, value):
@@ -463,10 +466,11 @@ def run(config, problem):
         if f_star is not None:
             f_gap = finite("f_gap", float(p.value - f_star))
         if x_star is not None:
-            g_x = p.grad  # read beside f(x), before D_h, while the data pass is in cache
+            f_x = p.value  # read before D_h: a point outside f's domain raises first
             dh_gap = finite("dh_gap", float(mirror.divergence(x_star, x)))
-            # FiniteSumObjective.f_divergence(x_star, x), term for term
-            d_f = finite("min_df_gap", float(f_x_star - p.value - g_x @ (x_star - x)))
+            # FiniteSumObjective.f_divergence(x_star, x), term for term; the
+            # slope reads only the data passes at x and x_star
+            d_f = finite("min_df_gap", float(f_x_star - f_x - p.slope_to(star)))
             min_df = min(min_df, d_f)
             min_df_gap = float(min_df)
         trace.append(TraceRecord(

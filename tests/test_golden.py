@@ -117,12 +117,15 @@ GOLDEN = {
     },
     # re-recorded when solve_reference took the logistic x_star from a Newton
     # solve: dh_gap and min_df_gap moved by at most 1e-8 relative, the
-    # iterates did not (PRECONDITIONED_ITERATES below)
+    # iterates did not (PRECONDITIONED_ITERATES below); re-recorded again
+    # when records took <grad f(x), x_star - x> from the margins at x and
+    # x_star (LogisticL2._slope): only min_df_gap moved, by at most 8.3e-17
+    # (1.5 ulp of f(x_star) = 0.39), the f_gap and dh_gap columns did not
     "preconditioned": {
-        "bgd": "d31a0ee61a7b7c08832272553bfb9fd13b705bb8101d4cfcd939c74a6f8a3880",
-        "bsaga": "97b7b830a7583b7c8de1c3c70163bc5946540ba77b483b2a8f684cc550fdd13e",
-        "bsgd": "077bfd7febd9499fa3db3fe7c2d2789e84727276d4a5ea11c22ffeb5490fcad9",
-        "bsvrg": "9f32226b0a57a6e6c3441e8fbe2fc7db9f3739ccb638372a82ae130349036340"
+        "bgd": "fa74af13823a088f371a2733ab791d493f02e1cd41edc022d242b6a0c440a152",
+        "bsaga": "cf850d3b60846896b415d3cf01f573c04c8b144f3d824db4652e7c115a8bb54b",
+        "bsgd": "480cf542daefc940a2fbc7e4818ad1979a7b6d351c7dc998708a210aacdbd137",
+        "bsvrg": "dbb40907c49eda55065445df7c2042715d76622f757b550f60a2d62f8c4bbb95"
     },
     "tomography": {
         "bgd": "021b01f95e8b9b456771f7fa479f38ceab1fc3d61b66a26325a5342357619677",

@@ -13,7 +13,7 @@ from bregopt import (
     LogisticL2,
     PoissonKL,
 )
-from bregopt.objective import _counts, _log1pexp
+from bregopt.objective import _counts, _log1pexp, _sigmoid
 from bregopt.problems import gen_tomography, load_instance, save_instance
 from bregopt.rng import make_rng
 
@@ -537,6 +537,37 @@ class TestPairings:
             assert again.tobytes() == want.tobytes()
 
 
+class TestSlope:
+    """``at(x).slope_to(at(y))`` is <grad f(x), y - x>; PoissonKL and
+    DiagonalQuadratic take it from the gradient, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(singleton_poisson().map(lambda case: (case[0], case[2], case[2][::-1])),
+                     grouped_poisson()))
+    def test_poisson_is_the_gradient_formula_bytewise(self, case):
+        # at points that may leave the domain: the slope raises what grad f(x) raises
+        obj, x, y = case
+        with np.errstate(all="ignore"):
+            try:
+                want = float(obj.full_grad(x) @ (y - x))
+            except DomainViolation as exc:
+                with pytest.raises(DomainViolation) as info:
+                    obj.at(x).slope_to(obj.at(y))
+                assert str(info.value) == str(exc) and info.value.index == exc.index
+                return
+            assert obj.at(x).slope_to(obj.at(y)).hex() == want.hex()
+
+    def test_quadratic_is_the_gradient_formula_bytewise(self):
+        rng = make_rng(12)
+        obj = DiagonalQuadratic(rng.uniform(0.5, 2.0, size=(6, 3)), rng.normal(size=(6, 3)))
+        for _ in range(10):
+            x, y = rng.normal(size=(2, 3))
+            want = float(obj.full_grad(x) @ (y - x))
+            assert obj.at(x).slope_to(obj.at(y)).hex() == want.hex()
+            assert obj.f_divergence(y, x).hex() == float(
+                obj.value(y) - obj.value(x) - want).hex()
+
+
 def rel_L(A, b, **kwargs):
     return PoissonKL(A, b, **kwargs).rel_smoothness()
 
@@ -654,19 +685,50 @@ class TestLogisticL2:
     @pytest.mark.parametrize("grouped", [False, True])
     def test_value_and_grad_is_value_and_full_grad_bytewise(self, sparse, grouped,
                                                              monkeypatch):
-        # one point reads its value, gradient and Hessian from one margin pass
+        # one point reads its value, gradient and Hessian from one margin
+        # pass; D_f(x, y) takes <grad f(y), x - y> from the margins at y and
+        # x, so it is the slope formula bit for bit and the full-gradient one
+        # within rounding
         obj, rng = self.build_sparse_rows(12, sparse, grouped)
         for _ in range(5):
             x, y = rng.normal(size=(2, 5))
             same_as_separate_calls(obj, x, ("value", "grad", "hessian"))
-            generic = float(obj.value(x) - obj.value(y) - obj.full_grad(y) @ (x - y))
-            assert obj.f_divergence(x, y).hex() == generic.hex()
+            d_f = obj.f_divergence(x, y)
+            f_x, f_y = obj.value(x), obj.value(y)
+            assert d_f.hex() == float(f_x - f_y - obj.at(y).slope_to(obj.at(x))).hex()
+            generic = float(f_x - f_y - obj.full_grad(y) @ (x - y))
+            scale = abs(f_x) + abs(f_y) + self.slope_scale(obj, y, x)
+            assert abs(d_f - generic) <= 8 * np.spacing(scale)
         calls = counted_passes(monkeypatch, obj, "_margins")
         here = obj.at(x)
         here.value, here.grad, here.hessian(), here.hessian()
         assert len(calls) == 1
         obj.f_divergence(x, y)
         assert len(calls) == 3
+
+    @staticmethod
+    def slope_scale(obj, x, y):
+        """The sum of the magnitudes of the terms of <grad f(x), y - x>:
+        (|c|^T |A|) |y - x| + lam |x| . |y - x|, |c| = s w the magnitudes of
+        the row coefficients of grad f(x); it bounds the margins formula's
+        terms too."""
+        A = abs(obj.A.toarray()) if sp.issparse(obj.A) else abs(obj.A)
+        c = _sigmoid(-obj.at(x).data) * obj._row_weight
+        d = abs(y - x)
+        return float(c @ (A @ d) + obj.lam * (abs(x) @ d))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_slope_is_the_full_gradient_formula_within_rounding(self, sparse, grouped):
+        # the slope reads the margins at x and y, not A^T; at scales from
+        # 0.1 to 10 it stays within a few ulp of its terms' magnitudes
+        obj, rng = self.build_sparse_rows(14, sparse, grouped)
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(10):
+                x, y = scale * rng.normal(size=(2, 5))
+                got = obj.at(x).slope_to(obj.at(y))
+                want = float(obj.full_grad(x) @ (y - x))
+                assert abs(got - want) <= 8 * np.spacing(self.slope_scale(obj, x, y))
 
     def test_value_at_zero(self):
         obj, _ = self.build(lam=0.0)

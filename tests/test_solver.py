@@ -876,6 +876,30 @@ def test_records_hand_their_operator_product_to_the_step(monkeypatch, method, ke
     assert len(trace) == 6 and len(calls) == 6 + keep_x_star
 
 
+@pytest.mark.parametrize("method", ["bsaga", "bgd"])
+def test_logistic_records_take_the_slope_from_their_margins(monkeypatch, method):
+    # D_f(x_star, x) reads <grad f(x), x_star - x> from the margins at x and
+    # x_star: a record makes one full margin pass, its x; x_star's is the
+    # one f(x_star) makes. Only BGD's steps read grad f(x), one per step,
+    # from the record's point (counted at the objective's _grad, which
+    # every full gradient reaches through its point)
+    data = gen_gaussian_logistic_data(120, 5, seed=3)
+    problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
+                                 lam=1e-3, c_prec=1e-3, seed=3)
+    solve_reference(problem)
+    obj = problem.objective
+    grads, full = [], []
+    grad, margins = obj._grad, obj._margins
+    monkeypatch.setattr(obj, "_grad", lambda p: grads.append(1) or grad(p))
+    monkeypatch.setattr(obj, "_margins",
+                        lambda A, y, x: A is obj.A and full.append(x) or margins(A, y, x))
+    trace = run(SolverConfig(method=method, eta=0.5, epochs=2.0, seed=4, record_every=1),
+                problem)
+    assert len(full) == len(trace) + 1
+    assert sum(x is problem.x_star for x in full) == 1
+    assert len(grads) == (trace.final.iter if method == "bgd" else 0)
+
+
 def test_preconditioned_records_make_no_inner_gradient_pass(monkeypatch):
     # h(x_star) is evaluated once per run and grad h(x) comes with the
     # iterate: a record makes one inner value, and the run takes exactly the
