@@ -12,6 +12,10 @@ Three families are provided:
 * :class:`DiagonalQuadratic`: per-component diagonal quadratics, used for the
   Euclidean-geometry test instances where everything has a closed form.
 
+``PoissonKL`` and ``LogisticL2`` share one holder (:class:`_RowObjective`): it
+checks A, holds A and A^T once and indexes the row groups, which partition the
+rows. ``n_components`` and ``dim`` are plain attributes of every objective.
+
 Objectives are immutable after construction and safe for concurrent reads.
 ``obj.at(x)`` returns the :class:`Point` of f at x: its value, gradient,
 Hessian and (PoissonKL) MU step share one data pass at x.
@@ -40,11 +44,6 @@ def _issparse(A):
     matrix exists before ``scipy.sparse`` has been imported."""
     sp = sys.modules.get("scipy.sparse")
     return sp is not None and sp.issparse(A)
-
-
-def _entries(A):
-    """The stored entries of a dense or sparse matrix."""
-    return A.data if _issparse(A) else A
 
 
 def _finite_nonnegative(values):
@@ -119,13 +118,14 @@ class Point:
 
 
 class FiniteSumObjective:
-    """Interface shared by all finite-sum objectives. A subclass defines
-    ``n_components``, ``dim``, ``value_component(i, x)``, ``partial_grad(i,
-    x)`` (grad f_i(x)) and the :class:`Point` formulas ``_value(p)``,
-    ``_grad(p)`` and, where it has them, ``_hessian(p)``, ``_mu_step(p)``
-    and the data pass ``_data(x)``. ``_slope(p, q)``, the slope
-    <grad f(p.x), q.x - p.x>, is the dot product with ``p.grad`` unless a
-    subclass reads it from the two points' data passes."""
+    """Interface shared by all finite-sum objectives. A subclass sets the
+    attributes ``n_components`` and ``dim`` at construction and defines
+    ``value_component(i, x)``, ``partial_grad(i, x)`` (grad f_i(x)) and the
+    :class:`Point` formulas ``_value(p)``, ``_grad(p)`` and, where it has
+    them, ``_hessian(p)``, ``_mu_step(p)`` and the data pass ``_data(x)``.
+    ``_slope(p, q)``, the slope <grad f(p.x), q.x - p.x>, is the dot
+    product with ``p.grad`` unless a subclass reads it from the two points'
+    data passes."""
 
     kind = None
 
@@ -202,27 +202,50 @@ def _row_block(A, g):
     return B, BT
 
 
-def _index_groups(groups, rows, kind):
-    """Component row groups as 1-D int64 index arrays.
+class _RowObjective(FiniteSumObjective):
+    """The row operator that :class:`PoissonKL` and :class:`LogisticL2` share:
+    A (CSR when sparse, else a float array), A^T (``_AT``, built once), the
+    component row ``groups`` as 1-D int64 index arrays (``None`` gives one
+    row per component), ``n_components`` and ``dim``.
 
-    ``None`` gives one row per component. Raises InvalidData unless there
-    is at least one group and every group is a nonempty 1-D integer array of
-    row indices in [0, rows).
+    Raises InvalidData unless A's stored entries pass ``entries_ok`` (they
+    must be ``rule``), ``y`` holds one ``datum`` per row, A has a column,
+    and there is at least one group, each a nonempty 1-D integer array of
+    rows in [0, rows), and the groups partition the rows: each row lies in
+    exactly one group, so that f is the mean of its components.
     """
-    if groups is None:
-        groups = list(np.arange(rows).reshape(rows, 1))
-    else:
-        groups = [np.asarray(g) for g in groups]
-        if not all(g.ndim == 1 and g.size and g.dtype.kind in "iu" for g in groups):
-            raise InvalidData(f"{kind}: each group must be a nonempty 1-D integer index array")
-        groups = [g.astype(np.int64, copy=False) for g in groups]
-        if groups:
-            flat = np.concatenate(groups)
-            if flat.min() < 0 or flat.max() >= rows:
-                raise InvalidData(f"{kind}: group indices must lie in [0, {rows})")
-    if not groups:
-        raise InvalidData(f"{kind}: the objective needs at least one component")
-    return groups
+
+    def __init__(self, A, y, groups, entries_ok, rule, datum):
+        kind = self.kind
+        self.A = A = A.tocsr() if _issparse(A) else np.asarray(A, dtype=float)
+        if not entries_ok(A.data if _issparse(A) else A):
+            raise InvalidData(f"{kind}: A must be {rule}")
+        if A.ndim != 2 or y.shape != A.shape[:1]:
+            raise InvalidData(f"{kind}: A must be a matrix with one row per {datum}")
+        rows, self.dim = A.shape
+        if not self.dim:
+            raise InvalidData(f"{kind}: the objective needs at least one unknown")
+        if groups is None:
+            groups = list(np.arange(rows).reshape(rows, 1))
+        else:
+            groups = [np.asarray(g) for g in groups]
+            if not all(g.ndim == 1 and g.size and g.dtype.kind in "iu" for g in groups):
+                raise InvalidData(f"{kind}: each group must be a nonempty 1-D integer index array")
+            groups = [g.astype(np.int64, copy=False) for g in groups]
+            if groups:
+                flat = np.concatenate(groups)
+                if flat.min() < 0 or flat.max() >= rows:
+                    raise InvalidData(f"{kind}: group indices must lie in [0, {rows})")
+                hits = np.bincount(flat, minlength=rows)
+                for bad, what in ((hits > 1, "overlap at row {}"),
+                                  (hits == 0, "leave row {} uncovered")):
+                    if bad.any():
+                        raise InvalidData(f"{kind}: groups {what.format(np.argmax(bad))}; "
+                                          "they must partition the rows")
+        if not groups:
+            raise InvalidData(f"{kind}: the objective needs at least one component")
+        self.groups, self.n_components = groups, len(groups)
+        self._AT = A.T
 
 
 def _counts(b):
@@ -238,7 +261,7 @@ _BARRIER_VIOLATION = "{}: barrier requires x > 0, fails at component {}"
 _MU_VIOLATION = "{}: multiplicative updates need x >= 0, fails at component {}"
 
 
-class PoissonKL(FiniteSumObjective):
+class PoissonKL(_RowObjective):
     """f(x) = (1/n) sum_i [ D_KL(b_i, A_i x) + barrier_weight * h_bar(x) ].
 
     Rows may be grouped into blocks; component i is the KL fit of block i.
@@ -263,15 +286,10 @@ class PoissonKL(FiniteSumObjective):
 
     def __init__(self, A, b, groups=None, barrier_weight=0.0):
         b = np.asarray(b, dtype=float)
-        self.A = A.tocsr() if _issparse(A) else np.asarray(A, dtype=float)
-        if not _finite_nonnegative(_entries(self.A)):
-            raise InvalidData("poisson_kl: A must be finite and nonnegative")
+        super().__init__(A, b, groups, _finite_nonnegative, "finite and nonnegative",
+                         "count in b")
         if not _finite_nonnegative(b):
             raise InvalidData("poisson_kl: b must be finite and nonnegative")
-        if self.A.ndim != 2 or b.shape != self.A.shape[:1]:
-            raise InvalidData("poisson_kl: A must be a matrix with one row per count in b")
-        if not self.A.shape[1]:
-            raise InvalidData("poisson_kl: the objective needs at least one unknown")
         # (Ax)_r = 0 at every x on a zero row, so its count must be 0
         dead = np.flatnonzero((b > 0) & (np.asarray(self.A.sum(axis=1)).ravel() == 0))
         if dead.size:
@@ -280,7 +298,6 @@ class PoissonKL(FiniteSumObjective):
         self.barrier_weight = float(barrier_weight)
         if not _finite_nonnegative(self.barrier_weight):
             raise InvalidData("poisson_kl: barrier_weight must be finite and nonnegative")
-        self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._rows = self._blocks = None
         if isinstance(self.A, np.ndarray) and all(len(g) == 1 for g in self.groups):
             self._rows = [(self.A[j], float(self.b[j]))
@@ -289,16 +306,7 @@ class PoissonKL(FiniteSumObjective):
             self._blocks = [(*_row_block(self.A, g), self.b[g]) for g in self.groups]
             self._block_counts = [_counts(bi) for _, _, bi in self._blocks]
         self._counts = _counts(self.b)
-        self._AT = self.A.T
         self._col_sums = np.asarray(self._AT @ np.ones(self.A.shape[0])).ravel()
-
-    @property
-    def n_components(self):
-        return len(self.groups)
-
-    @property
-    def dim(self):
-        return self.A.shape[1]
 
     def _rates(self, A, counts, x):
         """The rates A x as a flat array; DomainViolation unless every row
@@ -450,7 +458,7 @@ class PoissonKL(FiniteSumObjective):
         return float(np.max(col_sums)) / self.n_components + self.barrier_weight
 
 
-class LogisticL2(FiniteSumObjective):
+class LogisticL2(_RowObjective):
     """f_i(x) = (1/N_i) sum_{r in block i} log(1 + exp(-y_r <a_r, x>))
     + (lam/2) ||x||^2, with labels y in {-1, +1}.
 
@@ -462,34 +470,19 @@ class LogisticL2(FiniteSumObjective):
 
     def __init__(self, A, labels, lam=0.0, groups=None):
         labels = np.asarray(labels, dtype=float)
+        super().__init__(A, labels, groups, lambda v: np.all(np.isfinite(v)), "finite", "label")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise InvalidData("logistic_l2: labels must be in {-1, +1}")
         if not _finite_nonnegative(lam):
             raise InvalidData("logistic_l2: lam must be finite and nonnegative")
-        self.A = A.tocsr() if _issparse(A) else np.asarray(A, dtype=float)
-        if not np.all(np.isfinite(_entries(self.A))):
-            raise InvalidData("logistic_l2: A must be finite")
         self.labels = labels
         self.lam = float(lam)
-        if self.A.ndim != 2 or labels.shape != self.A.shape[:1]:
-            raise InvalidData("logistic_l2: A must be a matrix with one row per label")
-        if not self.A.shape[1]:
-            raise InvalidData("logistic_l2: the objective needs at least one unknown")
-        self.groups = _index_groups(groups, self.A.shape[0], self.kind)
         self._blocks = [(*_row_block(self.A, g), self.labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
         w = np.zeros(self.A.shape[0])
         for g in self.groups:
             w[g] = 1.0 / (len(g) * self.n_components)
         self._row_weight = w
-
-    @property
-    def n_components(self):
-        return len(self.groups)
-
-    @property
-    def dim(self):
-        return self.A.shape[1]
 
     def _margins(self, A, y, x):
         z = np.asarray(A @ x).ravel()
@@ -518,8 +511,7 @@ class LogisticL2(FiniteSumObjective):
         return np.asarray(g).ravel() + self.lam * x
 
     def _grad(self, p):
-        s = _sigmoid(-p.data)
-        g = self.A.T @ (-self.labels * s * self._row_weight)
+        g = self._AT @ (-self.labels * _sigmoid(-p.data) * self._row_weight)
         return np.asarray(g).ravel() + self.lam * p.x
 
     def _slope(self, p, q):
@@ -534,7 +526,7 @@ class LogisticL2(FiniteSumObjective):
         """A^T diag(s(1 - s) w) A + lam I, s = sigmoid(margins), w the row weights."""
         s = _sigmoid(p.data)
         w = s * (1.0 - s) * self._row_weight
-        H = _gram(self.A, self.A.T, w)
+        H = _gram(self.A, self._AT, w)
         H.flat[:: self.dim + 1] += self.lam  # the diagonal
         return H
 
@@ -563,14 +555,7 @@ class DiagonalQuadratic(FiniteSumObjective):
             raise InvalidData("quadratic: centers must be finite")
         self.Q = Q
         self.C = C
-
-    @property
-    def n_components(self):
-        return self.Q.shape[0]
-
-    @property
-    def dim(self):
-        return self.Q.shape[1]
+        self.n_components, self.dim = Q.shape
 
     def value_component(self, i, x):
         d = x - self.C[i]

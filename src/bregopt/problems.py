@@ -320,15 +320,15 @@ def gen_preconditioned(dataset, n_nodes, N, n_prec, lam, c_prec, seed):
         raise InsufficientData(
             f"need {total} rows for {n_nodes} nodes x {N} samples, got {A.shape[0]}"
         )
-    if n_prec > N:
-        raise InsufficientData("n_prec cannot exceed the per-node sample count")
+    if not 1 <= n_prec <= N:
+        raise InsufficientData(f"n_prec must lie in [1, N] = [1, {N}], got {n_prec}")
     perm = make_rng(seed).permutation(A.shape[0])[:total]
     A = A[perm]
     labels = np.asarray(labels)[perm]
     groups = [np.arange(i * N, (i + 1) * N) for i in range(n_nodes)]
     obj = LogisticL2(A, labels, lam=lam, groups=groups)
-    prec_rows = np.arange(n_prec)  # node 0's first n_prec rows
-    inner = LogisticL2(A[prec_rows], labels[prec_rows], lam=lam)
+    prec_rows = np.arange(n_prec)  # node 0's first n_prec rows, as one component
+    inner = LogisticL2(A[prec_rows], labels[prec_rows], lam=lam, groups=[prec_rows])
     ref = Preconditioner(inner, c_prec=c_prec)
     return ProblemInstance(
         objective=obj,
@@ -604,9 +604,9 @@ def _read_instance(archive):
     d = obj.dim
     ref_kind = archive.scalar("reference", "U")
     if ref_kind == "preconditioner":
-        inner = LogisticL2(archive.matrix("inner_A"),
-                           archive.array("inner_labels", "f", (None,)),
-                           lam=archive.scalar("inner_lam"))
+        inner_A = archive.matrix("inner_A")  # one component, as gen_preconditioned builds it
+        inner = LogisticL2(inner_A, archive.array("inner_labels", "f", (None,)),
+                           lam=archive.scalar("inner_lam"), groups=[np.arange(inner_A.shape[0])])
         if inner.dim != d:
             raise InvalidData(f"preconditioner dimension {inner.dim}, objective {d}")
         ref = Preconditioner(inner, c_prec=archive.scalar("c_prec"))

@@ -16,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 
 from .metrics import (
+    PLATEAU_BAND,
     CertReport,
     CheckResult,
+    _plateau_fit,
     certify_lemmas,
-    plateau_level,
     rate_fit,
 )
 from .mirror import Euclidean, LogBarrier
@@ -216,19 +217,21 @@ class Battery:
         """Noise-region scaling: plateau level roughly proportional to eta."""
         prob = self._noisy_poisson_problem()
         eta = 1.0 / (2.0 * prob.meta["L_rel"])
-        levels = {}
-        flat = True
+        levels, rates, flat = {}, {}, True
         for tag, mult in (("full", 1.0), ("half", 0.5)):
             trace = self._run(f"c3_bsgd_{tag}",
                               SolverConfig(method="bsgd", eta=mult * eta, epochs=400.0, seed=3),
                               prob)
-            level, is_plateau = plateau_level(trace)
-            levels[tag] = level
+            levels[tag], is_plateau, rates[tag] = _plateau_fit(trace)
             flat = flat and is_plateau
         ratio = levels["full"] / levels["half"]
         return [
-            CheckResult("c3/plateaus_detected", 2, 0.0 if flat else 1.0, 0.0),
-            CheckResult("c3/level_ratio", 2, max(1.5 - ratio, ratio - 3.0), 0.0),
+            CheckResult("c3/plateaus_detected", 2, 0.0 if flat else 1.0, 0.0,
+                        note=f"tail rates full={rates['full']:.7g} half={rates['half']:.7g}, "
+                             f"plateau when |rate-1|<={PLATEAU_BAND:g}"),
+            CheckResult("c3/level_ratio", 2, max(1.5 - ratio, ratio - 3.0), 0.0,
+                        note=f"levels full={levels['full']:.4g} half={levels['half']:.4g} "
+                             f"ratio={ratio:.4g} band=[1.5, 3]"),
         ]
 
     def criterion_4(self):
@@ -244,15 +247,19 @@ class Battery:
         sgd = self._run("c4_bsgd", SolverConfig(method="bsgd", eta=eta, epochs=150.0, seed=4),
                         prob)
         rate = rate_fit(saga, max(len(saga) // 3, 2))
-        level, is_plateau = plateau_level(sgd)
+        level, is_plateau, sgd_rate = _plateau_fit(sgd)
         separation = level / max(saga.final.dh_gap, 1e-300)
         return [
             CheckResult("c4/saga_rate", len(saga) // 3, rate, bound,
                         note=f"bound=1-min(1/(2n),1/(8*kappa))/2={bound:.7g} "
                              f"kappa={kappa:.4g} n={n} eta={eta:.4g}"),
             CheckResult("c4/saga_final_dh", 1, saga.final.dh_gap, 1e-10),
-            CheckResult("c4/bsgd_plateau", 1, 0.0 if is_plateau else 1.0, 0.0),
-            CheckResult("c4/separation", 1, 1e4 - separation, 0.0),
+            CheckResult("c4/bsgd_plateau", 1, 0.0 if is_plateau else 1.0, 0.0,
+                        note=f"bsgd tail rate={sgd_rate:.7g}, "
+                             f"plateau when |rate-1|<={PLATEAU_BAND:g}"),
+            CheckResult("c4/separation", 1, 1e4 - separation, 0.0,
+                        note=f"bsgd plateau level={level:.4g} "
+                             f"bsaga final dh_gap={saga.final.dh_gap:.4g}"),
         ]
 
     def criterion_5(self):

@@ -81,10 +81,21 @@ class TestAcceptance:
         assert_all_pass(battery.criterion(2))
 
     def test_criterion_3_plateau_scales_with_step(self, battery):
-        assert_all_pass(battery.criterion(3))
+        checks = battery.criterion(3)
+        assert_all_pass(checks)
+        # each verdict prints the tail rates or the levels it rests on
+        assert [c.note for c in checks[:2]] == [
+            "tail rates full=0.9999984 half=0.999998, plateau when |rate-1|<=0.001",
+            "levels full=0.07107 half=0.03631 ratio=1.957 band=[1.5, 3]",
+        ]
 
     def test_criterion_4_saga_beats_sgd_plateau(self, battery):
-        assert_all_pass(battery.criterion(4))
+        checks = battery.criterion(4)
+        assert_all_pass(checks)
+        assert [c.note for c in checks[2:4]] == [
+            "bsgd tail rate=0.9997755, plateau when |rate-1|<=0.001",
+            "bsgd plateau level=0.1381 bsaga final dh_gap=2.583e-31",
+        ]
 
     def test_criterion_5_potential_contraction(self, battery):
         assert_all_pass(battery.criterion(5))

@@ -226,6 +226,16 @@ class TestRun:
                      "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
         assert "group indices must lie in [0, 20)" in capsys.readouterr().err
 
+    def test_repeated_group_row_is_usage_error(self, tmp_path, capsys):
+        # a file with a valid digest whose groups hold row 2 twice and row 3 never
+        problem = gen_interpolation(20, 5, seed=0)
+        problem.objective.groups[3] = np.array([2])
+        inst = str(tmp_path / "inst.bin")
+        save_instance(inst, problem)
+        assert main(["run", "--instance", inst, "--method", "bsgd",
+                     "--eta", "0.01", "-o", str(tmp_path / "t.csv")]) == 2
+        assert "groups overlap at row 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault, message", [
         ("x0", "'x0' is not finite"), ("centers", "centers must be finite"),
         ("weights", "weights must be finite and positive")])

@@ -1,6 +1,7 @@
 """Every module-level import in the package, its tests, its demos and the
-benchmark harness is used, and the package never imports scipy.optimize.
-Files are only parsed, never imported."""
+benchmark harness is used, every module-level private name the package
+defines is read in the package, and the package never imports
+scipy.optimize. Files are only parsed, never imported."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,46 @@ def test_package_does_not_import_scipy_optimize(path):
 def test_finds_a_nested_scipy_optimize_import():
     source = "def f():\n    from scipy import optimize\n    import scipy.sparse as sp\n"
     assert imported_modules(source) == {"scipy", "scipy.optimize", "scipy.sparse"}
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each module-level private name (a ``_x``
+    function, class or constant) that one of ``sources``, a mapping of
+    module name to source, defines and none of them reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src/bregopt").glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_A, B = 1, 2\n_kept: int = 4\n\n\n"
+             "def _helper():\n    return _LIMIT\n\n\n"
+             "class _Gone:\n    _inner = 1\n\n\n"
+             "def public(x):\n    _helper.cache = x\n",
+        "b": "from a import _kept\n",
+    }
+    # an import or a store does not read a name; a class attribute is not module-level
+    assert unread_private_names(sources) == [
+        ("a", 2, "_A"), ("a", 3, "_kept"), ("a", 10, "_Gone")]

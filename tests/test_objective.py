@@ -164,6 +164,52 @@ class TestPoissonKL:
             LogisticL2(np.ones((3, 2)), np.ones(4))
 
 
+ROW_OBJECTIVES = {"poisson": PoissonKL, "logistic": LogisticL2}
+
+
+class TestRowObjective:
+    """The checks that PoissonKL and LogisticL2 share through one holder."""
+
+    @pytest.mark.parametrize("name", ROW_OBJECTIVES)
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("A, rows, message", [
+        (np.ones((3, 2)), 2, "A must be a matrix with one row per"),
+        (np.ones((3, 0)), 3, "the objective needs at least one unknown"),
+        (np.array([[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]]), 3, "A must be finite"),
+        (np.array([[1.0, np.inf], [1.0, 1.0], [1.0, 1.0]]), 3, "A must be finite"),
+    ])
+    def test_bad_operator_rejected(self, name, sparse, A, rows, message):
+        cls = ROW_OBJECTIVES[name]
+        with pytest.raises(InvalidData, match=f"^{cls.kind}: {message}"):
+            cls(sp.csr_matrix(A) if sparse else A, np.ones(rows))
+
+    @pytest.mark.parametrize("name", ROW_OBJECTIVES)
+    @pytest.mark.parametrize("groups, message", [
+        ([[0], [0, 1], [2]], "groups overlap at row 0"),
+        ([[0, 1], [2, 1]], "groups overlap at row 1"),
+        ([[0, 2, 2], [1]], "groups overlap at row 2"),
+        ([[0], [1]], "groups leave row 2 uncovered"),
+        ([[2, 0]], "groups leave row 1 uncovered"),
+        ([[0], [3]], r"group indices must lie in \[0, 3\)"),
+    ])
+    def test_groups_must_partition_the_rows(self, name, groups, message):
+        # otherwise the full objective is not the mean of its components
+        cls = ROW_OBJECTIVES[name]
+        A = np.array([[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]])
+        with pytest.raises(InvalidData, match=f"^{cls.kind}: {message}"):
+            cls(A, [1.0, -1.0, 1.0] if cls is LogisticL2 else [1.0, 2.0, 1.0],
+                groups=[np.array(g) for g in groups])
+
+    def test_shape_is_held_as_attributes(self):
+        A = np.ones((6, 3))
+        objs = (PoissonKL(A, np.ones(6), groups=[np.arange(4), np.arange(4, 6)]),
+                LogisticL2(A, np.ones(6), groups=[np.arange(4), np.arange(4, 6)]),
+                DiagonalQuadratic(np.ones((2, 3)), np.zeros((2, 3))))
+        for obj in objs:
+            assert (obj.n_components, obj.dim) == (2, 3)
+            assert {"n_components", "dim"} <= vars(obj).keys()
+
+
 @st.composite
 def poisson_with_nan_point(draw):
     """A dense or CSR PoissonKL with positive entries and counts, grouped or
@@ -253,10 +299,11 @@ class TestRowKernel:
 
     def test_rows_are_views_of_a(self):
         A = make_rng(5).uniform(0.1, 1.0, size=(4, 3))
-        obj = PoissonKL(A, np.ones(4), groups=[np.array([2]), np.array([0])])
-        assert obj.n_components == 2
+        obj = PoissonKL(A, np.ones(4), groups=[np.array([2]), np.array([0]),
+                                               np.array([3]), np.array([1])])
+        assert obj.n_components == 4
         assert all(a.base is obj.A for a, _ in obj._rows)
-        assert PoissonKL(A, np.ones(4), groups=[np.array([0, 1])])._rows is None
+        assert PoissonKL(A, np.ones(4), groups=[np.array([0, 1]), np.array([2, 3])])._rows is None
         assert PoissonKL(sp.csr_matrix(A), np.ones(4))._rows is None
 
 

@@ -313,6 +313,32 @@ class TestPreconditioned:
             gen_preconditioned(data, n_nodes=n_nodes, N=10, n_prec=5, lam=1e-3,
                                c_prec=1e-3, seed=1)
 
+    @pytest.mark.parametrize("n_prec", [0, 11])
+    def test_preconditioning_rows_outside_one_to_n_are_insufficient_data(self, n_prec):
+        # the inner function is one component of n_prec rows, so it needs one
+        data = gen_gaussian_logistic_data(40, 4, seed=1)
+        with pytest.raises(InsufficientData, match=r"n_prec must lie in \[1, N\]"):
+            gen_preconditioned(data, n_nodes=4, N=10, n_prec=n_prec, lam=1e-3,
+                               c_prec=1e-3, seed=1)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_inner_function_is_one_component(self, tmp_path, sparse):
+        # node 0's loss is one function: held as one component, it gives the
+        # bytes of the ungrouped objective on the same rows, before and after
+        # a file round trip
+        problem = preconditioned_instance(sparse)
+        back = load_instance(instance_file(tmp_path, problem))
+        inner = problem.reference.inner
+        ungrouped = LogisticL2(inner.A, inner.labels, inner.lam)
+        x = make_rng(3).normal(size=4)
+        want = ungrouped.at(x)
+        for held in (inner, back.reference.inner):
+            assert held.n_components == 1
+            got = held.at(x)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert got.grad.tobytes() == want.grad.tobytes()
+            assert got.hessian().tobytes() == want.hessian().tobytes()
+
     def test_comm_model(self):
         data = gen_gaussian_logistic_data(40, 4, seed=1)
         problem = gen_preconditioned(
@@ -512,6 +538,15 @@ class TestInstanceFiles:
         members["group_rows"][3] = value
         write_archive(path, members)
         with pytest.raises(InvalidData, match="group indices"):
+            load_instance(path)
+
+    def test_repeated_group_row_is_invalid_data(self, tmp_path):
+        # group_ends still rise to the number of rows, but row 2 is counted twice
+        path = instance_file(tmp_path, gen_interpolation(20, 5, seed=1))
+        members = read_members(path)
+        members["group_rows"][3] = 2
+        write_archive(path, members)
+        with pytest.raises(InvalidData, match="groups overlap at row 2"):
             load_instance(path)
 
     @pytest.mark.parametrize("key", ["objective", "reference"])
