@@ -221,25 +221,66 @@ class CertReport:
         return "\n".join([c.line() for c in self.checks] + [verdict])
 
 
-def _interior_point(kind, rng, d):
-    if kind == "euclidean":
-        return rng.standard_normal(d)
-    return rng.uniform(0.2, 2.0, size=d)
-
-
 def _interior_pairs(kind, rng, d, samples):
     """Stacks X, Y of ``samples`` interior points, drawn x then y for one
-    sample after another."""
-    X, Y = np.empty((2, samples, d))
-    for i in range(samples):
-        X[i] = _interior_point(kind, rng, d)
-        Y[i] = _interior_point(kind, rng, d)
+    sample after another, in one generator call. X and Y are contiguous
+    copies, as the arrays a per-sample loop fills are."""
+    if kind == "euclidean":
+        XY = rng.standard_normal((samples, 2, d))
+    else:
+        XY = rng.uniform(0.2, 2.0, size=(samples, 2, d))
+    X, Y = np.moveaxis(XY, 1, 0).copy()
     return X, Y
+
+
+def _midpoint_draws(kind, rng, d, samples):
+    """The midpoint lemma's interior points X (samples, d) and relative dual
+    perturbations U (samples, 2, d), drawn x then u for one sample after
+    another. On the positive orthant that is one generator call, and X a
+    contiguous copy; a normal x and uniform u take one pair of calls per
+    sample."""
+    if kind == "euclidean":
+        X, U = np.empty((samples, d)), np.empty((samples, 2, d))
+        for i in range(samples):
+            X[i] = rng.standard_normal(d)
+            U[i] = rng.uniform(-0.5, 0.5, size=(2, d))
+        return X, U
+    R = rng.uniform([[0.2], [-0.5], [-0.5]], [[2.0], [0.5], [0.5]], size=(samples, 3, d))
+    return R[:, 0].copy(), R[:, 1:]
+
+
+def _variance_draws(kind, rng, d, samples, k):
+    """The variance lemma's k dual outcomes O (samples, k, d), anchors U
+    (samples, d) and probabilities P (samples, k), drawn o, u, p for one
+    sample after another, and the mixtures M = P O (samples, d).
+
+    Under the log-barrier every draw is uniform, one generator call;
+    otherwise the normal o, u and uniform p take three calls per sample.
+    P's normalisation and M are stacked, each row equal to the per-sample
+    ``p / p.sum()`` and ``p @ o`` bit for bit.
+    """
+    if kind == "log_barrier":
+        R = rng.uniform(np.repeat([0.2, 0.1], [(k + 1) * d, k]),
+                        np.repeat([2.0, 1.0], [(k + 1) * d, k]),
+                        size=(samples, (k + 1) * d + k))
+        O = -R[:, :k * d].reshape(samples, k, d)
+        U = -R[:, k * d:(k + 1) * d]
+        P = R[:, (k + 1) * d:]
+    else:
+        O, U, P = np.empty((samples, k, d)), np.empty((samples, d)), np.empty((samples, k))
+        for i in range(samples):
+            O[i] = rng.standard_normal((k, d))
+            U[i] = rng.standard_normal(d)
+            P[i] = rng.uniform(0.1, 1.0, size=k)
+    P = P / P.sum(axis=-1, keepdims=True)
+    M = np.matmul(P[:, None, :], O)[:, 0]
+    return O, U, P, M
 
 
 def _smooth_test_objective(kind, d, rng):
     """A convex objective with a known relative smoothness constant w.r.t.
-    the reference of the given kind, evaluated on sampled interior points."""
+    the reference of the given kind: its value and gradient, each taking a
+    stack of points (S, d) in one call, and the constant."""
     if kind == "euclidean":
         Q = rng.uniform(0.5, 2.0, size=(4, d))
         C = rng.standard_normal((4, d))
@@ -254,11 +295,11 @@ def _smooth_test_objective(kind, d, rng):
         # weighted entropy: Hessian diag(w / x) <= max(w) * Hessian of h
         w = rng.uniform(0.5, 1.0, size=d)
 
-        def value(x):
-            return float(w @ (x * np.log(x)))
+        def value(X):
+            return np.vecdot(w, X * np.log(X))
 
-        def grad(x):
-            return w * (np.log(x) + 1.0)
+        def grad(X):
+            return w * (np.log(X) + 1.0)
 
         return value, grad, float(np.max(w))
     raise ValueError(kind)
@@ -292,10 +333,14 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
     enumeration. ``l_scale`` rescales the smoothness constant fed to the
     cocoercivity check; values below 1 serve as a negative control.
 
-    Samples are drawn one at a time from one stream per kind, and the test
-    objective is evaluated one sample at a time; each lemma then takes one
-    batched call per map over all its samples, whose every row equals the
-    per-sample call bit for bit. Each check's note names its worst sample;
+    Samples come from one stream per kind, in the order of a per-sample
+    loop: a lemma whose draws share one distribution takes them in one
+    generator call, which fills its array element by element; a lemma that
+    mixes normal and uniform draws takes them in a loop that only draws.
+    The test objective is evaluated on each lemma's stack of points in one
+    call, and each lemma takes one stacked call per map over all its
+    samples; every row equals the per-sample call bit for bit. Each check's
+    note names its worst sample;
     cocoercivity and the descent identity skip the samples whose shifted
     dual point leaves the conjugate domain, and count them.
 
@@ -316,11 +361,7 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
         report.checks.append(_check(f"{kind}/duality", samples, v, 1e-9))
 
         # Lemma: midpoint inequality for mirror steps
-        X = np.empty((samples, d))
-        U = np.empty((samples, 2, d))
-        for i in range(samples):
-            X[i] = _interior_point(kind, rng, d)
-            U[i] = rng.uniform(-0.5, 0.5, size=(2, d))
+        X, U = _midpoint_draws(kind, rng, d, samples)
         Y = ref.grad(X)
         Y1, Y2 = Y * (1.0 + U[:, 0]), Y * (1.0 + U[:, 1])
         G1, G2 = Y - Y1, Y - Y2
@@ -332,13 +373,11 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
         # dual point lies in the conjugate domain
         eta = 1.0 / (L * l_scale)
         X, Y = _interior_pairs(kind, rng, d, samples)
-        GX = np.array([grad_f(x) for x in X]).reshape(X.shape)
-        GY = np.array([grad_f(y) for y in Y]).reshape(Y.shape)
-        shifted = ref.grad(X) - eta * (GX - GY)
+        GY = grad_f(Y)
+        shifted = ref.grad(X) - eta * (grad_f(X) - GY)
         rows = np.flatnonzero(ref.dual_ok(shifted).all(axis=-1))
         X, Y, GY, shifted = X[rows], Y[rows], GY[rows], shifted[rows]
-        df = (np.array([value_f(x) - value_f(y) for x, y in zip(X, Y)])
-              - np.vecdot(GY, X - Y))
+        df = value_f(X) - value_f(Y) - np.vecdot(GY, X - Y)
         v = ref.dual_divergence(shifted, ref.grad(X)) / eta - df
         report.checks.append(_check(f"{kind}/cocoercivity", len(rows), v, 1e-10,
                                     rows, samples - len(rows)))
@@ -346,7 +385,7 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
         # Lemma: one-step descent identity (holds for any comparison point
         # z), over the samples whose mirror step stays in the domain
         X, Z = _interior_pairs(kind, rng, d, samples)
-        G = np.array([grad_f(x) for x in X]).reshape(X.shape)
+        G = grad_f(X)
         dual = ref.grad(X) - eta * G
         rows = np.flatnonzero(ref.dual_ok(dual).all(axis=-1))
         X, Z, G = X[rows], Z[rows], G[rows]
@@ -359,22 +398,7 @@ def certify_lemmas(kinds=("euclidean", "log_barrier", "neg_entropy"), seed=7,
                                     rows, samples - len(rows)))
 
         # Lemma: variance decomposition of D_{h*} by exact enumeration
-        k = 5
-        O = np.empty((samples, k, d))
-        U = np.empty((samples, d))
-        P = np.empty((samples, k))
-        M = np.empty((samples, d))
-        for i in range(samples):
-            if kind == "log_barrier":
-                O[i] = -rng.uniform(0.2, 2.0, size=(k, d))
-                U[i] = -rng.uniform(0.2, 2.0, size=d)
-            else:
-                O[i] = rng.standard_normal((k, d))
-                U[i] = rng.standard_normal(d)
-            probs = rng.uniform(0.1, 1.0, size=k)
-            probs /= probs.sum()
-            P[i] = probs
-            M[i] = probs @ O[i]
+        O, U, P, M = _variance_draws(kind, rng, d, samples, k=5)
         # the k-term sums run left to right, one row at a time
         lhs = (P * ref.dual_divergence(O, U[:, None])).sum(axis=-1)
         rhs = (ref.dual_divergence(M, U)

@@ -24,6 +24,13 @@ uniformly sampled component gradient is an unbiased estimate of grad f.
 Component methods also take an index array i and stacked points (a 1-D point
 serves every row); row k equals the call with i[k] bit for bit. Quadratics
 take whole-array passes, the other families one index at a time.
+``value`` and ``full_grad`` of a quadratic, and of a PoissonKL whose A is
+dense, also take a stack of points (S, d), in whole-array passes: row k
+equals the 1-D call at x[k] bit for bit, and a domain violation is indexed
+(row, component), as in the closed-form mirror maps. The stacked rates and
+A^T products are one gemv per row through ``np.matmul``, which matches the
+1-D ``A @ x`` bit for bit where a gemm ``X @ A.T`` does not (checked on
+numpy 2.4.6 only). A stack on a sparse A raises ValueError.
 
 A may be a dense array or a scipy sparse matrix. scipy is imported on first
 use, only where a sparse matrix is built or arrives, and a sparseness test
@@ -36,7 +43,7 @@ import sys
 import numpy as np
 
 from .errors import DomainViolation, InvalidData
-from .mirror import _dot, _require
+from .mirror import _dot, _require, _sum
 
 
 def _issparse(A):
@@ -76,7 +83,9 @@ class Point:
     checked data pass at x (``data``), made on first use, so a point outside
     the domain raises when a quantity is read; ``slope_to`` may also read
     the other point's pass. x and the point's arrays are read-only to its
-    users: the point copies nothing.
+    users: the point copies nothing. Where the objective takes a stack of
+    points (see the module docstring), x may be one, and ``value`` and
+    ``grad`` then hold a row per point.
     """
 
     __slots__ = ("obj", "x", "_data", "_value", "_grad", "_mu_step")
@@ -163,6 +172,24 @@ class FiniteSumObjective:
         """Rows ``method(i[k], row k of each stacked point)`` for index array i."""
         return np.array([method(int(j), *(p if np.ndim(p) == 1 else p[k] for p in points))
                          for k, j in enumerate(i)])
+
+
+def _matvec(M, x):
+    """M x as a flat array for a 1-D x; for a stack x (S, d), M x[k] in row
+    k, by one gemv per row, which needs a dense M (ValueError otherwise)."""
+    if x.ndim == 1:
+        return np.asarray(M @ x).ravel()
+    if not isinstance(M, np.ndarray):
+        raise ValueError("a stack of points needs a dense operator")
+    return np.matmul(M, x[..., None])[..., 0]
+
+
+def _pick(v, mask):
+    """The entries of v where ``mask`` holds, along the last axis, C-ordered:
+    a mask index on a 1-D v, ``np.compress`` on a stack. A stack's mask
+    index returns its rows column-major, and a row sum would then not run
+    in the 1-D order; on a 1-D v, ``np.compress`` costs three mask indexes."""
+    return v[mask] if v.ndim == 1 else np.compress(mask, v, axis=-1)
 
 
 def _gram(A, AT, w):
@@ -309,10 +336,11 @@ class PoissonKL(_RowObjective):
         self._col_sums = np.asarray(self._AT @ np.ones(self.A.shape[0])).ravel()
 
     def _rates(self, A, counts, x):
-        """The rates A x as a flat array; DomainViolation unless every row
-        with a positive count has a positive rate (NaN is not). ``counts``
-        is ``_counts`` of the rows' counts."""
-        rates = np.asarray(A @ x).ravel()
+        """The rates A x as a flat array, one row per point of a stack;
+        DomainViolation unless every row with a positive count has a
+        positive rate (NaN is not). ``counts`` is ``_counts`` of the rows'
+        counts."""
+        rates = _matvec(A, x)
         _require(counts[1] | (rates > 0), _RATE_VIOLATION, self.kind)
         return rates
 
@@ -326,12 +354,13 @@ class PoissonKL(_RowObjective):
 
     @staticmethod
     def _kl_terms(rates, counts):
-        """The KL fit of the rows whose rates are ``rates``."""
+        """The KL fit of the rows whose rates are ``rates``, one per point of
+        a stack of rates."""
         pos, zero, bp = counts
-        val = float(np.sum(rates[zero]))
+        val = _sum(_pick(rates, zero))
         if bp.size:
-            rp = rates[pos]
-            val += float(np.sum(bp * np.log(bp / rp) - bp + rp))
+            rp = _pick(rates, pos)
+            val += _sum(bp * np.log(bp / rp) - bp + rp)
         return val
 
     def _barrier_on(self, x):
@@ -345,7 +374,7 @@ class PoissonKL(_RowObjective):
     def _barrier_value(self, x):
         if not self._barrier_on(x):
             return 0.0
-        return -self.barrier_weight * float(np.sum(np.log(x)))
+        return -self.barrier_weight * _sum(np.log(x))
 
     def _data(self, x):
         return self._rates(self.A, self._counts, x)
@@ -361,12 +390,12 @@ class PoissonKL(_RowObjective):
 
     @staticmethod
     def _kl_grad(AT, rates, counts):
-        """A^T (1 - b / Ax) over the observed rows, the others' coefficient 1."""
+        """A^T (1 - b / Ax) over the observed rows, the others' coefficient 1;
+        one row per point of a stack of rates."""
         pos, _, bp = counts
         coeff = np.ones_like(rates)
-        coeff[pos] = 1.0 - bp / rates[pos]
-        g = AT @ coeff
-        return np.asarray(g).ravel()
+        coeff[pos if rates.ndim == 1 else (..., pos)] = 1.0 - bp / _pick(rates, pos)
+        return _matvec(AT, coeff)
 
     def partial_grad(self, i, x):
         if isinstance(i, np.ndarray):
@@ -562,14 +591,15 @@ class DiagonalQuadratic(FiniteSumObjective):
         return 0.5 * _dot(self.Q[i], d * d)
 
     def _value(self, p):
-        d = p.x[None, :] - self.C
-        return 0.5 * float(np.sum(self.Q * d * d)) / self.n_components
+        d = p.x[..., None, :] - self.C
+        terms = self.Q * d * d
+        return 0.5 * _sum(terms.reshape(*terms.shape[:-2], -1)) / self.n_components
 
     def partial_grad(self, i, x):
         return self.Q[i] * (x - self.C[i])
 
     def _grad(self, p):
-        return np.mean(self.Q * (p.x[None, :] - self.C), axis=0)
+        return np.mean(self.Q * (p.x[..., None, :] - self.C), axis=-2)
 
     def minimizer(self):
         return np.sum(self.Q * self.C, axis=0) / np.sum(self.Q, axis=0)

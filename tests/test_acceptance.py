@@ -14,6 +14,7 @@ its tolerance, fails here, and one that moves it on purpose updates the pin.
 
 import pytest
 
+from bregopt import PoissonKL
 from bregopt.verify import Battery
 
 
@@ -121,10 +122,22 @@ class TestAcceptance:
         ]
 
     def test_criterion_8_sparse_smoothness_constant(self, battery):
-        assert_all_pass(battery.criterion(8))
+        checks = battery.criterion(8)
+        assert_all_pass(checks)
+        # each verdict prints the worst instance or the counts it rests on
+        assert [c.note for c in checks[:3]] == [
+            "worst at instance 79 point 2, l_sparse=0.3511784",
+            "l_sparse above l_dense in 0 of 100",
+            "improved 100 of 100, at least 90 needed",
+        ]
 
     def test_criterion_9_multiplicative_updates(self, battery):
-        assert_all_pass(battery.criterion(9))
+        checks = battery.criterion(9)
+        assert_all_pass(checks)
+        assert [c.note for c in checks[:2]] == [
+            "worst increase at iteration 1000",
+            "x* preserved bit for bit",
+        ]
 
     def test_criterion_10_trace_determinism(self, battery):
         assert_all_pass(battery.criterion(10))
@@ -138,3 +151,12 @@ def test_criterion_10_names_each_run_whose_replay_differs():
     (check,) = battery.criterion(10)
     assert not check.passed
     assert check.line().endswith("[replay differs: c4_bsgd] FAIL")
+
+
+def test_criterion_9_prints_how_far_x_star_moves(monkeypatch):
+    mu_step = PoissonKL.mu_step
+    monkeypatch.setattr(PoissonKL, "mu_step", lambda self, x: mu_step(self, x) + 2.0**-20)
+    checks = Battery().criterion(9)
+    assert checks[0].passed
+    assert not checks[1].passed
+    assert checks[1].note == "max |x+ - x*|=9.537e-07"

@@ -30,7 +30,13 @@ from bregopt import (
     SvrgState,
     TraceInvariantError,
 )
-from bregopt.metrics import CERT_DIM
+from bregopt import metrics
+from bregopt.metrics import (
+    CERT_DIM,
+    _interior_pairs,
+    _midpoint_draws,
+    _variance_draws,
+)
 from bregopt.rng import make_rng
 from bregopt.solver import (
     saga_slot_errors,
@@ -413,6 +419,83 @@ class TestCertification:
         )
         assert "ALL CHECKS PASSED" in out.stdout
         assert "fault detected" in out.stdout
+
+    @pytest.mark.parametrize("kind", ["euclidean", "log_barrier", "neg_entropy"])
+    def test_stacked_draws_match_per_sample_loops(self, kind):
+        # certify_lemmas' stacked draws, lemma after lemma from one stream,
+        # against the per-sample loops they replaced: Philox fills an array
+        # element by element, so one call per lemma draws the same numbers
+        samples, d, k = 50, CERT_DIM, 5
+        rng = make_rng(7)
+
+        def point():
+            return rng.standard_normal(d) if kind == "euclidean" else rng.uniform(0.2, 2.0, size=d)
+
+        def pairs():
+            X, Y = np.empty((2, samples, d))
+            for i in range(samples):
+                X[i] = point()
+                Y[i] = point()
+            return X, Y
+
+        def midpoint():
+            X, U = np.empty((samples, d)), np.empty((samples, 2, d))
+            for i in range(samples):
+                X[i] = point()
+                U[i] = rng.uniform(-0.5, 0.5, size=(2, d))
+            return X, U
+
+        def variance():
+            O, U = np.empty((samples, k, d)), np.empty((samples, d))
+            P, M = np.empty((samples, k)), np.empty((samples, d))
+            for i in range(samples):
+                if kind == "log_barrier":
+                    O[i] = -rng.uniform(0.2, 2.0, size=(k, d))
+                    U[i] = -rng.uniform(0.2, 2.0, size=d)
+                else:
+                    O[i] = rng.standard_normal((k, d))
+                    U[i] = rng.standard_normal(d)
+                probs = rng.uniform(0.1, 1.0, size=k)
+                probs /= probs.sum()
+                P[i] = probs
+                M[i] = probs @ O[i]
+            return O, U, P, M
+
+        loops = [pairs(), midpoint(), pairs(), pairs(), variance(), rng.random(3)]
+        rng = make_rng(7)
+        stacked = [_interior_pairs(kind, rng, d, samples), _midpoint_draws(kind, rng, d, samples),
+                   _interior_pairs(kind, rng, d, samples), _interior_pairs(kind, rng, d, samples),
+                   _variance_draws(kind, rng, d, samples, k), rng.random(3)]
+        for want, got in zip(loops[:-1], stacked[:-1]):
+            assert len(want) == len(got)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
+        assert np.array_equal(loops[-1], stacked[-1])  # the stream ends where it did
+
+    def test_objective_calls_do_not_grow_with_samples(self, monkeypatch):
+        # each lemma evaluates the test objective on its whole stack: two
+        # values and three gradients per kind, at any sample count
+        calls = []
+        make = metrics._smooth_test_objective
+
+        def counted(kind, d, rng):
+            value, grad, L = make(kind, d, rng)
+
+            def count(name, f):
+                def call(X):
+                    calls.append((kind, name))
+                    return f(X)
+                return call
+
+            return count("value", value), count("grad", grad), L
+
+        monkeypatch.setattr(metrics, "_smooth_test_objective", counted)
+        kinds = ("euclidean", "log_barrier", "neg_entropy")
+        for samples in (200, 20):
+            calls.clear()
+            certify_lemmas(samples=samples)
+            want = [(kind, name) for kind in kinds
+                    for name in ("grad", "grad", "value", "value", "grad")]
+            assert calls == want
 
     def test_seeded_determinism(self):
         a = certify_lemmas(samples=40, seed=3)

@@ -13,7 +13,7 @@ from bregopt import (
     LogisticL2,
     PoissonKL,
 )
-from bregopt.objective import _counts, _log1pexp, _sigmoid
+from bregopt.objective import _counts, _issparse, _log1pexp, _sigmoid
 from bregopt.problems import gen_tomography, load_instance, save_instance
 from bregopt.rng import make_rng
 
@@ -871,3 +871,63 @@ class TestDiagonalQuadratic:
     def test_non_finite_center_rejected(self, center):
         with pytest.raises(InvalidData, match="centers must be finite"):
             DiagonalQuadratic([[1.0, 1.0]], [[0.0, center]])
+
+
+@st.composite
+def stacked_points(draw):
+    """A dense or CSR PoissonKL (zero entries and zero-count rows allowed,
+    grouped or not, with or without the barrier) or a DiagonalQuadratic,
+    and a stack of points inside its domain, one row of which may leave it
+    through zero or negative coordinates; that row's index, else None."""
+    d, S = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        Q = draw(st.lists(st.floats(0.1, 10.0), min_size=n * d, max_size=n * d))
+        C = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))
+        obj = DiagonalQuadratic(np.reshape(Q, (n, d)), np.reshape(C, (n, d)))
+        coord = st.floats(-5.0, 5.0)
+    else:
+        n = draw(st.integers(1, 6))
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+        A = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+        b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+        b[~A.any(axis=1)] = 0.0
+        cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        groups = np.split(np.arange(n), sorted(cuts)) if draw(st.booleans()) else None
+        weight = draw(st.sampled_from([0.0, 0.3]))
+        obj = PoissonKL(sp.csr_matrix(A) if draw(st.booleans()) else A, b, groups=groups,
+                        barrier_weight=weight)
+        coord = st.floats(0.1, 5.0)
+    X = np.array(draw(st.lists(coord, min_size=S * d, max_size=S * d))).reshape(S, d)
+    bad = draw(st.one_of(st.none(), st.integers(0, S - 1)))
+    if bad is not None:
+        X[bad] = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 5.0)),
+                               min_size=d, max_size=d))
+    return obj, X, bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_points())
+def test_stacked_value_and_grad_match_rows(case):
+    # each row of a stacked value / full_grad is the 1-D call at that row,
+    # by float.hex; a row outside the domain raises as the maps do, at
+    # (row, the 1-D call's index); a sparse operator takes 1-D points only
+    obj, X, bad = case
+    hexes = np.vectorize(float.hex)
+    for name in ("value", "full_grad"):
+        method = getattr(obj, name)
+        if _issparse(getattr(obj, "A", None)):
+            with pytest.raises(ValueError, match="stack"):
+                method(X)
+            continue
+        with np.errstate(all="ignore"):
+            try:
+                want = [method(x) for x in X]
+            except DomainViolation as exc:
+                with pytest.raises(DomainViolation) as info:
+                    method(X)
+                assert info.value.index == (bad, exc.index)
+                assert str(info.value) == str(exc).removesuffix(str(exc.index)) + str(info.value.index)
+                continue
+            got = method(X)
+        assert hexes(got).tolist() == hexes(np.array(want)).tolist()
