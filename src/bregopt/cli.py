@@ -1,10 +1,12 @@
 """Command-line entry point: ``bregopt gen|run|verify``.
 
 Configuration for ``run`` is a flat key=value file with sections
-([problem], [solver], [output]); command-line flags override file values
-and unknown keys are rejected. Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error, 3 I/O error, 4 solver step
-failure (the partial trace CSV is retained).
+([problem], [solver], [output]); command-line flags override file values.
+``_PROBLEM_SCHEMA`` gives each generator's [problem] keys, casts and
+defaults, and ``gen`` takes the same keys as flags. Unknown keys, and keys
+that the configured problem does not read, are rejected. Exit codes: 0
+success, 1 verification failure, 2 usage or configuration error, 3 I/O
+error, 4 solver step failure (the partial trace CSV is retained).
 """
 
 import argparse
@@ -36,8 +38,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 
-GENERATORS = ("interpolation", "tomography", "preconditioned")
-
 
 def _boolean(value):
     """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
@@ -50,62 +50,71 @@ def _boolean(value):
 # scalar SolverConfig fields: config keys, casts and ``run`` flags
 _SOLVER_KEYS = {f.name: f.type for f in dataclasses.fields(SolverConfig)
                 if f.type in (str, int, float)}
-# [problem] keys and casts; ``gen`` takes the _GEN_FLAGS among them as flags
-_PROBLEM_KEYS = {
-    "generator": str, "instance": str, "data": str, "noise": _boolean,
-    "n": int, "d": int, "size": int, "angles": int, "nodes": int, "samples": int,
-    "n_prec": int, "rows": int, "seed": int,
-    "lam": float, "c_prec": float, "separation": float,
+# each generator's [problem] keys as {key: (cast, default)}; a callable
+# default derives from the keys before it
+_PROBLEM_SCHEMA = {
+    "interpolation": {"n": (int, 2000), "d": (int, 100), "seed": (int, 0)},
+    "tomography": {"size": (int, 64), "angles": (int, 60), "noise": (_boolean, True),
+                   "seed": (int, 0)},
+    "preconditioned": {
+        "nodes": (int, 10), "samples": (int, 200),
+        "n_prec": (int, lambda o: o["samples"]), "lam": (float, 1e-5),
+        "c_prec": (float, 1e-5), "seed": (int, 0),
+        # a LibSVM file, or else the Gaussian dataset of the three keys after it
+        "data": (str, None), "rows": (int, lambda o: o["nodes"] * o["samples"]),
+        "d": (int, 20), "separation": (float, 1.0),
+    },
 }
-_GEN_FLAGS = ("n", "d", "size", "angles", "nodes", "samples", "n_prec", "lam",
-              "c_prec", "data", "seed")
-_OUTPUT_KEYS = {"trace"}
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(BregoptError):
+    """An unknown or unread config key or flag, or a value it rejects (exit 2)."""
 
 
 def _build_problem(opts):
     """Instantiate a ProblemInstance from a [problem] option mapping of
-    strings; a value that fails its cast or its generator is a ConfigError."""
+    strings. A key that the build does not read, a value that fails its
+    cast, or one its generator rejects is a ConfigError."""
+    gen = opts.get("generator")
+    if "instance" in opts:
+        read, by = {"instance"}, "next to instance"
+    elif gen in _PROBLEM_SCHEMA:
+        read, by = {"generator", *_PROBLEM_SCHEMA[gen]}, f"by generator {gen}"
+        if "data" in opts and "data" in read:  # the LibSVM file supplies the dataset
+            read, by = read - {"rows", "d", "separation"}, by + " next to data"
+    else:
+        raise ConfigError(f"unknown or missing generator {gen!r}: need an instance or one of "
+                          f"{', '.join(_PROBLEM_SCHEMA)}")
+    for key in opts:
+        if key not in read:
+            raise ConfigError(f"[problem] key {key!r} is not read {by}")
+    if "instance" in opts:
+        return load_instance(opts["instance"])
+    o = {}
     try:
-        opts = {k: _PROBLEM_KEYS[k](v) for k, v in opts.items()}
-        if "instance" in opts:
-            return load_instance(opts["instance"])
-        gen = opts.get("generator")
-        seed = opts.get("seed", 0)
+        for key, (cast, default) in _PROBLEM_SCHEMA[gen].items():
+            o[key] = (cast(opts[key]) if key in opts
+                      else default(o) if callable(default) else default)
         if gen == "interpolation":
-            return gen_interpolation(opts.get("n", 2000), opts.get("d", 100), seed)
+            return gen_interpolation(o["n"], o["d"], o["seed"])
         if gen == "tomography":
-            return gen_tomography(
-                opts.get("size", 64), opts.get("angles", 60), seed,
-                noise=opts.get("noise", True),
-            )
-        if gen == "preconditioned":
-            n_nodes = opts.get("nodes", 10)
-            per_node = opts.get("samples", 200)
-            if "data" in opts:
-                data = load_libsvm(opts["data"])
-            else:
-                rows = opts.get("rows", n_nodes * per_node)
-                data = gen_gaussian_logistic_data(
-                    rows, opts.get("d", 20), seed,
-                    separation=opts.get("separation", 1.0),
-                )
-            # the generator has no closed-form optimum: solve for x_star
-            return solve_reference(gen_preconditioned(
-                data, n_nodes=n_nodes, N=per_node,
-                n_prec=opts.get("n_prec", per_node),
-                lam=opts.get("lam", 1e-5),
-                c_prec=opts.get("c_prec", 1e-5), seed=seed,
-            ))
+            return gen_tomography(o["size"], o["angles"], o["seed"], noise=o["noise"])
+        if o["data"] is not None:
+            data = load_libsvm(o["data"])
+        else:
+            data = gen_gaussian_logistic_data(o["rows"], o["d"], o["seed"],
+                                              separation=o["separation"])
+        # the generator has no closed-form optimum: solve for x_star
+        return solve_reference(gen_preconditioned(
+            data, n_nodes=o["nodes"], N=o["samples"], n_prec=o["n_prec"],
+            lam=o["lam"], c_prec=o["c_prec"], seed=o["seed"],
+        ))
     except (ValueError, OverflowError) as exc:  # OverflowError: a seed outside [0, 2^64)
         raise ConfigError(f"bad problem option: {exc}") from None
-    raise ConfigError(f"unknown or missing generator: {gen!r}")
 
 
 def _load_config(path):
+    """The file's options as {section: {key: string value}}."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -113,24 +122,21 @@ def _load_config(path):
         raise ConfigError(str(exc)) from None
     if not read:
         raise OSError(f"cannot read config file {path}")
-    sections = {"problem": _PROBLEM_KEYS, "solver": _SOLVER_KEYS,
-                "output": _OUTPUT_KEYS}
-    config = {}
-    for section in parser.sections():
+    sections = {"problem": {"generator", "instance"}.union(*_PROBLEM_SCHEMA.values()),
+                "solver": _SOLVER_KEYS, "output": {"trace"}}
+    config = {section: dict(parser.items(section)) for section in parser.sections()}
+    for section in config:
         if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
+        for key in config[section]:
             if key not in sections[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            config[f"{section}.{key}"] = value
     return config
 
 
 def cmd_gen(args):
-    opts = {k: getattr(args, k) for k in _GEN_FLAGS if getattr(args, k) is not None}
-    opts["generator"] = args.generator
-    if not args.noise:
-        opts["noise"] = "false"
+    # the generator and the flags given, as [problem] strings
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
     problem = _build_problem(opts)
     save_instance(args.output, problem)
     write_manifest(args.output + ".manifest", problem)
@@ -141,31 +147,19 @@ def cmd_gen(args):
 
 def cmd_run(args):
     config = _load_config(args.config) if args.config else {}
-    # flags override file values
-    overrides = {f"solver.{key}": getattr(args, key, None) for key in _SOLVER_KEYS}
-    overrides.update({"problem.instance": args.instance, "output.trace": args.output})
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    problem_opts = {k.split(".", 1)[1]: v for k, v in config.items()
-                    if k.startswith("problem.")}
-    if not problem_opts:
-        raise ConfigError("no problem configured (need an instance or generator)")
-    problem = _build_problem(problem_opts)
-
-    solver_kwargs = {k.split(".", 1)[1]: v for k, v in config.items()
-                     if k.startswith("solver.")}
+    # flags override file values; --instance replaces the whole [problem] section
+    problem = _build_problem({"instance": args.instance} if args.instance is not None
+                             else config.get("problem", {}))
+    solver_kwargs = {**config.get("solver", {}),
+                     **{k: getattr(args, k) for k in _SOLVER_KEYS if hasattr(args, k)}}
     try:
-        solver_kwargs = {k: _SOLVER_KEYS[k](v) for k, v in solver_kwargs.items()}
-    except ValueError as exc:
-        raise ConfigError(f"bad solver option: {exc}")
-    solver_config = SolverConfig(**solver_kwargs)
-    try:
+        solver_config = SolverConfig(**{k: _SOLVER_KEYS[k](v)
+                                        for k, v in solver_kwargs.items()})
         solver_config.validate()
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"bad solver option: {exc}") from None
 
-    out_path = config.get("output.trace", "trace.csv")
+    out_path = args.output or config.get("output", {}).get("trace", "trace.csv")
     try:
         trace = run(solver_config, problem)
     except RunFailure as exc:
@@ -203,11 +197,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a problem instance file")
-    gen.add_argument("generator", choices=GENERATORS)
-    for key in _GEN_FLAGS:
-        # cast later by _PROBLEM_KEYS, as a [problem] value from a file
-        gen.add_argument("--" + key.replace("_", "-"), dest=key)
-    gen.add_argument("--no-noise", dest="noise", action="store_false")
+    gen.add_argument("generator", choices=tuple(_PROBLEM_SCHEMA))
+    # every [problem] key as a flag, cast like a file value; those not given
+    # stay out of args
+    for key in dict.fromkeys(k for keys in _PROBLEM_SCHEMA.values() for k in keys):
+        if key != "noise":
+            gen.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=argparse.SUPPRESS)
+    gen.add_argument("--no-noise", dest="noise", action="store_const", const="false",
+                     default=argparse.SUPPRESS)
     gen.add_argument("-o", "--output", required=True)
 
     runp = sub.add_parser("run", help="run a solver and write a trace CSV")

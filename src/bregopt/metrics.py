@@ -162,14 +162,9 @@ def plateau_level(trace):
     """Median dh_gap over the trailing window if the trace has flattened.
 
     The tail is declared a plateau when its fitted contraction lies within
-    PLATEAU_BAND of 1. Returns (level, is_plateau).
+    PLATEAU_BAND of 1. Returns (level, is_plateau, rate), rate being that
+    fitted contraction.
     """
-    return _plateau_fit(trace)[:2]
-
-
-def _plateau_fit(trace):
-    """:func:`plateau_level`'s (level, is_plateau) and the tail's fitted
-    contraction that its verdict rests on."""
     n_tail = max(int(len(trace) * PLATEAU_TAIL), 3)
     rate = rate_fit(trace, n_tail)
     tail = trace.column("dh_gap")[-n_tail:]

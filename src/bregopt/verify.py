@@ -19,8 +19,8 @@ from .metrics import (
     PLATEAU_BAND,
     CertReport,
     CheckResult,
-    _plateau_fit,
     certify_lemmas,
+    plateau_level,
     rate_fit,
 )
 from .mirror import Euclidean, LogBarrier
@@ -222,7 +222,7 @@ class Battery:
             trace = self._run(f"c3_bsgd_{tag}",
                               SolverConfig(method="bsgd", eta=mult * eta, epochs=400.0, seed=3),
                               prob)
-            levels[tag], is_plateau, rates[tag] = _plateau_fit(trace)
+            levels[tag], is_plateau, rates[tag] = plateau_level(trace)
             flat = flat and is_plateau
         ratio = levels["full"] / levels["half"]
         return [
@@ -247,13 +247,15 @@ class Battery:
         sgd = self._run("c4_bsgd", SolverConfig(method="bsgd", eta=eta, epochs=150.0, seed=4),
                         prob)
         rate = rate_fit(saga, max(len(saga) // 3, 2))
-        level, is_plateau, sgd_rate = _plateau_fit(sgd)
+        level, is_plateau, sgd_rate = plateau_level(sgd)
         separation = level / max(saga.final.dh_gap, 1e-300)
         return [
             CheckResult("c4/saga_rate", len(saga) // 3, rate, bound,
                         note=f"bound=1-min(1/(2n),1/(8*kappa))/2={bound:.7g} "
                              f"kappa={kappa:.4g} n={n} eta={eta:.4g}"),
-            CheckResult("c4/saga_final_dh", 1, saga.final.dh_gap, 1e-10),
+            CheckResult("c4/saga_final_dh", 1, saga.final.dh_gap, 1e-10,
+                        note=f"bsaga final iter={saga.final.iter} "
+                             f"epochs={saga.final.epoch:g} eta={eta:.4g}"),
             CheckResult("c4/bsgd_plateau", 1, 0.0 if is_plateau else 1.0, 0.0,
                         note=f"bsgd tail rate={sgd_rate:.7g}, "
                              f"plateau when |rate-1|<={PLATEAU_BAND:g}"),
@@ -318,14 +320,15 @@ class Battery:
         bg, epochs = bgd.column("f_gap")[1:], bgd.column("epoch")[1:]
         ratios = np.array([_first_hit(saga, "epoch", gap) for gap in bg]) / epochs
         reached = np.isfinite(ratios)
-        unreached = np.count_nonzero(~reached)
+        unreached = ", ".join(f"{e:g}" for e in epochs[~reached]) or "none"
         worst = float(np.max(ratios[reached], initial=0.0))
         at = int(np.argmax(np.where(reached, ratios, -np.inf)))  # first record at the worst
         f_saga = saga.final.f_gap + prob.f_star
         f_mu = mu.final.f_gap + prob.f_star
         parity = abs(f_saga - f_mu) / abs(f_mu)
         return [
-            CheckResult("c6/thresholds_reached", len(bg), float(unreached), 0.0),
+            CheckResult("c6/thresholds_reached", len(bg), float(np.count_nonzero(~reached)),
+                        0.0, note=f"bgd epochs whose f_gap bsaga never reaches: {unreached}"),
             CheckResult("c6/epoch_ratio", len(bg), worst, 0.2,
                         note=f"bsaga records every {every}/{n} epochs; worst at bgd "
                              f"epoch {epochs[at]:g}, f_gap<={bg[at]:.4g}"),

@@ -12,9 +12,10 @@ pinned by ``float.hex`` in PINNED: a change that moves a value, even within
 its tolerance, fails here, and one that moves it on purpose updates the pin.
 """
 
+import numpy as np
 import pytest
 
-from bregopt import PoissonKL
+from bregopt import PoissonKL, verify
 from bregopt.verify import Battery
 
 
@@ -93,7 +94,8 @@ class TestAcceptance:
     def test_criterion_4_saga_beats_sgd_plateau(self, battery):
         checks = battery.criterion(4)
         assert_all_pass(checks)
-        assert [c.note for c in checks[2:4]] == [
+        assert [c.note for c in checks[1:4]] == [
+            "bsaga final iter=1600 epochs=50 eta=0.06286",
             "bsgd tail rate=0.9997755, plateau when |rate-1|<=0.001",
             "bsgd plateau level=0.1381 bsaga final dh_gap=2.583e-31",
         ]
@@ -106,7 +108,8 @@ class TestAcceptance:
         assert_all_pass(checks)
         # the worst epoch ratio is BSAGA's record spacing: it meets BGD's
         # first-epoch gap at its first record
-        assert [c.note for c in checks[1:3]] == [
+        assert [c.note for c in checks[:3]] == [
+            "bgd epochs whose f_gap bsaga never reaches: none",
             "bsaga records every 12/60 epochs; worst at bgd epoch 1, f_gap<=675.2",
             "f_saga=19.53539 f_mu=20.03289",
         ]
@@ -160,3 +163,14 @@ def test_criterion_9_prints_how_far_x_star_moves(monkeypatch):
     assert checks[0].passed
     assert not checks[1].passed
     assert checks[1].note == "max |x+ - x*|=9.537e-07"
+
+
+def test_criterion_6_names_the_bgd_epochs_bsaga_never_reaches(monkeypatch):
+    first_hit = verify._first_hit
+    monkeypatch.setattr(verify, "_first_hit", lambda trace, column, threshold:
+                        np.inf if threshold < 150.0 else first_hit(trace, column, threshold))
+    # BGD's gap falls below 150 at epoch 30
+    check = Battery().criterion(6)[0]
+    assert check.max_violation == 21.0
+    assert check.note == ("bgd epochs whose f_gap bsaga never reaches: "
+                          + ", ".join(map(str, range(30, 51))))

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,11 +22,12 @@ from bregopt import (
     mirror,
     save_instance,
 )
-from bregopt.cli import _build_problem, main
+from bregopt.cli import _PROBLEM_SCHEMA, _build_problem, _load_config, main
 from bregopt.solver import METHODS
 
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("distributed_*.cfg"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("distributed_*.cfg"))
 
 
 def strip_wall(text):
@@ -153,6 +155,143 @@ def test_noise_takes_boolean_words(word, noise):
     problem = _build_problem({"generator": "tomography", "size": "16", "angles": "4",
                               "noise": word})
     assert problem.meta["noise"] is noise
+
+
+# ---------------------------------------------------------------------------
+# the [problem] schema: each generator's keys, casts and defaults
+# ---------------------------------------------------------------------------
+
+PROBLEM_KEYS = list(dict.fromkeys(k for keys in _PROBLEM_SCHEMA.values() for k in keys))
+# small instances, and for each key a value other than its default
+SMALL = {"interpolation": {"n": "12", "d": "4"}, "tomography": {"size": "16", "angles": "3"},
+         "preconditioned": {"nodes": "2", "samples": "10", "d": "3"}}
+VALUES = {"n": "13", "d": "5", "seed": "7", "size": "20", "angles": "2", "noise": "false",
+          "nodes": "3", "samples": "11", "n_prec": "4", "lam": "1e-3", "c_prec": "1e-3",
+          "rows": "40", "separation": "0.5"}
+
+
+@pytest.fixture(scope="module")
+def libsvm_file(tmp_path_factory):
+    A, labels = gen_gaussian_logistic_data(30, 3, seed=5)
+    path = tmp_path_factory.mktemp("libsvm") / "data.svm"
+    path.write_text("".join(
+        f"{y:+.0f} " + " ".join(f"{j + 1}:{v:.17g}" for j, v in enumerate(row)) + "\n"
+        for y, row in zip(labels, A)))
+    return str(path)
+
+
+def gen_flags(opts):
+    """``gen`` flags for the [problem] options ``opts`` (the generator aside)."""
+    return [flag for key, value in opts.items() if key != "generator"
+            for flag in (["--no-noise"] if key == "noise"
+                         else ["--" + key.replace("_", "-"), value])]
+
+
+def problem_file(tmp_path, opts):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\n" + "".join(f"{k} = {v}\n" for k, v in opts.items())
+                   + "[solver]\nmethod = bgd\nepochs = 2\n"
+                   + f"[output]\ntrace = {tmp_path / 'a.csv'}\n")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("generator, key", [(gen, key) for gen, keys in _PROBLEM_SCHEMA.items()
+                                            for key in keys])
+def test_problem_key_from_file_and_flag_gives_the_same_instance(tmp_path, libsvm_file,
+                                                                  generator, key):
+    # a LibSVM file supplies the dataset in place of d
+    opts = {k: v for k, v in SMALL[generator].items() if not (key == "data" and k == "d")}
+    opts[key] = libsvm_file if key == "data" else VALUES[key]
+    flag, default = str(tmp_path / "flag.bin"), str(tmp_path / "default.bin")
+    assert main(["gen", generator, *gen_flags(opts), "-o", flag]) == 0
+    assert main(["gen", generator, *gen_flags(SMALL[generator]), "-o", default]) == 0
+    config = _load_config(problem_file(tmp_path, {"generator": generator, **opts}))
+    save_instance(str(tmp_path / "file.bin"), _build_problem(config["problem"]))
+    flag_bytes, default_bytes = open(flag, "rb").read(), open(default, "rb").read()
+    assert (tmp_path / "file.bin").read_bytes() == flag_bytes != default_bytes
+
+
+UNREAD = ([(gen, key) for gen, keys in _PROBLEM_SCHEMA.items() for key in PROBLEM_KEYS
+           if key not in keys]
+          + [("data", key) for key in ("rows", "d", "separation")]
+          + [("instance", key) for key in ("generator", *PROBLEM_KEYS)])
+
+
+@pytest.mark.parametrize("source, key, route", [
+    (*case, route) for case in UNREAD for route in ("file", "flag")
+    if (case[0], route) != ("instance", "flag")  # gen takes no instance
+])
+def test_unread_problem_key_is_usage_error(tmp_path, capsys, libsvm_file, sweep_instances,
+                                           source, key, route):
+    if source == "instance":
+        opts = {"instance": sweep_instances["interpolation"]}
+    elif source == "data":
+        opts = {"generator": "preconditioned", "nodes": "2", "samples": "10",
+                "data": libsvm_file}
+    else:
+        opts = {"generator": source, **SMALL[source]}
+    opts[key] = {"generator": "interpolation", "data": libsvm_file}.get(key, VALUES.get(key))
+    out = tmp_path / "inst.bin"
+    if route == "flag":
+        code = main(["gen", opts["generator"], *gen_flags(opts), "-o", str(out)])
+    else:
+        code = main(["run", "-c", problem_file(tmp_path, opts)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: [problem] key ") and err.count("\n") == 1
+    assert f"key {key!r} is not read" in err
+    assert not out.exists() and not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("generator", _PROBLEM_SCHEMA)
+def test_instance_flag_replaces_the_problem_section(tmp_path, sweep_instances, generator):
+    # the file's generator would build another problem than the instance's
+    other = [gen for gen in _PROBLEM_SCHEMA if gen != generator][0]
+    cfg = problem_file(tmp_path, {"generator": generator, **SMALL[generator]})
+    inst, a, b = sweep_instances[other], tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["run", "-c", cfg, "--instance", inst]) == 0
+    assert main(["run", "--instance", inst, "--method", "bgd", "--epochs", "2",
+                 "-o", str(b)]) == 0
+    assert strip_wall(a.read_text()) == strip_wall(b.read_text())
+
+
+# distinct values of every key, at which derived defaults are compared
+SCHEMA_POINT = {key: 2 ** i + 1 for i, key in enumerate(PROBLEM_KEYS)}
+
+
+def readme_schema(text):
+    """{generator: [(key, default)]} from the README's ``| `<generator>` key |``
+    tables. A default is read as a Python expression, with ``none`` and
+    ``true`` for None and True, over the keys' values in SCHEMA_POINT."""
+    names = {"none": None, "true": True, **SCHEMA_POINT}
+    tables, rows = {}, None
+    for line in text.splitlines():
+        if head := re.fullmatch(r"\| `(\w+)` key \| default \|.*", line):
+            rows = tables[head[1]] = []
+        elif not line.startswith("|"):
+            rows = None
+        elif rows is not None and (row := re.fullmatch(r"\| `(\w+)` \| ([^|]+) \|.*", line)):
+            rows.append((row[1], eval(row[2].strip().strip("`"), {}, names)))
+    return tables
+
+
+@pytest.mark.parametrize("old, new", [
+    (None, None),
+    # each drift is seen: a changed default, a changed derivation, a dropped key
+    ("| `n` | `2000` |", "| `n` | `2001` |"),
+    ("| `rows` | `nodes * samples` |", "| `rows` | `nodes` |"),
+    ("| `angles` | `60` |", ""),
+])
+def test_readme_tables_match_the_problem_schema(old, new):
+    schema = {gen: [(key, default(SCHEMA_POINT) if callable(default) else default)
+                    for key, (_, default) in keys.items()]
+              for gen, keys in _PROBLEM_SCHEMA.items()}
+    text = (ROOT / "README.md").read_text()
+    if old is None:
+        assert readme_schema(text) == schema
+    else:
+        assert old in text
+        assert readme_schema(text.replace(old, new)) != schema
 
 
 class TestRun:
@@ -448,7 +587,7 @@ class TestRun:
         problem.x0 = np.array([0.0, 0.0, 0.0, 1e-310])
         inst = str(tmp_path / "inst.bin")
         save_instance(inst, problem)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         script = "import sys\nfrom bregopt.cli import main\nsys.exit(main(sys.argv[1:]))"
         out = subprocess.run([sys.executable, "-c", script, "run", "--instance", inst,
                               "--method", "bsgd", "-o", str(tmp_path / "t.csv")],

@@ -141,13 +141,13 @@ class TestRateFit:
 class TestPlateau:
     def test_flat_tail_detected(self):
         values = np.concatenate([0.5 ** np.arange(20), np.full(20, 1e-6)])
-        level, is_plateau = plateau_level(trace_of(values))
+        level, is_plateau, _ = plateau_level(trace_of(values))
         assert is_plateau
         assert level == pytest.approx(1e-6)
 
     def test_decaying_tail_not_a_plateau(self):
         values = 0.5 ** np.arange(40)
-        _, is_plateau = plateau_level(trace_of(values))
+        _, is_plateau, _ = plateau_level(trace_of(values))
         assert not is_plateau
 
 
