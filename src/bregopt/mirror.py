@@ -17,6 +17,11 @@ Four reference functions are provided:
   (statistical preconditioning; the conjugate map is solved by damped Newton
   to the residual INNER_TOL within INNER_PASSES Newton steps)
 
+Residual norms are ``math.sqrt(np.dot(r, r))`` (:func:`_norm`): the float
+operations of ``np.linalg.norm(r)`` for a 1-D r (numpy 2.4.6 takes
+``sqrt(x.dot(x))`` of the raveled array) without its wrapper, and like it
+NaN for the scalar NaN residual of a trial outside the domain.
+
 The closed-form maps (Euclidean, LogBarrier, NegEntropy) also take a stack
 of points: every array argument may carry leading batch axes, maps act
 elementwise, and values, divergences and inner products reduce over the last
@@ -25,6 +30,8 @@ float. The Preconditioner takes 1-D points only.
 
 Instances are immutable after construction and safe to share across threads.
 """
+
+import math
 
 import numpy as np
 
@@ -74,6 +81,12 @@ def _dot(a, b):
     return float(s) if s.ndim == 0 else s
 
 
+def _norm(r):
+    """The 2-norm of a 1-D vector or scalar r, ``np.linalg.norm(r)`` bit for
+    bit; ``np.dot``, not ``r @ r``, takes a Python float r."""
+    return math.sqrt(np.dot(r, r))
+
+
 def damped_newton_step(x, H, r, res, trial, singular):
     """The damped Newton step for a residual r(x) whose Jacobian is ``H``:
     p = H^-1 r, then the first of the trials x - t p, t = 1, 1/2, ...,
@@ -88,7 +101,7 @@ def damped_newton_step(x, H, r, res, trial, singular):
         raise singular from None
     for t in _BACKTRACK:
         out = trial(x - t * p)
-        res_new = np.linalg.norm(out[-1])
+        res_new = _norm(out[-1])
         if res_new <= (1.0 - 1e-4 * t) * res:
             return (*out, res_new)
     return None
@@ -360,7 +373,7 @@ class Preconditioner(ReferenceFunction):
             gx = here.grad + self.c_prec * here.x
         start, start_gx = here, gx
         r = gx - y
-        res = np.linalg.norm(r)
+        res = _norm(r)
         if not np.isfinite(res):
             raise InnerSolveFailure("preconditioner: non-finite inner gradient")
         def trial(z):  # (inner point, gradient, residual) at z

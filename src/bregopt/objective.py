@@ -59,19 +59,30 @@ def _finite_nonnegative(values):
 
 
 def _sigmoid(t):
-    """Numerically stable logistic sigmoid."""
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(t, dtype=float)))
+    """Numerically stable logistic sigmoid 0.5 (1 + tanh(t / 2)), in place
+    on one new array; t is not written."""
+    s = np.multiply(t, 0.5, out=np.empty(np.shape(t)))
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _log1pexp(t):
-    """log(1 + exp(t)) without overflow.
+    """log(1 + exp(t)) without overflow, in place on one new array; t is
+    not written.
 
     max(t, 0) + log1p(exp(-|t|)) does, per element, exactly the operations
     of the two branches t + log1p(exp(-t)) (t > 0) and 0 + log1p(exp(t))
     (t <= 0), so it is bit-identical to them, without boolean masks.
     """
     t = np.asarray(t, dtype=float)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    out = np.abs(t, out=np.empty(t.shape))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(t, 0.0)
+    return out
 
 
 class Point:
@@ -82,8 +93,10 @@ class Point:
     ``slope_to(other)`` returns <grad f(x), other.x - x>. All come from one
     checked data pass at x (``data``), made on first use, so a point outside
     the domain raises when a quantity is read; ``slope_to`` may also read
-    the other point's pass. x and the point's arrays are read-only to its
-    users: the point copies nothing. Where the objective takes a stack of
+    the other point's pass: the rates A x of a PoissonKL, the loss
+    arguments t = -y * (A x) of a LogisticL2. x and the point's arrays are
+    read-only to its users: the point copies nothing, and no formula writes
+    into x or the data pass. Where the objective takes a stack of
     points (see the module docstring), x may be one, and ``value`` and
     ``grad`` then hold a row per point.
     """
@@ -430,9 +443,7 @@ class PoissonKL(_RowObjective):
     def _hessian(self, p):
         """A^T diag(b / (Ax)^2) A / n + barrier_weight diag(1 / x^2)."""
         rates = p.data
-        pos, _, bp = self._counts
-        w = np.zeros_like(rates)
-        w[pos] = bp / rates[pos] ** 2
+        w = np.divide(self.b, np.square(rates), out=np.zeros_like(rates), where=self._counts[0])
         H = _gram(self.A, self._AT, w)
         H /= self.n_components
         if self._barrier_on(p.x):
@@ -493,6 +504,12 @@ class LogisticL2(_RowObjective):
 
     Ungrouped, every row is its own component (N_i = 1). Blocks are built
     as in :class:`PoissonKL`: views of A for contiguous row ranges.
+
+    A data pass holds the loss arguments t = -y * (A x), one per row, made
+    in place on the product A x from the negated labels, which are stored
+    once. With s = sigmoid(t) and w the row weights, f(x) = w . log(1 +
+    exp(t)) + (lam/2) ||x||^2, grad f(x) = A^T (-y s w) + lam x, and the
+    Hessian takes sigmoid(-t).
     """
 
     kind = "logistic_l2"
@@ -506,54 +523,63 @@ class LogisticL2(_RowObjective):
             raise InvalidData("logistic_l2: lam must be finite and nonnegative")
         self.labels = labels
         self.lam = float(lam)
-        self._blocks = [(*_row_block(self.A, g), self.labels[g]) for g in self.groups]
+        self._neg_labels = -labels
+        self._blocks = [(*_row_block(self.A, g), self._neg_labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
         w = np.zeros(self.A.shape[0])
         for g in self.groups:
             w[g] = 1.0 / (len(g) * self.n_components)
         self._row_weight = w
 
-    def _margins(self, A, y, x):
-        z = np.asarray(A @ x).ravel()
-        return y * z
+    @staticmethod
+    def _margins(A, neg_y, x):
+        """The loss arguments t = -y * (A x) of the rows of A, ``neg_y`` their
+        negated labels, in place on the product A x (made float first where
+        an integer CSR matrix meets an integer x)."""
+        t = np.asarray(A @ x, dtype=float).ravel()
+        t *= neg_y
+        return t
 
     def value_component(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.value_component, i, x)
-        Ai, _, yi = self._blocks[i]
-        m = self._margins(Ai, yi, x)
-        return float(np.mean(_log1pexp(-m))) + 0.5 * self.lam * float(x @ x)
+        Ai, _, neg_yi = self._blocks[i]
+        t = self._margins(Ai, neg_yi, x)
+        return float(np.mean(_log1pexp(t))) + 0.5 * self.lam * float(x @ x)
 
     def _data(self, x):
-        return self._margins(self.A, self.labels, x)
+        return self._margins(self.A, self._neg_labels, x)
 
     def _value(self, p):
-        return float(self._row_weight @ _log1pexp(-p.data)) + 0.5 * self.lam * float(p.x @ p.x)
+        return float(self._row_weight @ _log1pexp(p.data)) + 0.5 * self.lam * float(p.x @ p.x)
 
     def partial_grad(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.partial_grad, i, x)
-        Ai, AiT, yi = self._blocks[i]
-        m = self._margins(Ai, yi, x)
-        s = _sigmoid(-m)
-        g = AiT @ (-yi * s / len(yi))
-        return np.asarray(g).ravel() + self.lam * x
+        Ai, AiT, neg_yi = self._blocks[i]
+        c = _sigmoid(self._margins(Ai, neg_yi, x))
+        c *= neg_yi
+        c /= len(neg_yi)
+        return np.asarray(AiT @ c).ravel() + self.lam * x
 
     def _grad(self, p):
-        g = self._AT @ (-self.labels * _sigmoid(-p.data) * self._row_weight)
-        return np.asarray(g).ravel() + self.lam * p.x
+        c = _sigmoid(p.data)
+        c *= self._neg_labels
+        c *= self._row_weight
+        return np.asarray(self._AT @ c).ravel() + self.lam * p.x
 
     def _slope(self, p, q):
-        """<grad f(x), x' - x> from the margins m of x and m' of x', no A^T
-        product: y * y = 1, so it is -(s * w) . (m' - m) + lam x . (x' - x),
-        s = sigmoid(-m) and w the row weights, as in ``_grad``."""
-        s = _sigmoid(-p.data)
-        return float(-(s * self._row_weight) @ (q.data - p.data)
-                     + self.lam * (p.x @ (q.x - p.x)))
+        """<grad f(x), x' - x> from the loss arguments t of x and t' of x',
+        no A^T product: y * y = 1, so it is -((s w) . (t - t')) + lam x .
+        (x' - x), s = sigmoid(t) and w the row weights, as in ``_grad``."""
+        c = _sigmoid(p.data)
+        c *= self._row_weight
+        return float(-(c @ (p.data - q.data)) + self.lam * (p.x @ (q.x - p.x)))
 
     def _hessian(self, p):
-        """A^T diag(s(1 - s) w) A + lam I, s = sigmoid(margins), w the row weights."""
-        s = _sigmoid(p.data)
+        """A^T diag(s(1 - s) w) A + lam I, s = sigmoid(-t) = sigmoid(y * Ax),
+        w the row weights."""
+        s = _sigmoid(-p.data)
         w = s * (1.0 - s) * self._row_weight
         H = _gram(self.A, self._AT, w)
         H.flat[:: self.dim + 1] += self.lam  # the diagonal

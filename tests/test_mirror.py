@@ -477,3 +477,20 @@ def test_a_fresh_run_state_is_the_map_bit_for_bit(kind):
     assert x_new.tobytes() == expected[0].tobytes() and hx_new.tobytes() == expected[1].tobytes()
     for a, b in ((x_star, x_new), (x_star, x), (x, x_new)):
         assert state.divergence(a, b).hex() == ref.divergence(a, b).hex()
+
+
+NORM_EDGES = [np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e154, 1e200, -1e200, np.finfo(float).max, 0.0, -0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(NORM_EDGES)), max_size=40))
+def test_residual_norm_is_linalg_norm_bitwise(values):
+    # the Newton solves take residual norms as sqrt(r . r), the float
+    # operations of np.linalg.norm; a trial outside the reference solve's
+    # domain returns the scalar NaN as its residual
+    with np.errstate(all="ignore"):
+        for r in (np.array(values, dtype=float), np.nan):
+            got = mirror._norm(r)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(np.linalg.norm(r)).tobytes()

@@ -250,6 +250,68 @@ def test_nan_coordinate_raises_at_every_entry_point(case):
         assert info.value.index is not None
 
 
+@st.composite
+def objective_and_point(draw):
+    """A PoissonKL (dense or CSR, grouped or not, with or without the
+    barrier), a LogisticL2 (dense or CSR, grouped or not, lam > 0) or a
+    DiagonalQuadratic, and a point inside its domain."""
+    family = draw(st.sampled_from([PoissonKL, LogisticL2, DiagonalQuadratic]))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def matrix(entry, rows):
+        return np.array(draw(st.lists(entry, min_size=rows * d, max_size=rows * d))).reshape(rows, d)
+
+    if family is DiagonalQuadratic:
+        obj = DiagonalQuadratic(matrix(st.floats(0.1, 10.0), n), matrix(st.floats(-5.0, 5.0), n))
+        coord = st.floats(-5.0, 5.0)
+    else:
+        cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        groups = np.split(np.arange(n), sorted(cuts)) if draw(st.booleans()) else None
+        wrap = sp.csr_matrix if draw(st.booleans()) else np.asarray
+        if family is PoissonKL:
+            entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+            A = matrix(entry, n)
+            b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+            b[~A.any(axis=1)] = 0.0
+            obj = PoissonKL(wrap(A), b, groups=groups,
+                            barrier_weight=draw(st.sampled_from([0.0, 0.3])))
+            coord = st.floats(0.1, 5.0)
+        else:
+            labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+            obj = LogisticL2(wrap(matrix(st.floats(-5.0, 5.0), n)), labels,
+                             lam=draw(st.floats(0.1, 2.0)), groups=groups)
+            coord = st.floats(-3.0, 3.0)
+    return obj, np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+
+
+def term_magnitude(obj, x):
+    """The sum of the magnitudes of the terms that make f(x), with each
+    row's product A x counted at its own magnitude |A| |x| (which bounds
+    its rounding): a bound on the rounding of any order of summation."""
+    if isinstance(obj, DiagonalQuadratic):
+        return obj.value(x)
+    A = abs(obj.A.toarray()) if sp.issparse(obj.A) else abs(obj.A)
+    reach = A @ abs(x)
+    if isinstance(obj, LogisticL2):
+        loss = _log1pexp(obj.at(x).data)
+        return float(obj._row_weight @ (loss + reach)) + 0.5 * obj.lam * float(x @ x)
+    b = obj.b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = np.where(b > 0, b * abs(np.log(b / reach)), 0.0)
+    return (float(np.sum(log_terms + b + reach)) / obj.n_components
+            + obj.barrier_weight * float(np.sum(abs(np.log(x)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(objective_and_point())
+def test_value_is_the_mean_of_the_component_values(case):
+    # f = (1/n) sum_i f_i: the components, regulariser and barrier included,
+    # average to the value within a few ulp of the terms' magnitude
+    obj, x = case
+    mean = float(np.mean(obj.value_component(np.arange(obj.n_components), x)))
+    assert abs(mean - obj.value(x)) <= 8 * np.spacing(term_magnitude(obj, x))
+
+
 def _block_grad(obj, j, x):
     """Component gradient of row j through the (1, d) block path, the
     barrier's domain checked after the rate's."""
@@ -757,10 +819,10 @@ class TestLogisticL2:
     def slope_scale(obj, x, y):
         """The sum of the magnitudes of the terms of <grad f(x), y - x>:
         (|c|^T |A|) |y - x| + lam |x| . |y - x|, |c| = s w the magnitudes of
-        the row coefficients of grad f(x); it bounds the margins formula's
-        terms too."""
+        the row coefficients of grad f(x); it bounds the terms of the
+        formula on the loss arguments too."""
         A = abs(obj.A.toarray()) if sp.issparse(obj.A) else abs(obj.A)
-        c = _sigmoid(-obj.at(x).data) * obj._row_weight
+        c = _sigmoid(obj.at(x).data) * obj._row_weight
         d = abs(y - x)
         return float(c @ (A @ d) + obj.lam * (abs(x) @ d))
 
@@ -776,6 +838,32 @@ class TestLogisticL2:
                 got = obj.at(x).slope_to(obj.at(y))
                 want = float(obj.full_grad(x) @ (y - x))
                 assert abs(got - want) <= 8 * np.spacing(self.slope_scale(obj, x, y))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_point_reads_leave_its_data_pass_and_x_unchanged(self, sparse, grouped):
+        # the data pass holds the loss arguments t = -y * (A x); the
+        # formulas work on arrays of their own, so a point's x and t are
+        # read-only to them
+        obj, rng = self.build_sparse_rows(15, sparse, grouped)
+        x, y = rng.normal(size=(2, 5))
+        here, there = obj.at(x), obj.at(y)
+        t = here.data
+        assert t.tobytes() == (-obj.labels * np.asarray(obj.A @ x).ravel()).tobytes()
+        arrays = (t, x, there.data, y)
+        before = [a.tobytes() for a in arrays]
+        here.value, here.grad, here.slope_to(there), here.hessian(), there.slope_to(here)
+        assert here.data is t and [a.tobytes() for a in arrays] == before
+
+    def test_integer_csr_matrix_at_an_integer_point(self):
+        # the loss arguments are float even where A x is an integer product
+        x = np.array([1, 2])
+        ints = LogisticL2(sp.csr_matrix(np.array([[1, 2], [3, -1]])), [1, -1], lam=0.1)
+        floats = LogisticL2(sp.csr_matrix(np.array([[1.0, 2.0], [3.0, -1.0]])), [1, -1], lam=0.1)
+        for name in ("value", "full_grad", "hessian"):
+            got, want = getattr(ints, name)(x), getattr(floats, name)(x.astype(float))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert ints.partial_grad(1, x).tobytes() == floats.partial_grad(1, x.astype(float)).tobytes()
 
     def test_value_at_zero(self):
         obj, _ = self.build(lam=0.0)
@@ -815,6 +903,18 @@ LOG1PEXP_EDGES = [
 ]
 
 
+# float lists for the logistic helpers: any finite value, the range where
+# exp overflows or underflows, and the edges
+HELPER_INPUTS = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(min_value=-800.0, max_value=800.0),
+        st.sampled_from(LOG1PEXP_EDGES),
+    ),
+    min_size=1, max_size=50,
+)
+
+
 class TestLog1pexp:
     def test_edge_values_match_masked_form(self):
         t = np.array(LOG1PEXP_EDGES)
@@ -825,17 +925,47 @@ class TestLog1pexp:
         assert np.isnan(_log1pexp(np.array([np.nan]))[0])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.one_of(
-            st.floats(allow_nan=False),
-            st.floats(min_value=-800.0, max_value=800.0),
-            st.sampled_from(LOG1PEXP_EDGES),
-        ),
-        min_size=1, max_size=50,
-    ))
+    @given(HELPER_INPUTS)
     def test_matches_masked_form_bytewise(self, values):
         t = np.array(values, dtype=float)
         assert _log1pexp(t).tobytes() == masked_log1pexp(t).tobytes()
+
+
+def tanh_sigmoid(t):
+    """The one-expression form _sigmoid must reproduce bit for bit."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(t, dtype=float)))
+
+
+class TestSigmoid:
+    def test_edge_values_match_tanh_form(self):
+        t = np.array(LOG1PEXP_EDGES)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _sigmoid(t)
+        assert got.tobytes() == tanh_sigmoid(t).tobytes()
+        assert got[2] == 1.0 and got[3] == 0.0
+        assert np.isnan(_sigmoid(np.array([np.nan]))[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(HELPER_INPUTS)
+    def test_matches_tanh_form_bytewise(self, values):
+        t = np.array(values, dtype=float)
+        assert _sigmoid(t).tobytes() == tanh_sigmoid(t).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=8), st.booleans())
+def test_logistic_helpers_leave_their_arguments_unchanged(values, sparse):
+    # _sigmoid and _log1pexp work on an array of their own, _margins on the
+    # fresh product A x: none writes into what it is given
+    t = np.array(values)
+    A = make_rng(len(values)).normal(size=(3, len(values)))
+    A = sp.csr_matrix(A) if sparse else A
+    neg_y = np.array([1.0, -1.0, 1.0])
+    args = (t, A.data if sparse else A, neg_y)
+    before = [a.tobytes() for a in args]
+    with np.errstate(all="ignore"):
+        _sigmoid(t), _log1pexp(t), LogisticL2._margins(A, neg_y, t)
+    assert [a.tobytes() for a in args] == before
 
 
 class TestDiagonalQuadratic:
