@@ -13,8 +13,8 @@ Three families are provided:
   Euclidean-geometry test instances where everything has a closed form.
 
 ``PoissonKL`` and ``LogisticL2`` share one holder (:class:`_RowObjective`): it
-checks A, holds A and A^T once and indexes the row groups, which partition the
-rows. ``n_components`` and ``dim`` are plain attributes of every objective.
+checks A, holds it once and indexes the row groups, which partition the rows.
+``n_components`` and ``dim`` are plain attributes of every objective.
 
 Objectives are immutable after construction and safe for concurrent reads.
 ``obj.at(x)`` returns the :class:`Point` of f at x: its value, gradient,
@@ -32,13 +32,19 @@ A^T products are one gemv per row through ``np.matmul``, which matches the
 1-D ``A @ x`` bit for bit where a gemm ``X @ A.T`` does not (checked on
 numpy 2.4.6 only). A stack on a sparse A raises ValueError.
 
-A may be a dense array or a scipy sparse matrix. scipy is imported on first
-use, only where a sparse matrix is built or arrives, and a sparseness test
-(``_issparse``) reads an already imported ``scipy.sparse`` only, so dense
-objectives need numpy alone.
+A may be a dense array or a scipy sparse matrix, held as float64 CSR. A
+sparse A, or a block of its rows, meets a vector in one pair of helpers:
+A x (``_times``) and A^T c (``_times_t``) call scipy's compiled
+``csr_matvec`` and ``csc_matvec`` on A's own CSR arrays (the CSC arrays of
+A^T, so no transpose is stored), the kernels that scipy's ``@`` runs,
+without its dispatch. A dense A keeps its numpy products. scipy is
+imported on first use, only where a sparse matrix is built or arrives;
+``_issparse`` and the helpers read an already imported ``scipy.sparse``
+only, so dense objectives need numpy alone.
 """
 
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,6 +57,12 @@ def _issparse(A):
     matrix exists before ``scipy.sparse`` has been imported."""
     sp = sys.modules.get("scipy.sparse")
     return sp is not None and sp.issparse(A)
+
+
+def _sparsetools():
+    """scipy's compiled sparse kernels, already imported with ``scipy.sparse``
+    wherever a sparse matrix exists."""
+    return sys.modules["scipy.sparse._sparsetools"]
 
 
 def _finite_nonnegative(values):
@@ -187,14 +199,36 @@ class FiniteSumObjective:
                          for k, j in enumerate(i)])
 
 
-def _matvec(M, x):
-    """M x as a flat array for a 1-D x; for a stack x (S, d), M x[k] in row
-    k, by one gemv per row, which needs a dense M (ValueError otherwise)."""
-    if x.ndim == 1:
-        return np.asarray(M @ x).ravel()
-    if not isinstance(M, np.ndarray):
-        raise ValueError("a stack of points needs a dense operator")
-    return np.matmul(M, x[..., None])[..., 0]
+# rows of a float64 CSR matrix, its indptr starting at 0: what _times and
+# _times_t read of a sparse operator, as of a scipy CSR matrix
+_CSRRows = namedtuple("_CSRRows", "indptr indices data shape")
+
+
+def _times(A, x):
+    """A x as a fresh flat array: ``A @ x`` for a dense A, or one gemv per
+    row, A x[k] in row k, for a stack x (S, d); for a CSR A (scipy's or a
+    :class:`_CSRRows`), scipy's ``csr_matvec`` into float64 zeros, x 1-D of
+    length ``A.shape[1]`` (ValueError otherwise)."""
+    if isinstance(A, np.ndarray):
+        return A @ x if x.ndim == 1 else np.matmul(A, x[..., None])[..., 0]
+    rows, cols = A.shape
+    if x.shape != (cols,):  # the compiled kernel reads x without a length check
+        raise ValueError(f"a sparse operator takes one point of length {cols}, not shape "
+                         f"{x.shape}: a stack of points needs a dense operator")
+    out = np.zeros(rows)
+    _sparsetools().csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
+    return out
+
+
+def _times_t(A, c):
+    """A^T c as ``_times`` makes A x; for a CSR A, scipy's ``csc_matvec`` on
+    A's own arrays, which are the CSC arrays of A^T."""
+    if isinstance(A, np.ndarray):
+        return A.T @ c if c.ndim == 1 else np.matmul(A.T, c[..., None])[..., 0]
+    rows, cols = A.shape
+    out = np.zeros(cols)
+    _sparsetools().csc_matvec(cols, rows, A.indptr, A.indices, A.data, c, out)
+    return out
 
 
 def _pick(v, mask):
@@ -205,48 +239,37 @@ def _pick(v, mask):
     return v[mask] if v.ndim == 1 else np.compress(mask, v, axis=-1)
 
 
-def _gram(A, AT, w):
-    """A^T diag(w) A as a dense array for a dense or sparse A, ``AT`` the
-    transpose of A."""
+def _gram(A, w):
+    """A^T diag(w) A as a dense array for a dense or sparse A."""
     if isinstance(A, np.ndarray):
-        return AT @ (w[:, None] * A)
+        return A.T @ (w[:, None] * A)
     import scipy.sparse as sp
 
-    return (AT @ (sp.diags(w) @ A)).toarray()
+    return (A.T @ (sp.diags(w) @ A)).toarray()
 
 
 def _row_block(A, g):
-    """(A_g, A_g^T) for the rows ``g`` of A, both views of A when g is a
-    contiguous ascending range, else built from the copy ``A[g]``.
+    """The rows ``g`` of A, a view of A when g is a contiguous ascending
+    range, else the copy ``A[g]``.
 
-    A dense view is a basic slice; a sparse one is a CSR matrix on slices of
-    A's ``data`` and ``indices`` with a rebased ``indptr``, and its
-    transpose a CSC matrix on the same three arrays.
+    A dense view is a basic slice; a sparse one is a :class:`_CSRRows` on
+    slices of A's ``indices`` and ``data`` with a rebased ``indptr``.
     """
     if len(g) > 1 and not (g[1:] - g[:-1] == 1).all():
-        B = A[g]
-        return B, B.T
+        return A[g]
     lo, hi = int(g[0]), int(g[0]) + len(g)
     if isinstance(A, np.ndarray):
-        B = A[lo:hi]
-        return B, B.T
-    import scipy.sparse as sp
-
+        return A[lo:hi]
     start, end = A.indptr[lo], A.indptr[hi]
-    B = sp.csr_matrix((A.data[start:end], A.indices[start:end], A.indptr[lo:hi + 1] - start),
-                      shape=(hi - lo, A.shape[1]))
-    BT = B.T
-    # scipy's constructor copies a slice under half of its base; share it again
-    B.data = BT.data = A.data[start:end]
-    B.indices = BT.indices = A.indices[start:end]
-    return B, BT
+    return _CSRRows(A.indptr[lo:hi + 1] - start, A.indices[start:end], A.data[start:end],
+                    (hi - lo, A.shape[1]))
 
 
 class _RowObjective(FiniteSumObjective):
     """The row operator that :class:`PoissonKL` and :class:`LogisticL2` share:
-    A (CSR when sparse, else a float array), A^T (``_AT``, built once), the
-    component row ``groups`` as 1-D int64 index arrays (``None`` gives one
-    row per component), ``n_components`` and ``dim``.
+    A (float64 CSR when sparse, else a float array; no transpose is
+    stored), the component row ``groups`` as 1-D int64 index arrays
+    (``None`` gives one row per component), ``n_components`` and ``dim``.
 
     Raises InvalidData unless A's stored entries pass ``entries_ok`` (they
     must be ``rule``), ``y`` holds one ``datum`` per row, A has a column,
@@ -257,8 +280,9 @@ class _RowObjective(FiniteSumObjective):
 
     def __init__(self, A, y, groups, entries_ok, rule, datum):
         kind = self.kind
-        self.A = A = A.tocsr() if _issparse(A) else np.asarray(A, dtype=float)
-        if not entries_ok(A.data if _issparse(A) else A):
+        sparse = _issparse(A)
+        self.A = A = A.tocsr().astype(float, copy=False) if sparse else np.asarray(A, dtype=float)
+        if not entries_ok(A.data if sparse else A):
             raise InvalidData(f"{kind}: A must be {rule}")
         if A.ndim != 2 or y.shape != A.shape[:1]:
             raise InvalidData(f"{kind}: A must be a matrix with one row per {datum}")
@@ -285,14 +309,14 @@ class _RowObjective(FiniteSumObjective):
         if not groups:
             raise InvalidData(f"{kind}: the objective needs at least one component")
         self.groups, self.n_components = groups, len(groups)
-        self._AT = A.T
 
 
 def _counts(b):
-    """(rows with a positive count, the other rows, the positive counts) of
-    the counts ``b``: two boolean masks and the counts on the first."""
+    """(rows with a positive count, the other rows, the positive counts, b)
+    of the counts ``b``: two boolean masks, the counts on the first and all
+    counts."""
     pos = b > 0
-    return pos, ~pos, b[pos]
+    return pos, ~pos, b[pos], b
 
 
 # DomainViolation messages, formatted with the kind and the index
@@ -312,13 +336,13 @@ class PoissonKL(_RowObjective):
 
     With a dense A and one row per component, a component gradient is the
     row kernel a_i (1 - b_i / <a_i, x>) on a view of the row of A; otherwise
-    each block A_i and its transpose A_i^T are built once at construction,
-    each beside its positive-count rows and counts, as are A^T, the column
-    sums A^T 1 and the positive-count rows and counts of all of b. A block
-    whose rows form a contiguous range (each angle of a tomography
-    operator) is a view of A, and a sparse one's transpose a CSC view of
-    the same slices of A's arrays, so the operator is held once; any other
-    block is a copy of its rows. A, b and groups must not be mutated
+    each block A_i is built once at construction, beside its positive-count
+    rows and counts, as are the column sums A^T 1, the mask of the columns
+    whose sum is positive and the positive-count rows and counts of all of
+    b. A block whose rows form a contiguous range (each angle of a
+    tomography operator) is a view of A: for a sparse A, slices of its CSR
+    arrays, which serve A_i^T c as well, so the operator is held once; any
+    other block is a copy of its rows. A, b and groups must not be mutated
     afterwards.
     """
 
@@ -343,17 +367,17 @@ class PoissonKL(_RowObjective):
             self._rows = [(self.A[j], float(self.b[j]))
                           for g in self.groups for j in g.tolist()]
         else:
-            self._blocks = [(*_row_block(self.A, g), self.b[g]) for g in self.groups]
-            self._block_counts = [_counts(bi) for _, _, bi in self._blocks]
+            self._blocks = [(_row_block(self.A, g), _counts(self.b[g])) for g in self.groups]
         self._counts = _counts(self.b)
-        self._col_sums = np.asarray(self._AT @ np.ones(self.A.shape[0])).ravel()
+        self._col_sums = _times_t(self.A, np.ones(self.A.shape[0]))
+        self._live = self._col_sums > 0
 
     def _rates(self, A, counts, x):
         """The rates A x as a flat array, one row per point of a stack;
         DomainViolation unless every row with a positive count has a
         positive rate (NaN is not). ``counts`` is ``_counts`` of the rows'
         counts."""
-        rates = _matvec(A, x)
+        rates = _times(A, x)
         _require(counts[1] | (rates > 0), _RATE_VIOLATION, self.kind)
         return rates
 
@@ -361,7 +385,7 @@ class PoissonKL(_RowObjective):
         """(rows of A, ``_counts`` of their counts) of component i, rows as a
         2-D block."""
         if self._rows is None:
-            return self._blocks[i][0], self._block_counts[i]
+            return self._blocks[i]
         a, bi = self._rows[i]
         return a[None, :], _counts(np.array([bi]))
 
@@ -369,7 +393,7 @@ class PoissonKL(_RowObjective):
     def _kl_terms(rates, counts):
         """The KL fit of the rows whose rates are ``rates``, one per point of
         a stack of rates."""
-        pos, zero, bp = counts
+        pos, zero, bp, _ = counts
         val = _sum(_pick(rates, zero))
         if bp.size:
             rp = _pick(rates, pos)
@@ -402,21 +426,19 @@ class PoissonKL(_RowObjective):
         return self._kl_terms(self._rates(Ai, counts, x), counts) + self._barrier_value(x)
 
     @staticmethod
-    def _kl_grad(AT, rates, counts):
+    def _kl_grad(A, rates, counts):
         """A^T (1 - b / Ax) over the observed rows, the others' coefficient 1;
         one row per point of a stack of rates."""
-        pos, _, bp = counts
-        coeff = np.ones_like(rates)
-        coeff[pos if rates.ndim == 1 else (..., pos)] = 1.0 - bp / _pick(rates, pos)
-        return _matvec(AT, coeff)
+        pos, _, _, b = counts
+        coeff = np.divide(b, rates, out=np.zeros(rates.shape), where=pos)
+        return _times_t(A, np.subtract(1.0, coeff, out=coeff))
 
     def partial_grad(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.partial_grad, i, x)
         if self._rows is None:
-            Ai, AiT, _ = self._blocks[i]
-            counts = self._block_counts[i]
-            g = self._kl_grad(AiT, self._rates(Ai, counts, x), counts)
+            Ai, counts = self._blocks[i]
+            g = self._kl_grad(Ai, self._rates(Ai, counts, x), counts)
         else:
             # row kernel, byte for byte _kl_grad on the (1, d) block: adding
             # 0.0 turns the -0.0 of a zero entry times a negative coefficient
@@ -435,7 +457,7 @@ class PoissonKL(_RowObjective):
         return g
 
     def _grad(self, p):
-        g = self._kl_grad(self._AT, p.data, self._counts) / self.n_components
+        g = self._kl_grad(self.A, p.data, self._counts) / self.n_components
         if self._barrier_on(p.x):
             g = g - self.barrier_weight / p.x
         return g
@@ -444,7 +466,7 @@ class PoissonKL(_RowObjective):
         """A^T diag(b / (Ax)^2) A / n + barrier_weight diag(1 / x^2)."""
         rates = p.data
         w = np.divide(self.b, np.square(rates), out=np.zeros_like(rates), where=self._counts[0])
-        H = _gram(self.A, self._AT, w)
+        H = _gram(self.A, w)
         H /= self.n_components
         if self._barrier_on(p.x):
             H.flat[:: self.dim + 1] += self.barrier_weight / p.x**2  # the diagonal
@@ -475,13 +497,11 @@ class PoissonKL(_RowObjective):
     def _mu_step(self, p):
         x = np.asarray(p.x, dtype=float)
         self.check_mu_domain(x)
-        pos, _, bp = self._counts
         rates = p.data
-        ratio = np.zeros_like(rates)
-        ratio[pos] = bp / rates[pos]
-        num = np.asarray(self._AT @ ratio).ravel()
+        ratio = np.divide(self.b, rates, out=np.zeros_like(rates), where=self._counts[0])
+        num = _times_t(self.A, ratio)
         out = x.copy()
-        live = self._col_sums > 0
+        live = self._live
         # multiply by the ratio so that b = Ax is an exact fixed point
         out[live] = x[live] * (num[live] / self._col_sums[live])
         return out
@@ -524,7 +544,7 @@ class LogisticL2(_RowObjective):
         self.labels = labels
         self.lam = float(lam)
         self._neg_labels = -labels
-        self._blocks = [(*_row_block(self.A, g), self._neg_labels[g]) for g in self.groups]
+        self._blocks = [(_row_block(self.A, g), self._neg_labels[g]) for g in self.groups]
         # per-row weight of the Hessian/value of the full objective
         w = np.zeros(self.A.shape[0])
         for g in self.groups:
@@ -534,16 +554,15 @@ class LogisticL2(_RowObjective):
     @staticmethod
     def _margins(A, neg_y, x):
         """The loss arguments t = -y * (A x) of the rows of A, ``neg_y`` their
-        negated labels, in place on the product A x (made float first where
-        an integer CSR matrix meets an integer x)."""
-        t = np.asarray(A @ x, dtype=float).ravel()
+        negated labels, in place on the product A x (float, as A is)."""
+        t = _times(A, x)
         t *= neg_y
         return t
 
     def value_component(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.value_component, i, x)
-        Ai, _, neg_yi = self._blocks[i]
+        Ai, neg_yi = self._blocks[i]
         t = self._margins(Ai, neg_yi, x)
         return float(np.mean(_log1pexp(t))) + 0.5 * self.lam * float(x @ x)
 
@@ -556,17 +575,17 @@ class LogisticL2(_RowObjective):
     def partial_grad(self, i, x):
         if isinstance(i, np.ndarray):
             return self._each(self.partial_grad, i, x)
-        Ai, AiT, neg_yi = self._blocks[i]
+        Ai, neg_yi = self._blocks[i]
         c = _sigmoid(self._margins(Ai, neg_yi, x))
         c *= neg_yi
         c /= len(neg_yi)
-        return np.asarray(AiT @ c).ravel() + self.lam * x
+        return _times_t(Ai, c) + self.lam * x
 
     def _grad(self, p):
         c = _sigmoid(p.data)
         c *= self._neg_labels
         c *= self._row_weight
-        return np.asarray(self._AT @ c).ravel() + self.lam * p.x
+        return _times_t(self.A, c) + self.lam * p.x
 
     def _slope(self, p, q):
         """<grad f(x), x' - x> from the loss arguments t of x and t' of x',
@@ -581,7 +600,7 @@ class LogisticL2(_RowObjective):
         w the row weights."""
         s = _sigmoid(-p.data)
         w = s * (1.0 - s) * self._row_weight
-        H = _gram(self.A, self._AT, w)
+        H = _gram(self.A, w)
         H.flat[:: self.dim + 1] += self.lam  # the diagonal
         return H
 

@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bregopt import (
     LogBarrier,
@@ -50,8 +51,12 @@ def barrier_poisson():
     return solve_reference(problem)
 
 
-def preconditioned():
+def preconditioned(sparse=False):
     data = gen_gaussian_logistic_data(120, 5, seed=3)
+    if sparse:  # about 40% of the entries zeroed, the rest stored as CSR
+        A, labels = data
+        A[make_rng(7).random(A.shape) < 0.4] = 0.0
+        data = sp.csr_matrix(A), labels
     problem = gen_preconditioned(data, n_nodes=4, N=30, n_prec=20,
                                  lam=1e-3, c_prec=1e-3, seed=3)
     return solve_reference(problem)
@@ -72,6 +77,8 @@ CASES = {
     "barrier-poisson": (barrier_poisson, dict(epochs=4.0, seed=3), BREGMAN),
     "preconditioned": (preconditioned, dict(eta=0.5, epochs=3.0, seed=4, record_every=1),
                        BREGMAN),
+    "preconditioned-csr": (lambda: preconditioned(sparse=True),
+                           dict(eta=0.5, epochs=3.0, seed=4, record_every=1), BREGMAN),
 }
 
 
@@ -126,6 +133,13 @@ GOLDEN = {
         "bsaga": "cf850d3b60846896b415d3cf01f573c04c8b144f3d824db4652e7c115a8bb54b",
         "bsgd": "480cf542daefc940a2fbc7e4818ad1979a7b6d351c7dc998708a210aacdbd137",
         "bsvrg": "dbb40907c49eda55065445df7c2042715d76622f757b550f60a2d62f8c4bbb95"
+    },
+    # recorded while sparse products went through scipy's ``@``
+    "preconditioned-csr": {
+        "bgd": "d0c519dd6cd7761168dd6c6f4e5a85f88f66e289d1f614da2aade83920fab8d3",
+        "bsaga": "9b21a735e45dbb3cf51a3048aadb05f00e205b3bf60009d0cc4c24bf5d83ba08",
+        "bsgd": "bedb08bd32f7466575a96af62a468d97a5e2ee92586a50924a3e50232dc5b45f",
+        "bsvrg": "40533a423ab4ba583079d56837419bccc4fb413ab16544b98b975827e0180e04"
     },
     "tomography": {
         "bgd": "021b01f95e8b9b456771f7fa479f38ceab1fc3d61b66a26325a5342357619677",

@@ -13,7 +13,16 @@ from bregopt import (
     LogisticL2,
     PoissonKL,
 )
-from bregopt.objective import _counts, _issparse, _log1pexp, _sigmoid
+from bregopt.objective import (
+    _counts,
+    _CSRRows,
+    _issparse,
+    _log1pexp,
+    _row_block,
+    _sigmoid,
+    _times,
+    _times_t,
+)
 from bregopt.problems import gen_tomography, load_instance, save_instance
 from bregopt.rng import make_rng
 
@@ -316,7 +325,7 @@ def _block_grad(obj, j, x):
     """Component gradient of row j through the (1, d) block path, the
     barrier's domain checked after the rate's."""
     A, counts = obj.A[j:j + 1], _counts(obj.b[j:j + 1])
-    g = obj._kl_grad(A.T, obj._rates(A, counts, x), counts)
+    g = obj._kl_grad(A, obj._rates(A, counts, x), counts)
     return g - obj.barrier_weight / x if obj._barrier_on(x) else g
 
 
@@ -448,6 +457,63 @@ def same_or_same_violation(call, want):
 
 
 @st.composite
+def csr_products(draw):
+    """A CSR matrix as the objectives hold it, with a point x, a
+    coefficient vector c and a contiguous row range [lo, hi).
+
+    The CSR arrays are laid out from COO triples by a stable sort on the
+    row alone, so duplicate entries and unsorted columns stay as drawn, and
+    rows and columns that no triple reaches are empty. The index arrays are
+    int32 or int64; integer data is stored as float64, as the objectives
+    store it; x may be an integer array and may be a strided view."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    nnz = draw(st.integers(0, 24))
+    r = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=nnz, max_size=nnz)), dtype=int)
+    k = np.array(draw(st.lists(st.integers(0, cols - 1), min_size=nnz, max_size=nnz)), dtype=int)
+    integer = draw(st.booleans())
+    value = st.integers(-9, 9) if integer else st.floats(-1e6, 1e6, allow_subnormal=True)
+    v = np.array(draw(st.lists(value, min_size=nnz, max_size=nnz)),
+                 dtype=np.int64 if integer else float)
+    order = np.argsort(r, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=rows))))
+    A0 = sp.csr_matrix((v[order], k[order], indptr), shape=(rows, cols))
+    A = A0.astype(float)
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    for M in (A0, A):  # scipy picks int32 where it fits: set the drawn type after
+        M.indices, M.indptr = M.indices.astype(index), M.indptr.astype(index)
+    point = st.integers(-9, 9) if draw(st.booleans()) else st.floats(-1e3, 1e3)
+    step = draw(st.sampled_from([1, 2]))
+    x = np.array(draw(st.lists(point, min_size=step * cols, max_size=step * cols)))[::step]
+    c = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
+    lo = draw(st.integers(0, rows - 1))
+    hi = draw(st.integers(lo + 1, rows))
+    return A0, A, x, c, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_products())
+def test_csr_helpers_are_scipys_products_bytewise(case):
+    # the helpers call scipy.sparse._sparsetools, a private module: this
+    # pins them to scipy's own A @ x and A.T @ c, on the full matrix and on
+    # a contiguous row block, so that a scipy upgrade that moves them fails
+    A0, A, x, c, lo, hi = case
+    assert A.indices.dtype == A.indptr.dtype and A.data.dtype == np.float64
+    got = _times(A, x)
+    assert got.dtype == np.float64 and got.tobytes() == (A @ x).tobytes()
+    if A0.dtype.kind == x.dtype.kind == "i":  # small integers: exact either way
+        assert got.tobytes() == (A0 @ x).astype(float).tobytes()
+    assert _times_t(A, c).tobytes() == (A.T @ c).tobytes()
+    block, rows = _row_block(A, np.arange(lo, hi)), A[lo:hi]
+    assert type(block) is _CSRRows and block.indptr.dtype == A.indptr.dtype
+    assert _times(block, x).tobytes() == (rows @ x).tobytes()
+    assert _times_t(block, c[lo:hi]).tobytes() == (rows.T @ c[lo:hi]).tobytes()
+    with pytest.raises(ValueError, match="stack"):
+        _times(block, np.ones((2, A.shape[1])))
+    with pytest.raises(ValueError, match="length"):
+        _times(A, np.ones(A.shape[1] + 1))
+
+
+@st.composite
 def grouped_poisson(draw):
     """A sparse or dense PoissonKL with row blocks (a dense one has a block
     of at least two rows, so the block path is taken), and points that may
@@ -514,23 +580,24 @@ class TestCachedOperators:
 
     def test_sparse_transposes_share_the_blocks_arrays(self):
         # scipy stores these small operators with int32 indices, both the
-        # generator's radon_matrix and a loaded instance's sp.csr_matrix;
-        # A^T and each block's transpose are views of the same arrays, and
-        # each block (one angle, a contiguous row range) a view of A's
+        # generator's radon_matrix and a loaded instance's sp.csr_matrix.
+        # No transpose is stored: A^T c and A_i^T c read the CSR arrays of A
+        # and of the block, and each block (one angle, a contiguous row
+        # range) is slices of A's arrays with a rebased indptr
         gen = gen_tomography(16, 3, seed=1).objective
         obj = PoissonKL(sp.csr_matrix(gen.A.toarray()), gen.b, groups=gen.groups)
-        pairs = [(Ai, AiT) for o in (gen, obj) for Ai, AiT, _ in o._blocks]
-        pairs += [(gen.A, gen._AT), (obj.A, obj._AT)]
-        assert len(pairs) == 8
-        for Ai, AiT in pairs:
-            assert sp.issparse(AiT) and AiT.shape == Ai.shape[::-1]
-            assert Ai.indices.dtype == Ai.indptr.dtype == np.int32
-            for part in ("data", "indices", "indptr"):
-                assert np.shares_memory(getattr(Ai, part), getattr(AiT, part))
+        c = np.linspace(-1.0, 2.0, 16)
         for o in (gen, obj):
-            for Ai, _, _ in o._blocks:
-                assert np.shares_memory(o.A.data, Ai.data)
-                assert np.shares_memory(o.A.indices, Ai.indices)
+            assert [k for k, v in vars(o).items() if _issparse(v)] == ["A"]
+            assert len(o._blocks) == 3
+            for (Ai, _), g in zip(o._blocks, o.groups):
+                assert type(Ai) is _CSRRows and Ai.shape == (16, o.dim)
+                assert Ai.indices.dtype == Ai.indptr.dtype == np.int32
+                lo, hi = o.A.indptr[g[0]], o.A.indptr[g[-1] + 1]
+                assert np.array_equal(Ai.indptr, o.A.indptr[g[0]:g[-1] + 2] - lo)
+                for part in ("data", "indices"):
+                    assert np.shares_memory(getattr(o.A, part)[lo:hi], getattr(Ai, part))
+                assert _times_t(Ai, c).tobytes() == (o.A[g].T @ c).tobytes()
 
     def test_tomography_blocks_are_views_of_the_operator(self, tmp_path):
         problem = gen_tomography(64, 60, seed=1)
@@ -538,10 +605,9 @@ class TestCachedOperators:
         save_instance(path, problem)
         for o in (problem.objective, load_instance(path).objective):
             assert len(o._blocks) == 60
-            for Ai, AiT, _ in o._blocks:
-                for B in (Ai, AiT):
-                    assert np.shares_memory(o.A.data, B.data)
-                    assert np.shares_memory(o.A.indices, B.indices)
+            for Ai, _ in o._blocks:
+                assert np.shares_memory(o.A.data, Ai.data)
+                assert np.shares_memory(o.A.indices, Ai.indices)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_only_contiguous_blocks_are_views(self, sparse):
@@ -551,10 +617,13 @@ class TestCachedOperators:
         objs = (PoissonKL(A, np.ones(6), groups=groups),
                 LogisticL2(A, np.ones(6), groups=groups))
         for o in objs:
-            shared = [np.shares_memory(o.A.data if sparse else o.A,
-                                       block[0].data if sparse else block[0])
-                      for block in o._blocks]
-            assert shared == [True, False, True]
+            for (block, _), view in zip(o._blocks, [True, False, True]):
+                if sparse:  # a view is slices of A's arrays, a copy scipy's A[g]
+                    assert np.shares_memory(o.A.data, block.data) == view
+                    assert np.shares_memory(o.A.indices, block.indices) == view
+                    assert (type(block) is _CSRRows) == view
+                else:
+                    assert np.shares_memory(o.A, block) == view
 
     def test_objectives_need_an_unknown(self):
         with pytest.raises(InvalidData, match="at least one unknown"):
@@ -860,6 +929,7 @@ class TestLogisticL2:
         x = np.array([1, 2])
         ints = LogisticL2(sp.csr_matrix(np.array([[1, 2], [3, -1]])), [1, -1], lam=0.1)
         floats = LogisticL2(sp.csr_matrix(np.array([[1.0, 2.0], [3.0, -1.0]])), [1, -1], lam=0.1)
+        assert ints.A.dtype == np.float64  # stored as float64 CSR at construction
         for name in ("value", "full_grad", "hessian"):
             got, want = getattr(ints, name)(x), getattr(floats, name)(x.astype(float))
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
